@@ -125,8 +125,49 @@ def snr_hz_kernel(gain, params: ChannelParams):
         / params.noise_spectral_density
 
 
-def rate_kernel(gain, bandwidth_hz, params: ChannelParams):
-    return bandwidth_hz * np.log2(1.0 + snr_hz_kernel(gain, params) / bandwidth_hz)
+def shannon_rate_kernel(snr_hz, bandwidth_hz):
+    """Shannon rate B*log2(1 + S/B) of a link with received SNR density S (Hz)."""
+    return bandwidth_hz * np.log2(1.0 + snr_hz / bandwidth_hz)
+
+
+def snr_hz_between(ue_xyz, uav_xyz, params: ChannelParams):
+    """SNR density (Hz) between broadcast arrays of UE and UAV positions (..., 3).
+
+    A UAV at or below its UE lies outside the elevation model; its link gets
+    0, which the Shannon kernel turns into a zero rate, so a swarm can score
+    such positions as unserved and move away from them.
+    """
+    d = np.linalg.norm(uav_xyz - ue_xyz, axis=-1)
+    dz = uav_xyz[..., 2] - ue_xyz[..., 2]
+    valid = (d > 0.0) & (dz > 0.0)
+    d_safe = np.where(valid, d, 1.0)
+    sin_elev = np.clip(np.where(valid, dz, 0.0) / d_safe, 0.0, 1.0)
+    gain = gain_kernel(d_safe, np.degrees(np.arcsin(sin_elev)), params)
+    return np.where(valid, snr_hz_kernel(gain, params), 0.0)
+
+
+def demand_fit_kernel(snr_hz, demand_bps, b_max_hz: float, grid_hz: float):
+    """Smallest grid bandwidth meeting each demand, and the rate it gives.
+
+    Arrays broadcast against each other. The rate is strictly increasing in
+    bandwidth, so one bisection over grid indices 1..b_max_hz//grid_hz finds
+    the first sufficient multiple of ``grid_hz``. Where even the last index
+    falls short, the bandwidth is the last grid width and the rate stays
+    below the demand. Needs ``grid_hz <= b_max_hz``, which ``Scenario.validate``
+    guarantees.
+    """
+    k_max = int(b_max_hz // grid_hz)
+    achievable = shannon_rate_kernel(snr_hz, k_max * grid_hz) >= demand_bps
+    shape = np.broadcast(snr_hz, demand_bps).shape
+    lo = np.ones(shape, dtype=np.int64)
+    hi = np.full(shape, k_max, dtype=np.int64)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        ok = shannon_rate_kernel(snr_hz, mid * grid_hz) >= demand_bps
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, np.minimum(mid + 1, hi))
+    bw = np.where(achievable, lo, k_max) * grid_hz
+    return bw, shannon_rate_kernel(snr_hz, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +214,8 @@ def link_rate(ue: Point3, uav: Point3, bandwidth_hz: float, params: ChannelParam
     if bandwidth_hz <= 0:
         raise ChannelDomainError(f"bandwidth must be positive, got {bandwidth_hz}")
     d, elev = _checked_geometry(ue, uav)
-    return float(rate_kernel(gain_kernel(d, elev, params), bandwidth_hz, params))
+    snr_hz = snr_hz_kernel(gain_kernel(d, elev, params), params)
+    return float(shannon_rate_kernel(snr_hz, bandwidth_hz))
 
 
 def link_budget(ue: Point3, uav: Point3, bandwidth_hz: float, params: ChannelParams) -> LinkBudget:
@@ -183,7 +225,7 @@ def link_budget(ue: Point3, uav: Point3, bandwidth_hz: float, params: ChannelPar
     d, elev = _checked_geometry(ue, uav)
     p_los = float(los_probability_kernel(elev, params.c1, params.c2))
     gain = float(gain_kernel(d, elev, params))
-    rate = float(rate_kernel(gain, bandwidth_hz, params))
+    rate = float(shannon_rate_kernel(snr_hz_kernel(gain, params), bandwidth_hz))
     return LinkBudget(
         distance_m=d,
         elevation_deg=elev,
@@ -229,24 +271,15 @@ def min_bandwidth_for_demand(
 ) -> float | None:
     """Smallest bandwidth on the grid meeting the demand at this geometry.
 
-    Returns None when even ``b_max_hz`` cannot deliver the demand. The rate
-    is strictly increasing in bandwidth, so a bisection over grid indices
-    finds the first sufficient multiple of ``grid_hz``.
+    Returns None when even ``b_max_hz`` cannot deliver the demand.
     """
     if demand_bps <= 0:
         raise ChannelDomainError(f"demand must be positive, got {demand_bps}")
+    if not 0 < grid_hz <= b_max_hz < math.inf:
+        raise ChannelDomainError(
+            f"need 0 < grid_hz <= b_max_hz < inf, got grid {grid_hz}, budget {b_max_hz}"
+        )
     d, elev = _checked_geometry(ue, uav)
-    gain = gain_kernel(d, elev, params)
-    k_max = int(b_max_hz // grid_hz)
-    if k_max < 1:
-        return None
-    if float(rate_kernel(gain, k_max * grid_hz, params)) < demand_bps:
-        return None
-    lo, hi = 1, k_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if float(rate_kernel(gain, mid * grid_hz, params)) >= demand_bps:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo * grid_hz
+    snr_hz = snr_hz_kernel(gain_kernel(d, elev, params), params)
+    bw, rate = demand_fit_kernel(snr_hz, demand_bps, b_max_hz, grid_hz)
+    return float(bw) if rate >= demand_bps else None

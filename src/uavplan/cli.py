@@ -20,6 +20,7 @@ from .geometry import FeasibleBox, Point3
 from .planner import CapacityDeadlockError, plan_deployment, validate_deployment
 from .positioning import SwarmConfig
 from .scenario import (
+    METHODS,
     UE,
     BaselineKind,
     ConfigError,
@@ -59,7 +60,12 @@ _PSO_KEYS = {
     "early_stop_patience",
 }
 
-_POLICY_KEYS = {"bandwidth", "fixed_bandwidth_hz", "grid_hz"}
+# Policy-section key -> (Scenario field, type).
+_POLICY_FIELDS = {
+    "bandwidth": ("bandwidth_policy", str),
+    "fixed_bandwidth_hz": ("fixed_bandwidth_hz", float),
+    "grid_hz": ("bandwidth_grid_hz", float),
+}
 
 
 def parse_channel(section: dict) -> ChannelParams:
@@ -120,6 +126,19 @@ def parse_pso(section: dict, seed: int) -> SwarmConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def parse_policy(section: dict) -> dict:
+    """Scenario field values set by a policy section; absent keys are left out."""
+    _require_keys(section, set(_POLICY_FIELDS), "policy section")
+    try:
+        return {
+            field: cast(section[key])
+            for key, (field, cast) in _POLICY_FIELDS.items()
+            if key in section
+        }
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid policy section: {exc}") from exc
+
+
 def scenario_from_dict(doc: dict) -> tuple[Scenario, ChannelParams, SwarmConfig]:
     _require_keys(doc, {"label", "seed", "venue", "b_max_hz", "ues", "channel", "pso", "policy"},
                   "scenario document")
@@ -149,19 +168,13 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, ChannelParams, SwarmConfig]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid ues[{n}]: {exc}") from exc
 
-    policy_doc = doc.get("policy", {})
-    _require_keys(policy_doc, _POLICY_KEYS, "policy section")
-    policy = policy_doc.get("bandwidth", "demand-fit")
-
     scenario = Scenario(
         label=str(doc.get("label", "")),
         seed=int(doc["seed"]),
         venue=venue,
         ues=tuple(ues),
         b_max_hz=float(doc.get("b_max_hz", 160e6)),
-        bandwidth_policy=str(policy),
-        fixed_bandwidth_hz=float(policy_doc.get("fixed_bandwidth_hz", 20e6)),
-        bandwidth_grid_hz=float(policy_doc.get("grid_hz", 1e3)),
+        **parse_policy(doc.get("policy", {})),
     )
     scenario.validate()
     params = parse_channel(doc.get("channel", {}))
@@ -183,7 +196,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             {
                 "x": ue.position.x, "y": ue.position.y, "z": ue.position.z,
                 "demand_bps": ue.demand_bps,
-                **({"bandwidth_hz": ue.bandwidth_hz} if ue.bandwidth_hz is not None else {}),
+                **({} if ue.bandwidth_hz is None else {"bandwidth_hz": ue.bandwidth_hz}),
             }
             for ue in scenario.ues
         ],
@@ -208,15 +221,7 @@ def _apply_config_overrides(path, scenario, params, swarm):
     if "pso" in doc:
         swarm = parse_pso(doc["pso"], seed=scenario.seed)
     if "policy" in doc:
-        _require_keys(doc["policy"], _POLICY_KEYS, "policy section")
-        updates: dict = {}
-        if "bandwidth" in doc["policy"]:
-            updates["bandwidth_policy"] = str(doc["policy"]["bandwidth"])
-        if "fixed_bandwidth_hz" in doc["policy"]:
-            updates["fixed_bandwidth_hz"] = float(doc["policy"]["fixed_bandwidth_hz"])
-        if "grid_hz" in doc["policy"]:
-            updates["bandwidth_grid_hz"] = float(doc["policy"]["grid_hz"])
-        scenario = replace(scenario, **updates)
+        scenario = replace(scenario, **parse_policy(doc["policy"]))
         scenario.validate()
     return scenario, params, swarm
 
@@ -351,14 +356,7 @@ def cmd_sweep(args) -> int:
         if "pso" in doc:
             swarm = parse_pso(doc["pso"], seed=args.base_seed)
         if "policy" in doc:
-            _require_keys(doc["policy"], _POLICY_KEYS, "policy section")
-            overrides = {}
-            if "bandwidth" in doc["policy"]:
-                overrides["bandwidth_policy"] = str(doc["policy"]["bandwidth"])
-            if "fixed_bandwidth_hz" in doc["policy"]:
-                overrides["fixed_bandwidth_hz"] = float(doc["policy"]["fixed_bandwidth_hz"])
-            if "grid_hz" in doc["policy"]:
-                overrides["bandwidth_grid_hz"] = float(doc["policy"]["grid_hz"])
+            overrides = parse_policy(doc["policy"])
 
     table = run_experiment(
         args.kind, params, swarm, n_runs=args.runs, base_seed=args.base_seed,
@@ -386,15 +384,14 @@ def _write_plot_data(table, out_dir) -> None:
 
     summary = table.summary()
     variants = sorted({row["variant"] for row in summary})
-    methods = ("planner", "fixed-altitude", "fixed-n")
     for metric, fname in (
         ("uav_count_mean", f"plot_uav_count_{table.kind}.csv"),
         ("aggregate_bps_mean", f"plot_throughput_{table.kind}.csv"),
     ):
-        lines = ["variant," + ",".join(methods)]
+        lines = ["variant," + ",".join(METHODS)]
         for v in variants:
             cells = []
-            for m in methods:
+            for m in METHODS:
                 hit = [r for r in summary if r["variant"] == v and r["method"] == m]
                 cells.append(repr(hit[0][metric]) if hit else "nan")
             lines.append(f"{v!r}," + ",".join(cells))

@@ -65,21 +65,21 @@ class CandidateZone:
 def sphere_bandwidth(ue, scenario) -> float:
     """Bandwidth assumed when sizing a UE's coverage sphere.
 
-    Under the fixed policy this is the per-UE override or the configured
-    channel width. Under demand-fit the per-link bandwidth is chosen at
-    positioning time, so the sphere uses the full per-UAV budget: the ball
-    then contains exactly the positions where *some* admissible bandwidth
-    meets the demand.
+    A pinned link (see ``Scenario.pinned_bandwidth_hz``) is sized at its
+    width. A demand-fit link's width is chosen at positioning time, so its
+    sphere uses the full per-UAV budget: the ball then contains exactly the
+    positions where *some* admissible bandwidth meets the demand.
     """
-    if ue.bandwidth_hz is not None:
-        return ue.bandwidth_hz
-    if scenario.bandwidth_policy == "fixed":
-        return scenario.fixed_bandwidth_hz
-    return scenario.b_max_hz
+    pinned = scenario.pinned_bandwidth_hz(ue)
+    return scenario.b_max_hz if pinned is None else pinned
 
 
 def build_spheres(scenario: "Scenario", params: "ChannelParams") -> list[CoverageSphere]:
-    """One service sphere per UE; fails if any sphere misses the UAV box."""
+    """One service sphere per UE, in UE order; fails if any sphere misses the UAV box.
+
+    Every later stage indexes spheres by position: ``spheres[i]`` is the
+    sphere of UE ``i`` and has ``ue_index == i``.
+    """
     spheres = []
     unservable = []
     box = scenario.venue
@@ -164,15 +164,15 @@ def zone_witness(
 
     Returns ``(point, deficit)``; ``deficit <= 0`` certifies that the point
     lies inside every member sphere (the zone is nonempty), ``deficit > 0``
-    certifies infeasibility of the member set. Deterministic: the descent
-    uses a fixed start schedule and no randomness.
+    certifies infeasibility of the member set. ``spheres`` is indexed by UE
+    (see ``build_spheres``). Deterministic: the descent uses a fixed start
+    schedule and no randomness.
     """
-    by_index = {s.ue_index: s for s in spheres}
     idx = sorted(set(members))
     if not idx:
         raise ValueError("empty member set")
-    centers = np.array([by_index[i].center.as_array() for i in idx])
-    radii = np.array([by_index[i].radius for i in idx])
+    centers = np.array([spheres[i].center.as_array() for i in idx])
+    radii = np.array([spheres[i].radius for i in idx])
 
     best_p, best_f = None, math.inf
     for start in _witness_starts(centers, box):
@@ -354,14 +354,13 @@ def enumerate_zones(
     feasible set is a clique), falling back to pairwise-seeded growth for
     components larger than ``exact_limit`` or past the solve budget. Each
     emitted zone's member list is closed over its witness: every sphere
-    containing the witness is a member.
+    containing the witness is a member. ``spheres`` is indexed by UE (see
+    ``build_spheres``).
     """
     if not spheres:
         raise ValueError("no spheres to enumerate")
-    order = sorted(range(len(spheres)), key=lambda k: spheres[k].ue_index)
-    spheres = [spheres[k] for k in order]
     cache = _FeasibilityCache(spheres, box, solve_budget)
-    nodes = [s.ue_index for s in spheres]
+    nodes = list(range(len(spheres)))
 
     adj: dict[int, set[int]] = {i: set() for i in nodes}
     for a in range(len(nodes)):

@@ -103,25 +103,28 @@ class ValidationReport:
 RATE_RTOL = 1e-9
 
 
-def min_feasible_bandwidth(ue, scenario: "Scenario", params: "ChannelParams") -> float | None:
-    """Lower bound on the bandwidth a UE can ever need inside the box.
+def min_feasible_bandwidths(scenario: "Scenario", params: "ChannelParams") -> np.ndarray:
+    """Lower bound on the bandwidth each UE can ever need inside the box.
 
-    Evaluated at the most favorable geometry: directly overhead at the
-    lowest allowed altitude, where both the distance and the NLoS mix are
-    at their minima. Under the fixed policy this is just the fixed width.
+    A pinned link needs exactly its pinned width. A demand-fit link is
+    evaluated at its most favorable geometry: directly overhead at the
+    lowest allowed altitude, where both the distance and the NLoS mix are at
+    their minima. NaN marks a UE whose demand even ``b_max_hz`` cannot meet.
     """
-    if ue.bandwidth_hz is not None:
-        return ue.bandwidth_hz
-    if scenario.bandwidth_policy == "fixed":
-        return scenario.fixed_bandwidth_hz
-    box = scenario.venue
-    x = min(max(ue.position.x, box.x[0]), box.x[1])
-    y = min(max(ue.position.y, box.y[0]), box.y[1])
-    best = Point3(x, y, box.z[0])
-    return channel.min_bandwidth_for_demand(
-        ue.position, best, ue.demand_bps, params,
-        b_max_hz=scenario.b_max_hz, grid_hz=scenario.bandwidth_grid_hz,
-    )
+    bounds = np.array([scenario.pinned_bandwidth_hz(ue) for ue in scenario.ues], dtype=float)
+    fit = np.isnan(bounds)
+    if fit.any():
+        positions = np.array([ue.position.as_array() for ue in scenario.ues])[fit]
+        demands = np.array([ue.demand_bps for ue in scenario.ues])[fit]
+        # Every UE lies inside the footprint and below the altitude floor, so
+        # clamping it into the box gives the point straight above it.
+        overhead = scenario.venue.clamp(positions)
+        snr_hz = channel.snr_hz_between(positions, overhead, params)
+        bw, rate = channel.demand_fit_kernel(
+            snr_hz, demands, scenario.b_max_hz, scenario.bandwidth_grid_hz
+        )
+        bounds[fit] = np.where(rate >= demands, bw, np.nan)
+    return bounds
 
 
 def zone_capacity(members: Sequence[int], lower_bounds: Sequence[float], b_max_hz: float) -> int:
@@ -158,12 +161,11 @@ def split_zone(
         raise ValueError("max_members must be >= 1")
     if len(zone.members) <= max_members:
         return [zone]
-    by_index = {s.ue_index: s for s in spheres}
 
     def bisect(members: tuple[int, ...]) -> list[tuple[int, ...]]:
         if len(members) <= max_members:
             return [members]
-        pts = np.array([by_index[i].center.as_array() for i in members])
+        pts = np.array([spheres[i].center.as_array() for i in members])
         centered = pts - pts.mean(axis=0)
         cov = centered.T @ centered
         w, v = np.linalg.eigh(cov)
@@ -197,10 +199,9 @@ def _restrict_zone(zone: CandidateZone, served: Sequence[int],
     members = tuple(sorted(served))
     if members == zone.members:
         return zone
-    by_index = {s.ue_index: s for s in spheres}
     w = zone.witness.as_array()
     slack = min(
-        by_index[i].radius - float(np.linalg.norm(w - by_index[i].center.as_array()))
+        spheres[i].radius - float(np.linalg.norm(w - spheres[i].center.as_array()))
         for i in members
     )
     return CandidateZone(members=members, witness=zone.witness, slack=slack)
@@ -226,17 +227,11 @@ def plan_deployment(
     swarm_config = swarm_config or SwarmConfig(seed=scenario.seed)
     scenario.validate()
 
-    lower_bounds = []
-    bandwidth_starved = []
-    for i, ue in enumerate(scenario.ues):
-        lb = min_feasible_bandwidth(ue, scenario, params)
-        if lb is None:
-            bandwidth_starved.append(i)
-            lb = scenario.b_max_hz
-        lower_bounds.append(lb)
+    lower_bounds = min_feasible_bandwidths(scenario, params)
+    bandwidth_starved = np.flatnonzero(np.isnan(lower_bounds)).tolist()
     if bandwidth_starved:
         raise UnservableError(bandwidth_starved)
-    over = [i for i, lb in enumerate(lower_bounds) if lb > scenario.b_max_hz]
+    over = np.flatnonzero(lower_bounds > scenario.b_max_hz).tolist()
     if over:
         raise CapacityDeadlockError(
             f"UEs {over} each need more bandwidth than the per-UAV budget "

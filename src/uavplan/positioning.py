@@ -69,7 +69,8 @@ class _MemberData:
     indices: np.ndarray          # (m,) UE indices
     positions: np.ndarray        # (m, 3)
     demands: np.ndarray          # (m,)
-    fixed_bandwidth: np.ndarray | None  # (m,) under fixed policy, else None
+    pinned: np.ndarray           # (m,) pinned link widths, NaN where demand-fit
+    fit: np.ndarray              # (m,) True where demand-fit picks the width
     b_max_hz: float
     grid_hz: float
     penalty_scale: float         # dominates any achievable throughput sum
@@ -77,21 +78,15 @@ class _MemberData:
 
 def _member_data(members: Sequence[int], scenario: "Scenario") -> _MemberData:
     idx = np.array(sorted(members), dtype=int)
-    pos = np.array([scenario.ues[i].position.as_array() for i in idx])
-    demands = np.array([scenario.ues[i].demand_bps for i in idx])
-    if scenario.bandwidth_policy == "fixed":
-        fixed = np.array([
-            scenario.ues[i].bandwidth_hz if scenario.ues[i].bandwidth_hz is not None
-            else scenario.fixed_bandwidth_hz
-            for i in idx
-        ])
-    else:
-        fixed = None
+    ues = [scenario.ues[i] for i in idx]
+    demands = np.array([ue.demand_bps for ue in ues])
+    pinned = np.array([scenario.pinned_bandwidth_hz(ue) for ue in ues], dtype=float)
     return _MemberData(
         indices=idx,
-        positions=pos,
+        positions=np.array([ue.position.as_array() for ue in ues]),
         demands=demands,
-        fixed_bandwidth=fixed,
+        pinned=pinned,
+        fit=np.isnan(pinned),
         b_max_hz=scenario.b_max_hz,
         grid_hz=scenario.bandwidth_grid_hz,
         penalty_scale=10.0 * float(np.sum(demands)),
@@ -101,53 +96,19 @@ def _member_data(members: Sequence[int], scenario: "Scenario") -> _MemberData:
 def _swarm_rates(positions: np.ndarray, data: _MemberData, params: "ChannelParams"):
     """Per-particle, per-member (bandwidth, rate, served) arrays.
 
-    Positions at or below a member's horizon are scored as unserved rather
-    than rejected, so the swarm can move away from them.
+    Pinned links keep their width; the others get the demand-fit width.
+    Positions at or below a member's horizon give it a zero rate, so they
+    score as unserved rather than being rejected and the swarm can move away.
     """
-    diff = positions[:, None, :] - data.positions[None, :, :]   # (S, m, 3)
-    d = np.linalg.norm(diff, axis=2)
-    dz = positions[:, 2][:, None] - data.positions[None, :, 2]
-    valid = (d > 0.0) & (dz > 0.0)
-    d_safe = np.where(valid, d, 1.0)
-    sin_elev = np.clip(np.where(valid, dz, 0.0) / d_safe, 0.0, 1.0)
-    elev = np.degrees(np.arcsin(sin_elev))
-    gain = channel.gain_kernel(d_safe, elev, params)
-    snr_hz = np.where(valid, channel.snr_hz_kernel(gain, params), 0.0)
-
-    if data.fixed_bandwidth is not None:
-        bw = np.broadcast_to(data.fixed_bandwidth, snr_hz.shape).copy()
-        rate = bw * np.log2(1.0 + snr_hz / bw)
-    else:
-        bw, rate = _demand_fit_grid(snr_hz, data.demands, data.b_max_hz, data.grid_hz)
-    rate = np.where(valid, rate, 0.0)
-    served = valid & (rate >= data.demands[None, :])
-    return bw, rate, served
-
-
-def _demand_fit_grid(snr_hz: np.ndarray, demands: np.ndarray, b_max_hz: float, grid_hz: float):
-    """Smallest grid bandwidth meeting each demand; B_max where impossible.
-
-    rate(B) = B*log2(1 + snr_hz/B) is strictly increasing in B, so a
-    bisection over grid indices finds the first sufficient multiple.
-    """
-    k_max = max(int(b_max_hz // grid_hz), 1)
-
-    def rate_at(k):
-        b = k * grid_hz
-        return b * np.log2(1.0 + snr_hz / b)
-
-    achievable = rate_at(np.full(snr_hz.shape, k_max)) >= demands[None, :]
-    lo = np.ones(snr_hz.shape, dtype=np.int64)
-    hi = np.full(snr_hz.shape, k_max, dtype=np.int64)
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        ok = rate_at(mid) >= demands[None, :]
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, np.minimum(mid + 1, hi))
-    k = np.where(achievable, lo, k_max)
-    bw = k.astype(float) * grid_hz
-    rate = bw * np.log2(1.0 + snr_hz / bw)
-    return bw, rate
+    snr_hz = channel.snr_hz_between(data.positions[None, :, :], positions[:, None, :], params)
+    bw = np.broadcast_to(data.pinned, snr_hz.shape)
+    if data.fit.any():
+        # Fitting every member and keeping the pinned widths is cheaper than
+        # copying out the demand-fit columns.
+        fitted, _ = channel.demand_fit_kernel(snr_hz, data.demands, data.b_max_hz, data.grid_hz)
+        bw = np.where(data.fit, fitted, bw)
+    rate = channel.shannon_rate_kernel(snr_hz, bw)
+    return bw, rate, rate >= data.demands[None, :]
 
 
 def _swarm_fitness(positions: np.ndarray, data: _MemberData, params: "ChannelParams",
@@ -182,21 +143,15 @@ def _allocations(position: np.ndarray, data: _MemberData, params: "ChannelParams
     ], bool(np.all(served[0])) and float(np.sum(bw[0])) <= data.b_max_hz
 
 
-def _init_bounds(zone: CandidateZone, spheres_by_index, box: FeasibleBox):
+def _init_bounds(zone: CandidateZone, centers, radii, box: FeasibleBox):
     """Bounding box of the member-sphere intersection, clipped to the box."""
-    lo = box.lower.copy()
-    hi = box.upper.copy()
-    for i in zone.members:
-        s = spheres_by_index.get(i)
-        if s is None:
-            continue
-        c = s.center.as_array()
-        lo = np.maximum(lo, c - s.radius)
-        hi = np.minimum(hi, c + s.radius)
+    lo = box.lower
+    hi = box.upper
+    if centers is not None:
+        lo = np.maximum(lo, np.max(centers - radii[:, None], axis=0))
+        hi = np.minimum(hi, np.min(centers + radii[:, None], axis=0))
     w = zone.witness.as_array()
-    lo = np.minimum(lo, w)
-    hi = np.maximum(hi, w)
-    return lo, hi
+    return np.minimum(lo, w), np.maximum(hi, w)
 
 
 def optimize_position(
@@ -215,16 +170,30 @@ def optimize_position(
     demands are met and the global best, quantized to the position precision,
     has not moved for ``early_stop_patience`` iterations. Per-particle RNG
     substreams are derived from (config.seed, members), making the trajectory
-    a pure function of the inputs.
+    a pure function of the inputs. ``spheres`` is indexed by UE (see
+    ``build_spheres``); without spheres (the baselines) the search is bounded
+    by the box alone.
 
-    Raises ZoneCapacityError when even the witness overruns the bandwidth
-    budget (the caller should split the zone), unless
+    Raises ZoneCapacityError when the members' pinned link widths alone
+    overrun the bandwidth budget (the caller should split the zone), unless
     ``allow_capacity_overrun`` is set (baselines report violations instead).
     """
     data = _member_data(zone.members, scenario)
     box = scenario.venue
-    spheres_by_index = {s.ue_index: s for s in spheres}
-    lo, hi = _init_bounds(zone, spheres_by_index, box)
+    # Pinned widths do not depend on the position, so if they alone overrun
+    # the budget no position serves the zone; the demand-fit share varies
+    # with position and is judged after the search.
+    pinned_hz = float(np.sum(data.pinned[~data.fit]))
+    if not allow_capacity_overrun and pinned_hz > data.b_max_hz:
+        raise ZoneCapacityError(
+            f"zone {zone.members} pins {pinned_hz:.0f} Hz of links, "
+            f"budget is {data.b_max_hz:.0f} Hz"
+        )
+    centers = radii = None
+    if spheres:
+        centers = np.array([spheres[i].center.as_array() for i in zone.members])
+        radii = np.array([spheres[i].radius for i in zone.members])
+    lo, hi = _init_bounds(zone, centers, radii, box)
     v_max = 0.5 * (hi - lo)
 
     seed_seq = np.random.SeedSequence([int(config.seed) & 0xFFFFFFFF, *data.indices.tolist()])
@@ -236,17 +205,6 @@ def optimize_position(
     for i in range(1, n):
         positions[i] = lo + rngs[i].random(3) * (hi - lo)
     velocities = np.zeros((n, 3))
-
-    # Under the fixed policy the bandwidth sum is position-independent, so a
-    # witness overrun proves the whole zone infeasible; under demand-fit the
-    # sum varies with position and capacity is judged after the search.
-    if not allow_capacity_overrun and data.fixed_bandwidth is not None:
-        witness_bw, _, _ = _swarm_rates(positions[0][None, :], data, params)
-        if float(np.sum(witness_bw[0])) > data.b_max_hz:
-            raise ZoneCapacityError(
-                f"zone {zone.members} needs {float(np.sum(witness_bw[0])):.0f} Hz "
-                f"at its witness, budget is {data.b_max_hz:.0f} Hz"
-            )
 
     values, feas = _swarm_fitness(positions, data, params, box)
     pbest_pos = positions.copy()
@@ -298,7 +256,8 @@ def optimize_position(
             stable = 0
         quant = new_quant
 
-    gbest_pos = _snap_into_zone(gbest_pos, zone, spheres_by_index, box, data, params)
+    if centers is not None:
+        gbest_pos = _snap_into_zone(gbest_pos, zone, centers, radii, box, data, params)
     links, feasible = _allocations(gbest_pos, data, params)
     final_val, _ = _swarm_fitness(gbest_pos[None, :], data, params, box)
     return PlacementSolution(
@@ -310,20 +269,13 @@ def optimize_position(
     )
 
 
-def _snap_into_zone(position, zone, spheres_by_index, box, data, params):
+def _snap_into_zone(position, zone, centers, radii, box, data, params):
     """Move the final position to the nearest point inside every member sphere.
 
     Applied only when (a) the best position drifted outside some member
     sphere and (b) the snapped point preserves rate feasibility; the demand
     check is the final authority, so a snap that would break it is skipped.
     """
-    if not spheres_by_index:
-        return position
-    members = [i for i in zone.members if i in spheres_by_index]
-    if len(members) != len(zone.members):
-        return position
-    centers = np.array([spheres_by_index[i].center.as_array() for i in members])
-    radii = np.array([spheres_by_index[i].radius for i in members])
     deficits = np.linalg.norm(position[None, :] - centers, axis=1) - radii
     if float(np.max(deficits)) <= 0:
         return position

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import channel
 from .geometry import FeasibleBox, Point3
-from .planner import Deployment, plan_deployment
+from .planner import Deployment, _assemble, plan_deployment
 from .positioning import SwarmConfig, optimize_position
 from .coverage import CandidateZone, UnservableError
 from .planner import CapacityDeadlockError
@@ -67,15 +67,32 @@ class Scenario:
     fixed_bandwidth_hz: float = 20e6
     bandwidth_grid_hz: float = 1e3
 
+    def pinned_bandwidth_hz(self, ue: UE) -> float | None:
+        """Width a UE's link is pinned at, or None when demand-fit chooses it.
+
+        A per-UE ``bandwidth_hz`` pins its link under either policy; under
+        ``"fixed"`` every other link is pinned at ``fixed_bandwidth_hz``.
+        """
+        if ue.bandwidth_hz is not None:
+            return ue.bandwidth_hz
+        if self.bandwidth_policy == "fixed":
+            return self.fixed_bandwidth_hz
+        return None
+
     def validate(self) -> None:
         if not self.ues:
             raise ConfigError("scenario has no UEs")
-        if self.b_max_hz <= 0:
-            raise ConfigError("b_max_hz must be positive")
         if self.bandwidth_policy not in ("fixed", "demand-fit"):
             raise ConfigError(f"unknown bandwidth policy {self.bandwidth_policy!r}")
-        if self.fixed_bandwidth_hz <= 0 or self.bandwidth_grid_hz <= 0:
-            raise ConfigError("bandwidths must be positive")
+        for name in ("b_max_hz", "fixed_bandwidth_hz", "bandwidth_grid_hz"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.b_max_hz < self.bandwidth_grid_hz:
+            raise ConfigError(
+                f"b_max_hz {self.b_max_hz} is below one bandwidth grid step "
+                f"{self.bandwidth_grid_hz}"
+            )
         max_ue_z = max(ue.position.z for ue in self.ues)
         if self.venue.z[0] <= max_ue_z:
             raise ConfigError(
@@ -83,10 +100,11 @@ class Scenario:
                 f"highest UE altitude {max_ue_z} m"
             )
         for i, ue in enumerate(self.ues):
-            if ue.demand_bps <= 0:
-                raise ConfigError(f"UE {i} has non-positive demand")
-            if ue.bandwidth_hz is not None and ue.bandwidth_hz <= 0:
-                raise ConfigError(f"UE {i} has non-positive bandwidth")
+            if not 0 < ue.demand_bps < math.inf:
+                raise ConfigError(f"UE {i} demand must be positive and finite, got {ue.demand_bps}")
+            pinned = self.pinned_bandwidth_hz(ue)
+            if pinned is not None and not 0 < pinned < math.inf:
+                raise ConfigError(f"UE {i} bandwidth must be positive and finite, got {pinned}")
             if not self.venue.footprint_contains(ue.position.x, ue.position.y):
                 raise ConfigError(f"UE {i} lies outside the venue footprint")
 
@@ -211,37 +229,12 @@ def run_baseline(
         raise ConfigError(f"unknown baseline {kind!r}")
     scenario.validate()
     groups = _proximity_groups(scenario, FIXED_BASELINE_GROUP_SIZE)
-    n_ues = len(scenario.ues)
     placements = []
     for g in groups:
         zone = _pseudo_zone(g, scenario)
-        sol = optimize_position(
-            zone, scenario, params, swarm_config, spheres=(), allow_capacity_overrun=True
-        )
+        sol = optimize_position(zone, scenario, params, swarm_config, allow_capacity_overrun=True)
         placements.append((zone, sol))
-
-    z = np.zeros((n_ues, len(placements)), dtype=np.int8)
-    a = np.ones(len(placements), dtype=np.int8)
-    bw = np.zeros(n_ues)
-    rate = np.zeros(n_ues)
-    positions = []
-    for k, (zone, sol) in enumerate(placements):
-        positions.append(sol.uav_position)
-        for link in sol.served_ues:
-            z[link.ue_index, k] = 1
-            bw[link.ue_index] = link.bandwidth_hz
-            rate[link.ue_index] = link.rate_bps
-    demands = np.array([ue.demand_bps for ue in scenario.ues])
-    from .planner import Association
-
-    return Deployment(
-        uav_positions=tuple(positions),
-        association=Association(z=z, a=a),
-        link_bandwidth_hz=bw,
-        link_rate_bps=rate,
-        uav_count=len(placements),
-        aggregate_bps=float(np.sum(np.minimum(rate, demands))),
-    )
+    return _assemble(placements, scenario)
 
 
 def evaluate_throughput(

@@ -19,6 +19,7 @@ from uavplan import (
     path_distance,
     watt_to_dbm,
 )
+from uavplan.channel import demand_fit_kernel
 from conftest import oracle_chain, oracle_rate_at_threshold
 
 
@@ -212,6 +213,29 @@ def test_min_bandwidth_for_demand_properties(params):
     # Unreachable demand returns None.
     assert min_bandwidth_for_demand(ue, Point3(5000, 5000, 60), 52e6, params,
                                     b_max_hz=160e6, grid_hz=1e3) is None
+    # A budget below one grid step has no grid width at all.
+    with pytest.raises(ChannelDomainError):
+        min_bandwidth_for_demand(ue, uav, 6.5e6, params, b_max_hz=500.0, grid_hz=1e3)
+
+
+def test_demand_fit_kernel_matches_a_linear_scan():
+    rng = np.random.default_rng(17)
+    grid_hz, steps = 1e3, 300
+    snr_hz = 10.0 ** rng.uniform(3.0, 9.0, (40, 7))
+    demand = rng.uniform(1e4, 3e6, 7)
+    # A budget between grid steps: the last usable width is steps * grid_hz.
+    bw, rate = demand_fit_kernel(snr_hz, demand, (steps + 0.5) * grid_hz, grid_hz)
+    widths = np.arange(1, steps + 1) * grid_hz
+    achieved = 0
+    for (p, m), s in np.ndenumerate(snr_hz):
+        scan = widths * np.log2(1.0 + s / widths)
+        enough = np.flatnonzero(scan >= demand[m])
+        k = enough[0] if enough.size else steps - 1
+        assert bw[p, m] == widths[k]
+        assert rate[p, m] == scan[k]
+        assert (rate[p, m] >= demand[m]) == bool(enough.size)
+        achieved += bool(enough.size)
+    assert 0 < achieved < snr_hz.size  # both reachable and unreachable demands
 
 
 def test_channel_params_invariants():

@@ -1,5 +1,8 @@
 """CLI surface: file round trips, exit codes, dumps, and byte determinism."""
 import json
+import math
+
+import pytest
 
 from uavplan.cli import main, scenario_from_dict, scenario_to_dict
 from uavplan import generate_scenario
@@ -103,6 +106,22 @@ def test_plan_unknown_channel_key_is_config_error(tmp_path):
 def test_plan_malformed_json_is_config_error(tmp_path):
     scn = tmp_path / "scn.json"
     scn.write_text("{not json")
+    assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 4
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["ues"][0].update(demand_bps=math.nan),
+    lambda d: d["ues"][0].update(bandwidth_hz=math.nan),
+    lambda d: d.update(b_max_hz=math.inf),
+    lambda d: d["policy"].update(fixed_bandwidth_hz=math.nan),
+    lambda d: d["policy"].update(grid_hz=math.inf),
+    lambda d: d.update(b_max_hz=500.0),  # below one 1 kHz grid step
+    lambda d: d["policy"].update(grid_hz="fine"),
+], ids=["nan-demand", "nan-ue-bandwidth", "inf-b-max", "nan-fixed-bandwidth",
+        "inf-grid", "b-max-below-grid", "text-grid"])
+def test_plan_bad_bandwidth_numbers_are_config_errors(tmp_path, mutate):
+    scn = tmp_path / "scn.json"
+    write_scenario(scn, mutate=mutate)
     assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 4
 
 

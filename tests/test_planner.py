@@ -1,5 +1,6 @@
 """Planner orchestration: end-to-end feasibility, validation, and splitting."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from uavplan import (
     UE,
     UnservableError,
     build_spheres,
+    generate_scenario,
     link_rate,
     max_service_distance,
     plan_deployment,
@@ -90,6 +92,19 @@ def test_planner_fixed_policy_capacity_splits(params):
     assert report.passed
     z = np.asarray(dep.association.z)
     assert int(z.sum(axis=0).max()) <= 8
+
+
+def test_demand_fit_keeps_a_per_ue_bandwidth_pinned(params):
+    # A per-UE bandwidth sizes the UE's sphere and capacity bound under
+    # demand-fit too, so its link must get exactly that width, not a fitted one.
+    scn = generate_scenario("A", 0, 3)
+    scn = replace(scn, ues=(replace(scn.ues[0], bandwidth_hz=20e6),) + scn.ues[1:])
+    assert scn.bandwidth_policy == "demand-fit"
+    dep = plan_deployment(scn, params, SwarmConfig(seed=scn.seed))
+    assert dep.link_bandwidth_hz[0] == 20e6
+    assert np.all(dep.link_bandwidth_hz[1:] < 20e6)
+    report = validate_deployment(dep, scn, params)
+    assert report.passed, [(c.name, c.residual) for c in report.checks]
 
 
 def test_validator_catches_double_association(params):

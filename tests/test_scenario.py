@@ -91,6 +91,19 @@ def test_scenario_validation_errors():
         negative.validate()
 
 
+def test_pinned_bandwidth_rule_under_both_policies():
+    box = FeasibleBox((0.0, 100.0), (0.0, 100.0), (10.0, 100.0))
+    free = UE(Point3(50.0, 50.0, 0.0), 1e6)
+    own = UE(Point3(50.0, 50.0, 0.0), 1e6, bandwidth_hz=5e6)
+    fit = Scenario(label="x", seed=1, venue=box, ues=(free, own))
+    fixed = Scenario(label="x", seed=1, venue=box, ues=(free, own),
+                     bandwidth_policy="fixed", fixed_bandwidth_hz=20e6)
+    assert fit.pinned_bandwidth_hz(free) is None
+    assert fit.pinned_bandwidth_hz(own) == 5e6
+    assert fixed.pinned_bandwidth_hz(free) == 20e6
+    assert fixed.pinned_bandwidth_hz(own) == 5e6
+
+
 # ---------------------------------------------------------------------------
 # Baselines
 # ---------------------------------------------------------------------------
