@@ -39,7 +39,14 @@ EXIT_CONFIG = 4
 EXIT_ALL_RUNS_FAILED = 5
 
 
+# What converting a malformed JSON value raises: ``int([1])``, ``float("x")``,
+# ``int(float("inf"))``, ``10.0 ** 1e4``, a zero noise bandwidth.
+_CAST_ERRORS = (TypeError, ValueError, ArithmeticError)
+
+
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
@@ -70,6 +77,13 @@ _POLICY_FIELDS = {
 
 def parse_channel(section: dict) -> ChannelParams:
     _require_keys(section, _CHANNEL_KEYS, "channel section")
+    try:
+        return ChannelParams(**_channel_kwargs(section))
+    except _CAST_ERRORS as exc:
+        raise ConfigError(f"invalid channel section: {exc}") from exc
+
+
+def _channel_kwargs(section: dict) -> dict:
     if "tx_power_dbm" in section and "tx_power_w" in section:
         raise ConfigError("give tx power as dBm or W, not both")
     kwargs: dict = {}
@@ -105,25 +119,22 @@ def parse_channel(section: dict) -> ChannelParams:
             kwargs[mu] = db_to_linear(float(section[db_key]))
         if mu in section:
             kwargs[mu] = float(section[mu])
-    try:
-        return ChannelParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return kwargs
 
 
 def parse_pso(section: dict, seed: int) -> SwarmConfig:
     _require_keys(section, _PSO_KEYS, "pso section")
-    kwargs = {k: section[k] for k in section}
-    for int_key in ("particle_count", "max_iterations", "early_stop_patience"):
-        if int_key in kwargs:
-            kwargs[int_key] = int(kwargs[int_key])
-    for f_key in ("inertia_weight", "cognitive_coeff", "social_coeff", "position_precision_m"):
-        if f_key in kwargs:
-            kwargs[f_key] = float(kwargs[f_key])
+    kwargs = dict(section)
     try:
+        for int_key in ("particle_count", "max_iterations", "early_stop_patience"):
+            if int_key in kwargs:
+                kwargs[int_key] = int(kwargs[int_key])
+        for f_key in ("inertia_weight", "cognitive_coeff", "social_coeff", "position_precision_m"):
+            if f_key in kwargs:
+                kwargs[f_key] = float(kwargs[f_key])
         return SwarmConfig(seed=seed, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    except _CAST_ERRORS as exc:
+        raise ConfigError(f"invalid pso section: {exc}") from exc
 
 
 def parse_policy(section: dict) -> dict:
@@ -135,8 +146,15 @@ def parse_policy(section: dict) -> dict:
             for key, (field, cast) in _POLICY_FIELDS.items()
             if key in section
         }
-    except (TypeError, ValueError) as exc:
+    except _CAST_ERRORS as exc:
         raise ConfigError(f"invalid policy section: {exc}") from exc
+
+
+def _cast(cast, value, where: str):
+    try:
+        return cast(value)
+    except _CAST_ERRORS as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def scenario_from_dict(doc: dict) -> tuple[Scenario, ChannelParams, SwarmConfig]:
@@ -153,9 +171,11 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, ChannelParams, SwarmConfig]
             y=(float(venue_doc["y"][0]), float(venue_doc["y"][1])),
             z=(float(venue_doc["z_uav"][0]), float(venue_doc["z_uav"][1])),
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, *_CAST_ERRORS) as exc:
         raise ConfigError(f"invalid venue section: {exc}") from exc
 
+    if not isinstance(doc["ues"], list):
+        raise ConfigError("ues must be a JSON list")
     ues = []
     for n, ue_doc in enumerate(doc["ues"]):
         _require_keys(ue_doc, {"x", "y", "z", "demand_bps", "bandwidth_hz"}, f"ues[{n}]")
@@ -165,15 +185,15 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, ChannelParams, SwarmConfig]
                 demand_bps=float(ue_doc["demand_bps"]),
                 bandwidth_hz=float(ue_doc["bandwidth_hz"]) if "bandwidth_hz" in ue_doc else None,
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, *_CAST_ERRORS) as exc:
             raise ConfigError(f"invalid ues[{n}]: {exc}") from exc
 
     scenario = Scenario(
         label=str(doc.get("label", "")),
-        seed=int(doc["seed"]),
+        seed=_cast(int, doc["seed"], "seed"),
         venue=venue,
         ues=tuple(ues),
-        b_max_hz=float(doc.get("b_max_hz", 160e6)),
+        b_max_hz=_cast(float, doc.get("b_max_hz", 160e6), "b_max_hz"),
         **parse_policy(doc.get("policy", {})),
     )
     scenario.validate()
@@ -217,7 +237,7 @@ def _apply_config_overrides(path, scenario, params, swarm):
     if "channel" in doc:
         params = parse_channel(doc["channel"])
     if "seed" in doc:
-        scenario = replace(scenario, seed=int(doc["seed"]))
+        scenario = replace(scenario, seed=_cast(int, doc["seed"], "seed"))
     if "pso" in doc:
         swarm = parse_pso(doc["pso"], seed=scenario.seed)
     if "policy" in doc:

@@ -9,6 +9,7 @@ combinatorial core of minimizing the UAV count.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .channel import max_service_distance
+from .channel import ChannelDomainError, max_service_distance
 from .geometry import FeasibleBox, Point3
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,7 +76,10 @@ def sphere_bandwidth(ue, scenario) -> float:
 
 
 def build_spheres(scenario: "Scenario", params: "ChannelParams") -> list[CoverageSphere]:
-    """One service sphere per UE, in UE order; fails if any sphere misses the UAV box.
+    """One service sphere per UE, in UE order; fails if any UE is unservable.
+
+    A UE is unservable when its sphere misses the UAV box, or when its demand
+    is beyond the rate inversion at its sphere's width (``sphere_bandwidth``).
 
     Every later stage indexes spheres by position: ``spheres[i]`` is the
     sphere of UE ``i`` and has ``ue_index == i``.
@@ -84,7 +88,11 @@ def build_spheres(scenario: "Scenario", params: "ChannelParams") -> list[Coverag
     unservable = []
     box = scenario.venue
     for i, ue in enumerate(scenario.ues):
-        radius = max_service_distance(ue.demand_bps, sphere_bandwidth(ue, scenario), params)
+        try:
+            radius = max_service_distance(ue.demand_bps, sphere_bandwidth(ue, scenario), params)
+        except ChannelDomainError:  # demand/width overflows the rate inversion
+            unservable.append(i)
+            continue
         spheres.append(CoverageSphere(ue_index=i, center=ue.position, radius=radius))
         if box.distance_to(ue.position.as_array()) >= radius:
             unservable.append(i)
@@ -146,11 +154,7 @@ def _descend_witness(start, centers, radii, box: FeasibleBox):
 
 def _witness_starts(centers: np.ndarray, box: FeasibleBox, max_pairs: int = 12) -> list[np.ndarray]:
     starts = [box.clamp(np.mean(centers, axis=0))]
-    n = len(centers)
-    if n == 1:
-        return starts
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for i, j in pairs[:max_pairs]:
+    for i, j in itertools.islice(itertools.combinations(range(len(centers)), 2), max_pairs):
         starts.append(box.clamp(0.5 * (centers[i] + centers[j])))
     return starts
 
@@ -197,37 +201,40 @@ def zone_witness(
 # Zone enumeration: all maximal feasible member sets.
 # ---------------------------------------------------------------------------
 
-class _FeasibilityCache:
-    """Memoized nonemptiness checks for member sets, with cheap fast paths."""
+# Largest overlap component whose zones are enumerated exactly, and the number
+# of witness solves exact enumeration may spend; past either, zones are grown.
+EXACT_LIMIT = 25
+SOLVE_BUDGET = 20_000
 
-    def __init__(self, spheres: Sequence[CoverageSphere], box: FeasibleBox, budget: int):
+
+class _FeasibilityCache:
+    """Pairwise sphere overlap, decided once, and memoized member-set checks."""
+
+    def __init__(self, spheres: Sequence[CoverageSphere], box: FeasibleBox):
         self.spheres = list(spheres)
         self.box = box
         self.centers = np.array([s.center.as_array() for s in self.spheres])
         self.radii = np.array([s.radius for s in self.spheres])
+        dist = np.linalg.norm(self.centers[:, None, :] - self.centers[None, :, :], axis=2)
+        self.overlap = dist <= self.radii[:, None] + self.radii[None, :]
         self.cache: dict[frozenset[int], tuple[bool, Point3, float]] = {}
-        self.budget = budget
         self.solves = 0
 
-    def _quick_point(self, idx: list[int]) -> tuple[np.ndarray, float]:
-        p = self.box.clamp(np.mean(self.centers[idx], axis=0))
-        f = float(np.max(np.linalg.norm(p[None, :] - self.centers[idx], axis=1) - self.radii[idx]))
-        return p, f
-
     def check(self, members: frozenset[int]) -> tuple[bool, Point3, float]:
+        """``(feasible, witness, deficit)`` of a member set, memoized.
+
+        Callers pass cliques of ``overlap``: overlapping pairs, cliques of
+        the overlap graph and their subsets, and growth inside common
+        neighbours. The verdict is right for any set (a separated pair
+        never reaches deficit <= 0), but a non-clique would spend a witness
+        solve that ``overlap`` already settles.
+        """
         hit = self.cache.get(members)
         if hit is not None:
             return hit
         idx = sorted(members)
-        # Pairwise separation is a certificate of infeasibility on its own.
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                if np.linalg.norm(self.centers[i] - self.centers[j]) > self.radii[i] + self.radii[j]:
-                    out = (False, Point3.from_array(self._quick_point(idx)[0]), math.inf)
-                    self.cache[members] = out
-                    return out
-        p, f = self._quick_point(idx)
+        p = self.box.clamp(np.mean(self.centers[idx], axis=0))
+        f = _max_deficit(p, self.centers[idx], self.radii[idx])
         if f <= 0:
             out = (True, Point3.from_array(p), f)
         else:
@@ -236,9 +243,6 @@ class _FeasibilityCache:
             out = (f <= 0, w, f)
         self.cache[members] = out
         return out
-
-    def exhausted(self) -> bool:
-        return self.solves > self.budget
 
 
 def _bron_kerbosch(adj: dict[int, set[int]], nodes: list[int]) -> list[list[int]]:
@@ -278,7 +282,7 @@ def _maximal_feasible_subsets(
         if clique <= f:
             memo[clique] = [clique]
             return [clique]
-    if cache.exhausted():
+    if cache.solves > SOLVE_BUDGET:
         return None
     feasible, _, _ = cache.check(clique)
     if feasible:
@@ -340,36 +344,28 @@ def _grow_zones(component: list[int], adj: dict[int, set[int]], cache: _Feasibil
     return found
 
 
-def enumerate_zones(
-    spheres: Sequence[CoverageSphere],
-    box: FeasibleBox,
-    exact_limit: int = 25,
-    solve_budget: int = 20000,
-) -> list[CandidateZone]:
+def enumerate_zones(spheres: Sequence[CoverageSphere], box: FeasibleBox) -> list[CandidateZone]:
     """All maximal candidate zones of the sphere arrangement inside the box.
 
     Pairwise-overlapping spheres form a graph whose connected components are
     processed independently; within a component the maximal feasible member
     sets are enumerated exactly through the graph's maximal cliques (every
     feasible set is a clique), falling back to pairwise-seeded growth for
-    components larger than ``exact_limit`` or past the solve budget. Each
-    emitted zone's member list is closed over its witness: every sphere
-    containing the witness is a member. ``spheres`` is indexed by UE (see
-    ``build_spheres``).
+    components larger than ``EXACT_LIMIT`` or past ``SOLVE_BUDGET`` witness
+    solves. Each emitted zone's member list is closed over its witness:
+    every sphere containing the witness is a member. ``spheres`` is indexed
+    by UE (see ``build_spheres``).
     """
     if not spheres:
         raise ValueError("no spheres to enumerate")
-    cache = _FeasibilityCache(spheres, box, solve_budget)
-    nodes = list(range(len(spheres)))
+    cache = _FeasibilityCache(spheres, box)
+    nodes = range(len(spheres))
 
     adj: dict[int, set[int]] = {i: set() for i in nodes}
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            i, j = nodes[a], nodes[b]
-            ok, _, _ = cache.check(frozenset({i, j}))
-            if ok:
-                adj[i].add(j)
-                adj[j].add(i)
+    for i, j in np.argwhere(np.triu(cache.overlap, 1)).tolist():
+        if cache.check(frozenset((i, j)))[0]:
+            adj[i].add(j)
+            adj[j].add(i)
 
     components: list[list[int]] = []
     seen: set[int] = set()
@@ -390,11 +386,10 @@ def enumerate_zones(
     member_sets: dict[frozenset[int], None] = {}
     for comp in components:
         comp_set = frozenset(comp)
-        ok, _, _ = cache.check(comp_set)
-        if ok:
+        if cache.overlap[np.ix_(comp, comp)].all() and cache.check(comp_set)[0]:
             member_sets[comp_set] = None
             continue
-        if len(comp) <= exact_limit:
+        if len(comp) <= EXACT_LIMIT:
             memo: dict[frozenset[int], list[frozenset[int]]] = {}
             known: set[frozenset[int]] = set()
             cliques = _bron_kerbosch(adj, comp)

@@ -364,11 +364,16 @@ def validate_deployment(
     if capacity_residual == -math.inf:
         capacity_residual = 0.0
 
+    box_residual = max(
+        (scenario.venue.distance_to(p.as_array()) for p in deployment.uav_positions), default=0.0
+    )
+
     checks = (
         ConstraintCheck("demand_rate", demand_residual, demand_residual <= 0),
         ConstraintCheck("bandwidth_capacity", capacity_residual, capacity_residual <= 0),
         ConstraintCheck("unique_association", assoc_residual, assoc_residual == 0),
         ConstraintCheck("activation_linkage", link_residual, link_residual <= 0),
         ConstraintCheck("binary_variables", binary_residual, binary_residual == 0),
+        ConstraintCheck("position_in_box", box_residual, box_residual <= 0),
     )
     return ValidationReport(checks=checks)

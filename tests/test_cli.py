@@ -56,7 +56,7 @@ def test_plan_exit_zero_and_results_schema(tmp_path):
     assert len(doc["assoc"]) == 20
     names = {c["name"] for c in doc["validation"]["constraints"]}
     assert names == {"demand_rate", "bandwidth_capacity", "unique_association",
-                     "activation_linkage", "binary_variables"}
+                     "activation_linkage", "binary_variables", "position_in_box"}
 
 
 def test_plan_byte_identical_reruns(tmp_path):
@@ -117,8 +117,16 @@ def test_plan_malformed_json_is_config_error(tmp_path):
     lambda d: d["policy"].update(grid_hz=math.inf),
     lambda d: d.update(b_max_hz=500.0),  # below one 1 kHz grid step
     lambda d: d["policy"].update(grid_hz="fine"),
+    lambda d: d.update(venue=[1, 2]),
+    lambda d: d.update(channel=[1]),
+    lambda d: d.update(ues=5),
+    lambda d: d.update(pso={"particle_count": "abc"}),
+    lambda d: d.update(seed="x"),
+    lambda d: d.update(b_max_hz="x"),
+    lambda d: d.update(channel={"c1": "x"}),
 ], ids=["nan-demand", "nan-ue-bandwidth", "inf-b-max", "nan-fixed-bandwidth",
-        "inf-grid", "b-max-below-grid", "text-grid"])
+        "inf-grid", "b-max-below-grid", "text-grid", "list-venue", "list-channel",
+        "int-ues", "text-particle-count", "text-seed", "text-b-max", "text-c1"])
 def test_plan_bad_bandwidth_numbers_are_config_errors(tmp_path, mutate):
     scn = tmp_path / "scn.json"
     write_scenario(scn, mutate=mutate)
@@ -126,14 +134,19 @@ def test_plan_bad_bandwidth_numbers_are_config_errors(tmp_path, mutate):
 
 
 def test_plan_unservable_exit_three(tmp_path):
-    scn = tmp_path / "scn.json"
-
-    def crank_demand(doc):
+    def crank_every_demand(doc):
         for ue in doc["ues"]:
             ue["demand_bps"] = 1e12
 
-    write_scenario(scn, mutate=crank_demand)
-    assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 3
+    def crank_one_fixed_width_demand(doc):
+        # 1 Tbit/s over a pinned 20 MHz is beyond the rate inversion (50,000 bit/s/Hz).
+        doc["policy"]["bandwidth"] = "fixed"
+        doc["ues"][0]["demand_bps"] = 1e12
+
+    scn = tmp_path / "scn.json"
+    for mutate in (crank_every_demand, crank_one_fixed_width_demand):
+        write_scenario(scn, mutate=mutate)
+        assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 3
 
 
 def test_plan_dumps(tmp_path):

@@ -23,6 +23,7 @@ from uavplan import (
     minimal_zone_cover,
     zone_witness,
 )
+from uavplan.coverage import _FeasibilityCache
 from conftest import random_scenario
 
 BOX = FeasibleBox(x=(0.0, 1000.0), y=(0.0, 1000.0), z=(10.0, 100.0))
@@ -209,6 +210,40 @@ def test_enumerate_maximality_no_proper_subsets(params):
         sets = [set(z.members) for z in zones]
         for a, b in itertools.combinations(range(len(sets)), 2):
             assert not sets[a] < sets[b] and not sets[b] < sets[a]
+
+
+def test_overlap_matrix_matches_pairwise_norms():
+    # The n x n matrix decides each pair exactly as a per-pair norm does.
+    rng = np.random.default_rng(3)
+    spheres = [sphere(i, *rng.uniform(0.0, 1000.0, 2), rng.uniform(50.0, 300.0),
+                      z=rng.uniform(0.0, 5.0)) for i in range(40)]
+    overlap = _FeasibilityCache(spheres, BOX).overlap
+    for a, b in itertools.product(spheres, repeat=2):
+        d = np.linalg.norm(a.center.as_array() - b.center.as_array())
+        assert overlap[a.ue_index, b.ue_index] == (d <= a.radius + b.radius)
+
+
+def test_enumerate_complete_against_brute_force(params):
+    # Every member set the witness search certifies lies inside some zone.
+    # Venues of 400-1500 m at 26/52 Mbit/s split overlap components into
+    # several cliques, so enumeration goes through Bron-Kerbosch.
+    rng = np.random.default_rng(2)
+    clique_path_seen = False
+    for _ in range(8):
+        scn = random_scenario(rng, n_min=4, n_max=7, side_range=(400.0, 1500.0),
+                              demands=(26e6, 52e6))
+        spheres = build_spheres(scn, params)
+        zones = enumerate_zones(spheres, scn.venue)
+        member_sets = [set(z.members) for z in zones]
+        # Zones share a member only when enumeration split a component, which
+        # below 25 spheres is the Bron-Kerbosch path.
+        clique_path_seen |= any(a & b for a, b in itertools.combinations(member_sets, 2))
+        for r in range(1, len(spheres) + 1):
+            for subset in itertools.combinations(range(len(spheres)), r):
+                _, deficit = zone_witness(subset, spheres, scn.venue)
+                if deficit <= 0:
+                    assert any(set(subset) <= m for m in member_sets), subset
+    assert clique_path_seen
 
 
 def test_enumerate_large_chain_uses_growth_path():

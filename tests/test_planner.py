@@ -151,6 +151,25 @@ def test_validator_capacity_residual_one_hz(params):
     assert not report.passed
 
 
+def test_validator_position_in_box(params):
+    # Hand-built deployment whose only fault is a UAV 1 m above the box.
+    scn = make_scenario([(100, 100)], bandwidth_policy="fixed")
+    uav = Point3(100.0, 100.0, scn.venue.z[1] + 1.0)
+    b = scn.fixed_bandwidth_hz
+    rate = link_rate(scn.ues[0].position, uav, b, params)
+    dep = Deployment(
+        uav_positions=(uav,),
+        association=Association(z=np.ones((1, 1), dtype=np.int8), a=np.ones(1, dtype=np.int8)),
+        link_bandwidth_hz=np.array([b]),
+        link_rate_bps=np.array([rate]),
+        uav_count=1,
+        aggregate_bps=min(rate, scn.ues[0].demand_bps),
+    )
+    report = validate_deployment(dep, scn, params)
+    assert [c.name for c in report.checks if not c.passed] == ["position_in_box"]
+    assert report.residual("position_in_box") == pytest.approx(1.0)
+
+
 def test_validator_activation_linkage(params):
     scn = make_scenario([(100, 100)])
     dep = plan_deployment(scn, params, SwarmConfig(seed=4))
