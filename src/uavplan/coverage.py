@@ -4,8 +4,10 @@ Every user gets a service ball whose radius is the maximum distance at which
 its demand is satisfiable. A candidate zone is a nonempty intersection of
 such balls with the feasible UAV box, certified by a witness point; a single
 UAV placed at the witness can serve every member of the zone (capacity
-permitting). Selecting the fewest zones that cover all users is the
-combinatorial core of minimizing the UAV count.
+permitting). Users sit below the altitude floor, so the witness is an exact
+2D minimax of the member deficits on the floor (``zone_witness``). Selecting
+the fewest zones that cover all users is the combinatorial core of
+minimizing the UAV count.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channel import ChannelDomainError, max_service_distance
 from .geometry import FeasibleBox, Point3
@@ -109,54 +110,74 @@ def _max_deficit(p: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> float
     return float(np.max(np.linalg.norm(p[None, :] - centers, axis=1) - radii))
 
 
-def _descend_witness(start, centers, radii, box: FeasibleBox):
-    """Local descent on max_i(|p-c_i| - r_i) via the epigraph form.
+def _roots(a, b, c) -> np.ndarray:
+    """Both roots of a t^2 + 2 b t + c = 0, elementwise, stacked on a new first axis.
 
-    The objective is a max of convex functions, so any descent start
-    converges to the global minimum over the box; SLSQP on (p, t) with
-    t >= |p-c_i| - r_i handles the kinks.
+    The product form keeps a small root accurate and gives the linear root
+    when ``a`` is 0. A root that does not exist comes back non-finite or, from
+    the clipped discriminant, as some real value; callers use every root only
+    as a candidate point, scored exactly.
     """
-    p0 = box.clamp(np.asarray(start, dtype=float))
-    t0 = _max_deficit(p0, centers, radii)
-    if len(centers) == 1:
-        # Single ball: the clamped center is already the exact minimizer.
-        best = box.clamp(centers[0])
-        return best, _max_deficit(best, centers, radii)
-
-    def cons_f(q):
-        d = np.linalg.norm(q[:3][None, :] - centers, axis=1)
-        return q[3] + radii - d
-
-    def cons_jac(q):
-        diff = q[:3][None, :] - centers
-        d = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
-        jac = np.empty((len(centers), 4))
-        jac[:, :3] = -diff / d[:, None]
-        jac[:, 3] = 1.0
-        return jac
-
-    bounds = [(box.lower[k], box.upper[k]) for k in range(3)] + [(None, None)]
-    res = minimize(
-        lambda q: q[3],
-        np.append(p0, t0),
-        jac=lambda q: np.array([0.0, 0.0, 0.0, 1.0]),
-        constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
-        bounds=bounds,
-        method="SLSQP",
-        options={"maxiter": 200, "ftol": 1e-12},
-    )
-    p = box.clamp(res.x[:3])
-    f = _max_deficit(p, centers, radii)
-    if f <= t0:
-        return p, f
-    return p0, t0
+    q = -(b + np.copysign(np.sqrt(np.maximum(b * b - a * c, 0.0)), b))
+    return np.stack([q / a, c / q])
 
 
-def _witness_starts(centers: np.ndarray, box: FeasibleBox, max_pairs: int = 12) -> list[np.ndarray]:
-    starts = [box.clamp(np.mean(centers, axis=0))]
-    for i, j in itertools.islice(itertools.combinations(range(len(centers)), 2), max_pairs):
-        starts.append(box.clamp(0.5 * (centers[i] + centers[j])))
-    return starts
+def _basis_points(xy, h2, r, lo, hi) -> np.ndarray:
+    """Minimizer of every basis of at most three pieces, clamped to the rectangle.
+
+    A piece is a member's deficit sqrt(|q - a|^2 + h2) - r or an edge of the
+    rectangle ``lo``-``hi``. The bases are: one member (its clamped centre);
+    two members on their centre segment or on an edge line (where their
+    deficits are equal); three members (where all three are equal); and the
+    four corners. The minimum of the max over the members is one of them.
+    Each equal-deficit point solves the lifted equations
+    |q - a|^2 + h2 = (t + r)^2: subtracting two of them is linear in (q, t).
+    """
+    points = [np.clip(xy, lo, hi), np.array([[lo[0], lo[1]], [lo[0], hi[1]],
+                                             [hi[0], lo[1]], [hi[0], hi[1]]])]
+    m = len(xy)
+    if m >= 2:
+        i, j = np.triu_indices(m, 1)
+        seg = xy[j] - xy[i]
+        # Five lines per pair: its centre segment, then the four edge lines.
+        origin = np.concatenate([xy[i], np.repeat([[lo[0], 0.0], [hi[0], 0.0],
+                                                   [0.0, lo[1]], [0.0, hi[1]]], len(i), axis=0)])
+        direction = np.concatenate([seg / np.hypot(seg[:, 0], seg[:, 1])[:, None],
+                                    np.repeat([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]],
+                                              len(i), axis=0)])
+        i, j = np.tile(i, 5), np.tile(j, 5)
+
+        def on_line(end):
+            """A member's position along each line, and h2 plus its squared offset."""
+            rel = xy[end] - origin
+            pos = np.sum(rel * direction, axis=1)
+            off = rel - pos[:, None] * direction
+            return pos, h2[end] + np.sum(off * off, axis=1)
+
+        # Along a line the position is s = p_i + alpha t + beta.
+        (p_i, g_i), (p_j, g_j) = on_line(i), on_line(j)
+        d = p_j - p_i
+        alpha = (r[i] - r[j]) / d
+        beta = ((r[i] - r[j]) * (r[i] + r[j]) + d * d - g_i + g_j) / (2 * d)
+        t = _roots(alpha * alpha - 1, alpha * beta - r[i], beta * beta + g_i - r[i] * r[i])
+        points.append((origin + (p_i + alpha * t + beta)[..., None] * direction).reshape(-1, 2))
+    if m >= 3:
+        i, j, k = np.array(list(itertools.combinations(range(m), 3))).T
+        # With u = q - a_i, subtracting member i's lifted equation from j's
+        # and k's gives two linear equations b u = e0 + e1 t.
+        jk = np.stack([j, k], axis=1)
+        b = xy[jk] - xy[i][:, None]
+        rhs = np.stack([0.5 * (r[i, None] ** 2 - r[jk] ** 2 + np.sum(b * b, axis=2)
+                               - h2[i, None] + h2[jk]),
+                        r[i, None] - r[jk]], axis=2)
+        det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+        adj = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+        u0, u1 = np.moveaxis(adj @ rhs / det[:, None, None], 2, 0)
+        t = _roots(np.sum(u1 * u1, axis=1) - 1, np.sum(u0 * u1, axis=1) - r[i],
+                   np.sum(u0 * u0, axis=1) + h2[i] - r[i] ** 2)
+        points.append((xy[i] + u0 + t[..., None] * u1).reshape(-1, 2))
+    points = np.concatenate(points)
+    return np.clip(points[np.isfinite(points).all(axis=1)], lo, hi)
 
 
 def zone_witness(
@@ -169,32 +190,44 @@ def zone_witness(
     Returns ``(point, deficit)``; ``deficit <= 0`` certifies that the point
     lies inside every member sphere (the zone is nonempty), ``deficit > 0``
     certifies infeasibility of the member set. ``spheres`` is indexed by UE
-    (see ``build_spheres``). Deterministic: the descent uses a fixed start
-    schedule and no randomness.
+    (see ``build_spheres``).
+
+    Every member centre lies at or below the altitude floor (``Scenario``
+    guarantees it; a flat box needs no such bound), so each deficit grows
+    with altitude and the minimum lies on the floor. There it is an exact 2D
+    minimax over the footprint: a working set grows from the member worst
+    off at the clamped mean, each step adding the member most above the
+    subset's optimum, whose basis points are closed-form (``_basis_points``).
+    Deterministic; raises ValueError for a centre above the floor of a box
+    that is not flat.
     """
     idx = sorted(set(members))
     if not idx:
         raise ValueError("empty member set")
     centers = np.array([spheres[i].center.as_array() for i in idx])
     radii = np.array([spheres[i].radius for i in idx])
+    z = box.z[0]
+    if box.z[1] > z and np.any(centers[:, 2] > z):
+        raise ValueError(f"a member centre lies above the altitude floor {z} m")
+    xy, h2 = centers[:, :2], (z - centers[:, 2]) ** 2
+    lo, hi = box.lower[:2], box.upper[:2]
 
-    best_p, best_f = None, math.inf
-    for start in _witness_starts(centers, box):
-        f0 = _max_deficit(start, centers, radii)
-        if f0 < best_f:
-            best_p, best_f = start, f0
-    p, f = _descend_witness(best_p, centers, radii, box)
-    if f < best_f:
-        best_p, best_f = p, f
-    if best_f > 0:
-        # Retry remaining starts only when the best descent failed to certify.
-        for start in _witness_starts(centers, box)[1:4]:
-            p, f = _descend_witness(start, centers, radii, box)
-            if f < best_f:
-                best_p, best_f = p, f
-            if best_f <= 0:
-                break
-    return Point3.from_array(best_p), best_f
+    def deficits(points: np.ndarray) -> np.ndarray:
+        lifted = np.column_stack([points, np.full(len(points), z)])
+        return np.linalg.norm(lifted[:, None, :] - centers[None, :, :], axis=2) - radii
+
+    work = [int(np.argmax(deficits(np.clip(xy.mean(axis=0), lo, hi)[None])))]
+    while True:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            points = _basis_points(xy[work], h2[work], radii[work], lo, hi)
+        d = deficits(points)
+        best = int(np.argmin(d[:, work].max(axis=1)))
+        worst = int(np.argmax(d[best]))
+        if d[best, worst] <= d[best, work].max():  # the subset optimum is the set's
+            break
+        work.append(worst)
+    p = np.append(points[best], z)
+    return Point3.from_array(p), _max_deficit(p, centers, radii)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +356,9 @@ def _grow_zones(component: list[int], adj: dict[int, set[int]], cache: _Feasibil
                 candidates &= adj[m]
             if not candidates:
                 break
-            w = witness.as_array()
-            order = sorted(
-                candidates,
-                key=lambda u: (round(float(np.linalg.norm(cache.centers[u] - w)), 9), u),
-            )
+            cands = sorted(candidates)
+            dist = np.linalg.norm(cache.centers[cands] - witness.as_array(), axis=1)
+            order = [u for _, u in sorted(zip((round(d, 9) for d in dist.tolist()), cands))]
             grew = False
             for u in order:
                 ok, cand_witness, _ = cache.check(current | {u})

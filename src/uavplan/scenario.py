@@ -209,19 +209,18 @@ def run_baseline(
     """Run one comparison planner; violations are reported, never hidden.
 
     Fixed-altitude runs the full planning pipeline with the UAV altitude
-    band collapsed to 20 m. Fixed-group-size clusters UEs into groups of at
+    band collapsed to 20 m, clamped into the venue's band when 20 m lies
+    outside it. Fixed-group-size clusters UEs into groups of at
     most 10 and positions one UAV per group over the full box; its UAV count
     is forced to ceil(N/10) regardless of feasibility.
     """
     swarm_config = swarm_config or SwarmConfig(seed=scenario.seed)
     if kind is BaselineKind.FIXED_ALTITUDE:
+        z_min, z_max = scenario.venue.z
+        altitude = min(max(FIXED_BASELINE_ALTITUDE_M, z_min), z_max)
         pinned = replace(
             scenario,
-            venue=FeasibleBox(
-                x=scenario.venue.x,
-                y=scenario.venue.y,
-                z=(FIXED_BASELINE_ALTITUDE_M, FIXED_BASELINE_ALTITUDE_M),
-            ),
+            venue=FeasibleBox(x=scenario.venue.x, y=scenario.venue.y, z=(altitude, altitude)),
         )
         return plan_deployment(pinned, params, swarm_config)
 

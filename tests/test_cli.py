@@ -177,6 +177,18 @@ def test_plan_baseline_flag(tmp_path):
     assert all(p["z"] == 20.0 for p in doc["positions"])
 
 
+def test_plan_fixed_altitude_stays_in_the_venue_band(tmp_path):
+    # 20 m is below this venue's band, so the baseline flies at the band's floor.
+    scn = tmp_path / "scn.json"
+    write_scenario(scn, mutate=lambda doc: doc["venue"].update(z_uav=[30.0, 100.0]))
+    res = tmp_path / "r.json"
+    assert run_cli("plan", "--scenario", str(scn), "--out", str(res),
+                   "--baseline", "fixed-altitude") == 0
+    doc = json.loads(res.read_text())
+    assert doc["validation"]["pass"] is True
+    assert all(p["z"] == 30.0 for p in doc["positions"])
+
+
 def test_plan_config_override(tmp_path):
     scn = tmp_path / "scn.json"
     cfg = tmp_path / "cfg.json"

@@ -25,6 +25,7 @@ from uavplan import (
 )
 from uavplan.coverage import _FeasibilityCache
 from conftest import random_scenario
+from witness_reference import reference_witness
 
 BOX = FeasibleBox(x=(0.0, 1000.0), y=(0.0, 1000.0), z=(10.0, 100.0))
 
@@ -135,6 +136,55 @@ def test_witness_deterministic():
     assert (w1.x, w1.y, w1.z, d1) == (w2.x, w2.y, w2.z, d2)
 
 
+def _witness_cases(rng):
+    """(spheres, box) cases: 1-12 members, clipped disks, flat boxes, near tangency."""
+    for case in range(150):
+        side = rng.uniform(100.0, 1500.0)
+        floor = rng.uniform(10.0, 40.0)
+        flat = case % 5 == 0
+        box = FeasibleBox((0.0, side), (0.0, side), (floor, floor if flat else floor + 90.0))
+        m = 1 + case % 12
+        if case % 3 == 0:  # around a corner or an edge midpoint: disks clipped by the box
+            anchor = rng.choice([0.0, 0.5 * side, side], size=2)
+        else:
+            anchor = rng.uniform(0.0, side, 2)
+        xy = anchor + rng.normal(0.0, rng.uniform(10.0, 300.0), (m, 2))
+        # A flat box takes any UE altitude; otherwise UEs sit below the floor.
+        z = rng.uniform(0.0, floor + 5.0 if flat else floor - 0.5, m)
+        radii = rng.uniform(20.0, 400.0, m)
+        spheres = [sphere(i, *xy[i], radii[i], z=z[i]) for i in range(m)]
+        yield spheres, box
+        if m == 2:
+            # Shift both radii so the pair's best deficit sits just off zero.
+            _, ref = reference_witness(range(m), spheres, box)
+            for eps in (-1e-3, 1e-3):
+                yield [sphere(i, *xy[i], radii[i] + ref - eps, z=z[i]) for i in range(m)], box
+
+
+def test_witness_matches_slsqp_reference():
+    rng = np.random.default_rng(41)
+    for spheres, box in _witness_cases(rng):
+        members = range(len(spheres))
+        w, deficit = zone_witness(members, spheres, box)
+        _, ref = reference_witness(members, spheres, box)
+        assert (deficit <= 0) == (ref <= 0)
+        assert deficit <= ref + 1e-9
+        assert box.contains(w.as_array()) and w.z == box.z[0]
+        centers = np.array([s.center.as_array() for s in spheres])
+        radii = np.array([s.radius for s in spheres])
+        # The deficit is a true value at the returned point.
+        assert deficit == np.max(np.linalg.norm(w.as_array() - centers, axis=1) - radii)
+
+
+def test_witness_rejects_centre_above_floor():
+    above = sphere(0, 100.0, 100.0, 50.0, z=BOX.z[0] + 1.0)
+    with pytest.raises(ValueError, match="above the altitude floor"):
+        zone_witness([0], [above], BOX)
+    flat = FeasibleBox(BOX.x, BOX.y, (20.0, 20.0))
+    w, deficit = zone_witness([0], [sphere(0, 100.0, 100.0, 50.0, z=30.0)], flat)
+    assert (w.x, w.y, w.z) == (100.0, 100.0, 20.0) and deficit == pytest.approx(-40.0)
+
+
 # ---------------------------------------------------------------------------
 # enumerate_zones
 # ---------------------------------------------------------------------------
@@ -224,7 +274,7 @@ def test_overlap_matrix_matches_pairwise_norms():
 
 
 def test_enumerate_complete_against_brute_force(params):
-    # Every member set the witness search certifies lies inside some zone.
+    # Every member set the SLSQP reference certifies lies inside some zone.
     # Venues of 400-1500 m at 26/52 Mbit/s split overlap components into
     # several cliques, so enumeration goes through Bron-Kerbosch.
     rng = np.random.default_rng(2)
@@ -240,7 +290,7 @@ def test_enumerate_complete_against_brute_force(params):
         clique_path_seen |= any(a & b for a, b in itertools.combinations(member_sets, 2))
         for r in range(1, len(spheres) + 1):
             for subset in itertools.combinations(range(len(spheres)), r):
-                _, deficit = zone_witness(subset, spheres, scn.venue)
+                _, deficit = reference_witness(subset, spheres, scn.venue)
                 if deficit <= 0:
                     assert any(set(subset) <= m for m in member_sets), subset
     assert clique_path_seen
