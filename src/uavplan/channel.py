@@ -146,28 +146,55 @@ def snr_hz_between(ue_xyz, uav_xyz, params: ChannelParams):
     return np.where(valid, snr_hz_kernel(gain, params), 0.0)
 
 
+def _fit_width_root(c):
+    """Root u > 0 of log1p(u) = c*u, elementwise, for 0 < c < 1.
+
+    g(u) = log1p(u) - c*u is concave and peaks at u = 1/c - 1, so Newton
+    started right of the root converges to it monotonically from the right.
+    Both starts lie there: (2/c)ln(2/c) - 1, where g <= c - 1 < 0, and for
+    c > 1/2 the bound 2(1-c)/(2c-1) from log1p(u) <= u(2+u)/(2+2u), which
+    keeps the near-double root at c -> 1 to a few steps. Five steps reach
+    rounding level over the whole range.
+    """
+    u = (2.0 / c) * np.log(2.0 / c) - 1.0
+    near_one = c > 0.5
+    u[near_one] = np.minimum(u[near_one], 2.0 * (1.0 - c[near_one]) / (2.0 * c[near_one] - 1.0))
+    for _ in range(5):
+        u = u - (np.log1p(u) - c * u) / (1.0 / (1.0 + u) - c)
+    return u
+
+
 def demand_fit_kernel(snr_hz, demand_bps, b_max_hz: float, grid_hz: float):
     """Smallest grid bandwidth meeting each demand, and the rate it gives.
 
-    Arrays broadcast against each other. The rate is strictly increasing in
-    bandwidth, so one bisection over grid indices 1..b_max_hz//grid_hz finds
-    the first sufficient multiple of ``grid_hz``. Where even the last index
-    falls short, the bandwidth is the last grid width and the rate stays
-    below the demand. Needs ``grid_hz <= b_max_hz``, which ``Scenario.validate``
+    Arrays broadcast against each other; demands are positive. With
+    c = D·ln2/S, the width solving B·log2(1 + S/B) = D is S/u for the root u
+    of log1p(u) = c·u (``_fit_width_root``), which exists only for c < 1:
+    the rate stays below S/ln2. Its grid index is then walked up while the
+    rate falls short and down while one step less still meets the demand, so
+    the Shannon kernel itself decides the first sufficient multiple of
+    ``grid_hz``. Where even the last index b_max_hz//grid_hz falls short,
+    the bandwidth is the last grid width and the rate stays below the
+    demand. Needs ``grid_hz <= b_max_hz``, which ``Scenario.validate``
     guarantees.
     """
+    snr_hz, demand_bps = np.broadcast_arrays(np.asarray(snr_hz, dtype=float),
+                                             np.asarray(demand_bps, dtype=float))
     k_max = int(b_max_hz // grid_hz)
-    achievable = shannon_rate_kernel(snr_hz, k_max * grid_hz) >= demand_bps
-    shape = np.broadcast(snr_hz, demand_bps).shape
-    lo = np.ones(shape, dtype=np.int64)
-    hi = np.full(shape, k_max, dtype=np.int64)
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        ok = shannon_rate_kernel(snr_hz, mid * grid_hz) >= demand_bps
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, np.minimum(mid + 1, hi))
-    bw = np.where(achievable, lo, k_max) * grid_hz
-    return bw, shannon_rate_kernel(snr_hz, bw)
+    with np.errstate(divide="ignore"):  # a zero SNR gives c = inf: unreachable
+        c = demand_bps * math.log(2.0) / snr_hz
+    fits = c < 1.0
+    k = np.full(snr_hz.shape, k_max, dtype=np.int64)
+    k[fits] = np.clip(np.ceil(snr_hz[fits] / _fit_width_root(c[fits]) / grid_hz), 1, k_max)
+
+    def rate_at(steps):
+        return shannon_rate_kernel(snr_hz, steps * grid_hz)
+
+    while (short := (rate_at(k) < demand_bps) & (k < k_max)).any():
+        k += short
+    while (spare := (rate_at(np.maximum(k - 1, 1)) >= demand_bps) & (k > 1)).any():
+        k -= spare
+    return k * grid_hz, rate_at(k)
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,25 @@ class _FeasibilityCache:
         self.cache[members] = out
         return out
 
+    def check_pairs(self, pairs: np.ndarray) -> np.ndarray:
+        """Verdicts of the pairs ``(i, j)`` in the rows of ``pairs``, as a mask.
+
+        ``check``'s clamped-mean shortcut, computed for every pair in one
+        array pass with the same arithmetic: each pair it certifies is cached
+        as ``check`` would cache it, and only the rest go through ``check``
+        itself, in row order.
+        """
+        i, j = pairs.T
+        mid = self.box.clamp((self.centers[i] + self.centers[j]) / 2)
+        deficit = np.maximum(np.linalg.norm(mid - self.centers[i], axis=1) - self.radii[i],
+                             np.linalg.norm(mid - self.centers[j], axis=1) - self.radii[j])
+        ok = deficit <= 0
+        for pair, p, f in zip(pairs[ok].tolist(), mid[ok].tolist(), deficit[ok].tolist()):
+            self.cache[frozenset(pair)] = (True, Point3(*p), f)
+        for k in np.flatnonzero(~ok).tolist():
+            ok[k] = self.check(frozenset(pairs[k].tolist()))[0]
+        return ok
+
 
 def _bron_kerbosch(adj: dict[int, set[int]], nodes: list[int]) -> list[list[int]]:
     """Maximal cliques of the pairwise-overlap graph, canonically ordered."""
@@ -393,10 +412,10 @@ def enumerate_zones(spheres: Sequence[CoverageSphere], box: FeasibleBox) -> list
     nodes = range(len(spheres))
 
     adj: dict[int, set[int]] = {i: set() for i in nodes}
-    for i, j in np.argwhere(np.triu(cache.overlap, 1)).tolist():
-        if cache.check(frozenset((i, j)))[0]:
-            adj[i].add(j)
-            adj[j].add(i)
+    pairs = np.argwhere(np.triu(cache.overlap, 1))
+    for i, j in pairs[cache.check_pairs(pairs)].tolist():
+        adj[i].add(j)
+        adj[j].add(i)
 
     components: list[list[int]] = []
     seen: set[int] = set()

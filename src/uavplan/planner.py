@@ -321,11 +321,22 @@ def validate_deployment(
 
     Uses only the channel model and the deployment's own geometry; reports
     per-constraint residuals (<= 0 means satisfied) and never raises. Rate
-    checks allow a relative slack of RATE_RTOL.
+    checks allow a relative slack of RATE_RTOL. ``shape_agreement`` is the
+    spread of the UAV count over positions, association columns, ``a`` and
+    ``uav_count`` plus that of the UE count over association rows, link
+    arrays and the scenario's UEs; the other checks read the UAVs and UEs
+    that every array has.
     """
     z = np.asarray(deployment.association.z)
     a = np.asarray(deployment.association.a)
-    n_ues, n_uavs = z.shape
+    uav_arrays = (z.shape[1], len(a), len(deployment.uav_positions))
+    ue_counts = (z.shape[0], len(deployment.link_bandwidth_hz), len(deployment.link_rate_bps),
+                 len(scenario.ues))
+    uav_counts = uav_arrays + (deployment.uav_count,)
+    shape_residual = float(max(uav_counts) - min(uav_counts) + max(ue_counts) - min(ue_counts))
+    n_ues, n_uavs = min(ue_counts), min(uav_arrays)
+    z, a = z[:n_ues, :n_uavs], a[:n_uavs]
+    bandwidth = np.asarray(deployment.link_bandwidth_hz, dtype=float)[:n_ues]
 
     binary_residual = 0.0
     for arr in (z, a):
@@ -345,7 +356,7 @@ def validate_deployment(
             demand_residual = max(demand_residual, 1.0)
             continue
         k = int(served_by[0])
-        b = float(deployment.link_bandwidth_hz[i])
+        b = float(bandwidth[i])
         if b <= 0:
             demand_residual = max(demand_residual, 1.0)
             continue
@@ -359,7 +370,7 @@ def validate_deployment(
 
     capacity_residual = -math.inf
     for k in range(n_uavs):
-        used = float(np.sum(deployment.link_bandwidth_hz[z[:, k] == 1]))
+        used = float(np.sum(bandwidth[z[:, k] == 1]))
         capacity_residual = max(capacity_residual, used - scenario.b_max_hz)
     if capacity_residual == -math.inf:
         capacity_residual = 0.0
@@ -375,5 +386,6 @@ def validate_deployment(
         ConstraintCheck("activation_linkage", link_residual, link_residual <= 0),
         ConstraintCheck("binary_variables", binary_residual, binary_residual == 0),
         ConstraintCheck("position_in_box", box_residual, box_residual <= 0),
+        ConstraintCheck("shape_agreement", shape_residual, shape_residual == 0),
     )
     return ValidationReport(checks=checks)

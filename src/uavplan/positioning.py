@@ -143,6 +143,36 @@ def _allocations(position: np.ndarray, data: _MemberData, params: "ChannelParams
     ], bool(np.all(served[0])) and float(np.sum(bw[0])) <= data.b_max_hz
 
 
+# Iterations of random coefficients drawn at a time: memory stays bounded
+# whatever ``max_iterations`` is, and an early stop wastes at most one block.
+_DRAW_CHUNK = 32
+
+
+def _swarm_coefficients(rngs, iterations: int):
+    """Yield each iteration's (r1, r2), both (particles, 3), from per-particle streams.
+
+    Every particle draws its coefficients in blocks of up to ``_DRAW_CHUNK``
+    iterations, ``random((k, 2, 3))``: the same doubles, in the same order,
+    as drawing ``random(3)`` for r1 and then for r2 at every iteration.
+    """
+    for start in range(0, iterations, _DRAW_CHUNK):
+        block = np.stack([rng.random((min(_DRAW_CHUNK, iterations - start), 2, 3))
+                          for rng in rngs])
+        for step in range(block.shape[1]):
+            yield block[:, step, 0], block[:, step, 1]
+
+
+def _swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
+                      config: SwarmConfig, v_max):
+    """One velocity update of the whole swarm, clipped to +-v_max per axis."""
+    return np.clip(
+        config.inertia_weight * velocities
+        + config.cognitive_coeff * r1 * (pbest_pos - positions)
+        + config.social_coeff * r2 * (gbest_pos - positions),
+        -v_max, v_max,
+    )
+
+
 def _init_bounds(zone: CandidateZone, centers, radii, box: FeasibleBox):
     """Bounding box of the member-sphere intersection, clipped to the box."""
     lo = box.lower
@@ -168,9 +198,10 @@ def optimize_position(
     One particle is pinned at the witness, so the returned solution is
     feasible whenever the witness itself is. The search stops early once all
     demands are met and the global best, quantized to the position precision,
-    has not moved for ``early_stop_patience`` iterations. Per-particle RNG
-    substreams are derived from (config.seed, members), making the trajectory
-    a pure function of the inputs. ``spheres`` is indexed by UE (see
+    has not moved for ``early_stop_patience`` iterations. Each iteration
+    moves the whole swarm in one array step. Per-particle RNG substreams are
+    derived from (config.seed, members), making the trajectory a pure
+    function of the inputs. ``spheres`` is indexed by UE (see
     ``build_spheres``); without spheres (the baselines) the search is bounded
     by the box alone.
 
@@ -221,17 +252,11 @@ def optimize_position(
     if trace is not None:
         trace.append((0, gbest_val, tuple(gbest_pos)))
 
-    for it in range(1, config.max_iterations + 1):
+    coefficients = _swarm_coefficients(rngs, config.max_iterations)
+    for it, (r1, r2) in enumerate(coefficients, start=1):
         iterations = it
-        for i in range(n):
-            r1 = rngs[i].random(3)
-            r2 = rngs[i].random(3)
-            velocities[i] = (
-                config.inertia_weight * velocities[i]
-                + config.cognitive_coeff * r1 * (pbest_pos[i] - positions[i])
-                + config.social_coeff * r2 * (gbest_pos - positions[i])
-            )
-        np.clip(velocities, -v_max, v_max, out=velocities)
+        velocities = _swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
+                                       config, v_max)
         positions = box.clamp(positions + velocities)
 
         values, feas = _swarm_fitness(positions, data, params, box)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from uavplan import ChannelParams, FeasibleBox, Point3, Scenario, SwarmConfig, UE
-from uavplan.coverage import build_spheres, zone_witness
+from uavplan.coverage import build_spheres
+from witness_reference import reference_witness
 
 
 @pytest.fixture
@@ -82,8 +83,9 @@ def partition_oracle(scenario: Scenario, params: ChannelParams) -> int:
     """Minimum group count over all UE partitions with witness-feasible groups.
 
     Exhaustive: feasibility of every nonempty subset is decided by the
-    witness search, then a subset-DP finds the optimal partition. Only
-    sensible for small N.
+    reference witness search (``witness_reference``, independent of the
+    planner's ``zone_witness``), then a subset-DP finds the optimal
+    partition. Only sensible for small N.
     """
     spheres = build_spheres(scenario, params)
     n = len(scenario.ues)
@@ -91,7 +93,7 @@ def partition_oracle(scenario: Scenario, params: ChannelParams) -> int:
     feasible = np.zeros(full + 1, dtype=bool)
     for mask in range(1, full + 1):
         members = [i for i in range(n) if mask >> i & 1]
-        _, deficit = zone_witness(members, spheres, scenario.venue)
+        _, deficit = reference_witness(members, spheres, scenario.venue)
         feasible[mask] = deficit <= 0
     best = np.full(full + 1, n + 1, dtype=int)
     best[0] = 0

@@ -19,7 +19,7 @@ from uavplan import (
     path_distance,
     watt_to_dbm,
 )
-from uavplan.channel import demand_fit_kernel
+from uavplan.channel import demand_fit_kernel, shannon_rate_kernel
 from conftest import oracle_chain, oracle_rate_at_threshold
 
 
@@ -247,3 +247,91 @@ def test_channel_params_invariants():
         ChannelParams(tx_power_w=0.0)
     with pytest.raises(ValueError):
         ChannelParams(c1=-1.0)
+
+
+# The production grid: a 160 MHz budget on a 1 kHz grid, k_max = 160,000.
+B_MAX_HZ, GRID_HZ = 160e6, 1e3
+
+
+def assert_first_sufficient_width(snr_hz, demand, bw, rate, b_max_hz=B_MAX_HZ, grid_hz=GRID_HZ):
+    """Each element is the first grid width meeting its demand, or the last one."""
+    k_max = int(b_max_hz // grid_hz)
+    snr_hz, demand, bw, rate = np.broadcast_arrays(snr_hz, demand, bw, rate)
+    k = bw / grid_hz
+    assert np.array_equal(k, np.round(k)) and np.all((k >= 1) & (k <= k_max))
+    assert np.array_equal(rate, shannon_rate_kernel(snr_hz, bw))
+    below = shannon_rate_kernel(snr_hz, np.maximum(k - 1, 1) * grid_hz)
+    met = rate >= demand
+    assert np.all(~met <= (k == k_max))  # only the last width may fall short
+    assert np.all((k == 1) | (below < demand))
+
+
+def test_demand_fit_kernel_at_the_production_grid():
+    rng = np.random.default_rng(23)
+    snr_hz = 10.0 ** rng.uniform(2.0, 12.0, (200, 50))
+    # Demands from far below to past the S/ln2 ceiling of each link.
+    demand = snr_hz / math.log(2.0) * 10.0 ** rng.uniform(-5.0, 0.2, snr_hz.shape)
+    bw, rate = demand_fit_kernel(snr_hz, demand, B_MAX_HZ, GRID_HZ)
+    assert_first_sufficient_width(snr_hz, demand, bw, rate)
+    assert 0 < np.sum(rate >= demand) < demand.size
+
+
+def test_demand_fit_kernel_demands_on_the_grid_rates():
+    # The rate of width k, or one ulp above the rate of width k - 1, needs
+    # exactly width k; the closed-form estimate lands on either side of it,
+    # so both walks are exercised.
+    rng = np.random.default_rng(5)
+    snr_hz = 10.0 ** rng.uniform(4.0, 11.0, 5000)
+    k = rng.integers(2, int(B_MAX_HZ // GRID_HZ) + 1, snr_hz.size)
+    for demand in (shannon_rate_kernel(snr_hz, k * GRID_HZ),
+                   np.nextafter(shannon_rate_kernel(snr_hz, (k - 1) * GRID_HZ), np.inf)):
+        bw, rate = demand_fit_kernel(snr_hz, demand, B_MAX_HZ, GRID_HZ)
+        assert np.array_equal(bw, k * GRID_HZ)
+        assert_first_sufficient_width(snr_hz, demand, bw, rate)
+
+
+def test_demand_fit_kernel_unreachable_demands_take_the_last_width():
+    snr_hz = np.array([0.0, 0.0, 1e6, 1e8, 5e9])
+    # Zero SNR, then demands at and past the S/ln2 ceiling, which no width reaches.
+    demand = np.array([1.0, 6.5e6, 1e6 / math.log(2.0), 1e8 / math.log(2.0), 5e9])
+    bw, rate = demand_fit_kernel(snr_hz, demand, B_MAX_HZ, GRID_HZ)
+    assert np.all(bw == B_MAX_HZ)
+    assert np.all(rate < demand)
+    assert_first_sufficient_width(snr_hz, demand, bw, rate)
+
+
+def test_demand_fit_kernel_reachable_only_at_the_last_width():
+    snr_hz = np.array([1e5, 3e7, 1e8, 4e9])
+    last = shannon_rate_kernel(snr_hz, B_MAX_HZ)
+    previous = shannon_rate_kernel(snr_hz, B_MAX_HZ - GRID_HZ)
+    for demand in (last, 0.5 * (last + previous)):
+        bw, rate = demand_fit_kernel(snr_hz, demand, B_MAX_HZ, GRID_HZ)
+        assert np.all(bw == B_MAX_HZ)
+        assert np.all(rate >= demand)
+    # One step less is enough for the previous width's rate.
+    bw, _ = demand_fit_kernel(snr_hz, previous, B_MAX_HZ, GRID_HZ)
+    assert np.all(bw == B_MAX_HZ - GRID_HZ)
+
+
+def test_demand_fit_kernel_single_width_budget():
+    # grid_hz == b_max_hz: the only width is the whole budget.
+    snr_hz = np.array([0.0, 500.0, 1e3, 1e9])
+    demand = np.array([1e3, 1e3, 1e3, 1e3])
+    bw, rate = demand_fit_kernel(snr_hz, demand, GRID_HZ, GRID_HZ)
+    assert np.all(bw == GRID_HZ)
+    assert np.array_equal(rate >= demand, [False, False, True, True])
+    assert_first_sufficient_width(snr_hz, demand, bw, rate, GRID_HZ, GRID_HZ)
+
+
+def test_min_bandwidth_for_demand_scalar_at_the_production_grid(params):
+    ue = Point3(0, 0, 0)
+    for uav in (Point3(0, 0, 10), Point3(30, 10, 60), Point3(400, 0, 100), Point3(1500, 0, 20)):
+        for demand in (1e3, 6.5e6, 52e6, 300e6):
+            b = min_bandwidth_for_demand(ue, uav, demand, params, B_MAX_HZ, GRID_HZ)
+            top = link_rate(ue, uav, B_MAX_HZ, params)
+            if b is None:
+                assert top < demand
+                continue
+            assert b % GRID_HZ == 0 and GRID_HZ <= b <= B_MAX_HZ
+            assert link_rate(ue, uav, b, params) >= demand
+            assert b == GRID_HZ or link_rate(ue, uav, b - GRID_HZ, params) < demand

@@ -273,6 +273,24 @@ def test_overlap_matrix_matches_pairwise_norms():
         assert overlap[a.ue_index, b.ue_index] == (d <= a.radius + b.radius)
 
 
+def test_check_pairs_matches_check_pair_by_pair():
+    # The array pass caches what check caches for each pair, bit for bit, and
+    # leaves the pairs its midpoint cannot certify to the witness. Centres
+    # beyond the footprint give pairs that overlap only outside the box.
+    rng = np.random.default_rng(8)
+    spheres = [sphere(i, *rng.uniform(-300.0, 1300.0, 2), rng.uniform(50.0, 300.0),
+                      z=rng.uniform(0.0, 5.0)) for i in range(60)]
+    box = FeasibleBox(x=(0.0, 1000.0), y=(0.0, 1000.0), z=(10.0, 100.0))
+    batched, single = _FeasibilityCache(spheres, box), _FeasibilityCache(spheres, box)
+    pairs = np.argwhere(np.triu(batched.overlap, 1))
+    verdicts = batched.check_pairs(pairs)
+    expected = [single.check(frozenset(pair)) for pair in pairs.tolist()]
+    assert verdicts.tolist() == [ok for ok, _, _ in expected]
+    assert [batched.cache[frozenset(pair)] for pair in pairs.tolist()] == expected
+    assert batched.solves == single.solves > 0
+    assert 0 < verdicts.sum() < len(pairs)
+
+
 def test_enumerate_complete_against_brute_force(params):
     # Every member set the SLSQP reference certifies lies inside some zone.
     # Venues of 400-1500 m at 26/52 Mbit/s split overlap components into

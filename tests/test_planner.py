@@ -170,6 +170,24 @@ def test_validator_position_in_box(params):
     assert report.residual("position_in_box") == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("fault", ["position-dropped", "count-plus-one"])
+def test_validator_shape_agreement(params, fault):
+    # A-0 seed 3: dropping a position used to raise IndexError, and a
+    # uav_count one too high passed.
+    scn = generate_scenario("A", 0, 3)
+    dep = plan_deployment(scn, params, SwarmConfig(seed=scn.seed))
+    assert validate_deployment(dep, scn, params).residual("shape_agreement") == 0
+    if fault == "position-dropped":
+        bad = replace(dep, uav_positions=dep.uav_positions[:-1])
+    else:
+        bad = replace(dep, uav_count=dep.uav_count + 1)
+    report = validate_deployment(bad, scn, params)
+    assert report.residual("shape_agreement") == 1.0
+    assert not report.passed
+    if fault == "count-plus-one":
+        assert [c.name for c in report.checks if not c.passed] == ["shape_agreement"]
+
+
 def test_validator_activation_linkage(params):
     scn = make_scenario([(100, 100)])
     dep = plan_deployment(scn, params, SwarmConfig(seed=4))

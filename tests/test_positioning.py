@@ -1,6 +1,7 @@
 """PSO refinement: fitness semantics, determinism, and dominance guarantees."""
 import math
 
+import numpy as np
 import pytest
 
 from uavplan import (
@@ -16,6 +17,7 @@ from uavplan import (
     link_rate,
     optimize_position,
 )
+from uavplan.positioning import _DRAW_CHUNK, _swarm_coefficients, _swarm_velocities
 
 
 def make_scenario(ue_xy, demand=6.5e6, side=300.0, z=(10.0, 100.0), **kw):
@@ -168,3 +170,52 @@ def test_swarm_config_invariants():
         SwarmConfig(inertia_weight=1.0)
     with pytest.raises(ValueError):
         SwarmConfig(position_precision_m=0.0)
+
+
+def reference_swarm_steps(rngs, positions, pbest_pos, gbest_pos, config, v_max, box, iterations):
+    """The per-particle velocity loop: r1 then r2 by ``random(3)``, inertia, clip."""
+    velocities = np.zeros_like(positions)
+    trajectory = []
+    for _ in range(iterations):
+        for i in range(len(positions)):
+            r1 = rngs[i].random(3)
+            r2 = rngs[i].random(3)
+            velocities[i] = (
+                config.inertia_weight * velocities[i]
+                + config.cognitive_coeff * r1 * (pbest_pos[i] - positions[i])
+                + config.social_coeff * r2 * (gbest_pos - positions[i])
+            )
+        np.clip(velocities, -v_max, v_max, out=velocities)
+        positions = box.clamp(positions + velocities)
+        trajectory.append((velocities.copy(), positions))
+    return trajectory
+
+
+@pytest.mark.parametrize("iterations", [5, _DRAW_CHUNK, 2 * _DRAW_CHUNK + 3])
+def test_swarm_step_reproduces_the_per_particle_loop(iterations):
+    # Below one draw chunk, exactly one, and across two chunk boundaries.
+    config = SwarmConfig(particle_count=7, seed=4)
+    box = FeasibleBox((0.0, 300.0), (0.0, 300.0), (10.0, 100.0))
+    data = np.random.default_rng(11)
+    start = box.clamp(data.uniform(-50.0, 350.0, (7, 3)))
+    pbest_pos = box.clamp(data.uniform(0.0, 300.0, (7, 3)))
+    gbest_pos = pbest_pos[3].copy()
+    v_max = np.array([40.0, 25.0, 9.0])
+
+    def streams():
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(99).spawn(7)]
+        for rng in rngs[1:]:
+            rng.random(3)  # the initial position draw of particles 1..n-1
+        return rngs
+
+    expected = reference_swarm_steps(streams(), start.copy(), pbest_pos, gbest_pos, config,
+                                     v_max, box, iterations)
+    positions, velocities = start.copy(), np.zeros_like(start)
+    steps = list(_swarm_coefficients(streams(), iterations))
+    assert len(steps) == iterations
+    for (r1, r2), (v_ref, x_ref) in zip(steps, expected):
+        velocities = _swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
+                                       config, v_max)
+        positions = box.clamp(positions + velocities)
+        assert np.array_equal(velocities, v_ref)
+        assert np.array_equal(positions, x_ref)

@@ -1,5 +1,9 @@
 """Scenario generation, baselines, throughput evaluation, experiment harness."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +255,24 @@ def test_experiment_planner_not_worse_than_fixed_n(params):
         base = by_cell[(variant, "fixed-n", run)]
         assert r.uav_count <= base.uav_count
         assert base.uav_count == math.ceil(variant / 10)
+
+
+def test_planning_a_paper_cell_imports_no_scipy_solver():
+    # The planner and both baselines on A-0 run on numpy alone; scipy.special
+    # or scipy.optimize would add import time and resident memory to every run.
+    code = """
+import sys
+from uavplan import BaselineKind, ChannelParams, generate_scenario, plan_deployment, run_baseline
+scn = generate_scenario("A", 0, 0)
+plan_deployment(scn, ChannelParams())
+for kind in BaselineKind:
+    run_baseline(kind, scn, ChannelParams())
+print(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "special"], ["scipy", "optimize"])))
+"""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
