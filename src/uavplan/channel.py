@@ -219,11 +219,6 @@ def _checked_geometry(ue: Point3, uav: Point3) -> tuple[float, float]:
     return d, float(np.degrees(np.arcsin(sin_elev)))
 
 
-def elevation_angle_deg(ue: Point3, uav: Point3) -> float:
-    """Elevation of the UAV as seen from the UE, in degrees in (0, 90]."""
-    return _checked_geometry(ue, uav)[1]
-
-
 def los_probability(ue: Point3, uav: Point3, params: ChannelParams) -> float:
     """Line-of-sight probability of the UE->UAV link, strictly in (0, 1)."""
     _, elev = _checked_geometry(ue, uav)

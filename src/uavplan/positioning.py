@@ -202,8 +202,11 @@ def optimize_position(
     moves the whole swarm in one array step. Per-particle RNG substreams are
     derived from (config.seed, members), making the trajectory a pure
     function of the inputs. ``spheres`` is indexed by UE (see
-    ``build_spheres``); without spheres (the baselines) the search is bounded
-    by the box alone.
+    ``build_spheres``) and only bounds where the particles start and how
+    fast they move; without spheres (the baselines) the box alone bounds
+    both. The global best
+    is returned as found, even outside a member sphere: the demand check,
+    not sphere containment, decides feasibility.
 
     Raises ZoneCapacityError when the members' pinned link widths alone
     overrun the bandwidth budget (the caller should split the zone), unless
@@ -281,8 +284,6 @@ def optimize_position(
             stable = 0
         quant = new_quant
 
-    if centers is not None:
-        gbest_pos = _snap_into_zone(gbest_pos, zone, centers, radii, box, data, params)
     links, feasible = _allocations(gbest_pos, data, params)
     final_val, _ = _swarm_fitness(gbest_pos[None, :], data, params, box)
     return PlacementSolution(
@@ -293,38 +294,3 @@ def optimize_position(
         iterations=iterations,
     )
 
-
-def _snap_into_zone(position, zone, centers, radii, box, data, params):
-    """Move the final position to the nearest point inside every member sphere.
-
-    Applied only when (a) the best position drifted outside some member
-    sphere and (b) the snapped point preserves rate feasibility; the demand
-    check is the final authority, so a snap that would break it is skipped.
-    """
-    deficits = np.linalg.norm(position[None, :] - centers, axis=1) - radii
-    if float(np.max(deficits)) <= 0:
-        return position
-    _, feasible_before = _swarm_fitness(position[None, :], data, params, box)
-    from scipy.optimize import minimize
-
-    def objective(p):
-        return float(np.sum((p - position) ** 2))
-
-    def cons_f(p):
-        return radii - np.linalg.norm(p[None, :] - centers, axis=1)
-
-    res = minimize(
-        objective,
-        zone.witness.as_array(),
-        constraints=[{"type": "ineq", "fun": cons_f}],
-        bounds=[(box.lower[k], box.upper[k]) for k in range(3)],
-        method="SLSQP",
-        options={"maxiter": 100, "ftol": 1e-10},
-    )
-    snapped = box.clamp(res.x)
-    if float(np.max(np.linalg.norm(snapped[None, :] - centers, axis=1) - radii)) > 0:
-        return position
-    _, feasible_after = _swarm_fitness(snapped[None, :], data, params, box)
-    if bool(feasible_after[0]) or not bool(feasible_before[0]):
-        return snapped
-    return position

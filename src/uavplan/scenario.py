@@ -428,5 +428,5 @@ def _run_cell(kind, variant_value, method, run, seed, scn, params, cfg) -> Exper
         return ExperimentRow(
             scenario=kind, variant=float(variant_value), method=method, run=run,
             seed=seed, uav_count=None, aggregate_bps=None,
-            demand_satisfied_ratio=None, error=type(exc).__name__,
+            demand_satisfied_ratio=None, error=f"{type(exc).__name__}: {exc}",
         )

@@ -260,13 +260,28 @@ def test_experiment_planner_not_worse_than_fixed_n(params):
 def test_planning_a_paper_cell_imports_no_scipy_solver():
     # The planner and both baselines on A-0 run on numpy alone; scipy.special
     # or scipy.optimize would add import time and resident memory to every run.
+    # The second venue (conftest's random_scenario draw at rng 10, rebuilt here
+    # because conftest imports scipy) is one whose swarm best ends outside a
+    # member sphere. Its plan needs 4 UAVs and must validate as it is.
     code = """
 import sys
-from uavplan import BaselineKind, ChannelParams, generate_scenario, plan_deployment, run_baseline
+import numpy as np
+from uavplan import (UE, BaselineKind, ChannelParams, FeasibleBox, Point3, Scenario,
+                     generate_scenario, plan_deployment, run_baseline, validate_deployment)
 scn = generate_scenario("A", 0, 0)
 plan_deployment(scn, ChannelParams())
 for kind in BaselineKind:
     run_baseline(kind, scn, ChannelParams())
+rng = np.random.default_rng(10)
+side = float(rng.uniform(300.0, 1000.0))
+n = int(rng.integers(1, 31))
+demand = float(rng.choice((6.5e6, 26e6)))
+ues = tuple(UE(position=Point3(float(rng.uniform(0, side)), float(rng.uniform(0, side)), 0.0),
+               demand_bps=demand) for _ in range(n))
+venue = Scenario(label="random", seed=int(rng.integers(0, 2**31 - 1)),
+                 venue=FeasibleBox(x=(0.0, side), y=(0.0, side), z=(10.0, 100.0)), ues=ues)
+dep = plan_deployment(venue, ChannelParams())
+print(dep.uav_count, validate_deployment(dep, venue, ChannelParams()).passed)
 print(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "special"], ["scipy", "optimize"])))
 """
     env = dict(os.environ)
@@ -275,4 +290,13 @@ print(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "special"]
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["4 True", "[]"]
+
+
+def test_failed_sweep_cell_keeps_the_error_message(params):
+    # 100 kHz cannot carry one 6.5 Mbit/s user, so the planner's cell fails.
+    table = run_experiment("C", params, n_runs=1, base_seed=0,
+                           scenario_overrides={"b_max_hz": 1e5})
+    planner = next(r for r in table.rows if r.method == "planner")
+    assert planner.uav_count is None
+    assert planner.error.startswith("UnservableError: unservable UEs: (0, 1, ")
