@@ -392,6 +392,10 @@ def cmd_sweep(args) -> int:
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
 
+    for r in table.rows:
+        if r.error:
+            print(f"failed: {r.scenario} variant {r.variant:g} {r.method} run {r.run}: {r.error}",
+                  file=sys.stderr)
     if all(r.error for r in table.rows):
         print("every run failed", file=sys.stderr)
         return EXIT_ALL_RUNS_FAILED

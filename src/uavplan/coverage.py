@@ -11,6 +11,7 @@ minimizing the UAV count.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -106,10 +107,6 @@ def build_spheres(scenario: "Scenario", params: "ChannelParams") -> list[Coverag
 # Witness search: minimize the worst sphere deficit over the box.
 # ---------------------------------------------------------------------------
 
-def _max_deficit(p: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(p[None, :] - centers, axis=1) - radii))
-
-
 def _roots(a, b, c) -> np.ndarray:
     """Both roots of a t^2 + 2 b t + c = 0, elementwise, stacked on a new first axis.
 
@@ -119,78 +116,93 @@ def _roots(a, b, c) -> np.ndarray:
     as a candidate point, scored exactly.
     """
     q = -(b + np.copysign(np.sqrt(np.maximum(b * b - a * c, 0.0)), b))
-    return np.stack([q / a, c / q])
+    return np.array([q / a, c / q])
 
 
-def _basis_points(xy, h2, r, lo, hi) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _basis_indices(m: int) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays of every basis of an m-member working set.
+
+    The pairs ``i``, ``j``; for each edge line (after the centre segments)
+    its edge x = lo, x = hi, y = lo, y = hi and its direction; the two ends
+    of every line; each triple's first member and its other two.
+    """
+    i, j = np.triu_indices(m, 1)
+    edge = np.repeat(np.arange(4), len(i))
+    direction = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])[edge]
+    ends = np.concatenate([np.tile(i, 5), np.tile(j, 5)])
+    triples = np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
+    out = (i, j, edge, direction, ends, triples[:, 0], triples[:, 1:])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _basis_points(xy, h2, r, lo, hi, corners, edge_origins) -> np.ndarray:
     """Minimizer of every basis of at most three pieces, clamped to the rectangle.
 
     A piece is a member's deficit sqrt(|q - a|^2 + h2) - r or an edge of the
     rectangle ``lo``-``hi``. The bases are: one member (its clamped centre);
     two members on their centre segment or on an edge line (where their
     deficits are equal); three members (where all three are equal); and the
-    four corners. The minimum of the max over the members is one of them.
+    four ``corners``. The minimum of the max over the members is one of them.
     Each equal-deficit point solves the lifted equations
     |q - a|^2 + h2 = (t + r)^2: subtracting two of them is linear in (q, t).
+    ``edge_origins`` holds a point of each edge line, in ``_basis_indices``
+    order.
     """
-    points = [np.clip(xy, lo, hi), np.array([[lo[0], lo[1]], [lo[0], hi[1]],
-                                             [hi[0], lo[1]], [hi[0], hi[1]]])]
+    points = [xy.clip(lo, hi), corners]
     m = len(xy)
     if m >= 2:
-        i, j = np.triu_indices(m, 1)
+        i, j, edge, edge_direction, ends, _, _ = _basis_indices(m)
         seg = xy[j] - xy[i]
-        # Five lines per pair: its centre segment, then the four edge lines.
-        origin = np.concatenate([xy[i], np.repeat([[lo[0], 0.0], [hi[0], 0.0],
-                                                   [0.0, lo[1]], [0.0, hi[1]]], len(i), axis=0)])
-        direction = np.concatenate([seg / np.hypot(seg[:, 0], seg[:, 1])[:, None],
-                                    np.repeat([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]],
-                                              len(i), axis=0)])
-        i, j = np.tile(i, 5), np.tile(j, 5)
-
-        def on_line(end):
-            """A member's position along each line, and h2 plus its squared offset."""
-            rel = xy[end] - origin
-            pos = np.sum(rel * direction, axis=1)
-            off = rel - pos[:, None] * direction
-            return pos, h2[end] + np.sum(off * off, axis=1)
-
+        origin = np.concatenate([xy[i], edge_origins[edge]])
+        direction = np.concatenate([seg / np.hypot(seg[:, 0], seg[:, 1])[:, None], edge_direction])
+        # Each line's two members: position along it, and h2 plus the squared offset.
+        rel = xy[ends].reshape(2, -1, 2) - origin
+        pos = (rel * direction).sum(axis=2)
+        off = rel - pos[..., None] * direction
+        (p_i, p_j), (g_i, g_j) = pos, h2[ends].reshape(2, -1) + (off * off).sum(axis=2)
+        r_i, r_j = r[ends].reshape(2, -1)
         # Along a line the position is s = p_i + alpha t + beta.
-        (p_i, g_i), (p_j, g_j) = on_line(i), on_line(j)
         d = p_j - p_i
-        alpha = (r[i] - r[j]) / d
-        beta = ((r[i] - r[j]) * (r[i] + r[j]) + d * d - g_i + g_j) / (2 * d)
-        t = _roots(alpha * alpha - 1, alpha * beta - r[i], beta * beta + g_i - r[i] * r[i])
+        alpha = (r_i - r_j) / d
+        beta = ((r_i - r_j) * (r_i + r_j) + d * d - g_i + g_j) / (2 * d)
+        t = _roots(alpha * alpha - 1, alpha * beta - r_i, beta * beta + g_i - r_i * r_i)
         points.append((origin + (p_i + alpha * t + beta)[..., None] * direction).reshape(-1, 2))
     if m >= 3:
-        i, j, k = np.array(list(itertools.combinations(range(m), 3))).T
+        *_, i, jk = _basis_indices(m)
         # With u = q - a_i, subtracting member i's lifted equation from j's
         # and k's gives two linear equations b u = e0 + e1 t.
-        jk = np.stack([j, k], axis=1)
         b = xy[jk] - xy[i][:, None]
-        rhs = np.stack([0.5 * (r[i, None] ** 2 - r[jk] ** 2 + np.sum(b * b, axis=2)
+        rhs = np.stack([0.5 * (r[i, None] ** 2 - r[jk] ** 2 + (b * b).sum(axis=2)
                                - h2[i, None] + h2[jk]),
                         r[i, None] - r[jk]], axis=2)
         det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
         adj = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=1).reshape(-1, 2, 2)
-        u0, u1 = np.moveaxis(adj @ rhs / det[:, None, None], 2, 0)
-        t = _roots(np.sum(u1 * u1, axis=1) - 1, np.sum(u0 * u1, axis=1) - r[i],
-                   np.sum(u0 * u0, axis=1) + h2[i] - r[i] ** 2)
+        u0, u1 = (adj @ rhs / det[:, None, None]).transpose(2, 0, 1)
+        t = _roots((u1 * u1).sum(axis=1) - 1, (u0 * u1).sum(axis=1) - r[i],
+                   (u0 * u0).sum(axis=1) + h2[i] - r[i] ** 2)
         points.append((xy[i] + u0 + t[..., None] * u1).reshape(-1, 2))
     points = np.concatenate(points)
-    return np.clip(points[np.isfinite(points).all(axis=1)], lo, hi)
+    return points[np.isfinite(points).all(axis=1)].clip(lo, hi)
 
 
 def zone_witness(
     members: Iterable[int],
     spheres: Sequence[CoverageSphere],
     box: FeasibleBox,
+    *,
+    arrays: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Point3, float]:
     """Point in the box minimizing the worst member-sphere deficit.
 
     Returns ``(point, deficit)``; ``deficit <= 0`` certifies that the point
     lies inside every member sphere (the zone is nonempty), ``deficit > 0``
     certifies infeasibility of the member set. ``spheres`` is indexed by UE
-    (see ``build_spheres``).
+    (see ``build_spheres``). A caller that already holds every sphere's
+    centre and radius as arrays indexed the same way passes them as
+    ``arrays`` and spares the solve from gathering them.
 
     Every member centre lies at or below the altitude floor (``Scenario``
     guarantees it; a flat box needs no such bound), so each deficit grows
@@ -204,30 +216,37 @@ def zone_witness(
     idx = sorted(set(members))
     if not idx:
         raise ValueError("empty member set")
-    centers = np.array([spheres[i].center.as_array() for i in idx])
-    radii = np.array([spheres[i].radius for i in idx])
+    if arrays is None:
+        centers = np.array([spheres[i].center.as_array() for i in idx])
+        radii = np.array([spheres[i].radius for i in idx])
+    else:
+        centers, radii = arrays[0][idx], arrays[1][idx]
     z = box.z[0]
-    if box.z[1] > z and np.any(centers[:, 2] > z):
+    if box.z[1] > z and (centers[:, 2] > z).any():
         raise ValueError(f"a member centre lies above the altitude floor {z} m")
     xy, h2 = centers[:, :2], (z - centers[:, 2]) ** 2
     lo, hi = box.lower[:2], box.upper[:2]
+    (x0, y0), (x1, y1) = lo, hi
+    corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
+    edge_origins = np.array([[x0, 0.0], [x1, 0.0], [0.0, y0], [0.0, y1]])
 
     def deficits(points: np.ndarray) -> np.ndarray:
-        lifted = np.column_stack([points, np.full(len(points), z)])
-        return np.linalg.norm(lifted[:, None, :] - centers[None, :, :], axis=2) - radii
+        # |p - c| summed in the order np.linalg.norm sums it: (dx^2 + dy^2) + dz^2.
+        dx, dy = points[:, :1] - xy[:, 0], points[:, 1:] - xy[:, 1]
+        return np.sqrt(dx * dx + dy * dy + h2) - radii
 
-    work = [int(np.argmax(deficits(np.clip(xy.mean(axis=0), lo, hi)[None])))]
-    while True:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            points = _basis_points(xy[work], h2[work], radii[work], lo, hi)
-        d = deficits(points)
-        best = int(np.argmin(d[:, work].max(axis=1)))
-        worst = int(np.argmax(d[best]))
-        if d[best, worst] <= d[best, work].max():  # the subset optimum is the set's
-            break
-        work.append(worst)
-    p = np.append(points[best], z)
-    return Point3.from_array(p), _max_deficit(p, centers, radii)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        work = [int(deficits(xy.mean(axis=0).clip(lo, hi)[None]).argmax())]
+        while True:
+            points = _basis_points(xy[work], h2[work], radii[work], lo, hi, corners, edge_origins)
+            d = deficits(points)
+            worst_in_work = d[:, work].max(axis=1)
+            best = int(worst_in_work.argmin())
+            worst = int(d[best].argmax())
+            if d[best, worst] <= worst_in_work[best]:  # the subset optimum is the set's
+                break
+            work.append(worst)
+    return Point3(float(points[best, 0]), float(points[best, 1]), float(z)), float(d[best, worst])
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +285,14 @@ class _FeasibilityCache:
         if hit is not None:
             return hit
         idx = sorted(members)
-        p = self.box.clamp(np.mean(self.centers[idx], axis=0))
-        f = _max_deficit(p, self.centers[idx], self.radii[idx])
+        centers = self.centers[idx]
+        p = self.box.clamp(centers.mean(axis=0))
+        f = float(np.max(np.linalg.norm(p - centers, axis=1) - self.radii[idx]))
         if f <= 0:
             out = (True, Point3.from_array(p), f)
         else:
             self.solves += 1
-            w, f = zone_witness(idx, self.spheres, self.box)
+            w, f = zone_witness(idx, self.spheres, self.box, arrays=(self.centers, self.radii))
             out = (f <= 0, w, f)
         self.cache[members] = out
         return out
@@ -295,6 +315,35 @@ class _FeasibilityCache:
         for k in np.flatnonzero(~ok).tolist():
             ok[k] = self.check(frozenset(pairs[k].tolist()))[0]
         return ok
+
+
+def _membership(sets: Sequence[Iterable[int]], n: int) -> np.ndarray:
+    """Set x user membership matrix: row k is 1.0 at each member of ``sets[k]``.
+
+    ``n`` columns, more if a member index reaches past it. Float, so that
+    intersection counts are one BLAS matmul; they are small integers, exact.
+    """
+    sizes = [len(s) for s in sets]
+    cols = np.fromiter(itertools.chain.from_iterable(sets), np.intp, sum(sizes))
+    member = np.zeros((len(sets), max(n, int(cols.max(initial=-1)) + 1)), np.float32)
+    member[np.repeat(np.arange(len(sets)), sizes), cols] = 1.0
+    return member
+
+
+def _dominated(member: np.ndarray) -> np.ndarray:
+    """Rows whose set lies inside another row's: strictly, or equal to an earlier row's.
+
+    On a family of distinct sets these are exactly the non-maximal ones.
+    """
+    size = member.sum(axis=1)
+    inside = member @ member.T == size[:, None]  # inside[k, j]: row k within row j
+    over = (size[None, :] > size[:, None]) | np.tri(len(member), k=-1, dtype=bool)
+    return (inside & over).any(axis=1)
+
+
+def _maximal(sets: list, n: int) -> list:
+    """The sets of a family of distinct sets that lie inside no other, in order."""
+    return [s for s, d in zip(sets, _dominated(_membership(sets, n))) if not d]
 
 
 def _bron_kerbosch(adj: dict[int, set[int]], nodes: list[int]) -> list[list[int]]:
@@ -348,50 +397,48 @@ def _maximal_feasible_subsets(
             return None
         for s in sub:
             found[s] = None
-    sets = list(found)
-    maximal = [s for s in sets if not any(s < t for t in sets)]
+    maximal = _maximal(list(found), len(cache.radii))
     memo[clique] = maximal
     return maximal
 
 
-def _grow_zones(component: list[int], adj: dict[int, set[int]], cache: _FeasibilityCache) -> list[frozenset[int]]:
-    """Pairwise-seeded greedy growth for components too large to enumerate."""
-    found: list[frozenset[int]] = []
-    seeds: list[frozenset[int]] = [frozenset({i}) for i in component]
+def _grow_zones(component: list[int], linked: np.ndarray, cache: _FeasibilityCache) -> list[frozenset[int]]:
+    """Pairwise-seeded greedy growth for components too large to enumerate.
+
+    ``linked`` is the matrix of feasible pairs; a zone grows by common
+    neighbours, nearest its witness first. The rows of ``found`` are the
+    zones so far: one membership matrix decides every containment test.
+    """
+    found = np.zeros((0, len(linked)), bool)
+    seeds = [[i] for i in component]
     for i in component:
-        for j in sorted(adj[i]):
-            if j > i:
-                seeds.append(frozenset({i, j}))
+        seeds.extend([i, j] for j in (np.flatnonzero(linked[i, i + 1:]) + i + 1).tolist())
     for seed in seeds:
-        if any(seed <= f for f in found):
+        if found[:, seed].all(axis=1).any():
             continue
-        ok, witness, _ = cache.check(seed)
+        current = frozenset(seed)
+        ok, witness, _ = cache.check(current)
         if not ok:
             continue
-        current = seed
-        while True:
-            candidates = set(component) - current
-            for m in current:
-                candidates &= adj[m]
-            if not candidates:
-                break
-            cands = sorted(candidates)
+        common = linked[seed].all(axis=0)
+        while common.any():
+            cands = np.flatnonzero(common)
             dist = np.linalg.norm(cache.centers[cands] - witness.as_array(), axis=1)
-            order = [u for _, u in sorted(zip((round(d, 9) for d in dist.tolist()), cands))]
-            grew = False
+            order = [u for _, u in sorted(zip((round(d, 9) for d in dist.tolist()), cands.tolist()))]
             for u in order:
                 ok, cand_witness, _ = cache.check(current | {u})
                 if ok:
                     current = current | {u}
                     witness = cand_witness
-                    grew = True
+                    common &= linked[u]
                     break
-            if not grew:
+            else:
                 break
-        if not any(current <= f for f in found):
-            found = [f for f in found if not f <= current]
-            found.append(current)
-    return found
+        row = np.zeros(len(linked), bool)
+        row[list(current)] = True
+        if not found[:, row].all(axis=1).any():
+            found = np.vstack([found[found[:, ~row].any(axis=1)], row])
+    return [frozenset(np.flatnonzero(f).tolist()) for f in found]
 
 
 def enumerate_zones(spheres: Sequence[CoverageSphere], box: FeasibleBox) -> list[CandidateZone]:
@@ -411,11 +458,11 @@ def enumerate_zones(spheres: Sequence[CoverageSphere], box: FeasibleBox) -> list
     cache = _FeasibilityCache(spheres, box)
     nodes = range(len(spheres))
 
-    adj: dict[int, set[int]] = {i: set() for i in nodes}
+    linked = np.zeros_like(cache.overlap)
     pairs = np.argwhere(np.triu(cache.overlap, 1))
-    for i, j in pairs[cache.check_pairs(pairs)].tolist():
-        adj[i].add(j)
-        adj[j].add(i)
+    i, j = pairs[cache.check_pairs(pairs)].T
+    linked[i, j] = linked[j, i] = True
+    adj = {i: set(np.flatnonzero(row).tolist()) for i, row in enumerate(linked)}
 
     components: list[list[int]] = []
     seen: set[int] = set()
@@ -456,25 +503,21 @@ def enumerate_zones(spheres: Sequence[CoverageSphere], box: FeasibleBox) -> list
                 for s in collected:
                     member_sets[s] = None
                 continue
-        for s in _grow_zones(comp, adj, cache):
+        for s in _grow_zones(comp, linked, cache):
             member_sets[s] = None
 
     zones: dict[tuple[int, ...], CandidateZone] = {}
-    all_sets = [s for s in member_sets if not any(s < t for t in member_sets)]
-    for s in sorted(all_sets, key=lambda m: (-len(m), tuple(sorted(m)))):
-        _, witness, deficit = cache.check(s)
-        w = witness.as_array()
+    maximal = _maximal(list(member_sets), len(spheres))
+    for s in sorted(maximal, key=lambda m: (-len(m), tuple(sorted(m)))):
+        witness = cache.check(s)[1]
         # Close the member list over the witness: list every containing sphere.
-        inside = np.linalg.norm(w[None, :] - cache.centers, axis=1) <= cache.radii
-        members = tuple(sorted(set(np.flatnonzero(inside).tolist()) | set(s)))
-        slack = float(np.min(cache.radii[list(members)]
-                             - np.linalg.norm(w[None, :] - cache.centers[list(members)], axis=1)))
-        key = members
-        if key not in zones or zones[key].slack < slack:
-            zones[key] = CandidateZone(members=members, witness=witness, slack=slack)
+        dist = np.linalg.norm(witness.as_array() - cache.centers, axis=1)
+        members = tuple(sorted(set(np.flatnonzero(dist <= cache.radii).tolist()) | set(s)))
+        slack = float(np.min(cache.radii[list(members)] - dist[list(members)]))
+        if members not in zones or zones[members].slack < slack:
+            zones[members] = CandidateZone(members=members, witness=witness, slack=slack)
 
-    final = list(zones.values())
-    final = [z for z in final if not any(set(z.members) < set(t.members) for t in final)]
+    final = [zones[key] for key in _maximal(list(zones), len(spheres))]
     final.sort(key=lambda z: (-len(z.members), z.members))
     return final
 
@@ -551,24 +594,21 @@ def greedy_zone_cover(
     the zone's cap, so a zone can be picked repeatedly. Used directly beyond
     the exact solver's instance cap and as the exact solver's upper bound.
     """
-    caps = _caps_list(zones, capacity_limit)
-    uncovered = set(range(n_ues))
+    caps = np.array(_caps_list(zones, capacity_limit))
+    member = _membership([z.members for z in zones], n_ues)
+    slack = np.array([z.slack for z in zones])
+    uncovered = np.zeros(member.shape[1], np.float32)
+    uncovered[:n_ues] = 1.0
     cover: list[CandidateZone] = []
-    while uncovered:
-        best_k, best_key = None, None
-        for k, z in enumerate(zones):
-            gain = min(len(uncovered & set(z.members)), caps[k])
-            if gain == 0:
-                continue
-            key = (-gain, -z.slack, k)
-            if best_key is None or key < best_key:
-                best_k, best_key = k, key
-        if best_k is None:
-            raise UncoverableError(f"UEs {sorted(uncovered)} appear in no zone")
-        z = zones[best_k]
-        take = sorted(uncovered & set(z.members))[: caps[best_k]]
-        uncovered -= set(take)
-        cover.append(z)
+    while uncovered.any():
+        gain = np.minimum(member @ uncovered, caps)
+        top = gain.max(initial=0.0)
+        if top == 0:
+            raise UncoverableError(f"UEs {np.flatnonzero(uncovered).tolist()} appear in no zone")
+        tied = np.flatnonzero(gain == top)
+        k = int(tied[slack[tied].argmax()])
+        uncovered[np.flatnonzero(member[k] * uncovered)[: caps[k]]] = 0.0
+        cover.append(zones[k])
     return cover
 
 
@@ -598,29 +638,14 @@ def minimal_zone_cover(
     """
     if n_ues < 1:
         raise ValueError("n_ues must be >= 1")
-    covered_anywhere = set()
-    for z in zones:
-        covered_anywhere.update(z.members)
-    missing = set(range(n_ues)) - covered_anywhere
+    member = _membership([z.members for z in zones], n_ues)
+    missing = np.flatnonzero(~member[:, :n_ues].any(axis=0)).tolist()
     if missing:
-        raise UncoverableError(f"UEs {sorted(missing)} appear in no zone")
+        raise UncoverableError(f"UEs {missing} appear in no zone")
 
     caps = _caps_list(zones, capacity_limit)
     # Dominance pruning: keep only maximal member sets (caps grow with sets).
-    keep: list[int] = []
-    for k, z in enumerate(zones):
-        dominated = False
-        for j, other in enumerate(zones):
-            if j == k:
-                continue
-            if set(z.members) < set(other.members):
-                dominated = True
-                break
-            if z.members == other.members and j < k:
-                dominated = True
-                break
-        if not dominated:
-            keep.append(k)
+    keep = np.flatnonzero(~_dominated(member)).tolist()
     pruned = [zones[k] for k in keep]
     pruned_caps = [caps[k] for k in keep]
 

@@ -219,6 +219,21 @@ def test_sweep_outputs(tmp_path):
     assert (out_dir / "plot_throughput_A.csv").exists()
 
 
+def test_sweep_reports_each_failed_row(tmp_path, capsys):
+    # A 100 kHz link cannot carry a 6.5 Mbit/s user: the planner and
+    # fixed-altitude rows fail while the fixed-n rows plan, so the sweep exits
+    # 0 and only stderr says which rows failed and why.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"policy": {"bandwidth": "fixed", "fixed_bandwidth_hz": 100000.0}}))
+    assert run_cli("sweep", "--kind", "C", "--runs", "1", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "sweep")) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 10
+    assert err[0].startswith("failed: C variant 20 planner run 1: "
+                             "UnservableError: unservable UEs: (0, 1, ")
+    assert err[1].startswith("failed: C variant 20 fixed-altitude run 1: UnservableError: ")
+
+
 def test_sweep_byte_identical(tmp_path):
     d1, d2 = tmp_path / "s1", tmp_path / "s2"
     for d in (d1, d2):

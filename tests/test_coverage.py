@@ -1,4 +1,5 @@
 """Coverage stage: witness search, zone enumeration, and minimum covers."""
+import hashlib
 import itertools
 import math
 
@@ -18,11 +19,13 @@ from uavplan import (
     build_spheres,
     cover_assignment,
     enumerate_zones,
+    generate_scenario,
     greedy_zone_cover,
     max_service_distance,
     minimal_zone_cover,
     zone_witness,
 )
+from uavplan import coverage
 from uavplan.coverage import _FeasibilityCache
 from conftest import random_scenario
 from witness_reference import reference_witness
@@ -291,6 +294,20 @@ def test_check_pairs_matches_check_pair_by_pair():
     assert 0 < verdicts.sum() < len(pairs)
 
 
+def test_check_solves_through_the_module_global(monkeypatch):
+    # The benchmark's tracer times witness solves by replacing
+    # coverage.zone_witness on its module, so check must look it up there.
+    calls = []
+    solve = coverage.zone_witness
+    monkeypatch.setattr(coverage, "zone_witness", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    rng = np.random.default_rng(8)
+    spheres = [sphere(i, *rng.uniform(-300.0, 1300.0, 2), rng.uniform(50.0, 300.0),
+                      z=rng.uniform(0.0, 5.0)) for i in range(60)]
+    cache = _FeasibilityCache(spheres, BOX)
+    cache.check_pairs(np.argwhere(np.triu(cache.overlap, 1)))
+    assert len(calls) == cache.solves > 0
+
+
 def test_enumerate_complete_against_brute_force(params):
     # Every member set the SLSQP reference certifies lies inside some zone.
     # Venues of 400-1500 m at 26/52 Mbit/s split overlap components into
@@ -337,6 +354,31 @@ def test_enumerate_deterministic(params):
     z2 = enumerate_zones(build_spheres(s2, ChannelParams()), s2.venue)
     assert [(z.members, z.witness, z.slack) for z in z1] \
         == [(z.members, z.witness, z.slack) for z in z2]
+
+
+def _zones_digest(zones) -> str:
+    h = hashlib.sha256()
+    for z in zones:
+        w = z.witness
+        h.update(repr((z.members, w.x.hex(), w.y.hex(), w.z.hex(), z.slack.hex())).encode())
+    return h.hexdigest()[:16]
+
+
+def test_enumerate_zones_output_is_pinned(params):
+    # Zones bit for bit on each enumeration path: 60 users over 1 km form one
+    # component past EXACT_LIMIT (growth), 11 users over 600 m split into
+    # cliques whose subsets are searched, and the paper cell A-5 is one
+    # clique. A change that keeps zones keeps these digests.
+    grown = np.random.default_rng(7).uniform(0.0, 1000.0, (60, 2))
+    cliques = np.random.default_rng(7).uniform(0.0, 600.0, (11, 2))
+    cases = [
+        (make_scenario(grown.tolist(), demand=26e6), 63, "817c85eadc6a8e02"),
+        (make_scenario(cliques.tolist(), demand=26e6, side=600.0), 7, "25eab45404f3d6e6"),
+        (generate_scenario("A", 5, 0), 1, "7fe277deb9f27d12"),
+    ]
+    for scn, count, digest in cases:
+        zones = enumerate_zones(build_spheres(scn, params), scn.venue)
+        assert (len(zones), _zones_digest(zones)) == (count, digest)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,50 @@
+"""Digest of every plan one benchmark pass produces, to show that a change keeps plans byte-identical.
+
+    python3 tools/plan_digest.py [--workload NAME]
+
+Run from anywhere inside a checkout. For each workload (all of them when
+``--workload`` is not given) it plans one ``make_pass(0)`` of
+``perfbench/workloads.py``, planner and both baselines, in label order, and
+prints the first 16 hex digits of SHA-256 over each operation's label and
+``json.dumps`` (sorted keys) of its ``deployment_to_dict`` without the
+``validation`` entry.
+"""
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402  (puts the checkout's src on the path)
+from uavplan.cli import deployment_to_dict  # noqa: E402
+
+
+def plan_digest(workload) -> str:
+    h = hashlib.sha256()
+    for op in sorted(workload.make_pass(0), key=lambda op: op.label):
+        scn = op.scenario
+        if op.method == "planner":
+            dep = workloads.planner.plan_deployment(scn, workloads.PARAMS)
+        else:
+            dep = workloads.scenario.run_baseline(workloads.BASELINES[op.method], scn, workloads.PARAMS)
+        doc = deployment_to_dict(dep, workloads.planner.validate_deployment(dep, scn, workloads.PARAMS))
+        del doc["validation"]
+        h.update(op.label.encode())
+        h.update(json.dumps(doc, sort_keys=True).encode())
+    return h.hexdigest()[:16]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--workload", choices=sorted(workloads.WORKLOADS), default=None)
+    args = p.parse_args(argv)
+    names = [args.workload] if args.workload else list(workloads.WORKLOADS)
+    for name in names:
+        print(f"{name} {plan_digest(workloads.WORKLOADS[name])}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
