@@ -370,7 +370,7 @@ def cmd_sweep(args) -> int:
     overrides = None
     if args.config:
         doc = _load_json(args.config)
-        _require_keys(doc, {"channel", "pso", "policy", "seed"}, "config document")
+        _require_keys(doc, {"channel", "pso", "policy"}, "sweep config (seeds come from --base-seed)")
         if "channel" in doc:
             params = parse_channel(doc["channel"])
         if "pso" in doc:

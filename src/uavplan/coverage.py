@@ -612,17 +612,6 @@ def greedy_zone_cover(
     return cover
 
 
-def _flow_feasible(picks: list[int], zones, caps, n_ues: int) -> bool:
-    """Can every UE be matched to a pick copy within caps? (b-matching)"""
-    cover = [zones[k] for k in picks]
-    pick_caps = [caps[k] for k in picks]
-    try:
-        cover_assignment(cover, pick_caps, n_ues)
-        return True
-    except UncoverableError:
-        return False
-
-
 def minimal_zone_cover(
     zones: Sequence[CandidateZone],
     n_ues: int,
@@ -630,11 +619,11 @@ def minimal_zone_cover(
 ) -> list[CandidateZone]:
     """Minimum-cardinality capacitated zone cover of all UEs.
 
-    Exact branch and bound when at most 20 zones survive dominance pruning
-    (a zone is dominated when its member set is contained in another's);
-    greedy beyond that. A zone may appear multiple times in the result when
-    its member count exceeds its cap: each pick serves at most cap members,
-    which is what later forces oversized zones to split.
+    Exact (``_exact_cover``, capped or not) when at most 20 zones survive
+    dominance pruning (a zone is dominated when its member set is contained
+    in another's); greedy beyond that. A zone may appear multiple times in
+    the result when its member count exceeds its cap: each pick serves at
+    most cap members, which is what later forces oversized zones to split.
     """
     if n_ues < 1:
         raise ValueError("n_ues must be >= 1")
@@ -652,91 +641,56 @@ def minimal_zone_cover(
     greedy = greedy_zone_cover(pruned, n_ues, pruned_caps)
     if len(pruned) > 20:
         return greedy
-
-    if all(len(z.members) <= c for z, c in zip(pruned, pruned_caps)):
-        best = _exact_cover_uncapped(pruned, n_ues, len(greedy))
-        return best if best is not None else greedy
-    best = _exact_cover_capped(pruned, pruned_caps, n_ues, len(greedy))
-    return best if best is not None else greedy
+    best = _exact_cover(pruned, pruned_caps, n_ues, len(greedy))
+    return greedy if best is None else [pruned[k] for k in best]
 
 
-def _exact_cover_uncapped(zones, n_ues: int, ub: int):
-    """Classic set-cover branch and bound (every zone fits under its cap).
+def _exact_cover(zones, caps, n_ues: int, ub: int) -> list[int] | None:
+    """Branch and bound over UE-to-pick assignments, exact with or without binding caps.
 
-    Returns None when nothing strictly shorter than ``ub`` exists; the caller
-    then keeps the greedy cover of length ``ub``, which is therefore optimal.
+    Each node serves the unserved UE in the fewest zones (ties on index):
+    from a pick made earlier that contains it and has room left, or from a
+    new pick, most unserved members first, then lower zone index. A pick
+    whose room holds every unserved member of its zone serves them all at
+    once, which costs no other UE a slot; with no binding cap every pick
+    does, and the search is plain set-cover branch and bound. Returns the
+    picked zone indices in pick order, or None when nothing shorter than
+    ``ub`` exists: the caller's greedy cover of length ``ub`` is then optimal.
     """
-    membership = [set(z.members) for z in zones]
-    zones_of_ue: dict[int, list[int]] = {u: [] for u in range(n_ues)}
-    for k, m in enumerate(membership):
-        for u in m:
-            zones_of_ue[u].append(k)
-    max_size = max(len(m) for m in membership)
-    best_len = [ub]
-    best_picks: list[list[int] | None] = [None]
+    members = [frozenset(z.members) for z in zones]
+    zones_of = [[k for k, m in enumerate(members) if u in m] for u in range(n_ues)]
+    top = max(caps)
+    best_len, best = ub, None
 
-    def bnb(uncovered: frozenset[int], chosen: list[int]):
-        if not uncovered:
-            best_len[0] = len(chosen)
-            best_picks[0] = list(chosen)
+    def absorb(unserved: frozenset[int], picks: list[tuple[int, int]]) -> frozenset[int]:
+        for p, (k, room) in enumerate(picks):
+            here = members[k] & unserved
+            if here and room >= len(here):
+                picks[p] = (k, room - len(here))
+                return absorb(unserved - here, picks)
+        return unserved
+
+    def search(unserved: frozenset[int], picks: list[tuple[int, int]]):
+        nonlocal best_len, best
+        if not unserved:
+            # Shorter, or as short as a cover already found: the last wins.
+            if len(picks) < best_len or (len(picks) == best_len and best is not None):
+                best_len, best = len(picks), [k for k, _ in picks]
             return
-        if len(chosen) + math.ceil(len(uncovered) / max_size) >= best_len[0]:
+        spare = sum(min(room, len(members[k] & unserved)) for k, room in picks)
+        if len(picks) + math.ceil(max(len(unserved) - spare, 0) / top) >= best_len:
             return
-        u = min(uncovered, key=lambda v: (len(zones_of_ue[v]), v))
-        cands = sorted(zones_of_ue[u], key=lambda k: (-len(membership[k] & uncovered), k))
-        for k in cands:
-            bnb(uncovered - membership[k], chosen + [k])
+        u = min(unserved, key=lambda v: (len(zones_of[v]), v))
+        rest, tried = unserved - {u}, set()
+        for p, (k, room) in enumerate(picks):
+            if room and u in members[k] and (k, room) not in tried:
+                tried.add((k, room))
+                child = picks.copy()
+                child[p] = (k, room - 1)
+                search(absorb(rest, child), child)
+        for k in sorted(zones_of[u], key=lambda k: (-len(members[k] & unserved), k)):
+            child = picks + [(k, caps[k] - 1)]
+            search(absorb(rest, child), child)
 
-    bnb(frozenset(range(n_ues)), [])
-    if best_picks[0] is None:
-        return None
-    return [zones[k] for k in best_picks[0]]
-
-
-def _exact_cover_capped(zones, caps, n_ues: int, ub: int):
-    """Iterative deepening over zone multisets, checked by matching.
-
-    Returns the first (hence minimum) pick count below ``ub`` that admits a
-    full capacitated matching, or None when the greedy bound is optimal.
-    """
-    max_copies = [math.ceil(len(z.members) / c) for z, c in zip(zones, caps)]
-    lb = max(1, math.ceil(n_ues / max(caps)))
-    for target in range(lb, ub):
-        found = _search_multiset(target, zones, caps, max_copies, n_ues)
-        if found is not None:
-            return [zones[k] for k in found]
-    return None
-
-
-def _search_multiset(target: int, zones, caps, max_copies, n_ues: int):
-    """Depth-first over non-decreasing zone indices; matching check at leaves."""
-    result: list[int] | None = None
-
-    def rec(start: int, picks: list[int], cap_sum: int):
-        nonlocal result
-        if result is not None:
-            return
-        remaining = target - len(picks)
-        if remaining == 0:
-            union = set()
-            for k in picks:
-                union.update(zones[k].members)
-            if len(union) >= n_ues and cap_sum >= n_ues and _flow_feasible(picks, zones, caps, n_ues):
-                result = list(picks)
-            return
-        if start >= len(zones):
-            return
-        best_possible = cap_sum + remaining * max(
-            (min(caps[k], len(zones[k].members)) for k in range(start, len(zones))), default=0
-        )
-        if best_possible < n_ues:
-            return
-        for k in range(start, len(zones)):
-            if picks.count(k) >= max_copies[k]:
-                continue
-            rec(k, picks + [k], cap_sum + min(caps[k], len(zones[k].members)))
-            if result is not None:
-                return
-
-    rec(0, [], 0)
-    return result
+    search(frozenset(range(n_ues)), [])
+    return best

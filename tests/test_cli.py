@@ -234,6 +234,16 @@ def test_sweep_reports_each_failed_row(tmp_path, capsys):
     assert err[1].startswith("failed: C variant 20 fixed-altitude run 1: UnservableError: ")
 
 
+def test_sweep_config_rejects_a_seed(tmp_path, capsys):
+    # A sweep seeds every run from --base-seed; a config seed would be ignored.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 123}))
+    assert run_cli("sweep", "--kind", "B", "--runs", "1", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "sweep")) == 4
+    assert "--base-seed" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_byte_identical(tmp_path):
     d1, d2 = tmp_path / "s1", tmp_path / "s2"
     for d in (d1, d2):

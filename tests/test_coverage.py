@@ -455,6 +455,35 @@ def test_cover_exact_matches_brute_force_random():
         assert covered == set(range(n))
 
 
+@pytest.mark.parametrize("members, n, cap", [
+    ([[0, 1, 2, 4], [1, 3]], 5, 3),
+    ([[0, 1, 2], [0, 1, 3]], 4, 2),
+])
+def test_cover_leaves_room_for_a_second_zone(members, n, cap):
+    # Each first pick serves cap members and leaves the rest to the second
+    # zone. A search that records a longer cover over a shorter one returns
+    # three picks.
+    cover = minimal_zone_cover([zone(m) for m in members], n, cap)
+    assert len(cover) == 2
+    served = cover_assignment(cover, [min(cap, len(z.members)) for z in cover], n)
+    assert sorted(u for s in served for u in s) == list(range(n))
+
+
+def test_minimal_zone_cover_picks_are_pinned():
+    # Which of several equally short covers comes back is part of the plan.
+    rng = np.random.default_rng(41)
+    h = hashlib.sha256()
+    for _ in range(100):
+        n = int(rng.integers(10, 31))
+        zones = [zone(rng.choice(n, size=int(rng.integers(1, n // 3 + 1)), replace=False).tolist(),
+                      slack=float(rng.uniform(0, 5)))
+                 for _ in range(int(rng.integers(10, 21)))]
+        zones += [zone([i], slack=float(rng.uniform(0, 5))) for i in range(n)]
+        for z in minimal_zone_cover(zones, n, n):
+            h.update(repr(z.members).encode())
+    assert h.hexdigest()[:16] == "01bde0815716ea25"
+
+
 def test_cover_greedy_tiebreaks_deterministic():
     zones = [zone([0, 1], slack=1.0), zone([2, 3], slack=2.0), zone([1, 2], slack=9.0)]
     g1 = greedy_zone_cover(zones, 4, 4)

@@ -7,12 +7,15 @@ Run from anywhere inside a checkout. For each workload (all of them when
 ``perfbench/workloads.py``, planner and both baselines, in label order, and
 prints the first 16 hex digits of SHA-256 over each operation's label and
 ``json.dumps`` (sorted keys) of its ``deployment_to_dict`` without the
-``validation`` entry.
+``validation`` entry. With paper-sweep it also prints ``paper-sweep:fixed``,
+the same digest over that pass with every scenario under the ``fixed``
+bandwidth policy: the one pass whose zone capacity caps bind.
 """
 import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -21,10 +24,11 @@ import workloads  # noqa: E402  (puts the checkout's src on the path)
 from uavplan.cli import deployment_to_dict  # noqa: E402
 
 
-def plan_digest(workload) -> str:
+def plan_digest(workload, **changes) -> str:
+    """Digest of one pass; ``changes`` replace fields of every scenario."""
     h = hashlib.sha256()
     for op in sorted(workload.make_pass(0), key=lambda op: op.label):
-        scn = op.scenario
+        scn = replace(op.scenario, **changes)
         if op.method == "planner":
             dep = workloads.planner.plan_deployment(scn, workloads.PARAMS)
         else:
@@ -43,6 +47,9 @@ def main(argv=None) -> int:
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
     for name in names:
         print(f"{name} {plan_digest(workloads.WORKLOADS[name])}", flush=True)
+        if name == "paper-sweep":
+            fixed = plan_digest(workloads.WORKLOADS[name], bandwidth_policy="fixed")
+            print(f"{name}:fixed {fixed}", flush=True)
     return 0
 
 
