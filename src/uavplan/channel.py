@@ -146,6 +146,29 @@ def snr_hz_between(ue_xyz, uav_xyz, params: ChannelParams):
     return np.where(valid, snr_hz_kernel(gain, params), 0.0)
 
 
+def snr_hz_upper_bound(ue_xyz, lo, hi, params: ChannelParams):
+    """Upper bound on ``snr_hz_between`` over every UAV position in the cell [lo, hi].
+
+    Arrays broadcast as in ``snr_hz_between``; ``lo`` and ``hi`` are a cell's
+    corners. The gain falls with distance and, because ``c2 > 0`` and
+    ``mu_los <= mu_nlos``, rises with elevation, so the bound takes the nearest
+    distance from the UE to the cell and the steepest elevation, that of the
+    cell's top above its nearest horizontal point. Where the top is not above
+    the UE every point of the cell gets 0, and so does the bound; a UE inside
+    the cell gets inf.
+    """
+    nearest = np.clip(ue_xyz, lo, hi)
+    offset = nearest - ue_xyz
+    d = np.linalg.norm(offset, axis=-1)
+    top = hi[..., 2] - ue_xyz[..., 2]
+    above = top > 0.0
+    elevation = np.degrees(np.arctan2(np.where(above, top, 0.0),
+                                      np.hypot(offset[..., 0], offset[..., 1])))
+    with np.errstate(divide="ignore"):
+        gain = gain_kernel(d, elevation, params)
+    return np.where(above, snr_hz_kernel(gain, params), 0.0)
+
+
 def _fit_width_root(c):
     """Root u > 0 of log1p(u) = c*u, elementwise, for 0 < c < 1.
 

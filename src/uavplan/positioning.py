@@ -8,6 +8,7 @@ gradient information toward feasibility.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -40,10 +41,17 @@ class SwarmConfig:
     def __post_init__(self):
         if self.particle_count < 2:
             raise ValueError("particle_count must be >= 2")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
+        if self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
         if not 0.0 < self.inertia_weight < 1.0:
             raise ValueError("inertia_weight must lie in (0, 1)")
-        if self.position_precision_m <= 0:
-            raise ValueError("position_precision_m must be positive")
+        for name in ("cognitive_coeff", "social_coeff"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0.0 < self.position_precision_m < math.inf:
+            raise ValueError("position_precision_m must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,64 @@ def _swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
     )
 
 
+# Cell-member pairs the infeasibility certificate may bound in all before it
+# gives up unproven: a fixed count, so the outcome never depends on the host,
+# and no array of the search holds more elements.
+_CERTIFY_PAIRS = 1 << 16
+# Relative margin on the SNR bound: where a cell's nearest point is also its
+# steepest (a flat cell), the bound is that point's exact SNR computed along
+# another path, so rounding could put it a few ulps below the swarm's value.
+_BOUND_MARGIN = 1e-9
+
+
+def _halve(lo, hi, axes):
+    """Every cell split at its midpoint along each of ``axes``."""
+    for a in axes:
+        mid = 0.5 * (lo[:, a] + hi[:, a])
+        upper_lo, lower_hi = lo.copy(), hi.copy()
+        upper_lo[:, a] = mid
+        lower_hi[:, a] = mid
+        lo, hi = np.concatenate([lo, upper_lo]), np.concatenate([lower_hi, hi])
+    return lo, hi
+
+
+def _zone_unservable(data: _MemberData, params: "ChannelParams", box: FeasibleBox) -> bool:
+    """True only when no position in the box serves every member within the budget.
+
+    A branch and bound over cells of the box. ``channel.snr_hz_upper_bound``
+    caps each member's SNR over a cell, which caps its rate and floors its
+    demand-fit width there. A cell is excluded when some member misses its
+    demand even at its widest allowed link (its pinned width, or the widest
+    grid width), or when the members' smallest widths, less one grid step
+    per demand-fit member as rounding slack, overrun the budget. Surviving
+    cells are probed at their centres, and a feasible centre ends the search
+    unproven; otherwise each is halved along every axis of positive extent,
+    so a fixed-altitude box stays 2D. Past ``_CERTIFY_PAIRS`` the search gives
+    up, also unproven.
+    """
+    lo, hi = box.lower[None, :], box.upper[None, :]
+    axes = np.flatnonzero(box.upper > box.lower)
+    slack_hz = data.grid_hz * np.count_nonzero(data.fit)
+    examined = 0
+    while True:
+        examined += len(lo) * len(data.indices)
+        if examined > _CERTIFY_PAIRS:
+            return False
+        snr = channel.snr_hz_upper_bound(data.positions[None, :, :], lo[:, None, :],
+                                         hi[:, None, :], params) * (1.0 + _BOUND_MARGIN)
+        fitted, _ = channel.demand_fit_kernel(snr, data.demands, data.b_max_hz, data.grid_hz)
+        bw = np.where(data.fit, fitted, data.pinned)
+        reachable = np.all(channel.shannon_rate_kernel(snr, bw) >= data.demands, axis=1)
+        alive = reachable & (np.sum(bw, axis=1) - slack_hz <= data.b_max_hz)
+        if not alive.any():
+            return True
+        lo, hi = lo[alive], hi[alive]
+        _, feasible = _swarm_fitness(0.5 * (lo + hi), data, params, box)
+        if feasible.any():
+            return False
+        lo, hi = _halve(lo, hi, axes)
+
+
 def _init_bounds(zone: CandidateZone, centers, radii, box: FeasibleBox):
     """Bounding box of the member-sphere intersection, clipped to the box."""
     lo = box.lower
@@ -198,7 +264,12 @@ def optimize_position(
     One particle is pinned at the witness, so the returned solution is
     feasible whenever the witness itself is. The search stops early once all
     demands are met and the global best, quantized to the position precision,
-    has not moved for ``early_stop_patience`` iterations. Each iteration
+    has not moved for ``early_stop_patience`` iterations. If the global best
+    is still infeasible at iteration ``early_stop_patience``, a branch and
+    bound over the box (``_zone_unservable``) may prove that no position
+    serves the zone; the search then stops there and returns that infeasible
+    best. Placements that keep an infeasible zone
+    (``allow_capacity_overrun``) always run the full search. Each iteration
     moves the whole swarm in one array step. Per-particle RNG substreams are
     derived from (config.seed, members), making the trajectory a pure
     function of the inputs. ``spheres`` is indexed by UE (see
@@ -275,6 +346,9 @@ def optimize_position(
         if trace is not None:
             trace.append((it, gbest_val, tuple(gbest_pos)))
 
+        if (it == config.early_stop_patience and not gbest_feasible
+                and not allow_capacity_overrun and _zone_unservable(data, params, box)):
+            break
         new_quant = np.round(gbest_pos / config.position_precision_m)
         if gbest_feasible and np.array_equal(new_quant, quant):
             stable += 1

@@ -10,6 +10,7 @@ from uavplan import (
     ChannelParams,
     Point3,
     channel_gain,
+    db_to_linear,
     dbm_to_watt,
     link_budget,
     link_rate,
@@ -19,7 +20,12 @@ from uavplan import (
     path_distance,
     watt_to_dbm,
 )
-from uavplan.channel import demand_fit_kernel, shannon_rate_kernel
+from uavplan.channel import (
+    demand_fit_kernel,
+    shannon_rate_kernel,
+    snr_hz_between,
+    snr_hz_upper_bound,
+)
 from conftest import oracle_chain, oracle_rate_at_threshold
 
 
@@ -247,6 +253,50 @@ def test_channel_params_invariants():
         ChannelParams(tx_power_w=0.0)
     with pytest.raises(ValueError):
         ChannelParams(c1=-1.0)
+
+
+def random_cells(rng, ues, kind):
+    """One cell (lo, hi) per UE, of the given kind, over a 2 km x 2 km x 120 m region."""
+    n = len(ues)
+    lo = rng.uniform([-200.0, -200.0, -20.0], [1800.0, 1800.0, 100.0], (n, 3))
+    if kind != "general":  # general cells may straddle or sit below the UE
+        lo[:, 2] = rng.uniform(5.0, 100.0, n)
+    size = rng.uniform(0.0, 400.0, (n, 3)) * rng.choice([1e-3, 1.0], (n, 3))
+    if kind == "flat":
+        size[:, 2] = 0.0
+    elif kind == "own column":
+        lo[:, :2] = ues[:, :2] - rng.uniform(0.0, 1.0, (n, 2)) * size[:, :2]
+    elif kind == "below":
+        lo[:, 2] = ues[:, 2] - size[:, 2] - rng.uniform(0.0, 30.0, n)
+    return lo, lo + size
+
+
+@pytest.mark.parametrize("kind", ["general", "flat", "own column", "below"])
+@pytest.mark.parametrize("channel_params", [
+    ChannelParams(),
+    ChannelParams(c1=4.9, c2=0.43, mu_los=db_to_linear(0.1), mu_nlos=db_to_linear(21.0)),
+    ChannelParams(mu_los=db_to_linear(3.0), mu_nlos=db_to_linear(3.0)),
+])
+def test_snr_upper_bound_holds_inside_every_cell(channel_params, kind):
+    rng = np.random.default_rng([17, len(kind)])
+    ues = rng.uniform([0.0, 0.0, 0.0], [1600.0, 1600.0, 3.0], (400, 3))
+    lo, hi = random_cells(rng, ues, kind)
+    bound = snr_hz_upper_bound(ues, lo, hi, channel_params)
+    # Uniform points of each cell, its corners, and the point nearest the UE.
+    inside = lo + rng.uniform(0.0, 1.0, (64, 1, 3)) * (hi - lo)
+    corners = np.array([[[a, b, c]] for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+    points = np.concatenate([inside, lo + corners * (hi - lo), np.clip(ues, lo, hi)[None]])
+    snr = snr_hz_between(ues, points, channel_params)
+    assert np.all(snr <= bound * (1.0 + 1e-12))
+    above = hi[:, 2] > ues[:, 2]
+    assert np.array_equal(bound > 0.0, above)
+    if kind == "below":
+        assert not above.any()
+        return
+    if kind != "general":
+        assert above.all()
+    # Tight as well as sound: the median cell's best sample reaches half its bound.
+    assert np.median(np.max(snr[:, above], axis=0) / bound[above]) > 0.5
 
 
 # The production grid: a 160 MHz budget on a 1 kHz grid, k_max = 160,000.

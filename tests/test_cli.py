@@ -134,6 +134,21 @@ def test_plan_bad_bandwidth_numbers_are_config_errors(tmp_path, mutate):
     assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 4
 
 
+@pytest.mark.parametrize("pso", [
+    {"max_iterations": -5},
+    {"early_stop_patience": 0},
+    {"cognitive_coeff": -1.0},
+    {"social_coeff": math.nan},
+    {"cognitive_coeff": math.inf},
+    {"position_precision_m": math.inf},
+], ids=["negative-iterations", "zero-patience", "negative-cognitive", "nan-social",
+        "inf-cognitive", "inf-precision"])
+def test_plan_bad_pso_numbers_are_config_errors(tmp_path, pso):
+    scn = tmp_path / "scn.json"
+    write_scenario(scn, mutate=lambda d: d.update(pso=pso))
+    assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 4
+
+
 def test_plan_unservable_exit_three(tmp_path):
     def crank_every_demand(doc):
         for ue in doc["ues"]:

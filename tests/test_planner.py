@@ -1,4 +1,6 @@
 """Planner orchestration: end-to-end feasibility, validation, and splitting."""
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -7,6 +9,7 @@ import pytest
 
 from uavplan import (
     Association,
+    BaselineKind,
     CandidateZone,
     CapacityDeadlockError,
     Deployment,
@@ -21,10 +24,12 @@ from uavplan import (
     link_rate,
     max_service_distance,
     plan_deployment,
+    run_baseline,
     split_zone,
     validate_deployment,
     zone_witness,
 )
+from uavplan.cli import deployment_to_dict
 from uavplan.planner import zone_capacity
 from conftest import random_scenario
 
@@ -299,3 +304,24 @@ def test_demand_doubling_never_reduces_count(params):
         )
         harder = plan_deployment(doubled, params, SwarmConfig(seed=scn.seed)).uav_count
         assert harder >= base
+
+
+def plan_digest(dep, scn, params) -> str:
+    """First 16 hex digits of SHA-256 over the plan document, as tools/plan_digest.py."""
+    doc = deployment_to_dict(dep, validate_deployment(dep, scn, params))
+    del doc["validation"]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_split_heavy_plans_are_pinned(params):
+    # 40 users over 1 km at 26 Mbit/s: several cover picks fail their swarm
+    # and are split, under the planner and, far more often, at fixed altitude.
+    rng = np.random.default_rng(2024)
+    scn = make_scenario(rng.uniform(0.0, 1000.0, (40, 2)).tolist(), demand=26e6, side=1000.0)
+    scn = replace(scn, label="split-heavy", seed=5)
+    pool = []
+    dep = plan_deployment(scn, params, pool=pool)
+    assert any(not sol.feasible for _, sol in pool)
+    assert (dep.uav_count, plan_digest(dep, scn, params)) == (9, "0dd8a767a3017ca4")
+    fixed = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
+    assert (fixed.uav_count, plan_digest(fixed, scn, params)) == (24, "651a22d501329a07")

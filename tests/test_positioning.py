@@ -17,7 +17,15 @@ from uavplan import (
     link_rate,
     optimize_position,
 )
-from uavplan.positioning import _DRAW_CHUNK, _swarm_coefficients, _swarm_velocities
+from uavplan.positioning import (
+    _DRAW_CHUNK,
+    _member_data,
+    _swarm_coefficients,
+    _swarm_fitness,
+    _swarm_velocities,
+    _zone_unservable,
+)
+from uavplan.scenario import _pseudo_zone
 
 
 def make_scenario(ue_xy, demand=6.5e6, side=300.0, z=(10.0, 100.0), **kw):
@@ -163,6 +171,44 @@ def test_optimize_early_stop_activates(params):
     assert sol.iterations < 100
 
 
+@pytest.mark.parametrize("patience", [3, 10])
+def test_optimize_stops_at_patience_on_a_proven_unservable_zone(params, patience):
+    # Two users 1.5 km apart at 26 Mbit/s: no point of the box reaches both.
+    scn = make_scenario([(250, 1000), (1750, 1000)], demand=26e6, side=2000.0)
+    spheres = build_spheres(scn, params)
+    zone = _pseudo_zone((0, 1), scn)
+    assert _zone_unservable(_member_data(zone.members, scn), params, scn.venue)
+    cfg = SwarmConfig(seed=1, early_stop_patience=patience)
+    trace = []
+    sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
+    assert not sol.feasible
+    assert sol.iterations == patience and len(trace) == patience + 1
+    # Placements that keep an infeasible zone run the whole search.
+    kept = optimize_position(zone, scn, params, cfg, spheres=spheres,
+                             allow_capacity_overrun=True)
+    assert not kept.feasible and kept.iterations == cfg.max_iterations
+
+
+def test_certificate_never_fires_where_a_dense_grid_serves_the_zone(params):
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for _ in range(40):
+        side = float(rng.choice([200.0, 400.0, 800.0]))
+        z = (10.0, 10.0) if rng.random() < 0.3 else (10.0, 100.0)
+        scn = make_scenario(rng.uniform(0.0, side, (int(rng.integers(2, 6)), 2)),
+                            demand=float(rng.choice([26e6, 52e6, 104e6])), side=side, z=z,
+                            bandwidth_policy=str(rng.choice(["demand-fit", "fixed"])))
+        data = _member_data(range(len(scn.ues)), scn)
+        xy = np.linspace(0.0, side, 61)
+        grid = np.stack(np.meshgrid(xy, xy, np.linspace(*z, 10 if z[1] > z[0] else 1),
+                                    indexing="ij"), axis=-1).reshape(-1, 3)
+        served = bool(_swarm_fitness(grid, data, params, scn.venue)[1].any())
+        proved = _zone_unservable(data, params, scn.venue)
+        assert not (served and proved)
+        outcomes.add((served, proved))
+    assert {(True, False), (False, True)} <= outcomes  # both sides are exercised
+
+
 def test_swarm_config_invariants():
     with pytest.raises(ValueError):
         SwarmConfig(particle_count=1)
@@ -170,6 +216,12 @@ def test_swarm_config_invariants():
         SwarmConfig(inertia_weight=1.0)
     with pytest.raises(ValueError):
         SwarmConfig(position_precision_m=0.0)
+    for bad in ({"max_iterations": -1}, {"early_stop_patience": 0},
+                {"cognitive_coeff": -0.1}, {"social_coeff": math.nan},
+                {"cognitive_coeff": math.inf}, {"position_precision_m": math.inf}):
+        with pytest.raises(ValueError):
+            SwarmConfig(**bad)
+    SwarmConfig(max_iterations=0, cognitive_coeff=0.0, social_coeff=0.0)
 
 
 def reference_swarm_steps(rngs, positions, pbest_pos, gbest_pos, config, v_max, box, iterations):
