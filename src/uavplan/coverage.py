@@ -253,68 +253,8 @@ def zone_witness(
 # Zone enumeration: all maximal feasible member sets.
 # ---------------------------------------------------------------------------
 
-# Largest overlap component whose zones are enumerated exactly, and the number
-# of witness solves exact enumeration may spend; past either, zones are grown.
-EXACT_LIMIT = 25
-SOLVE_BUDGET = 20_000
-
-
-class _FeasibilityCache:
-    """Pairwise sphere overlap, decided once, and memoized member-set checks."""
-
-    def __init__(self, spheres: Sequence[CoverageSphere], box: FeasibleBox):
-        self.spheres = list(spheres)
-        self.box = box
-        self.centers = np.array([s.center.as_array() for s in self.spheres])
-        self.radii = np.array([s.radius for s in self.spheres])
-        dist = np.linalg.norm(self.centers[:, None, :] - self.centers[None, :, :], axis=2)
-        self.overlap = dist <= self.radii[:, None] + self.radii[None, :]
-        self.cache: dict[frozenset[int], tuple[bool, Point3, float]] = {}
-        self.solves = 0
-
-    def check(self, members: frozenset[int]) -> tuple[bool, Point3, float]:
-        """``(feasible, witness, deficit)`` of a member set, memoized.
-
-        Callers pass cliques of ``overlap``: overlapping pairs, cliques of
-        the overlap graph and their subsets, and growth inside common
-        neighbours. The verdict is right for any set (a separated pair
-        never reaches deficit <= 0), but a non-clique would spend a witness
-        solve that ``overlap`` already settles.
-        """
-        hit = self.cache.get(members)
-        if hit is not None:
-            return hit
-        idx = sorted(members)
-        centers = self.centers[idx]
-        p = self.box.clamp(centers.mean(axis=0))
-        f = float(np.max(np.linalg.norm(p - centers, axis=1) - self.radii[idx]))
-        if f <= 0:
-            out = (True, Point3.from_array(p), f)
-        else:
-            self.solves += 1
-            w, f = zone_witness(idx, self.spheres, self.box, arrays=(self.centers, self.radii))
-            out = (f <= 0, w, f)
-        self.cache[members] = out
-        return out
-
-    def check_pairs(self, pairs: np.ndarray) -> np.ndarray:
-        """Verdicts of the pairs ``(i, j)`` in the rows of ``pairs``, as a mask.
-
-        ``check``'s clamped-mean shortcut, computed for every pair in one
-        array pass with the same arithmetic: each pair it certifies is cached
-        as ``check`` would cache it, and only the rest go through ``check``
-        itself, in row order.
-        """
-        i, j = pairs.T
-        mid = self.box.clamp((self.centers[i] + self.centers[j]) / 2)
-        deficit = np.maximum(np.linalg.norm(mid - self.centers[i], axis=1) - self.radii[i],
-                             np.linalg.norm(mid - self.centers[j], axis=1) - self.radii[j])
-        ok = deficit <= 0
-        for pair, p, f in zip(pairs[ok].tolist(), mid[ok].tolist(), deficit[ok].tolist()):
-            self.cache[frozenset(pair)] = (True, Point3(*p), f)
-        for k in np.flatnonzero(~ok).tolist():
-            ok[k] = self.check(frozenset(pairs[k].tolist()))[0]
-        return ok
+# Candidate points whose memberships, and sets whose containment, are decided at once.
+_BLOCK = 512
 
 
 def _membership(sets: Sequence[Iterable[int]], n: int) -> np.ndarray:
@@ -334,11 +274,19 @@ def _dominated(member: np.ndarray) -> np.ndarray:
     """Rows whose set lies inside another row's: strictly, or equal to an earlier row's.
 
     On a family of distinct sets these are exactly the non-maximal ones.
+    Largest first, each row is tested only against the larger rows not yet
+    found inside another, a block at a time: a set inside a larger one lies
+    inside a maximal one.
     """
     size = member.sum(axis=1)
-    inside = member @ member.T == size[:, None]  # inside[k, j]: row k within row j
-    over = (size[None, :] > size[:, None]) | np.tri(len(member), k=-1, dtype=bool)
-    return (inside & over).any(axis=1)
+    inside = np.zeros(len(member), bool)
+    for s in np.unique(size)[::-1]:
+        kept, rows = member[~inside & (size > s)].astype(np.float32), np.flatnonzero(size == s)
+        for block in np.array_split(rows, -(-len(rows) // _BLOCK)):
+            inside[block] = (member[block] @ kept.T == s).any(axis=1)
+    first = np.zeros(len(member), bool)
+    first[np.unique(np.packbits(member > 0, axis=1), axis=0, return_index=True)[1]] = True
+    return inside | ~first
 
 
 def _maximal(sets: list, n: int) -> list:
@@ -346,180 +294,131 @@ def _maximal(sets: list, n: int) -> list:
     return [s for s, d in zip(sets, _dominated(_membership(sets, n))) if not d]
 
 
-def _bron_kerbosch(adj: dict[int, set[int]], nodes: list[int]) -> list[list[int]]:
-    """Maximal cliques of the pairwise-overlap graph, canonically ordered."""
-    cliques: list[list[int]] = []
+def _floor_points(xy, rho2, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex candidate of the floor disks in the rectangle ``lo``-``hi``.
 
-    def expand(r: set[int], p: set[int], x: set[int]):
-        if not p and not x:
-            cliques.append(sorted(r))
-            return
-        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(nodes), set())
-    return sorted(cliques)
-
-
-def _maximal_feasible_subsets(
-    clique: frozenset[int],
-    cache: _FeasibilityCache,
-    memo: dict[frozenset[int], list[frozenset[int]]],
-    known_feasible: set[frozenset[int]],
-) -> list[frozenset[int]] | None:
-    """All maximal feasible subsets of a clique, or None on budget exhaustion.
-
-    Feasibility is anti-monotone in the member set (supersets of an
-    infeasible set are infeasible), so the search descends from the clique,
-    dropping one member at a time, and stops a branch at the first feasible
-    set it reaches.
+    Disk ``i`` has centre ``xy[i]`` and squared radius ``rho2[i]``. Returns
+    the points and, per point, the two disks that define it (index ``n``, one
+    past the last disk, where none does): the clamped centres and the four
+    corners (none), each crossing of a disk with an edge that lies on the
+    rectangle (that disk, twice), and both crossings of every pair of disks
+    that lie in it (the pair).
     """
-    if clique in memo:
-        return memo[clique]
-    for f in known_feasible:
-        if clique <= f:
-            memo[clique] = [clique]
-            return [clique]
-    if cache.solves > SOLVE_BUDGET:
-        return None
-    feasible, _, _ = cache.check(clique)
-    if feasible:
-        known_feasible.add(clique)
-        memo[clique] = [clique]
-        return [clique]
-    found: dict[frozenset[int], None] = {}
-    for e in sorted(clique):
-        sub = _maximal_feasible_subsets(clique - {e}, cache, memo, known_feasible)
-        if sub is None:
-            return None
-        for s in sub:
-            found[s] = None
-    maximal = _maximal(list(found), len(cache.radii))
-    memo[clique] = maximal
-    return maximal
+    n = len(xy)
+    (x0, y0), (x1, y1) = lo, hi
+    points = [xy.clip(lo, hi), np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])]
+    defined_by = [np.full((n + 4, 2), n)]
+    with np.errstate(invalid="ignore", divide="ignore"):  # no crossing: nan, dropped
+        for axis in (0, 1):
+            for edge in (lo[axis], hi[axis]):
+                half = np.sqrt(rho2 - (edge - xy[:, axis]) ** 2)
+                along = np.concatenate([xy[:, 1 - axis] - half, xy[:, 1 - axis] + half])
+                on = (along >= lo[1 - axis]) & (along <= hi[1 - axis])
+                p = np.full((on.sum(), 2), edge)
+                p[:, 1 - axis] = along[on]
+                points.append(p)
+                defined_by.append(np.tile(np.arange(n), 2)[on, None].repeat(2, axis=1))
+        i, j = np.triu_indices(n, 1)
+        d = xy[j] - xy[i]
+        d2 = (d * d).sum(axis=1)
+        # The crossings sit at a * d from disk i and b * d aside, in units of d.
+        a = (d2 + rho2[i] - rho2[j]) / (2 * d2)
+        b2 = rho2[i] / d2 - a * a
+        cross = b2 >= 0
+        i, j, d, a, b = i[cross], j[cross], d[cross], a[cross], np.sqrt(b2[cross])
+        mid, perp = xy[i] + a[:, None] * d, b[:, None] * np.stack([-d[:, 1], d[:, 0]], axis=1)
+        p = np.concatenate([mid - perp, mid + perp])
+        on = ((p >= lo) & (p <= hi)).all(axis=1)
+    points.append(p[on])
+    defined_by.append(np.tile(np.stack([i, j], axis=1), (2, 1))[on])
+    return np.concatenate(points), np.concatenate(defined_by)
 
 
-def _grow_zones(component: list[int], linked: np.ndarray, cache: _FeasibilityCache) -> list[frozenset[int]]:
-    """Pairwise-seeded greedy growth for components too large to enumerate.
+def _sets_at(points, defined_by, xy, h2, radii) -> np.ndarray:
+    """The distinct member sets at ``points``, as bit-packed rows.
 
-    ``linked`` is the matrix of feasible pairs; a zone grows by common
-    neighbours, nearest its witness first. The rows of ``found`` are the
-    zones so far: one membership matrix decides every containment test.
+    A point's members are the disks ``defined_by`` it and every sphere whose
+    deficit there, by ``zone_witness``'s arithmetic sqrt((dx^2 + dy^2) + h2)
+    - r, is at most 0. The deficits are computed in place, so a block holds
+    two arrays of points x spheres at a time.
     """
-    found = np.zeros((0, len(linked)), bool)
-    seeds = [[i] for i in component]
-    for i in component:
-        seeds.extend([i, j] for j in (np.flatnonzero(linked[i, i + 1:]) + i + 1).tolist())
-    for seed in seeds:
-        if found[:, seed].all(axis=1).any():
-            continue
-        current = frozenset(seed)
-        ok, witness, _ = cache.check(current)
-        if not ok:
-            continue
-        common = linked[seed].all(axis=0)
-        while common.any():
-            cands = np.flatnonzero(common)
-            dist = np.linalg.norm(cache.centers[cands] - witness.as_array(), axis=1)
-            order = [u for _, u in sorted(zip((round(d, 9) for d in dist.tolist()), cands.tolist()))]
-            for u in order:
-                ok, cand_witness, _ = cache.check(current | {u})
-                if ok:
-                    current = current | {u}
-                    witness = cand_witness
-                    common &= linked[u]
-                    break
-            else:
-                break
-        row = np.zeros(len(linked), bool)
-        row[list(current)] = True
-        if not found[:, row].all(axis=1).any():
-            found = np.vstack([found[found[:, ~row].any(axis=1)], row])
-    return [frozenset(np.flatnonzero(f).tolist()) for f in found]
+    n = len(xy)
+    dx, dy = points[:, :1] - xy[:, 0], points[:, 1:] - xy[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dx += h2
+    inside = np.zeros((len(points), n + 1), bool)  # column n takes the padding
+    inside[:, :n] = np.sqrt(dx, out=dx) - radii <= 0
+    inside[np.arange(len(points))[:, None], defined_by] = True
+    return np.unique(np.packbits(inside[:, :n], axis=1), axis=0)
+
+
+def _certify(members: tuple[int, ...], spheres, centers, radii, box: FeasibleBox) -> Point3 | None:
+    """Witness of a member set, or None when it is infeasible.
+
+    The clamped mean of the member centres when it lies in every member
+    sphere, else ``zone_witness``'s point, looked up on this module so that a
+    wrapper installed there sees every solve.
+    """
+    idx = list(members)
+    p = box.clamp(centers[idx].mean(axis=0))
+    if np.max(np.linalg.norm(p - centers[idx], axis=1) - radii[idx]) <= 0:
+        return Point3.from_array(p)
+    w, f = zone_witness(idx, spheres, box, arrays=(centers, radii))
+    return w if f <= 0 else None
 
 
 def enumerate_zones(spheres: Sequence[CoverageSphere], box: FeasibleBox) -> list[CandidateZone]:
     """All maximal candidate zones of the sphere arrangement inside the box.
 
-    Pairwise-overlapping spheres form a graph whose connected components are
-    processed independently; within a component the maximal feasible member
-    sets are enumerated exactly through the graph's maximal cliques (every
-    feasible set is a clique), falling back to pairwise-seeded growth for
-    components larger than ``EXACT_LIMIT`` or past ``SOLVE_BUDGET`` witness
-    solves. Each emitted zone's member list is closed over its witness:
-    every sphere containing the witness is a member. ``spheres`` is indexed
-    by UE (see ``build_spheres``).
+    Every zone lies on the altitude floor (see ``zone_witness``), where a
+    member set is feasible exactly when its floor disks, of radius
+    sqrt(r^2 - h^2), meet inside the footprint. Each maximal feasible set
+    therefore holds a vertex candidate of the disks (``_floor_points``;
+    Chazelle & Lee, "On a circle placement problem", Computing 36, 1986).
+    The members at each candidate, the disks defining it included, form the
+    candidate sets; each maximal one is certified once (``_certify``). One
+    that fails, which only a degenerate touch can cause, gives way to the
+    candidate sets it hid. ``spheres`` is indexed by UE (see
+    ``build_spheres``). Raises ValueError, as ``zone_witness`` does, for a
+    centre above the floor of a box that is not flat.
     """
     if not spheres:
         raise ValueError("no spheres to enumerate")
-    cache = _FeasibilityCache(spheres, box)
-    nodes = range(len(spheres))
+    n = len(spheres)
+    centers = np.array([s.center.as_array() for s in spheres])
+    radii = np.array([s.radius for s in spheres])
+    if box.z[1] > box.z[0] and (centers[:, 2] > box.z[0]).any():
+        raise ValueError(f"a sphere centre lies above the altitude floor {box.z[0]} m")
+    xy, h2 = centers[:, :2], (box.z[0] - centers[:, 2]) ** 2
+    points, defined_by = _floor_points(xy, radii * radii - h2, box.lower[:2], box.upper[:2])
 
-    linked = np.zeros_like(cache.overlap)
-    pairs = np.argwhere(np.triu(cache.overlap, 1))
-    i, j = pairs[cache.check_pairs(pairs)].T
-    linked[i, j] = linked[j, i] = True
-    adj = {i: set(np.flatnonzero(row).tolist()) for i, row in enumerate(linked)}
+    rows = np.concatenate([_sets_at(points[k:k + _BLOCK], defined_by[k:k + _BLOCK], xy, h2, radii)
+                           for k in range(0, len(points), _BLOCK)])
+    member = np.unpackbits(np.unique(rows, axis=0), axis=1, count=n).astype(bool)
+    member = member[member.any(axis=1)]
 
-    components: list[list[int]] = []
-    seen: set[int] = set()
-    for i in nodes:
-        if i in seen:
-            continue
-        comp, stack = [], [i]
-        seen.add(i)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in sorted(adj[u]):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        components.append(sorted(comp))
+    witness: dict[tuple[int, ...], Point3 | None] = {}
+    while True:
+        maximal = np.flatnonzero(~_dominated(member))
+        top = [tuple(np.flatnonzero(member[k]).tolist()) for k in maximal]
+        for s in top:
+            if s not in witness:
+                witness[s] = _certify(s, spheres, centers, radii, box)
+        failed = [k for k, s in zip(maximal, top) if witness[s] is None]
+        if not failed:
+            break
+        # Drop the sets that failed; the sets they hid may now be maximal.
+        member = np.delete(member, failed, axis=0)
 
-    member_sets: dict[frozenset[int], None] = {}
-    for comp in components:
-        comp_set = frozenset(comp)
-        if cache.overlap[np.ix_(comp, comp)].all() and cache.check(comp_set)[0]:
-            member_sets[comp_set] = None
-            continue
-        if len(comp) <= EXACT_LIMIT:
-            memo: dict[frozenset[int], list[frozenset[int]]] = {}
-            known: set[frozenset[int]] = set()
-            cliques = _bron_kerbosch(adj, comp)
-            collected: dict[frozenset[int], None] = {}
-            complete = True
-            for clique in cliques:
-                sets = _maximal_feasible_subsets(frozenset(clique), cache, memo, known)
-                if sets is None:
-                    complete = False
-                    break
-                for s in sets:
-                    collected[s] = None
-            if complete:
-                for s in collected:
-                    member_sets[s] = None
-                continue
-        for s in _grow_zones(comp, linked, cache):
-            member_sets[s] = None
-
-    zones: dict[tuple[int, ...], CandidateZone] = {}
-    maximal = _maximal(list(member_sets), len(spheres))
-    for s in sorted(maximal, key=lambda m: (-len(m), tuple(sorted(m)))):
-        witness = cache.check(s)[1]
-        # Close the member list over the witness: list every containing sphere.
-        dist = np.linalg.norm(witness.as_array() - cache.centers, axis=1)
-        members = tuple(sorted(set(np.flatnonzero(dist <= cache.radii).tolist()) | set(s)))
-        slack = float(np.min(cache.radii[list(members)] - dist[list(members)]))
-        if members not in zones or zones[members].slack < slack:
-            zones[members] = CandidateZone(members=members, witness=witness, slack=slack)
-
-    final = [zones[key] for key in _maximal(list(zones), len(spheres))]
-    final.sort(key=lambda z: (-len(z.members), z.members))
-    return final
+    zones = []
+    for s in top:
+        w, idx = witness[s], list(s)
+        slack = float(np.min(radii[idx] - np.linalg.norm(w.as_array() - centers[idx], axis=1)))
+        zones.append(CandidateZone(members=s, witness=w, slack=slack))
+    zones.sort(key=lambda z: (-len(z.members), z.members))
+    return zones
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +437,16 @@ def _caps_list(zones: Sequence[CandidateZone], capacity_limit) -> list[int]:
     return [min(c, len(z.members)) for c, z in zip(caps, zones)]
 
 
+def _zones_of(zones: Sequence[CandidateZone], n_ues: int) -> list[list[int]]:
+    """For each UE below ``n_ues``, the indices of the zones holding it, ascending."""
+    zones_of: list[list[int]] = [[] for _ in range(n_ues)]
+    for k, zone in enumerate(zones):
+        for ue in set(zone.members):
+            if ue < n_ues:
+                zones_of[ue].append(k)
+    return zones_of
+
+
 def cover_assignment(
     cover: Sequence[CandidateZone],
     pick_caps: Sequence[int],
@@ -550,37 +459,35 @@ def cover_assignment(
     result is reproducible. Raises UncoverableError when no full matching
     exists (the cover does not actually cover).
     """
+    picks_of = _zones_of(cover, n_ues)
+    served: list[set[int]] = [set() for _ in cover]
     assigned: dict[int, int] = {}
-    loads = [0] * len(cover)
+
+    def move(ue: int, p: int):
+        if ue in assigned:
+            served[assigned[ue]].discard(ue)
+        assigned[ue] = p
+        served[p].add(ue)
 
     def augment(ue: int, avoid: int | None, visited: set[int]) -> bool:
-        for p, zone in enumerate(cover):
-            if p in visited or p == avoid or ue not in zone.members:
+        for p in picks_of[ue]:
+            if p in visited or p == avoid:
                 continue
             visited.add(p)
-            if loads[p] < pick_caps[p]:
-                if ue in assigned:
-                    loads[assigned[ue]] -= 1
-                assigned[ue] = p
-                loads[p] += 1
+            if len(served[p]) < pick_caps[p]:
+                move(ue, p)
                 return True
-            for other in sorted(u for u, q in assigned.items() if q == p):
+            for other in sorted(served[p]):
                 # Relocate an already-assigned UE to free a slot here.
                 if augment(other, p, visited):
-                    if ue in assigned:
-                        loads[assigned[ue]] -= 1
-                    assigned[ue] = p
-                    loads[p] += 1
+                    move(ue, p)
                     return True
         return False
 
     for ue in range(n_ues):
         if not augment(ue, None, set()):
             raise UncoverableError(f"UE {ue} cannot be assigned within the cover's capacities")
-    served: list[list[int]] = [[] for _ in cover]
-    for ue in sorted(assigned):
-        served[assigned[ue]].append(ue)
-    return [tuple(s) for s in served]
+    return [tuple(sorted(s)) for s in served]
 
 
 def greedy_zone_cover(
@@ -591,8 +498,8 @@ def greedy_zone_cover(
     """Greedy capacitated cover: most uncovered members first.
 
     Ties break on larger slack, then lower zone index; a pick covers at most
-    the zone's cap, so a zone can be picked repeatedly. Used directly beyond
-    the exact solver's instance cap and as the exact solver's upper bound.
+    the zone's cap, so a zone can be picked repeatedly. The exact solver's
+    upper bound, and the cover when that search runs out of nodes.
     """
     caps = np.array(_caps_list(zones, capacity_limit))
     member = _membership([z.members for z in zones], n_ues)
@@ -619,9 +526,10 @@ def minimal_zone_cover(
 ) -> list[CandidateZone]:
     """Minimum-cardinality capacitated zone cover of all UEs.
 
-    Exact (``_exact_cover``, capped or not) when at most 20 zones survive
+    Exact (``_exact_cover``, capped or not) over the zones that survive
     dominance pruning (a zone is dominated when its member set is contained
-    in another's); greedy beyond that. A zone may appear multiple times in
+    in another's) when the search finishes within ``NODE_BUDGET`` nodes;
+    otherwise the greedy cover stands. A zone may appear multiple times in
     the result when its member count exceeds its cap: each pick serves at
     most cap members, which is what later forces oversized zones to split.
     """
@@ -639,10 +547,16 @@ def minimal_zone_cover(
     pruned_caps = [caps[k] for k in keep]
 
     greedy = greedy_zone_cover(pruned, n_ues, pruned_caps)
-    if len(pruned) > 20:
-        return greedy
     best = _exact_cover(pruned, pruned_caps, n_ues, len(greedy))
     return greedy if best is None else [pruned[k] for k in best]
+
+
+# Nodes the exact cover search may visit; one that needs more leaves the greedy cover.
+NODE_BUDGET = 512
+
+
+class _OutOfNodes(Exception):
+    """The exact cover search spent ``NODE_BUDGET``."""
 
 
 def _exact_cover(zones, caps, n_ues: int, ub: int) -> list[int] | None:
@@ -655,42 +569,58 @@ def _exact_cover(zones, caps, n_ues: int, ub: int) -> list[int] | None:
     once, which costs no other UE a slot; with no binding cap every pick
     does, and the search is plain set-cover branch and bound. Returns the
     picked zone indices in pick order, or None when nothing shorter than
-    ``ub`` exists: the caller's greedy cover of length ``ub`` is then optimal.
+    ``ub`` exists (the caller's greedy cover of length ``ub`` is then
+    optimal) or when the search does not finish within ``NODE_BUDGET``
+    nodes, which also bounds its recursion depth.
     """
-    members = [frozenset(z.members) for z in zones]
-    zones_of = [[k for k, m in enumerate(members) if u in m] for u in range(n_ues)]
+    zones_of = _zones_of(zones, n_ues)
+    # Sets of UEs are bitmasks, one bit per UE in serving order, so the UE
+    # to serve next is the lowest bit left.
+    order = sorted(range(n_ues), key=lambda u: (len(zones_of[u]), u))
+    bit = {u: 1 << b for b, u in enumerate(order)}
+    members = [sum(bit[u] for u in set(z.members) if u < n_ues) for z in zones]
     top = max(caps)
-    best_len, best = ub, None
+    best_len, best, nodes = ub, None, 0
 
-    def absorb(unserved: frozenset[int], picks: list[tuple[int, int]]) -> frozenset[int]:
-        for p, (k, room) in enumerate(picks):
-            here = members[k] & unserved
-            if here and room >= len(here):
-                picks[p] = (k, room - len(here))
-                return absorb(unserved - here, picks)
+    def absorb(unserved: int, picks: list[tuple[int, int]]) -> int:
+        fits = True
+        while fits:
+            fits = False
+            for p, (k, room) in enumerate(picks):
+                here = members[k] & unserved
+                if here and room >= here.bit_count():
+                    picks[p], unserved, fits = (k, room - here.bit_count()), unserved ^ here, True
+                    break
         return unserved
 
-    def search(unserved: frozenset[int], picks: list[tuple[int, int]]):
-        nonlocal best_len, best
+    def search(unserved: int, picks: list[tuple[int, int]]):
+        nonlocal best_len, best, nodes
+        nodes += 1
+        if nodes > NODE_BUDGET:
+            raise _OutOfNodes
         if not unserved:
             # Shorter, or as short as a cover already found: the last wins.
             if len(picks) < best_len or (len(picks) == best_len and best is not None):
                 best_len, best = len(picks), [k for k, _ in picks]
             return
-        spare = sum(min(room, len(members[k] & unserved)) for k, room in picks)
-        if len(picks) + math.ceil(max(len(unserved) - spare, 0) / top) >= best_len:
+        spare = sum(min(room, (members[k] & unserved).bit_count()) for k, room in picks)
+        if len(picks) + math.ceil(max(unserved.bit_count() - spare, 0) / top) >= best_len:
             return
-        u = min(unserved, key=lambda v: (len(zones_of[v]), v))
-        rest, tried = unserved - {u}, set()
+        u = unserved & -unserved
+        rest, tried = unserved ^ u, set()
         for p, (k, room) in enumerate(picks):
-            if room and u in members[k] and (k, room) not in tried:
+            if room and members[k] & u and (k, room) not in tried:
                 tried.add((k, room))
                 child = picks.copy()
                 child[p] = (k, room - 1)
                 search(absorb(rest, child), child)
-        for k in sorted(zones_of[u], key=lambda k: (-len(members[k] & unserved), k)):
+        for k in sorted(zones_of[order[u.bit_length() - 1]],
+                        key=lambda k: (-(members[k] & unserved).bit_count(), k)):
             child = picks + [(k, caps[k] - 1)]
             search(absorb(rest, child), child)
 
-    search(frozenset(range(n_ues)), [])
+    try:
+        search((1 << n_ues) - 1, [])
+    except _OutOfNodes:
+        return None
     return best

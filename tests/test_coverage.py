@@ -26,7 +26,6 @@ from uavplan import (
     zone_witness,
 )
 from uavplan import coverage
-from uavplan.coverage import _FeasibilityCache
 from conftest import random_scenario
 from witness_reference import reference_witness
 
@@ -265,76 +264,126 @@ def test_enumerate_maximality_no_proper_subsets(params):
             assert not sets[a] < sets[b] and not sets[b] < sets[a]
 
 
-def test_overlap_matrix_matches_pairwise_norms():
-    # The n x n matrix decides each pair exactly as a per-pair norm does.
-    rng = np.random.default_rng(3)
-    spheres = [sphere(i, *rng.uniform(0.0, 1000.0, 2), rng.uniform(50.0, 300.0),
-                      z=rng.uniform(0.0, 5.0)) for i in range(40)]
-    overlap = _FeasibilityCache(spheres, BOX).overlap
-    for a, b in itertools.product(spheres, repeat=2):
-        d = np.linalg.norm(a.center.as_array() - b.center.as_array())
-        assert overlap[a.ue_index, b.ue_index] == (d <= a.radius + b.radius)
-
-
-def test_check_pairs_matches_check_pair_by_pair():
-    # The array pass caches what check caches for each pair, bit for bit, and
-    # leaves the pairs its midpoint cannot certify to the witness. Centres
-    # beyond the footprint give pairs that overlap only outside the box.
-    rng = np.random.default_rng(8)
-    spheres = [sphere(i, *rng.uniform(-300.0, 1300.0, 2), rng.uniform(50.0, 300.0),
-                      z=rng.uniform(0.0, 5.0)) for i in range(60)]
-    box = FeasibleBox(x=(0.0, 1000.0), y=(0.0, 1000.0), z=(10.0, 100.0))
-    batched, single = _FeasibilityCache(spheres, box), _FeasibilityCache(spheres, box)
-    pairs = np.argwhere(np.triu(batched.overlap, 1))
-    verdicts = batched.check_pairs(pairs)
-    expected = [single.check(frozenset(pair)) for pair in pairs.tolist()]
-    assert verdicts.tolist() == [ok for ok, _, _ in expected]
-    assert [batched.cache[frozenset(pair)] for pair in pairs.tolist()] == expected
-    assert batched.solves == single.solves > 0
-    assert 0 < verdicts.sum() < len(pairs)
-
-
 def test_check_solves_through_the_module_global(monkeypatch):
     # The benchmark's tracer times witness solves by replacing
-    # coverage.zone_witness on its module, so check must look it up there.
+    # coverage.zone_witness on its module, so enumeration must look it up
+    # there. Centres beyond the footprint give zones whose clamped mean misses.
     calls = []
     solve = coverage.zone_witness
     monkeypatch.setattr(coverage, "zone_witness", lambda *a, **k: calls.append(a) or solve(*a, **k))
     rng = np.random.default_rng(8)
     spheres = [sphere(i, *rng.uniform(-300.0, 1300.0, 2), rng.uniform(50.0, 300.0),
                       z=rng.uniform(0.0, 5.0)) for i in range(60)]
-    cache = _FeasibilityCache(spheres, BOX)
-    cache.check_pairs(np.argwhere(np.triu(cache.overlap, 1)))
-    assert len(calls) == cache.solves > 0
+    zones = enumerate_zones(spheres, BOX)
+    assert 0 < len(calls) <= len(zones)
 
 
 def test_enumerate_complete_against_brute_force(params):
     # Every member set the SLSQP reference certifies lies inside some zone.
     # Venues of 400-1500 m at 26/52 Mbit/s split overlap components into
-    # several cliques, so enumeration goes through Bron-Kerbosch.
+    # several zones that share members.
     rng = np.random.default_rng(2)
-    clique_path_seen = False
+    shared_seen = False
     for _ in range(8):
         scn = random_scenario(rng, n_min=4, n_max=7, side_range=(400.0, 1500.0),
                               demands=(26e6, 52e6))
         spheres = build_spheres(scn, params)
         zones = enumerate_zones(spheres, scn.venue)
         member_sets = [set(z.members) for z in zones]
-        # Zones share a member only when enumeration split a component, which
-        # below 25 spheres is the Bron-Kerbosch path.
-        clique_path_seen |= any(a & b for a, b in itertools.combinations(member_sets, 2))
+        shared_seen |= any(a & b for a, b in itertools.combinations(member_sets, 2))
         for r in range(1, len(spheres) + 1):
             for subset in itertools.combinations(range(len(spheres)), r):
                 _, deficit = reference_witness(subset, spheres, scn.venue)
                 if deficit <= 0:
                     assert any(set(subset) <= m for m in member_sets), subset
-    assert clique_path_seen
+    assert shared_seen
 
 
-def test_enumerate_large_chain_uses_growth_path():
-    # 30 spheres in a line, only neighbors overlapping: the component is too
-    # large for exact enumeration, and the growth heuristic must still find
-    # every adjacent pair.
+def _assert_exact(spheres, box):
+    """Zones against ``zone_witness``: each feasible, none extendable, and
+    every feasible pair and triple inside one. Returns the feasible pairs."""
+    n = len(spheres)
+    zones = enumerate_zones(spheres, box)
+    member_sets = [set(z.members) for z in zones]
+
+    def feasible(members):
+        return zone_witness(members, spheres, box)[1] <= 0
+
+    for z in zones:
+        assert feasible(z.members)
+        for k in sorted(set(range(n)) - set(z.members)):
+            assert not feasible(z.members + (k,)), (z.members, k)
+    pairs = [p for p in itertools.combinations(range(n), 2) if feasible(p)]
+    linked = set(pairs)
+    triples = [t for t in itertools.combinations(range(n), 3)
+               if {t[:2], t[::2], t[1:]} <= linked and feasible(t)]
+    for subset in pairs + triples:
+        assert any(set(subset) <= m for m in member_sets), subset
+    return pairs
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_enumerate_is_exact_on_one_large_component(flat):
+    # 30 spheres in one overlap component. Centres around and beyond the
+    # footprint clip disks at edges and corners; the flat box takes centres
+    # above its altitude.
+    rng = np.random.default_rng(0)
+    xy = rng.uniform(-60.0, 460.0, (30, 2))
+    radii = rng.uniform(70.0, 160.0, 30)
+    z = rng.uniform(0.0, 35.0 if flat else 9.0, 30)
+    box = FeasibleBox((0.0, 400.0), (0.0, 400.0), (30.0, 30.0) if flat else (10.0, 100.0))
+    pairs = _assert_exact([sphere(i, *xy[i], radii[i], z=z[i]) for i in range(30)], box)
+    component, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in {b for a, b in pairs if a == u} | {a for a, b in pairs if b == u}:
+            if v not in component:
+                component.add(v)
+                stack.append(v)
+    assert len(component) == 30
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_enumerate_keeps_every_user_on_degenerate_touches(flat):
+    # Floor disks that touch from outside, from inside, at an edge from both
+    # sides and at a corner, and five circles through one point: sets whose
+    # only common point is a touch may fail their certificate, and the sets
+    # they hid must take their place.
+    floor = 10.0
+    disks = [(100.0, 100.0, 50.0), (200.0, 100.0, 50.0), (400.0, 150.0, 100.0),
+             (450.0, 150.0, 50.0), (50.0, 600.0, 50.0), (-50.0, 800.0, 50.0),
+             (1030.0, 1040.0, 50.0)]
+    disks += [(500.0 + 60.0 * math.cos(0.1 + 0.4 * math.pi * k),
+               500.0 + 60.0 * math.sin(0.1 + 0.4 * math.pi * k), 60.0) for k in range(5)]
+    cz = floor if flat else 0.0
+    spheres = [sphere(i, x, y, math.hypot(rho, floor - cz), z=cz) for i, (x, y, rho) in enumerate(disks)]
+    box = FeasibleBox((0.0, 1000.0), (0.0, 1000.0), (floor, floor if flat else 100.0))
+    zones = enumerate_zones(spheres, box)
+    for z in zones:
+        w = z.witness.as_array()
+        assert box.contains(w) and z.slack >= 0
+        assert all(np.linalg.norm(w - spheres[i].center.as_array()) <= spheres[i].radius
+                   for i in z.members)
+    assert set().union(*(z.members for z in zones)) == set(range(len(spheres)))
+    sets = [set(z.members) for z in zones]
+    assert not any(a < b for a, b in itertools.permutations(sets, 2))
+
+
+def test_enumeration_solves_at_most_one_witness_per_zone(monkeypatch):
+    # 20 densely overlapping users over 500 m at 26 Mbit/s: each emitted zone
+    # is certified once, and no other set is solved.
+    calls = []
+    solve = coverage.zone_witness
+    monkeypatch.setattr(coverage, "zone_witness", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    users = np.random.default_rng(7).uniform(0.0, 500.0, (20, 2))
+    scn = make_scenario(users.tolist(), demand=26e6, side=500.0)
+    zones = enumerate_zones(build_spheres(scn, ChannelParams()), scn.venue)
+    assert len(calls) <= len(zones)
+
+
+def test_enumerate_large_chain_is_exact():
+    # 30 spheres in a line, only neighbors overlapping: the zones are exactly
+    # the adjacent pairs.
     box = FeasibleBox((0.0, 3000.0), (0.0, 3000.0), (10.0, 100.0))
     spheres = [sphere(i, 100.0 + 80.0 * i, 500.0, 50.0) for i in range(30)]
     zones = enumerate_zones(spheres, box)
@@ -365,15 +414,15 @@ def _zones_digest(zones) -> str:
 
 
 def test_enumerate_zones_output_is_pinned(params):
-    # Zones bit for bit on each enumeration path: 60 users over 1 km form one
-    # component past EXACT_LIMIT (growth), 11 users over 600 m split into
-    # cliques whose subsets are searched, and the paper cell A-5 is one
-    # clique. A change that keeps zones keeps these digests.
-    grown = np.random.default_rng(7).uniform(0.0, 1000.0, (60, 2))
-    cliques = np.random.default_rng(7).uniform(0.0, 600.0, (11, 2))
+    # Zones bit for bit: 60 users over 1 km form one large overlap component
+    # of many small zones, 11 users over 600 m form zones that share members,
+    # and the paper cell A-5 is one zone. A change that keeps zones keeps
+    # these digests.
+    large = np.random.default_rng(7).uniform(0.0, 1000.0, (60, 2))
+    shared = np.random.default_rng(7).uniform(0.0, 600.0, (11, 2))
     cases = [
-        (make_scenario(grown.tolist(), demand=26e6), 63, "817c85eadc6a8e02"),
-        (make_scenario(cliques.tolist(), demand=26e6, side=600.0), 7, "25eab45404f3d6e6"),
+        (make_scenario(large.tolist(), demand=26e6), 113, "9d244d0792e26cb0"),
+        (make_scenario(shared.tolist(), demand=26e6, side=600.0), 7, "25eab45404f3d6e6"),
         (generate_scenario("A", 5, 0), 1, "7fe277deb9f27d12"),
     ]
     for scn, count, digest in cases:
@@ -482,6 +531,25 @@ def test_minimal_zone_cover_picks_are_pinned():
         for z in minimal_zone_cover(zones, n, n):
             h.update(repr(z.members).encode())
     assert h.hexdigest()[:16] == "01bde0815716ea25"
+
+
+def test_capped_covers_of_many_users_stay_within_the_node_budget():
+    # 600-1,400 users in 3-8 zones with caps 7-11, greedy above ceil(n / cap)
+    # on most. The search serves one user per node, so only its node budget
+    # keeps it within Python's recursion limit. Every cover must assign.
+    rng = np.random.default_rng(5)
+    above = 0
+    for _ in range(40):
+        n, k, cap = int(rng.integers(600, 1401)), int(rng.integers(3, 9)), int(rng.integers(7, 12))
+        home = rng.integers(0, k, n)  # every user in at least one zone
+        extra = rng.random((n, k)) < rng.uniform(0.05, 0.5)
+        zones = [zone(np.flatnonzero((home == j) | extra[:, j]).tolist()) for j in range(k)]
+        cover = minimal_zone_cover(zones, n, cap)
+        assert math.ceil(n / cap) <= len(cover) <= len(greedy_zone_cover(zones, n, cap))
+        served = cover_assignment(cover, [min(cap, len(z.members)) for z in cover], n)
+        assert sorted(u for s in served for u in s) == list(range(n))
+        above += len(cover) > math.ceil(n / cap)
+    assert above > 0
 
 
 def test_cover_greedy_tiebreaks_deterministic():

@@ -322,6 +322,6 @@ def test_split_heavy_plans_are_pinned(params):
     pool = []
     dep = plan_deployment(scn, params, pool=pool)
     assert any(not sol.feasible for _, sol in pool)
-    assert (dep.uav_count, plan_digest(dep, scn, params)) == (9, "0dd8a767a3017ca4")
+    assert (dep.uav_count, plan_digest(dep, scn, params)) == (8, "a3d8a1c42ff80a29")
     fixed = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
-    assert (fixed.uav_count, plan_digest(fixed, scn, params)) == (24, "651a22d501329a07")
+    assert (fixed.uav_count, plan_digest(fixed, scn, params)) == (24, "0a944bb91fd5e514")
