@@ -1,9 +1,11 @@
 """Particle swarm refinement of one UAV inside a candidate zone.
 
 The geometric witness only certifies that the zone is nonempty; it usually
-sits at the altitude floor where link quality is poor. The swarm climbs to a
-position where every member's demand is met, then stops early once the best
-position is stable to within the 1 m position precision.
+sits at the altitude floor where link quality is poor. Every feasible
+position scores the members' summed demand, so the swarm stops at its first
+feasible best. Here the witness misses demands, but one of the randomly
+seeded particles already serves every member, so the swarm stops after 0
+iterations with that particle's position.
 """
 from uavplan import (
     ChannelParams,

@@ -63,8 +63,7 @@ _CHANNEL_KEYS = {
 
 _PSO_KEYS = {
     "particle_count", "max_iterations", "inertia_weight",
-    "cognitive_coeff", "social_coeff", "position_precision_m",
-    "early_stop_patience",
+    "cognitive_coeff", "social_coeff", "early_stop_patience",
 }
 
 # Policy-section key -> (Scenario field, type).
@@ -129,7 +128,7 @@ def parse_pso(section: dict, seed: int) -> SwarmConfig:
         for int_key in ("particle_count", "max_iterations", "early_stop_patience"):
             if int_key in kwargs:
                 kwargs[int_key] = int(kwargs[int_key])
-        for f_key in ("inertia_weight", "cognitive_coeff", "social_coeff", "position_precision_m"):
+        for f_key in ("inertia_weight", "cognitive_coeff", "social_coeff"):
             if f_key in kwargs:
                 kwargs[f_key] = float(kwargs[f_key])
         return SwarmConfig(seed=seed, **kwargs)

@@ -170,7 +170,7 @@ def split_zone(
         cov = centered.T @ centered
         w, v = np.linalg.eigh(cov)
         axis = v[:, -1]
-        if abs(axis[np.argmax(np.abs(axis))]) > 0 and axis[np.argmax(np.abs(axis))] < 0:
+        if axis[np.argmax(np.abs(axis))] < 0:
             axis = -axis
         proj = centered @ axis
         order = sorted(range(len(members)), key=lambda k: (proj[k], members[k]))

@@ -34,7 +34,6 @@ class SwarmConfig:
     inertia_weight: float = 0.7
     cognitive_coeff: float = 1.5
     social_coeff: float = 1.5
-    position_precision_m: float = 1.0
     early_stop_patience: int = 10
     seed: int = 0
 
@@ -50,8 +49,6 @@ class SwarmConfig:
         for name in ("cognitive_coeff", "social_coeff"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-        if not 0.0 < self.position_precision_m < math.inf:
-            raise ValueError("position_precision_m must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -262,22 +259,23 @@ def optimize_position(
     """Global-best PSO over the zone, anchored at the witness.
 
     One particle is pinned at the witness, so the returned solution is
-    feasible whenever the witness itself is. The search stops early once all
-    demands are met and the global best, quantized to the position precision,
-    has not moved for ``early_stop_patience`` iterations. If the global best
-    is still infeasible at iteration ``early_stop_patience``, a branch and
-    bound over the box (``_zone_unservable``) may prove that no position
-    serves the zone; the search then stops there and returns that infeasible
-    best. Placements that keep an infeasible zone
-    (``allow_capacity_overrun``) always run the full search. Each iteration
-    moves the whole swarm in one array step. Per-particle RNG substreams are
-    derived from (config.seed, members), making the trajectory a pure
-    function of the inputs. ``spheres`` is indexed by UE (see
-    ``build_spheres``) and only bounds where the particles start and how
-    fast they move; without spheres (the baselines) the box alone bounds
-    both. The global best
-    is returned as found, even outside a member sphere: the demand check,
-    not sphere containment, decides feasibility.
+    feasible whenever the witness itself is. Every feasible position scores
+    exactly the members' summed demand, which no position exceeds, and the
+    global best moves only on a strict improvement, so the search stops at
+    its first feasible best: checked after seeding (a feasible start runs
+    no iteration) and after every update. If the global best is still
+    infeasible at iteration ``early_stop_patience``, a branch and bound
+    over the box (``_zone_unservable``) may prove that no position serves
+    the zone; the search then stops there and returns that infeasible best.
+    Placements that keep an infeasible zone (``allow_capacity_overrun``)
+    also stop at their first feasible best; they only skip the certificate.
+    Each iteration moves the whole swarm in one array step. Per-particle RNG
+    substreams are derived from (config.seed, members), making the
+    trajectory a pure function of the inputs. ``spheres`` is indexed by UE
+    (see ``build_spheres``) and only bounds where the particles start and
+    how fast they move; without spheres (the baselines) the box alone bounds
+    both. The global best is returned as found, even outside a member
+    sphere: the demand check, not sphere containment, decides feasibility.
 
     Raises ZoneCapacityError when the members' pinned link widths alone
     overrun the bandwidth budget (the caller should split the zone), unless
@@ -320,13 +318,12 @@ def optimize_position(
     gbest_val = float(values[g])
     gbest_feasible = bool(feas[g])
 
-    quant = np.round(gbest_pos / config.position_precision_m)
-    stable = 0
     iterations = 0
     if trace is not None:
         trace.append((0, gbest_val, tuple(gbest_pos)))
 
-    coefficients = _swarm_coefficients(rngs, config.max_iterations)
+    # A feasible start draws no coefficient block.
+    coefficients = () if gbest_feasible else _swarm_coefficients(rngs, config.max_iterations)
     for it, (r1, r2) in enumerate(coefficients, start=1):
         iterations = it
         velocities = _swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
@@ -346,17 +343,9 @@ def optimize_position(
         if trace is not None:
             trace.append((it, gbest_val, tuple(gbest_pos)))
 
-        if (it == config.early_stop_patience and not gbest_feasible
-                and not allow_capacity_overrun and _zone_unservable(data, params, box)):
+        if gbest_feasible or (it == config.early_stop_patience and not allow_capacity_overrun
+                              and _zone_unservable(data, params, box)):
             break
-        new_quant = np.round(gbest_pos / config.position_precision_m)
-        if gbest_feasible and np.array_equal(new_quant, quant):
-            stable += 1
-            if stable >= config.early_stop_patience:
-                break
-        else:
-            stable = 0
-        quant = new_quant
 
     links, feasible = _allocations(gbest_pos, data, params)
     final_val, _ = _swarm_fitness(gbest_pos[None, :], data, params, box)

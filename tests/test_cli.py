@@ -140,9 +140,9 @@ def test_plan_bad_bandwidth_numbers_are_config_errors(tmp_path, mutate):
     {"cognitive_coeff": -1.0},
     {"social_coeff": math.nan},
     {"cognitive_coeff": math.inf},
-    {"position_precision_m": math.inf},
+    {"position_precision_m": 1.0},
 ], ids=["negative-iterations", "zero-patience", "negative-cognitive", "nan-social",
-        "inf-cognitive", "inf-precision"])
+        "inf-cognitive", "removed-precision"])
 def test_plan_bad_pso_numbers_are_config_errors(tmp_path, pso):
     scn = tmp_path / "scn.json"
     write_scenario(scn, mutate=lambda d: d.update(pso=pso))

@@ -17,8 +17,10 @@ from uavplan import (
     link_rate,
     optimize_position,
 )
+from uavplan import positioning
 from uavplan.positioning import (
     _DRAW_CHUNK,
+    _init_bounds,
     _member_data,
     _swarm_coefficients,
     _swarm_fitness,
@@ -162,13 +164,77 @@ def test_optimize_capacity_error_under_fixed_policy(params):
     assert not sol.feasible
 
 
-def test_optimize_early_stop_activates(params):
+def test_optimize_early_stop_activates(params, monkeypatch):
     scn = make_scenario([(150, 150)])
     zone, spheres = full_zone(scn, params)
+    assert fitness(zone.witness, zone, scn, params)[1]
+    drawn = []
+    monkeypatch.setattr(positioning, "_swarm_coefficients",
+                        lambda *args: drawn.append(args) or iter(()))
     cfg = SwarmConfig(seed=2, max_iterations=100, early_stop_patience=10)
-    sol = optimize_position(zone, scn, params, cfg, spheres=spheres)
-    assert sol.feasible
-    assert sol.iterations < 100
+    trace = []
+    sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
+    # A feasible witness is the first feasible best: no iteration, no draw.
+    assert sol.feasible and sol.uav_position == zone.witness
+    assert sol.iterations == 0 and len(trace) == 1 and not drawn
+
+
+def reference_placement(zone, scn, params, config, spheres):
+    """``optimize_position``'s seeding, then all ``max_iterations`` with no stop."""
+    data = _member_data(zone.members, scn)
+    box = scn.venue
+    centers = np.array([spheres[i].center.as_array() for i in data.indices])
+    radii = np.array([spheres[i].radius for i in data.indices])
+    lo, hi = _init_bounds(zone, centers, radii, box)
+    seed_seq = np.random.SeedSequence([config.seed, *data.indices.tolist()])
+    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(config.particle_count)]
+    positions = np.array([zone.witness.as_array()]
+                         + [lo + rng.random(3) * (hi - lo) for rng in rngs[1:]])
+    velocities = np.zeros_like(positions)
+    pbest_pos = positions.copy()
+    pbest_val, _ = _swarm_fitness(positions, data, params, box)
+    gbest_pos, gbest_val = positions[np.argmax(pbest_val)].copy(), np.max(pbest_val)
+    for r1, r2 in _swarm_coefficients(rngs, config.max_iterations):
+        velocities = _swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
+                                       config, 0.5 * (hi - lo))
+        positions = box.clamp(positions + velocities)
+        values, _ = _swarm_fitness(positions, data, params, box)
+        improved = values > pbest_val
+        pbest_pos[improved] = positions[improved]
+        pbest_val[improved] = values[improved]
+        g = int(np.argmax(pbest_val))
+        if pbest_val[g] > gbest_val:
+            gbest_pos, gbest_val = pbest_pos[g].copy(), pbest_val[g]
+    value, feasible = _swarm_fitness(gbest_pos[None, :], data, params, box)
+    return gbest_pos, float(value[0]), bool(feasible[0])
+
+
+def test_first_feasible_best_is_the_full_search_result(params):
+    # Every feasible position scores the summed demand, so stopping at the
+    # first feasible best returns what the whole search would.
+    rng = np.random.default_rng(5)
+    kinds = set()
+    for k in range(20):
+        side = float(rng.choice([200.0, 500.0, 2000.0]))
+        scn = make_scenario(rng.uniform(0.0, side, (int(rng.integers(2, 5)), 2)),
+                            demand=float(rng.choice([6.5e6, 26e6])), side=side)
+        zone = _pseudo_zone(range(len(scn.ues)), scn)
+        spheres = build_spheres(scn, params)
+        cfg = SwarmConfig(seed=k)
+        sol = optimize_position(zone, scn, params, cfg, spheres=spheres)
+        ref_pos, ref_val, ref_feasible = reference_placement(zone, scn, params, cfg, spheres)
+        if sol.feasible or ref_feasible:
+            assert sol.feasible and ref_feasible
+            assert np.array_equal(sol.uav_position.as_array(), ref_pos)
+            assert sol.fitness == ref_val
+        if fitness(zone.witness, zone, scn, params)[1]:
+            kinds.add("feasible witness")
+        elif sol.feasible and sol.iterations > 0:
+            kinds.add("swarm reaches feasibility")
+        elif _zone_unservable(_member_data(zone.members, scn), params, scn.venue):
+            assert not sol.feasible and sol.iterations == cfg.early_stop_patience
+            kinds.add("unservable")
+    assert kinds == {"feasible witness", "swarm reaches feasibility", "unservable"}
 
 
 @pytest.mark.parametrize("patience", [3, 10])
@@ -214,11 +280,9 @@ def test_swarm_config_invariants():
         SwarmConfig(particle_count=1)
     with pytest.raises(ValueError):
         SwarmConfig(inertia_weight=1.0)
-    with pytest.raises(ValueError):
-        SwarmConfig(position_precision_m=0.0)
     for bad in ({"max_iterations": -1}, {"early_stop_patience": 0},
                 {"cognitive_coeff": -0.1}, {"social_coeff": math.nan},
-                {"cognitive_coeff": math.inf}, {"position_precision_m": math.inf}):
+                {"cognitive_coeff": math.inf}):
         with pytest.raises(ValueError):
             SwarmConfig(**bad)
     SwarmConfig(max_iterations=0, cognitive_coeff=0.0, social_coeff=0.0)
