@@ -258,15 +258,18 @@ def optimize_position(
 ) -> PlacementSolution:
     """Global-best PSO over the zone, anchored at the witness.
 
-    One particle is pinned at the witness, so the returned solution is
-    feasible whenever the witness itself is. Every feasible position scores
+    One particle is pinned at the witness. Every feasible position scores
     exactly the members' summed demand, which no position exceeds, and the
     global best moves only on a strict improvement, so the search stops at
-    its first feasible best: checked after seeding (a feasible start runs
-    no iteration) and after every update. If the global best is still
-    infeasible at iteration ``early_stop_patience``, a branch and bound
-    over the box (``_zone_unservable``) may prove that no position serves
-    the zone; the search then stops there and returns that infeasible best.
+    its first feasible best. The witness is scored alone first: when it is
+    feasible it is returned with no iteration, before any generator is
+    made, as the full swarm would return it (``argmax`` takes the first
+    maximum, particle 0). Otherwise the swarm is seeded, and the stop is
+    checked after seeding (a feasible random start runs no iteration) and
+    after every update. If the global best is still infeasible at iteration
+    ``early_stop_patience``, a branch and bound over the box
+    (``_zone_unservable``) may prove that no position serves the zone; the
+    search then stops there and returns that infeasible best.
     Placements that keep an infeasible zone (``allow_capacity_overrun``)
     also stop at their first feasible best; they only skip the certificate.
     Each iteration moves the whole swarm in one array step. Per-particle RNG
@@ -292,6 +295,18 @@ def optimize_position(
             f"zone {zone.members} pins {pinned_hz:.0f} Hz of links, "
             f"budget is {data.b_max_hz:.0f} Hz"
         )
+    # Particle 0 sits at the witness, nothing scores above a feasible
+    # position and argmax takes the first maximum: a feasible witness is the
+    # swarm's answer, so return it before any generator is made.
+    witness = zone.witness.as_array()
+    value, feas = _swarm_fitness(witness[None, :], data, params, box)
+    if feas[0]:
+        if trace is not None:
+            trace.append((0, float(value[0]), tuple(witness)))
+        links, feasible = _allocations(witness, data, params)
+        return PlacementSolution(uav_position=Point3.from_array(witness), served_ues=tuple(links),
+                                 fitness=float(value[0]), feasible=feasible, iterations=0)
+
     centers = radii = None
     if spheres:
         centers = np.array([spheres[i].center.as_array() for i in zone.members])
@@ -302,12 +317,9 @@ def optimize_position(
     seed_seq = np.random.SeedSequence([int(config.seed) & 0xFFFFFFFF, *data.indices.tolist()])
     rngs = [np.random.default_rng(s) for s in seed_seq.spawn(config.particle_count)]
 
-    n = config.particle_count
-    positions = np.empty((n, 3))
-    positions[0] = zone.witness.as_array()
-    for i in range(1, n):
-        positions[i] = lo + rngs[i].random(3) * (hi - lo)
-    velocities = np.zeros((n, 3))
+    positions = np.concatenate([witness[None, :],
+                                lo + np.array([rng.random(3) for rng in rngs[1:]]) * (hi - lo)])
+    velocities = np.zeros_like(positions)
 
     values, feas = _swarm_fitness(positions, data, params, box)
     pbest_pos = positions.copy()

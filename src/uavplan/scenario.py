@@ -146,9 +146,13 @@ def generate_scenario(kind: str, variant_index: int, seed: int) -> Scenario:
 def _proximity_groups(scenario: Scenario, group_size: int) -> list[list[int]]:
     """Seeded centroid clustering into ceil(N/size) groups of at most `size`.
 
-    Lloyd refinement for 50 rounds, then overflowing groups hand their
-    farthest members to the nearest group with room; all ties break on
-    index, so the grouping is reproducible from the scenario seed.
+    Lloyd refinement until the assignment repeats, at most 50 rounds, then
+    overflowing groups hand their farthest members to the nearest group
+    with room; all ties break on index, so the grouping is reproducible
+    from the scenario seed. A repeated assignment gives the same centroids,
+    so the rounds after it would change nothing. Each centroid is its
+    members' coordinate sum, accumulated in index order, over their count:
+    the same doubles as their mean. An empty group keeps its centroid.
     """
     n = len(scenario.ues)
     k = math.ceil(n / group_size)
@@ -156,14 +160,17 @@ def _proximity_groups(scenario: Scenario, group_size: int) -> list[list[int]]:
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed & 0xFFFFFFFF, 0xC1]))
     centroids = pts[rng.choice(n, size=k, replace=False)]
 
-    assign = np.zeros(n, dtype=int)
+    assign = None
     for _ in range(50):
         dists = np.linalg.norm(pts[:, None, :] - centroids[None, :, :], axis=2)
-        assign = np.argmin(dists, axis=1)
-        for c in range(k):
-            mask = assign == c
-            if np.any(mask):
-                centroids[c] = pts[mask].mean(axis=0)
+        previous, assign = assign, np.argmin(dists, axis=1)
+        if previous is not None and np.array_equal(assign, previous):
+            break
+        counts = np.bincount(assign, minlength=k)
+        sums = np.stack([np.bincount(assign, weights=pts[:, a], minlength=k) for a in (0, 1)],
+                        axis=1)
+        held = counts > 0
+        centroids[held] = sums[held] / counts[held, None]
 
     groups: list[list[int]] = [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
     # Enforce the per-group cap deterministically.

@@ -168,15 +168,21 @@ def test_optimize_early_stop_activates(params, monkeypatch):
     scn = make_scenario([(150, 150)])
     zone, spheres = full_zone(scn, params)
     assert fitness(zone.witness, zone, scn, params)[1]
-    drawn = []
+    drawn, seeded = [], []
     monkeypatch.setattr(positioning, "_swarm_coefficients",
                         lambda *args: drawn.append(args) or iter(()))
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence",
+                        lambda *args, **kw: seeded.append(args) or seed_sequence(*args, **kw))
     cfg = SwarmConfig(seed=2, max_iterations=100, early_stop_patience=10)
     trace = []
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
-    # A feasible witness is the first feasible best: no iteration, no draw.
-    assert sol.feasible and sol.uav_position == zone.witness
-    assert sol.iterations == 0 and len(trace) == 1 and not drawn
+    # A feasible witness is the first feasible best: no iteration, no draw,
+    # no generator.
+    value = fitness(zone.witness, zone, scn, params)[0]
+    assert sol.feasible and sol.uav_position == zone.witness and sol.fitness == value
+    assert sol.iterations == 0 and not drawn and not seeded
+    assert trace == [(0, value, tuple(zone.witness.as_array()))]
 
 
 def reference_placement(zone, scn, params, config, spheres):
@@ -229,12 +235,15 @@ def test_first_feasible_best_is_the_full_search_result(params):
             assert sol.fitness == ref_val
         if fitness(zone.witness, zone, scn, params)[1]:
             kinds.add("feasible witness")
-        elif sol.feasible and sol.iterations > 0:
+        elif sol.feasible and sol.iterations == 0:
+            kinds.add("seeded particle")
+        elif sol.feasible:
             kinds.add("swarm reaches feasibility")
         elif _zone_unservable(_member_data(zone.members, scn), params, scn.venue):
             assert not sol.feasible and sol.iterations == cfg.early_stop_patience
             kinds.add("unservable")
-    assert kinds == {"feasible witness", "swarm reaches feasibility", "unservable"}
+    assert kinds == {"feasible witness", "seeded particle", "swarm reaches feasibility",
+                     "unservable"}
 
 
 @pytest.mark.parametrize("patience", [3, 10])

@@ -132,6 +132,62 @@ def test_proximity_groups_deterministic_and_capped(params):
     assert sorted(i for g in g1 for i in g) == list(range(40))
 
 
+def reference_proximity_groups(scenario, group_size):
+    """``_proximity_groups`` with all 50 Lloyd rounds and a per-group mean."""
+    n = len(scenario.ues)
+    k = math.ceil(n / group_size)
+    pts = np.array([ue.position.as_array()[:2] for ue in scenario.ues])
+    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed & 0xFFFFFFFF, 0xC1]))
+    centroids = pts[rng.choice(n, size=k, replace=False)]
+    assign = np.zeros(n, dtype=int)
+    for _ in range(50):
+        dists = np.linalg.norm(pts[:, None, :] - centroids[None, :, :], axis=2)
+        assign = np.argmin(dists, axis=1)
+        for c in range(k):
+            mask = assign == c
+            if np.any(mask):
+                centroids[c] = pts[mask].mean(axis=0)
+    groups = [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
+    for c in range(k):
+        while len(groups[c]) > group_size:
+            _, worst = min((-np.linalg.norm(pts[i] - centroids[c]), i) for i in groups[c])
+            _, dest = min((np.linalg.norm(pts[worst] - centroids[d]), d) for d in range(k)
+                          if d != c and len(groups[d]) < group_size)
+            groups[c].remove(worst)
+            groups[dest] = sorted(groups[dest] + [worst])
+    for c in range(k):
+        if groups[c]:
+            continue
+        donor = max(range(k), key=lambda d: (len(groups[d]), -d))
+        _, moved = min((-np.linalg.norm(pts[i] - centroids[donor]), i) for i in groups[donor])
+        groups[donor].remove(moved)
+        groups[c] = [moved]
+    return groups
+
+
+def test_proximity_groups_match_the_fifty_round_loop():
+    # Stopping at a repeated assignment and summing with bincount must give
+    # the 50-round loop's groups, ties and duplicate positions included.
+    rng = np.random.default_rng(21)
+    venues = []
+    for _ in range(18):
+        side = float(rng.uniform(100.0, 2000.0))
+        xy = rng.uniform(0.0, side, (int(rng.integers(1, 301)), 2))
+        snapped = rng.random(len(xy)) < rng.choice([0.0, 0.5, 1.0])
+        step = side / rng.choice([1, 8])  # the venue corners, or an 8 x 8 grid
+        xy[snapped] = np.round(xy[snapped] / step) * step
+        venues.append((side, xy))
+    # Eleven users share a corner, so every starting centroid often sits
+    # there and the first assignment puts everyone in group 0.
+    venues += [(500.0, np.array([(0.0, 0.0)] * 11 + [(500.0, 500.0)]))] * 4
+    for seed, (side, xy) in enumerate(venues):
+        scn = Scenario(label="g", seed=seed,
+                       venue=FeasibleBox((0.0, side), (0.0, side), (10.0, 100.0)),
+                       ues=tuple(UE(Point3(x, y, 0.0), 6.5e6) for x, y in xy))
+        for size in (3, 10):
+            assert _proximity_groups(scn, size) == reference_proximity_groups(scn, size)
+
+
 def test_fixed_altitude_pins_z(params):
     scn = generate_scenario("A", 0, seed=6)
     dep = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params, SwarmConfig(seed=6))
