@@ -30,6 +30,7 @@ from .coverage import (
     UncoverableError,
     build_spheres,
     zone_witness,
+    zone_witnesses,
     enumerate_zones,
     minimal_zone_cover,
     greedy_zone_cover,
@@ -80,6 +81,7 @@ __all__ = [
     "UncoverableError",
     "build_spheres",
     "zone_witness",
+    "zone_witnesses",
     "enumerate_zones",
     "minimal_zone_cover",
     "greedy_zone_cover",

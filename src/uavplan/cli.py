@@ -358,7 +358,7 @@ def cmd_plan(args) -> int:
         for members, rows in trace:
             tag = "|".join(str(m) for m in members)
             for it, val, pos in rows:
-                lines.append(f"{tag},{it},{val!r},{pos[0]!r},{pos[1]!r},{pos[2]!r}")
+                lines.append(",".join([tag, str(it), *(repr(float(v)) for v in (val, *pos))]))
         _write_text(args.pso_trace, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -5,9 +5,10 @@ its demand is satisfiable. A candidate zone is a nonempty intersection of
 such balls with the feasible UAV box, certified by a witness point; a single
 UAV placed at the witness can serve every member of the zone (capacity
 permitting). Users sit below the altitude floor, so the witness is an exact
-2D minimax of the member deficits on the floor (``zone_witness``). Selecting
-the fewest zones that cover all users is the combinatorial core of
-minimizing the UAV count.
+2D minimax of the member deficits on the floor, solved for many member sets
+at once (``zone_witnesses``; ``zone_witness`` solves one). Selecting the
+fewest zones that cover all users is the combinatorial core of minimizing
+the UAV count.
 """
 from __future__ import annotations
 
@@ -138,115 +139,137 @@ def _basis_indices(m: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _basis_points(xy, h2, r, lo, hi, corners, edge_origins) -> np.ndarray:
-    """Minimizer of every basis of at most three pieces, clamped to the rectangle.
+def _basis_points(xy, h2, r, lo, hi) -> np.ndarray:
+    """Minimizer of every basis of at most three pieces, per working set (first axis).
 
     A piece is a member's deficit sqrt(|q - a|^2 + h2) - r or an edge of the
     rectangle ``lo``-``hi``. The bases are: one member (its clamped centre);
     two members on their centre segment or on an edge line (where their
     deficits are equal); three members (where all three are equal); and the
-    four ``corners``. The minimum of the max over the members is one of them.
+    four corners. The minimum of the max over the members is one of them.
     Each equal-deficit point solves the lifted equations
     |q - a|^2 + h2 = (t + r)^2: subtracting two of them is linear in (q, t).
-    ``edge_origins`` holds a point of each edge line, in ``_basis_indices``
-    order.
+    The points are unclipped; a basis with no solution gives a non-finite one.
     """
-    points = [xy.clip(lo, hi), corners]
-    m = len(xy)
+    a, m = r.shape
+    (x0, y0), (x1, y1) = lo, hi
+    points = [xy.clip(lo, hi), np.broadcast_to([[x0, y0], [x0, y1], [x1, y0], [x1, y1]], (a, 4, 2))]
     if m >= 2:
         i, j, edge, edge_direction, ends, _, _ = _basis_indices(m)
-        seg = xy[j] - xy[i]
-        origin = np.concatenate([xy[i], edge_origins[edge]])
-        direction = np.concatenate([seg / np.hypot(seg[:, 0], seg[:, 1])[:, None], edge_direction])
+        edge_origin = np.array([[x0, 0.0], [x1, 0.0], [0.0, y0], [0.0, y1]])[edge]
+        seg = xy[:, j] - xy[:, i]
+        origin = np.concatenate([xy[:, i], np.broadcast_to(edge_origin, (a, len(edge), 2))], axis=1)
+        direction = np.concatenate([seg / np.hypot(seg[..., 0], seg[..., 1])[..., None],
+                                    np.broadcast_to(edge_direction, (a, len(edge), 2))], axis=1)
         # Each line's two members: position along it, and h2 plus the squared offset.
-        rel = xy[ends].reshape(2, -1, 2) - origin
-        pos = (rel * direction).sum(axis=2)
+        rel = xy[:, ends].reshape(a, 2, -1, 2).swapaxes(0, 1) - origin
+        pos = (rel * direction).sum(axis=3)
         off = rel - pos[..., None] * direction
-        (p_i, p_j), (g_i, g_j) = pos, h2[ends].reshape(2, -1) + (off * off).sum(axis=2)
-        r_i, r_j = r[ends].reshape(2, -1)
+        (p_i, p_j), (g_i, g_j) = pos, h2[:, ends].reshape(a, 2, -1).swapaxes(0, 1) + (off * off).sum(axis=3)
+        r_i, r_j = r[:, ends].reshape(a, 2, -1).swapaxes(0, 1)
         # Along a line the position is s = p_i + alpha t + beta.
         d = p_j - p_i
         alpha = (r_i - r_j) / d
         beta = ((r_i - r_j) * (r_i + r_j) + d * d - g_i + g_j) / (2 * d)
         t = _roots(alpha * alpha - 1, alpha * beta - r_i, beta * beta + g_i - r_i * r_i)
-        points.append((origin + (p_i + alpha * t + beta)[..., None] * direction).reshape(-1, 2))
+        points.extend(origin + (p_i + alpha * t + beta)[..., None] * direction)
     if m >= 3:
         *_, i, jk = _basis_indices(m)
         # With u = q - a_i, subtracting member i's lifted equation from j's
         # and k's gives two linear equations b u = e0 + e1 t.
-        b = xy[jk] - xy[i][:, None]
-        rhs = np.stack([0.5 * (r[i, None] ** 2 - r[jk] ** 2 + (b * b).sum(axis=2)
-                               - h2[i, None] + h2[jk]),
-                        r[i, None] - r[jk]], axis=2)
-        det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-        adj = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=1).reshape(-1, 2, 2)
-        u0, u1 = (adj @ rhs / det[:, None, None]).transpose(2, 0, 1)
-        t = _roots((u1 * u1).sum(axis=1) - 1, (u0 * u1).sum(axis=1) - r[i],
-                   (u0 * u0).sum(axis=1) + h2[i] - r[i] ** 2)
-        points.append((xy[i] + u0 + t[..., None] * u1).reshape(-1, 2))
-    points = np.concatenate(points)
-    return points[np.isfinite(points).all(axis=1)].clip(lo, hi)
+        b = xy[:, jk] - xy[:, i][:, :, None]
+        rhs = np.stack([0.5 * (r[:, i, None] ** 2 - r[:, jk] ** 2 + (b * b).sum(axis=3)
+                               - h2[:, i, None] + h2[:, jk]),
+                        r[:, i, None] - r[:, jk]], axis=3)
+        det = b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]
+        adj = np.stack([b[..., 1, 1], -b[..., 0, 1], -b[..., 1, 0], b[..., 0, 0]], axis=2).reshape(b.shape)
+        u0, u1 = np.moveaxis(adj @ rhs / det[..., None, None], 3, 0)
+        t = _roots((u1 * u1).sum(axis=2) - 1, (u0 * u1).sum(axis=2) - r[:, i],
+                   (u0 * u0).sum(axis=2) + h2[:, i] - r[:, i] ** 2)
+        points.extend(xy[:, i] + u0 + t[..., None] * u1)
+    return np.concatenate(points, axis=1)
 
 
-def zone_witness(
-    members: Iterable[int],
-    spheres: Sequence[CoverageSphere],
-    box: FeasibleBox,
-    *,
-    arrays: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[Point3, float]:
-    """Point in the box minimizing the worst member-sphere deficit.
+def _deficits(q, xy, h2, r) -> np.ndarray:
+    """Per set, each member's deficit at each point, |q - c| summed as np.linalg.norm does."""
+    dx, dy = q[..., :1] - xy[:, None, :, 0], q[..., 1:] - xy[:, None, :, 1]
+    return np.sqrt(dx * dx + dy * dy + h2[:, None]) - r[:, None]
 
-    Returns ``(point, deficit)``; ``deficit <= 0`` certifies that the point
+
+# Basis points x working members that one witness solve scores at once.
+_WITNESS_BUDGET = 1 << 14
+
+
+def zone_witnesses(sets: Sequence[Iterable[int]], centers: np.ndarray, radii: np.ndarray,
+                   box: FeasibleBox) -> list[tuple[Point3, float]]:
+    """Point in the box minimizing the worst member-sphere deficit, for each member set.
+
+    ``centers`` and ``radii`` are indexed by UE, as ``sets`` is. Returns one
+    ``(point, deficit)`` per set; ``deficit <= 0`` certifies that the point
     lies inside every member sphere (the zone is nonempty), ``deficit > 0``
-    certifies infeasibility of the member set. ``spheres`` is indexed by UE
-    (see ``build_spheres``). A caller that already holds every sphere's
-    centre and radius as arrays indexed the same way passes them as
-    ``arrays`` and spares the solve from gathering them.
+    certifies infeasibility of the member set.
 
     Every member centre lies at or below the altitude floor (``Scenario``
     guarantees it; a flat box needs no such bound), so each deficit grows
     with altitude and the minimum lies on the floor. There it is an exact 2D
     minimax over the footprint: a working set grows from the member worst
-    off at the clamped mean, each step adding the member most above the
+    off at the clamped mean, each round adding the member most above the
     subset's optimum, whose basis points are closed-form (``_basis_points``).
-    Deterministic; raises ValueError for a centre above the floor of a box
-    that is not flat.
+    The sets still growing in a round have equally many working members, so
+    the round solves them together, ``_WITNESS_BUDGET`` elements at a time;
+    member lists are padded with a sphere of infinite radius, never the
+    worst. Each set's result is, bit for bit, the one it gets alone.
+    Deterministic; raises ValueError for an empty set or a centre above the
+    floor of a box that is not flat.
     """
-    idx = sorted(set(members))
-    if not idx:
+    sets = [sorted(set(s)) for s in sets]
+    if not all(sets):
         raise ValueError("empty member set")
-    if arrays is None:
-        centers = np.array([spheres[i].center.as_array() for i in idx])
-        radii = np.array([spheres[i].radius for i in idx])
-    else:
-        centers, radii = arrays[0][idx], arrays[1][idx]
+    if not sets:
+        return []
     z = box.z[0]
-    if box.z[1] > z and (centers[:, 2] > z).any():
+    sizes = np.array([len(s) for s in sets])
+    cols = np.full((len(sets), sizes.max()), len(centers))  # the padding: on the floor, radius inf
+    cols[np.arange(cols.shape[1]) < sizes[:, None]] = np.concatenate(sets)
+    c = np.vstack([centers, [0.0, 0.0, z]])[cols]
+    if box.z[1] > z and (c[..., 2] > z).any():
         raise ValueError(f"a member centre lies above the altitude floor {z} m")
-    xy, h2 = centers[:, :2], (z - centers[:, 2]) ** 2
+    xy, h2, r = c[..., :2], (z - c[..., 2]) ** 2, np.append(radii, np.inf)[cols]
     lo, hi = box.lower[:2], box.upper[:2]
-    (x0, y0), (x1, y1) = lo, hi
-    corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
-    edge_origins = np.array([[x0, 0.0], [x1, 0.0], [0.0, y0], [0.0, y1]])
-
-    def deficits(points: np.ndarray) -> np.ndarray:
-        # |p - c| summed in the order np.linalg.norm sums it: (dx^2 + dy^2) + dz^2.
-        dx, dy = points[:, :1] - xy[:, 0], points[:, 1:] - xy[:, 1]
-        return np.sqrt(dx * dx + dy * dy + h2) - radii
+    out = np.empty((len(sets), 3))  # x, y, deficit
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        work = [int(deficits(xy.mean(axis=0).clip(lo, hi)[None]).argmax())]
-        while True:
-            points = _basis_points(xy[work], h2[work], radii[work], lo, hi, corners, edge_origins)
-            d = deficits(points)
-            worst_in_work = d[:, work].max(axis=1)
-            best = int(worst_in_work.argmin())
-            worst = int(d[best].argmax())
-            if d[best, worst] <= worst_in_work[best]:  # the subset optimum is the set's
-                break
-            work.append(worst)
-    return Point3(float(points[best, 0]), float(points[best, 1]), float(z)), float(d[best, worst])
+        # The padding adds zeros after the members, in the order xy.mean(axis=0) sums them.
+        start = (xy.sum(axis=1) / sizes[:, None]).clip(lo, hi)
+        active = np.arange(len(sets))
+        work = _deficits(start[:, None], xy, h2, r)[:, 0].argmax(axis=1)[:, None]
+        while len(active):
+            w = work.shape[1]
+            step = max(1, _WITNESS_BUDGET // (w * (w + 4 + 10 * math.comb(w, 2) + 2 * math.comb(w, 3))))
+            best, bound = np.empty((len(active), 2)), np.empty(len(active))
+            for k in range(0, len(active), step):
+                sub = [v[active[k:k + step, None], work[k:k + step]] for v in (xy, h2, r)]
+                points = _basis_points(*sub, lo, hi)
+                finite = np.isfinite(points).all(axis=2)
+                points = points.clip(lo, hi)
+                # A basis with no solution scores +inf, so argmin picks the first best of the rest.
+                worst_in_work = np.where(finite, _deficits(points, *sub).max(axis=2), np.inf)
+                pick = np.arange(len(points)), worst_in_work.argmin(axis=1)
+                best[k:k + step], bound[k:k + step] = points[pick], worst_in_work[pick]
+            d = _deficits(best[:, None], xy[active], h2[active], r[active])[:, 0]
+            worst = d.argmax(axis=1)
+            top = d[np.arange(len(active)), worst]
+            done = top <= bound  # the subset optimum is the set's
+            out[active[done]] = np.column_stack([best[done], top[done]])
+            active, work = active[~done], np.column_stack([work[~done], worst[~done]])
+    return [(Point3(float(x), float(y), float(z)), float(f)) for x, y, f in out]
+
+
+def zone_witness(members: Iterable[int], spheres: Sequence[CoverageSphere],
+                 box: FeasibleBox) -> tuple[Point3, float]:
+    """``zone_witnesses`` of one member set; ``spheres`` is indexed by UE (see ``build_spheres``)."""
+    centers = np.array([s.center.as_array() for s in spheres])
+    return zone_witnesses([members], centers, np.array([s.radius for s in spheres]), box)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +361,7 @@ def _sets_at(points, defined_by, xy, h2, radii) -> np.ndarray:
     """The distinct member sets at ``points``, as bit-packed rows.
 
     A point's members are the disks ``defined_by`` it and every sphere whose
-    deficit there, by ``zone_witness``'s arithmetic sqrt((dx^2 + dy^2) + h2)
+    deficit there, by ``zone_witnesses``' arithmetic sqrt((dx^2 + dy^2) + h2)
     - r, is at most 0. The deficits are computed in place, so a block holds
     two arrays of points x spheres at a time.
     """
@@ -354,35 +377,40 @@ def _sets_at(points, defined_by, xy, h2, radii) -> np.ndarray:
     return np.unique(np.packbits(inside[:, :n], axis=1), axis=0)
 
 
-def _certify(members: tuple[int, ...], spheres, centers, radii, box: FeasibleBox) -> Point3 | None:
-    """Witness of a member set, or None when it is infeasible.
+def _certify(sets: Sequence[tuple[int, ...]], centers, radii, box: FeasibleBox) -> list[Point3 | None]:
+    """Witness of each member set, or None when it is infeasible.
 
     The clamped mean of the member centres when it lies in every member
-    sphere, else ``zone_witness``'s point, looked up on this module so that a
-    wrapper installed there sees every solve.
+    sphere, else the ``zone_witnesses`` point, one call for all such sets,
+    looked up on this module so that a wrapper installed there sees it.
     """
-    idx = list(members)
-    p = box.clamp(centers[idx].mean(axis=0))
-    if np.max(np.linalg.norm(p - centers[idx], axis=1) - radii[idx]) <= 0:
-        return Point3.from_array(p)
-    w, f = zone_witness(idx, spheres, box, arrays=(centers, radii))
-    return w if f <= 0 else None
+    out: list[Point3 | None] = []
+    for s in sets:
+        idx = list(s)
+        p = box.clamp(centers[idx].mean(axis=0))
+        inside = np.max(np.linalg.norm(p - centers[idx], axis=1) - radii[idx]) <= 0
+        out.append(Point3.from_array(p) if inside else None)
+    missed = [k for k, w in enumerate(out) if w is None]
+    for k, (w, f) in zip(missed, zone_witnesses([sets[k] for k in missed], centers, radii, box)):
+        out[k] = w if f <= 0 else None
+    return out
 
 
 def enumerate_zones(spheres: Sequence[CoverageSphere], box: FeasibleBox) -> list[CandidateZone]:
     """All maximal candidate zones of the sphere arrangement inside the box.
 
-    Every zone lies on the altitude floor (see ``zone_witness``), where a
+    Every zone lies on the altitude floor (see ``zone_witnesses``), where a
     member set is feasible exactly when its floor disks, of radius
     sqrt(r^2 - h^2), meet inside the footprint. Each maximal feasible set
     therefore holds a vertex candidate of the disks (``_floor_points``;
     Chazelle & Lee, "On a circle placement problem", Computing 36, 1986).
     The members at each candidate, the disks defining it included, form the
-    candidate sets; each maximal one is certified once (``_certify``). One
-    that fails, which only a degenerate touch can cause, gives way to the
-    candidate sets it hid. ``spheres`` is indexed by UE (see
-    ``build_spheres``). Raises ValueError, as ``zone_witness`` does, for a
-    centre above the floor of a box that is not flat.
+    candidate sets; each maximal one is certified once (``_certify``), the
+    sets whose clamped mean misses in one batched witness solve per round.
+    One that fails, which only a degenerate touch can cause, gives way to
+    the candidate sets it hid. ``spheres`` is indexed by UE (see
+    ``build_spheres``). Raises ValueError, as ``zone_witnesses`` does, for
+    a centre above the floor of a box that is not flat.
     """
     if not spheres:
         raise ValueError("no spheres to enumerate")
@@ -403,9 +431,8 @@ def enumerate_zones(spheres: Sequence[CoverageSphere], box: FeasibleBox) -> list
     while True:
         maximal = np.flatnonzero(~_dominated(member))
         top = [tuple(np.flatnonzero(member[k]).tolist()) for k in maximal]
-        for s in top:
-            if s not in witness:
-                witness[s] = _certify(s, spheres, centers, radii, box)
+        new = [s for s in top if s not in witness]
+        witness.update(zip(new, _certify(new, centers, radii, box)))
         failed = [k for k, s in zip(maximal, top) if witness[s] is None]
         if not failed:
             break

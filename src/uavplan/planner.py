@@ -24,7 +24,8 @@ from .coverage import (
     cover_assignment,
     enumerate_zones,
     minimal_zone_cover,
-    zone_witness,
+    zone_witness,  # not called here: perfbench/spans.py wraps it on this module
+    zone_witnesses,
 )
 from .geometry import Point3
 from .positioning import (
@@ -179,16 +180,20 @@ def split_zone(
         right = tuple(sorted(members[k] for k in order[half:]))
         return bisect(left) + bisect(right)
 
-    groups = bisect(tuple(sorted(zone.members)))
+    members = tuple(sorted(zone.members))
+    groups = bisect(members)
+    centers = np.array([spheres[i].center.as_array() for i in members])
+    radii = np.array([spheres[i].radius for i in members])
+    local = [np.searchsorted(members, g) for g in groups]
+    solved = zone_witnesses(local, centers, radii, scenario.venue)
+    # Fall back to singletons; cannot happen for subsets of a certified zone
+    # but keeps the planner total.
+    alone = iter(zone_witnesses([[k] for g, (_, d) in zip(local, solved) if d > 0 for k in g],
+                                centers, radii, scenario.venue))
     out: list[CandidateZone] = []
-    for g in groups:
-        witness, deficit = zone_witness(g, spheres, scenario.venue)
+    for g, (witness, deficit) in zip(groups, solved):
         if deficit > 0:
-            # Fall back to singletons; cannot happen for subsets of a
-            # certified zone but keeps the planner total.
-            for i in g:
-                w_i, d_i = zone_witness([i], spheres, scenario.venue)
-                out.append(CandidateZone(members=(i,), witness=w_i, slack=-d_i))
+            out.extend(CandidateZone(members=(i,), witness=w, slack=-d) for i, (w, d) in zip(g, alone))
         else:
             out.append(CandidateZone(members=g, witness=witness, slack=-deficit))
     return out

@@ -166,8 +166,9 @@ def test_plan_unservable_exit_three(tmp_path):
 
 
 def test_plan_dumps(tmp_path):
+    # A-5 seed 3 runs the swarm, whose trace positions are numpy floats.
     scn = tmp_path / "scn.json"
-    write_scenario(scn)
+    write_scenario(scn, kind="A", variant=5, seed=3)
     zones, trace, pool = (tmp_path / n for n in ("z.json", "t.csv", "p.json"))
     assert run_cli(
         "plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json"),
@@ -175,7 +176,13 @@ def test_plan_dumps(tmp_path):
     ) == 0
     zdoc = json.loads(zones.read_text())
     assert zdoc and {"members", "witness", "slack_m"} == set(zdoc[0])
-    assert trace.read_text().splitlines()[0] == "members,iteration,gbest_fitness_bps,x_m,y_m,z_m"
+    header, *rows = trace.read_text().splitlines()
+    assert header == "members,iteration,gbest_fitness_bps,x_m,y_m,z_m"
+    assert rows
+    for row in rows:
+        members, iteration, *numbers = row.split(",")
+        assert all(m.isdigit() for m in members.split("|")) and iteration.isdigit()
+        assert len(numbers) == 4 and all(math.isfinite(float(v)) for v in numbers)
     pdoc = json.loads(pool.read_text())
     assert pdoc and pdoc[0]["feasible"] is True
 

@@ -27,6 +27,7 @@ from uavplan import (
 )
 from uavplan import coverage
 from conftest import random_scenario
+from witness_loop_reference import loop_witness
 from witness_reference import reference_witness
 
 BOX = FeasibleBox(x=(0.0, 1000.0), y=(0.0, 1000.0), z=(10.0, 100.0))
@@ -187,6 +188,74 @@ def test_witness_rejects_centre_above_floor():
     assert (w.x, w.y, w.z) == (100.0, 100.0, 20.0) and deficit == pytest.approx(-40.0)
 
 
+def _batch_venues(rng):
+    """(centers, radii, box, sets) venues for the batched solve.
+
+    In each, UEs 0 and 1 share a centre and UEs 2-6 lie on one line. Six
+    random venues hold centres beyond the footprint, a ring of equal
+    spheres (36-47) whose subsets grow long working sets, single members,
+    and sets of neighbours or of random members, most of the latter
+    infeasible; every third box is flat. A last, fixed venue has sets whose
+    working sets take both shared-centre UEs (they swap order with
+    distance from the centre) and three of the line's UEs (it runs below
+    the footprint), where some bases have no solution.
+    """
+    for v in range(6):
+        side = rng.uniform(200.0, 1500.0)
+        floor = rng.uniform(10.0, 40.0)
+        flat = v % 3 == 0
+        box = FeasibleBox((0.0, side), (0.0, side), (floor, floor if flat else floor + 90.0))
+        n = 48
+        xy = rng.uniform(-0.2 * side, 1.2 * side, (n, 2))
+        xy[1] = xy[0]
+        xy[2:6] = xy[6] + np.outer(np.arange(1, 5), rng.normal(0.0, 0.05 * side, 2))
+        angle = rng.uniform(0.0, 2 * math.pi, 12)
+        xy[36:] = 0.5 * side + 0.3 * side * np.column_stack([np.cos(angle), np.sin(angle)])
+        z = rng.uniform(0.0, floor + 5.0 if flat else floor - 0.5, n)
+        radii = rng.uniform(0.05, 0.4, n) * side
+        radii[36:] = 0.32 * side
+        near = np.argsort(np.linalg.norm(xy[:, None] - xy, axis=2), axis=1)
+        sets = [[i] for i in range(0, n, 4)] + [[0, 1], [2, 3, 4, 5, 6], list(range(36, n))]
+        for _ in range(8):
+            sets.append(rng.choice(np.arange(36, n), int(rng.integers(6, 12)), replace=False).tolist())
+        for _ in range(50):
+            k = int(rng.integers(2, 13))
+            pick = near[rng.integers(n), :k] if rng.random() < 0.7 else rng.choice(n, k, replace=False)
+            sets.append(pick.tolist())
+        yield np.column_stack([xy, z]), radii, box, sets
+    centers = np.array([[50, 50, 9], [50, 50, 0], [77, -20, 7], [90, -20, 6], [38, -20, 6],
+                        [59, -20, 2], [120, -20, 5], [39, 88, 0]], float)
+    radii = np.array([32, 36, 67, 39, 55, 39, 10, 56], float)
+    yield centers, radii, BOX, [[0, 1, 7], [2, 3, 4, 5], [2, 3, 4, 5, 6], list(range(8))]
+
+
+def test_batched_witness_matches_the_per_set_loop_bit_for_bit(monkeypatch):
+    # The batched solve performs the per-set loop's arithmetic, so its
+    # points and deficits are the loop's to the last bit, whichever sets
+    # share its batch, in whatever order and however the rounds are chunked.
+    def bits(results):
+        return [tuple(v.hex() for v in (w.x, w.y, w.z, f)) for w, f in results]
+
+    rng = np.random.default_rng(13)
+    seen = set()
+    for centers, radii, box, sets in _batch_venues(rng):
+        got = bits(coverage.zone_witnesses(sets, centers, radii, box))
+        for s, b in zip(sets, got):
+            ref, working = loop_witness(s, centers, radii, box)
+            assert b == tuple(v.hex() for v in ref), s
+            seen |= {kind for kind, hit in (
+                ("single", len(s) == 1), ("feasible", ref[3] <= 0), ("infeasible", ref[3] > 0),
+                ("flat", box.z[0] == box.z[1]), ("grown to 5", len(working) >= 5),
+                ("shared centre", {0, 1} <= set(working)),
+                ("collinear", len(set(working) & set(range(2, 7))) >= 3)) if hit}
+        assert bits(coverage.zone_witnesses([s], centers, radii, box)[0] for s in sets) == got
+        with monkeypatch.context() as m:
+            m.setattr(coverage, "_WITNESS_BUDGET", 1)
+            assert bits(coverage.zone_witnesses(sets[::-1], centers, radii, box))[::-1] == got
+    assert seen == {"single", "feasible", "infeasible", "flat", "grown to 5", "shared centre",
+                    "collinear"}
+
+
 # ---------------------------------------------------------------------------
 # enumerate_zones
 # ---------------------------------------------------------------------------
@@ -264,18 +333,25 @@ def test_enumerate_maximality_no_proper_subsets(params):
             assert not sets[a] < sets[b] and not sets[b] < sets[a]
 
 
+def _solved_sets(monkeypatch) -> list:
+    """Every member set ``coverage.zone_witnesses`` solves from now on, in order."""
+    seen = []
+    solve = coverage.zone_witnesses
+    monkeypatch.setattr(coverage, "zone_witnesses",
+                        lambda sets, *a: seen.extend(sets) or solve(sets, *a))
+    return seen
+
+
 def test_check_solves_through_the_module_global(monkeypatch):
-    # The benchmark's tracer times witness solves by replacing
-    # coverage.zone_witness on its module, so enumeration must look it up
-    # there. Centres beyond the footprint give zones whose clamped mean misses.
-    calls = []
-    solve = coverage.zone_witness
-    monkeypatch.setattr(coverage, "zone_witness", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    # A tracer times witness solves by replacing the solver on its module,
+    # so enumeration must look coverage.zone_witnesses up there. Centres
+    # beyond the footprint give zones whose clamped mean misses.
+    seen = _solved_sets(monkeypatch)
     rng = np.random.default_rng(8)
     spheres = [sphere(i, *rng.uniform(-300.0, 1300.0, 2), rng.uniform(50.0, 300.0),
                       z=rng.uniform(0.0, 5.0)) for i in range(60)]
     zones = enumerate_zones(spheres, BOX)
-    assert 0 < len(calls) <= len(zones)
+    assert 0 < len(seen) <= len(zones)
 
 
 def test_enumerate_complete_against_brute_force(params):
@@ -372,13 +448,11 @@ def test_enumerate_keeps_every_user_on_degenerate_touches(flat):
 def test_enumeration_solves_at_most_one_witness_per_zone(monkeypatch):
     # 20 densely overlapping users over 500 m at 26 Mbit/s: each emitted zone
     # is certified once, and no other set is solved.
-    calls = []
-    solve = coverage.zone_witness
-    monkeypatch.setattr(coverage, "zone_witness", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    seen = _solved_sets(monkeypatch)
     users = np.random.default_rng(7).uniform(0.0, 500.0, (20, 2))
     scn = make_scenario(users.tolist(), demand=26e6, side=500.0)
     zones = enumerate_zones(build_spheres(scn, ChannelParams()), scn.venue)
-    assert len(calls) <= len(zones)
+    assert len(seen) <= len(zones)
 
 
 def test_enumerate_large_chain_is_exact():

@@ -278,6 +278,21 @@ def test_split_groups_keep_witness_feasibility(params):
             assert np.linalg.norm(w - s.center.as_array()) <= s.radius + 1e-9
 
 
+def test_split_falls_back_to_singletons_in_place(params):
+    # A zone whose right half cannot be served from one point (a certified
+    # zone never has one): that group becomes singletons where it stood,
+    # and every witness is the one its members get alone.
+    scn = make_scenario([(0.0, 500.0), (10.0, 500.0), (1000.0, 500.0), (1990.0, 500.0)],
+                        demand=26e6, side=2000.0)
+    spheres = build_spheres(scn, params)
+    zone = CandidateZone(members=(0, 1, 2, 3), witness=Point3(0.0, 500.0, 10.0), slack=0.0)
+    out = split_zone(zone, spheres, scn, max_members=2)
+    assert [z.members for z in out] == [(0, 1), (2,), (3,)]
+    for z in out:
+        w, deficit = zone_witness(z.members, spheres, scn.venue)
+        assert (z.witness, z.slack) == (w, -deficit)
+
+
 # ---------------------------------------------------------------------------
 # capacity estimation and planner-wide properties
 # ---------------------------------------------------------------------------
