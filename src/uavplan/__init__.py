@@ -36,7 +36,8 @@ from .coverage import (
     greedy_zone_cover,
     cover_assignment,
 )
-from .positioning import SwarmConfig, PlacementSolution, ZoneCapacityError, fitness, optimize_position
+from .positioning import (SwarmConfig, PlacementSolution, ZoneCapacityError, fitness,
+                          optimize_position, optimize_positions)
 from .planner import (
     Association,
     Deployment,
@@ -91,6 +92,7 @@ __all__ = [
     "ZoneCapacityError",
     "fitness",
     "optimize_position",
+    "optimize_positions",
     "Association",
     "Deployment",
     "ValidationReport",

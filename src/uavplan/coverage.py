@@ -377,19 +377,34 @@ def _sets_at(points, defined_by, xy, h2, radii) -> np.ndarray:
     return np.unique(np.packbits(inside[:, :n], axis=1), axis=0)
 
 
+def _clamped_means(sets: Sequence[tuple[int, ...]], centers, radii,
+                   box: FeasibleBox) -> list[Point3 | None]:
+    """The clamped mean of each set's member centres, or None where it misses a member sphere.
+
+    Member lists are padded with a zero centre of infinite radius: it adds
+    zeros after the members, in the order ``mean(axis=0)`` sums them, and
+    its deficit is never the worst.
+    """
+    sizes = np.array([len(s) for s in sets])
+    cols = np.full((len(sets), sizes.max()), len(centers))
+    cols[np.arange(cols.shape[1]) < sizes[:, None]] = np.concatenate(sets)
+    c = np.vstack([centers, np.zeros(3)])[cols]
+    p = box.clamp(c.sum(axis=1) / sizes[:, None])
+    deficit = np.linalg.norm(p[:, None, :] - c, axis=2) - np.append(radii, np.inf)[cols]
+    return [Point3.from_array(q) if inside else None
+            for q, inside in zip(p, (deficit.max(axis=1) <= 0).tolist())]
+
+
 def _certify(sets: Sequence[tuple[int, ...]], centers, radii, box: FeasibleBox) -> list[Point3 | None]:
     """Witness of each member set, or None when it is infeasible.
 
     The clamped mean of the member centres when it lies in every member
-    sphere, else the ``zone_witnesses`` point, one call for all such sets,
-    looked up on this module so that a wrapper installed there sees it.
+    sphere, ``_BLOCK`` sets at a time, else the ``zone_witnesses`` point,
+    one call for all such sets, looked up on this module so that a wrapper
+    installed there sees it.
     """
-    out: list[Point3 | None] = []
-    for s in sets:
-        idx = list(s)
-        p = box.clamp(centers[idx].mean(axis=0))
-        inside = np.max(np.linalg.norm(p - centers[idx], axis=1) - radii[idx]) <= 0
-        out.append(Point3.from_array(p) if inside else None)
+    out = [w for k in range(0, len(sets), _BLOCK)
+           for w in _clamped_means(sets[k:k + _BLOCK], centers, radii, box)]
     missed = [k for k, w in enumerate(out) if w is None]
     for k, (w, f) in zip(missed, zone_witnesses([sets[k] for k in missed], centers, radii, box)):
         out[k] = w if f <= 0 else None

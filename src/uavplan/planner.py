@@ -33,6 +33,7 @@ from .positioning import (
     SwarmConfig,
     ZoneCapacityError,
     optimize_position,
+    optimize_positions,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -251,41 +252,70 @@ def plan_deployment(
     pick_caps = [cap_by_members.get(z.members, len(z.members)) for z in cover]
     served_sets = cover_assignment(cover, pick_caps, len(scenario.ues))
 
-    queue: list[CandidateZone] = [
-        _restrict_zone(z, served, spheres)
-        for z, served in zip(cover, served_sets)
-        if served
+    # Zones are placed a wave at a time: every queued zone in one lockstep
+    # call, then the splits of the failures. Each zone keeps its path in the
+    # split tree, so the pool, the trace and the first error follow the
+    # depth-first order of one zone at a time.
+    wave: list[tuple[tuple[int, ...], CandidateZone]] = [
+        ((k,), _restrict_zone(z, served, spheres))
+        for k, (z, served) in enumerate(zip(cover, served_sets)) if served
     ]
     placed: list[tuple[CandidateZone, PlacementSolution]] = []
-    while queue:
-        sub = queue.pop(0)
-        pso_trace = [] if trace is not None else None
-        try:
-            sol = optimize_position(
-                sub, scenario, params, swarm_config, spheres=spheres, trace=pso_trace
-            )
-        except ZoneCapacityError:
-            if len(sub.members) == 1:
-                raise CapacityDeadlockError(
-                    f"UE {sub.members[0]} overruns the bandwidth budget on its own"
-                )
-            cap = zone_capacity(sub.members, lower_bounds, scenario.b_max_hz)
-            cap = max(min(cap, len(sub.members) - 1), 1)
-            queue[0:0] = split_zone(sub, spheres, scenario, max_members=cap)
-            continue
-        if trace is not None and pso_trace is not None:
-            trace.append((sub.members, pso_trace))
+    swarms = []  # (path, members, solution, trace rows) of every swarm run
+    failure: tuple[tuple[int, ...], Exception] | None = None
+    while wave:
+        traces = [[] if trace is not None else None for _ in wave]
+        # A singleton is placed alone by optimize_position, the name
+        # perfbench/spans.py wraps, so that a traced run still shows the
+        # positioning layer; the other zones of a wave run in lockstep.
+        many = [k for k, (_, sub) in enumerate(wave) if len(sub.members) > 1]
+        sols = dict(zip(many, optimize_positions(
+            [wave[k][1] for k in many], scenario, params, swarm_config, spheres=spheres,
+            traces=[traces[k] for k in many] if trace is not None else None)))
+        queued = []
+        for k, (path, sub) in enumerate(wave):
+            if k not in sols:
+                try:
+                    sols[k] = optimize_position(sub, scenario, params, swarm_config,
+                                                spheres=spheres, trace=traces[k])
+                except ZoneCapacityError:
+                    sols[k] = None
+            sol = sols[k]
+            if sol is None:  # the pinned widths alone overrun the budget
+                if len(sub.members) == 1:
+                    if failure is None or path < failure[0]:
+                        failure = path, CapacityDeadlockError(
+                            f"UE {sub.members[0]} overruns the bandwidth budget on its own")
+                    continue
+                cap = zone_capacity(sub.members, lower_bounds, scenario.b_max_hz)
+                cap = max(min(cap, len(sub.members) - 1), 1)
+            else:
+                swarms.append((path, sub.members, sol, traces[k]))
+                if sol.feasible:
+                    placed.append((sub, sol))
+                    continue
+                if len(sub.members) == 1:
+                    # Nadir placement of a box-reaching sphere is always feasible,
+                    # so a failing singleton means the UE is truly unservable.
+                    if failure is None or path < failure[0]:
+                        failure = path, UnservableError([sub.members[0]])
+                    continue
+                cap = math.ceil(len(sub.members) / 2)
+            queued.extend((path + (j,), piece)
+                          for j, piece in enumerate(split_zone(sub, spheres, scenario, cap)))
+        # Depth first, nothing after the first error would have run.
+        wave = [(path, sub) for path, sub in queued if failure is None or path < failure[0]]
+
+    swarms.sort(key=lambda s: s[0])
+    for path, members, sol, rows in swarms:
+        if failure is not None and path > failure[0]:
+            break
         if pool is not None:
-            pool.append((sub.members, sol))
-        if sol.feasible:
-            placed.append((sub, sol))
-            continue
-        if len(sub.members) == 1:
-            # Nadir placement of a box-reaching sphere is always feasible,
-            # so a failing singleton means the UE is truly unservable.
-            raise UnservableError([sub.members[0]])
-        half = math.ceil(len(sub.members) / 2)
-        queue[0:0] = split_zone(sub, spheres, scenario, max_members=half)
+            pool.append((members, sol))
+        if trace is not None:
+            trace.append((members, rows))
+    if failure is not None:
+        raise failure[1]
 
     placed.sort(key=lambda pair: pair[0].members)
     return _assemble(placed, scenario)

@@ -21,7 +21,11 @@ import numpy as np
 from . import channel
 from .geometry import FeasibleBox, Point3
 from .planner import Deployment, _assemble, plan_deployment
-from .positioning import SwarmConfig, optimize_position
+from .positioning import (
+    SwarmConfig,
+    optimize_position,  # not called here: perfbench/spans.py wraps it on this module
+    optimize_positions,
+)
 from .coverage import CandidateZone, UnservableError
 from .planner import CapacityDeadlockError
 
@@ -235,12 +239,9 @@ def run_baseline(
         raise ConfigError(f"unknown baseline {kind!r}")
     scenario.validate()
     groups = _proximity_groups(scenario, FIXED_BASELINE_GROUP_SIZE)
-    placements = []
-    for g in groups:
-        zone = _pseudo_zone(g, scenario)
-        sol = optimize_position(zone, scenario, params, swarm_config, allow_capacity_overrun=True)
-        placements.append((zone, sol))
-    return _assemble(placements, scenario)
+    zones = [_pseudo_zone(g, scenario) for g in groups]
+    sols = optimize_positions(zones, scenario, params, swarm_config, allow_capacity_overrun=True)
+    return _assemble(list(zip(zones, sols)), scenario)
 
 
 def evaluate_throughput(

@@ -256,6 +256,24 @@ def test_batched_witness_matches_the_per_set_loop_bit_for_bit(monkeypatch):
                     "collinear"}
 
 
+def test_clamped_means_match_the_per_set_mean():
+    # Sets below and past 8 members, whose means numpy would sum pairwise if
+    # it summed along a contiguous axis; both outcomes of the sphere check.
+    rng = np.random.default_rng(4)
+    centers = np.column_stack([rng.uniform(-50.0, 1050.0, (40, 2)), np.zeros(40)])
+    radii = rng.uniform(400.0, 2000.0, 40)
+    sets = [tuple(sorted(rng.choice(40, size=k, replace=False).tolist()))
+            for k in (1, 2, 5, 8, 9, 17, 33) for _ in range(6)]
+    seen = set()
+    for s, w in zip(sets, coverage._clamped_means(sets, centers, radii, BOX)):
+        idx = list(s)
+        p = BOX.clamp(centers[idx].mean(axis=0))
+        inside = np.max(np.linalg.norm(p - centers[idx], axis=1) - radii[idx]) <= 0
+        assert (w.as_array().tobytes() if w else None) == (p.tobytes() if inside else None), s
+        seen.add(bool(inside))
+    assert seen == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # enumerate_zones
 # ---------------------------------------------------------------------------

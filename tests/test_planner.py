@@ -29,8 +29,10 @@ from uavplan import (
     validate_deployment,
     zone_witness,
 )
+from uavplan import planner
 from uavplan.cli import deployment_to_dict
-from uavplan.planner import zone_capacity
+from uavplan.planner import min_feasible_bandwidths, zone_capacity
+from uavplan.positioning import PlacementSolution, ZoneCapacityError
 from conftest import random_scenario
 
 
@@ -328,15 +330,112 @@ def plan_digest(dep, scn, params) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def swarm_digest(pool, trace) -> str:
+    """First 16 hex digits of SHA-256 over a plan's swarms, as ``tools/plan_digest.py --swarms``."""
+    h = hashlib.sha256()
+    for members, sol in pool:
+        bits = (v.hex() for v in (*sol.uav_position.as_array().tolist(), sol.fitness))
+        h.update(f"{members} {' '.join(bits)} {sol.feasible} {sol.iterations}\n".encode())
+        for link in sol.served_ues:
+            h.update(f"{link.ue_index} {link.bandwidth_hz.hex()} {link.rate_bps.hex()}\n".encode())
+    for members, rows in trace:
+        h.update(f"{members} {len(rows)} rows\n".encode())
+        for it, val, pos in rows:
+            h.update(f"{it} {' '.join(float(v).hex() for v in (val, *pos))}\n".encode())
+    return h.hexdigest()[:16]
+
+
 def test_split_heavy_plans_are_pinned(params):
     # 40 users over 1 km at 26 Mbit/s: several cover picks fail their swarm
     # and are split, under the planner and, far more often, at fixed altitude.
     rng = np.random.default_rng(2024)
     scn = make_scenario(rng.uniform(0.0, 1000.0, (40, 2)).tolist(), demand=26e6, side=1000.0)
     scn = replace(scn, label="split-heavy", seed=5)
-    pool = []
-    dep = plan_deployment(scn, params, pool=pool)
+    pool, trace = [], []
+    dep = plan_deployment(scn, params, pool=pool, trace=trace)
     assert any(not sol.feasible for _, sol in pool)
     assert (dep.uav_count, plan_digest(dep, scn, params)) == (8, "a3d8a1c42ff80a29")
+    # The swarms, in the depth-first order of the split tree, as --dump-pool
+    # and --pso-trace write them.
+    assert [members for members, _ in trace] == [members for members, _ in pool]
+    assert (len(pool), swarm_digest(pool, trace)) == (10, "31dfd84f96f553c5")
     fixed = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
     assert (fixed.uav_count, plan_digest(fixed, scn, params)) == (24, "0a944bb91fd5e514")
+
+
+
+def depth_first(roots, scn, params, spheres, place):
+    """The planner's queue one zone at a time: its pool, and the error it stops at."""
+    lower = min_feasible_bandwidths(scn, params)
+    pool, queue = [], list(roots)
+    while queue:
+        sub = queue.pop(0)
+        sol = place(sub)
+        if sol is None:
+            if len(sub.members) == 1:
+                return pool, (CapacityDeadlockError, sub.members[0])
+            cap = max(min(zone_capacity(sub.members, lower, scn.b_max_hz), len(sub.members) - 1), 1)
+            queue[0:0] = split_zone(sub, spheres, scn, max_members=cap)
+            continue
+        pool.append((sub.members, sol))
+        if sol.feasible:
+            continue
+        if len(sub.members) == 1:
+            return pool, (UnservableError, sub.members[0])
+        queue[0:0] = split_zone(sub, spheres, scn, max_members=math.ceil(len(sub.members) / 2))
+    return pool, None
+
+
+@pytest.mark.parametrize("salt", [3, 5, 6])
+def test_waves_keep_the_depth_first_pool_trace_and_first_error(params, monkeypatch, salt):
+    # A stand-in swarm fails zones by a fixed rule, pinned overruns included,
+    # so that the split tree is deep. Under salt 3 no singleton fails; under
+    # 5 and 6 several do, and the plan stops at the first one that the queue
+    # of one zone at a time reaches (5: a capacity deadlock, 6: an
+    # unservable user).
+    rng = np.random.default_rng(2024)
+    scn = make_scenario(rng.uniform(0.0, 1000.0, (40, 2)).tolist(), demand=26e6, side=1000.0)
+
+    def place(zone):
+        key = 7 * sum(zone.members) + len(zone.members) + salt
+        if key % 5 == 0:
+            return None
+        feasible = key % (2 if len(zone.members) == 1 else 3) != 0
+        return PlacementSolution(zone.witness, (), float(key), feasible, 0)
+
+    placed = []
+
+    def place_all(zones, *args, traces=None, **kwargs):
+        placed.extend(zones)
+        for zone, rows in zip(zones, traces or [None] * len(zones)):
+            if rows is not None and place(zone) is not None:
+                rows.append((0, float(len(zone.members)), (0.0, 0.0, 0.0)))
+        return [place(zone) for zone in zones]
+
+    def place_one(zone, *args, trace=None, **kwargs):
+        sol, = place_all([zone], traces=[trace])
+        if sol is None:
+            raise ZoneCapacityError(zone.members)
+        return sol
+
+    roots = []
+    restrict = planner._restrict_zone
+    monkeypatch.setattr(planner, "_restrict_zone",
+                        lambda *a: roots.append(restrict(*a)) or roots[-1])
+    monkeypatch.setattr(planner, "optimize_positions", place_all)
+    monkeypatch.setattr(planner, "optimize_position", place_one)
+    pool, trace, error = [], [], None
+    try:
+        plan_deployment(scn, params, pool=pool, trace=trace)
+    except CapacityDeadlockError as exc:
+        error = type(exc), int(str(exc).split()[1])
+    except UnservableError as exc:
+        error = type(exc), exc.ue_indices[0]
+    expected, expected_error = depth_first(roots, scn, params, build_spheres(scn, params), place)
+    assert (pool, error) == (expected, expected_error)
+    assert trace == [(members, [(0, float(len(members)), (0.0, 0.0, 0.0))])
+                     for members, _ in expected]
+    assert (error and error[0]) == {3: None, 5: CapacityDeadlockError, 6: UnservableError}[salt]
+    assert len(pool) > len(roots)
+    if error is not None:
+        assert len(placed) > len(pool)  # waves placed zones past the error

@@ -1,5 +1,6 @@
 """PSO refinement: fitness semantics, determinism, and dominance guarantees."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,24 +17,38 @@ from uavplan import (
     fitness,
     link_rate,
     optimize_position,
+    optimize_positions,
 )
 from uavplan import positioning
 from uavplan.positioning import (
     _DRAW_CHUNK,
-    _init_bounds,
-    _member_data,
+    _fitness,
+    _members,
+    _rows,
     _swarm_coefficients,
-    _swarm_fitness,
     _swarm_velocities,
-    _zone_unservable,
+    _unservable,
 )
 from uavplan.scenario import _pseudo_zone
+
+import swarm_loop_reference as ref
 
 
 def make_scenario(ue_xy, demand=6.5e6, side=300.0, z=(10.0, 100.0), **kw):
     ues = tuple(UE(position=Point3(x, y, 0.0), demand_bps=demand) for x, y in ue_xy)
     return Scenario(label="t", seed=9, venue=FeasibleBox((0.0, side), (0.0, side), z),
                     ues=ues, **kw)
+
+
+def feasible_at(points, members, scn, params):
+    """Whether each of ``points`` serves every member within the budget."""
+    m = _members([members], scn)
+    return _fitness(points, _rows(m, np.zeros(len(points), int)), m, params, scn.venue)[1]
+
+
+def unservable(members, scn, params) -> bool:
+    """The infeasibility certificate of one zone."""
+    return bool(_unservable(_members([members], scn), np.zeros(1, int), params, scn.venue)[0])
 
 
 def full_zone(scn, params):
@@ -186,32 +201,32 @@ def test_optimize_early_stop_activates(params, monkeypatch):
 
 
 def reference_placement(zone, scn, params, config, spheres):
-    """``optimize_position``'s seeding, then all ``max_iterations`` with no stop."""
-    data = _member_data(zone.members, scn)
+    """The per-zone search's seeding, then all ``max_iterations`` with no stop."""
+    data = ref.member_data(zone.members, scn)
     box = scn.venue
     centers = np.array([spheres[i].center.as_array() for i in data.indices])
     radii = np.array([spheres[i].radius for i in data.indices])
-    lo, hi = _init_bounds(zone, centers, radii, box)
+    lo, hi = ref.init_bounds(zone, centers, radii, box)
     seed_seq = np.random.SeedSequence([config.seed, *data.indices.tolist()])
     rngs = [np.random.default_rng(s) for s in seed_seq.spawn(config.particle_count)]
     positions = np.array([zone.witness.as_array()]
                          + [lo + rng.random(3) * (hi - lo) for rng in rngs[1:]])
     velocities = np.zeros_like(positions)
     pbest_pos = positions.copy()
-    pbest_val, _ = _swarm_fitness(positions, data, params, box)
+    pbest_val, _ = ref.swarm_fitness(positions, data, params, box)
     gbest_pos, gbest_val = positions[np.argmax(pbest_val)].copy(), np.max(pbest_val)
-    for r1, r2 in _swarm_coefficients(rngs, config.max_iterations):
-        velocities = _swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
-                                       config, 0.5 * (hi - lo))
+    for r1, r2 in ref.swarm_coefficients(rngs, config.max_iterations):
+        velocities = ref.swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
+                                          config, 0.5 * (hi - lo))
         positions = box.clamp(positions + velocities)
-        values, _ = _swarm_fitness(positions, data, params, box)
+        values, _ = ref.swarm_fitness(positions, data, params, box)
         improved = values > pbest_val
         pbest_pos[improved] = positions[improved]
         pbest_val[improved] = values[improved]
         g = int(np.argmax(pbest_val))
         if pbest_val[g] > gbest_val:
             gbest_pos, gbest_val = pbest_pos[g].copy(), pbest_val[g]
-    value, feasible = _swarm_fitness(gbest_pos[None, :], data, params, box)
+    value, feasible = ref.swarm_fitness(gbest_pos[None, :], data, params, box)
     return gbest_pos, float(value[0]), bool(feasible[0])
 
 
@@ -239,11 +254,92 @@ def test_first_feasible_best_is_the_full_search_result(params):
             kinds.add("seeded particle")
         elif sol.feasible:
             kinds.add("swarm reaches feasibility")
-        elif _zone_unservable(_member_data(zone.members, scn), params, scn.venue):
+        elif unservable(zone.members, scn, params):
             assert not sol.feasible and sol.iterations == cfg.early_stop_patience
             kinds.add("unservable")
     assert kinds == {"feasible witness", "seeded particle", "swarm reaches feasibility",
                      "unservable"}
+
+
+def solution_bits(sol):
+    """Every field of a placement, floats by their bits; None stays None."""
+    if sol is None:
+        return None
+    return (tuple(v.hex() for v in sol.uav_position.as_array().tolist()), sol.fitness.hex(),
+            sol.feasible, sol.iterations,
+            tuple((k.ue_index, k.bandwidth_hz.hex(), k.rate_bps.hex()) for k in sol.served_ues))
+
+
+def trace_bits(rows):
+    return [(it, float(v).hex(), tuple(float(p).hex() for p in pos)) for it, v, pos in rows]
+
+
+def swarm_batches(params):
+    """Random zones of 1 to 12 members, pseudo and enumerated, under both bandwidth policies."""
+    rng = np.random.default_rng(7)
+    for trial in range(6):
+        side = float(rng.choice([300.0, 800.0, 1500.0]))
+        scn = make_scenario(rng.uniform(0.0, side, (14, 2)), side=side,
+                            bandwidth_policy="fixed" if trial % 3 == 2 else "demand-fit")
+        # Uneven demands, so that sums over members round: padded or
+        # regrouped sums would change their bits.
+        demands = rng.uniform(0.5, 1.0, 14) * rng.choice([13e6, 52e6])
+        scn = replace(scn, ues=tuple(replace(ue, demand_bps=float(d))
+                                     for ue, d in zip(scn.ues, demands)))
+        spheres = build_spheres(scn, params)
+        zones = [_pseudo_zone(sorted(rng.choice(14, size=k, replace=False).tolist()), scn)
+                 for k in (1, 3, 5, 8, 9, 12)] + enumerate_zones(spheres, scn.venue)[:3]
+        cfg = SwarmConfig(particle_count=6, max_iterations=int(rng.choice([4, 25])),
+                          early_stop_patience=int(rng.choice([1, 5])), seed=trial)
+        yield scn, zones, spheres, cfg, trial % 4 == 3
+
+
+def outcomes(zone, sol, cfg, allow):
+    if sol is None:
+        return {"pinned overrun"}
+    if sol.iterations == 0:
+        return {"feasible witness" if sol.uav_position == zone.witness else "seeded start"}
+    seen = {"runs on past the certificate"} if (
+        not allow and cfg.early_stop_patience < sol.iterations) else set()
+    if sol.feasible:
+        return seen | {"swarm"}
+    if allow:
+        return seen | {"overrun kept"}
+    if sol.iterations == cfg.early_stop_patience < cfg.max_iterations:
+        return seen | {"certificate stop"}
+    return seen | {"max iterations"}
+
+
+def test_lockstep_swarms_match_the_per_zone_search(params, monkeypatch):
+    seen = set()
+    for scn, zones, spheres, cfg, allow in swarm_batches(params):
+        expected = []
+        for zone in zones:
+            rows = []
+            try:
+                sol = ref.loop_position(zone, scn, params, cfg, spheres, allow, trace=rows)
+            except ZoneCapacityError:
+                sol = None
+            expected.append((solution_bits(sol), trace_bits(rows)))
+            n = len(zone.members)
+            seen |= outcomes(zone, sol, cfg, allow)
+            seen.add("singleton" if n == 1 else "below 8" if n < 8 else "8 or more")
+
+        def lockstep(batch):
+            traces = [[] for _ in batch]
+            sols = optimize_positions(batch, scn, params, cfg, spheres=spheres,
+                                      allow_capacity_overrun=allow, traces=traces)
+            return [(solution_bits(s), trace_bits(t)) for s, t in zip(sols, traces)]
+
+        assert lockstep(zones) == expected
+        assert [lockstep([zone])[0] for zone in zones] == expected
+        with monkeypatch.context() as m:
+            # One certificate cell scored at a time.
+            m.setattr(positioning, "_CERTIFY_BUDGET", 1)
+            assert lockstep(zones[::-1]) == expected[::-1]
+    assert seen == {"singleton", "below 8", "8 or more", "pinned overrun", "feasible witness",
+                    "seeded start", "swarm", "overrun kept", "certificate stop",
+                    "max iterations", "runs on past the certificate"}
 
 
 @pytest.mark.parametrize("patience", [3, 10])
@@ -252,7 +348,7 @@ def test_optimize_stops_at_patience_on_a_proven_unservable_zone(params, patience
     scn = make_scenario([(250, 1000), (1750, 1000)], demand=26e6, side=2000.0)
     spheres = build_spheres(scn, params)
     zone = _pseudo_zone((0, 1), scn)
-    assert _zone_unservable(_member_data(zone.members, scn), params, scn.venue)
+    assert unservable(zone.members, scn, params)
     cfg = SwarmConfig(seed=1, early_stop_patience=patience)
     trace = []
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
@@ -273,12 +369,12 @@ def test_certificate_never_fires_where_a_dense_grid_serves_the_zone(params):
         scn = make_scenario(rng.uniform(0.0, side, (int(rng.integers(2, 6)), 2)),
                             demand=float(rng.choice([26e6, 52e6, 104e6])), side=side, z=z,
                             bandwidth_policy=str(rng.choice(["demand-fit", "fixed"])))
-        data = _member_data(range(len(scn.ues)), scn)
+        members = range(len(scn.ues))
         xy = np.linspace(0.0, side, 61)
         grid = np.stack(np.meshgrid(xy, xy, np.linspace(*z, 10 if z[1] > z[0] else 1),
                                     indexing="ij"), axis=-1).reshape(-1, 3)
-        served = bool(_swarm_fitness(grid, data, params, scn.venue)[1].any())
-        proved = _zone_unservable(data, params, scn.venue)
+        served = bool(feasible_at(grid, members, scn, params).any())
+        proved = unservable(members, scn, params)
         assert not (served and proved)
         outcomes.add((served, proved))
     assert {(True, False), (False, True)} <= outcomes  # both sides are exercised

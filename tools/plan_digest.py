@@ -1,6 +1,6 @@
 """Digest of every plan one benchmark pass produces, to show that a change keeps plans byte-identical.
 
-    python3 tools/plan_digest.py [--workload NAME] [--zones]
+    python3 tools/plan_digest.py [--workload NAME] [--zones | --swarms]
 
 Run from anywhere inside a checkout. For each workload (all of them when
 ``--workload`` is not given) it plans one ``make_pass(0)`` of
@@ -16,6 +16,13 @@ With ``--zones`` each digest is over the candidate zones instead: every
 members and the bits of its witness's x, y, z and of its slack. A plan
 shows only the zones its cover picks, so this digest is the one that shows
 a witness moving in a zone no cover picked.
+
+With ``--swarms`` each digest is over the swarms of the planner operations
+instead: for each, in label order, ``plan_deployment``'s ``pool`` (members,
+the bits of the position, fitness and every link, feasibility and iterations)
+and ``trace`` (members, then every row's iteration and bits). These are what
+``uavplan plan --dump-pool`` and ``--pso-trace`` write, so the digest shows a
+swarm that moves, or runs in another order, even where the plan does not.
 """
 import argparse
 import hashlib
@@ -67,12 +74,39 @@ def zone_digest(workload, **changes) -> str:
     return h.hexdigest()[:16]
 
 
+def swarm_digest(workload, **changes) -> str:
+    """Digest of every planner op's swarm pool and trace; ``changes`` as in ``plan_digest``."""
+    h = hashlib.sha256()
+    for op in sorted(workload.make_pass(0), key=lambda op: op.label):
+        if op.method != "planner":
+            continue
+        pool, trace = [], []
+        scn = replace(op.scenario, **changes)
+        workloads.planner.plan_deployment(scn, workloads.PARAMS, pool=pool, trace=trace)
+        h.update(op.label.encode())
+        for members, sol in pool:
+            bits = (v.hex() for v in (*sol.uav_position.as_array().tolist(), sol.fitness))
+            h.update(f"{members} {' '.join(bits)} {sol.feasible} {sol.iterations}\n".encode())
+            for link in sol.served_ues:
+                bits = f"{link.bandwidth_hz.hex()} {link.rate_bps.hex()}"
+                h.update(f"{link.ue_index} {bits}\n".encode())
+        for members, rows in trace:
+            h.update(f"{members} {len(rows)} rows\n".encode())
+            for it, val, pos in rows:
+                h.update(f"{it} {' '.join(float(v).hex() for v in (val, *pos))}\n".encode())
+    return h.hexdigest()[:16]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", choices=sorted(workloads.WORKLOADS), default=None)
-    p.add_argument("--zones", action="store_true", help="digest the candidate zones, not the plans")
+    what = p.add_mutually_exclusive_group()
+    what.add_argument("--zones", action="store_true",
+                      help="digest the candidate zones, not the plans")
+    what.add_argument("--swarms", action="store_true",
+                      help="digest the planner's swarms, not the plans")
     args = p.parse_args(argv)
-    digest = zone_digest if args.zones else plan_digest
+    digest = zone_digest if args.zones else swarm_digest if args.swarms else plan_digest
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
     for name in names:
         print(f"{name} {digest(workloads.WORKLOADS[name])}", flush=True)
