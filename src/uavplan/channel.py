@@ -6,6 +6,11 @@ the achievable uplink rate as Shannon capacity over the averaged channel.
 Inverting the rate at a design LoS probability yields the maximum service
 distance used to build per-user coverage spheres.
 
+Every link's distance and elevation come from one function on numpy arrays,
+``link_geometry``: ``snr_hz_between`` calls it on batches (swarm, validator,
+throughput) and every scalar operation on one ``Point3`` pair, so a link
+gets the same bits whichever path measures it.
+
 All quantities are linear SI internally (W, Hz, m, bit/s); dBm/dBi/dB are
 accepted only at construction helpers.
 """
@@ -64,7 +69,6 @@ class ChannelParams:
     mu_los: float = db_to_linear(1.0)
     mu_nlos: float = db_to_linear(20.0)
     los_threshold: float = 0.9
-    speed_of_light: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.carrier_frequency_hz <= 0:
@@ -85,7 +89,7 @@ class ChannelParams:
     @property
     def k0(self) -> float:
         """Free-space constant (4*pi*f/c)^2, dimensionless for d in meters."""
-        return (4.0 * math.pi * self.carrier_frequency_hz / self.speed_of_light) ** 2
+        return (4.0 * math.pi * self.carrier_frequency_hz / SPEED_OF_LIGHT) ** 2
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class LinkBudget:
 
 # ---------------------------------------------------------------------------
 # Array kernels. These carry the actual formulas; the scalar operations wrap
-# them so every consumer (validators, swarm fitness) computes identical bits.
+# them on one link's numpy values, so every consumer computes identical bits.
 # ---------------------------------------------------------------------------
 
 def los_probability_kernel(elevation_deg, c1, c2):
@@ -116,7 +120,9 @@ def attenuation_bracket(p_los, params: ChannelParams):
 
 def gain_kernel(distance, elevation_deg, params: ChannelParams):
     p_los = los_probability_kernel(elevation_deg, params.c1, params.c2)
-    return 1.0 / (params.k0 * distance ** 2 * attenuation_bracket(p_los, params))
+    # distance * distance, not ** 2: on a numpy scalar ** 2 calls pow, which
+    # can round differently from the product an array's ** 2 computes.
+    return 1.0 / (params.k0 * (distance * distance) * attenuation_bracket(p_los, params))
 
 
 def snr_hz_kernel(gain, params: ChannelParams):
@@ -130,6 +136,19 @@ def shannon_rate_kernel(snr_hz, bandwidth_hz):
     return bandwidth_hz * np.log2(1.0 + snr_hz / bandwidth_hz)
 
 
+def link_geometry(ue_xyz, uav_xyz):
+    """Distance (m), elevation (deg) and validity of the UE->UAV links of broadcast (..., 3) arrays.
+
+    A link is valid when its UAV lies strictly above its UE at a positive
+    distance. An invalid link reads elevation 0; callers mask or reject it.
+    """
+    d = np.linalg.norm(uav_xyz - ue_xyz, axis=-1)
+    dz = uav_xyz[..., 2] - ue_xyz[..., 2]
+    valid = (d > 0.0) & (dz > 0.0)
+    sin_elev = np.clip(np.where(valid, dz, 0.0) / np.where(valid, d, 1.0), 0.0, 1.0)
+    return d, np.degrees(np.arcsin(sin_elev)), valid
+
+
 def snr_hz_between(ue_xyz, uav_xyz, params: ChannelParams):
     """SNR density (Hz) between broadcast arrays of UE and UAV positions (..., 3).
 
@@ -137,12 +156,8 @@ def snr_hz_between(ue_xyz, uav_xyz, params: ChannelParams):
     0, which the Shannon kernel turns into a zero rate, so a swarm can score
     such positions as unserved and move away from them.
     """
-    d = np.linalg.norm(uav_xyz - ue_xyz, axis=-1)
-    dz = uav_xyz[..., 2] - ue_xyz[..., 2]
-    valid = (d > 0.0) & (dz > 0.0)
-    d_safe = np.where(valid, d, 1.0)
-    sin_elev = np.clip(np.where(valid, dz, 0.0) / d_safe, 0.0, 1.0)
-    gain = gain_kernel(d_safe, np.degrees(np.arcsin(sin_elev)), params)
+    distance, elevation_deg, valid = link_geometry(ue_xyz, uav_xyz)
+    gain = gain_kernel(np.where(valid, distance, 1.0), elevation_deg, params)
     return np.where(valid, snr_hz_kernel(gain, params), 0.0)
 
 
@@ -225,21 +240,19 @@ def demand_fit_kernel(snr_hz, demand_bps, b_max_hz: float, grid_hz: float):
 # ---------------------------------------------------------------------------
 
 def path_distance(a: Point3, b: Point3) -> float:
-    """Euclidean distance in meters between two points."""
-    return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
+    """Euclidean distance in meters between two points, as ``link_geometry`` measures it."""
+    return float(link_geometry(a.as_array(), b.as_array())[0])
 
 
-def _checked_geometry(ue: Point3, uav: Point3) -> tuple[float, float]:
-    d = path_distance(ue, uav)
-    if d <= 0.0:
-        raise ChannelDomainError("coincident UE and UAV (zero link distance)")
-    if uav.z <= ue.z:
+def _checked_geometry(ue: Point3, uav: Point3):
+    """``link_geometry`` of one link, as numpy values; raises outside the elevation model."""
+    d, elev, valid = link_geometry(ue.as_array(), uav.as_array())
+    if not valid:
         raise ChannelDomainError(
-            f"UAV altitude {uav.z} m not above UE altitude {ue.z} m; "
+            f"UAV altitude {uav.z} m not above UE altitude {ue.z} m at a positive distance; "
             "the elevation model is undefined at or below the horizon"
         )
-    sin_elev = min((uav.z - ue.z) / d, 1.0)
-    return d, float(np.degrees(np.arcsin(sin_elev)))
+    return d, elev
 
 
 def los_probability(ue: Point3, uav: Point3, params: ChannelParams) -> float:
@@ -250,16 +263,14 @@ def los_probability(ue: Point3, uav: Point3, params: ChannelParams) -> float:
 
 def channel_gain(ue: Point3, uav: Point3, params: ChannelParams) -> float:
     """Average linear channel gain (free-space spreading x LoS/NLoS mix)."""
-    d, elev = _checked_geometry(ue, uav)
-    return float(gain_kernel(d, elev, params))
+    return float(gain_kernel(*_checked_geometry(ue, uav), params))
 
 
 def link_rate(ue: Point3, uav: Point3, bandwidth_hz: float, params: ChannelParams) -> float:
     """Achievable rate in bit/s over the given bandwidth."""
     if bandwidth_hz <= 0:
         raise ChannelDomainError(f"bandwidth must be positive, got {bandwidth_hz}")
-    d, elev = _checked_geometry(ue, uav)
-    snr_hz = snr_hz_kernel(gain_kernel(d, elev, params), params)
+    snr_hz = snr_hz_kernel(gain_kernel(*_checked_geometry(ue, uav), params), params)
     return float(shannon_rate_kernel(snr_hz, bandwidth_hz))
 
 
@@ -269,15 +280,15 @@ def link_budget(ue: Point3, uav: Point3, bandwidth_hz: float, params: ChannelPar
         raise ChannelDomainError(f"bandwidth must be positive, got {bandwidth_hz}")
     d, elev = _checked_geometry(ue, uav)
     p_los = float(los_probability_kernel(elev, params.c1, params.c2))
-    gain = float(gain_kernel(d, elev, params))
-    rate = float(shannon_rate_kernel(snr_hz_kernel(gain, params), bandwidth_hz))
+    gain = gain_kernel(d, elev, params)
+    rate = shannon_rate_kernel(snr_hz_kernel(gain, params), bandwidth_hz)
     return LinkBudget(
-        distance_m=d,
-        elevation_deg=elev,
+        distance_m=float(d),
+        elevation_deg=float(elev),
         p_los=p_los,
         p_nlos=1.0 - p_los,
-        gain=gain,
-        rate_bps=rate,
+        gain=float(gain),
+        rate_bps=float(rate),
         bandwidth_hz=bandwidth_hz,
     )
 
@@ -324,7 +335,6 @@ def min_bandwidth_for_demand(
         raise ChannelDomainError(
             f"need 0 < grid_hz <= b_max_hz < inf, got grid {grid_hz}, budget {b_max_hz}"
         )
-    d, elev = _checked_geometry(ue, uav)
-    snr_hz = snr_hz_kernel(gain_kernel(d, elev, params), params)
+    snr_hz = snr_hz_kernel(gain_kernel(*_checked_geometry(ue, uav), params), params)
     bw, rate = demand_fit_kernel(snr_hz, demand_bps, b_max_hz, grid_hz)
     return float(bw) if rate >= demand_bps else None

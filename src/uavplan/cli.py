@@ -277,16 +277,15 @@ def _dump_json(path, obj) -> None:
 
 
 def deployment_to_dict(deployment, report) -> dict:
-    z = np.asarray(deployment.association.z)
-    assoc = []
-    for i in range(z.shape[0]):
-        for k in np.flatnonzero(z[i] == 1):
-            assoc.append({
-                "ue": int(i),
-                "uav": int(k),
-                "bandwidth_hz": float(deployment.link_bandwidth_hz[i]),
-                "rate_bps": float(deployment.link_rate_bps[i]),
-            })
+    assoc = [
+        {
+            "ue": int(i),
+            "uav": int(k),
+            "bandwidth_hz": float(deployment.link_bandwidth_hz[i]),
+            "rate_bps": float(deployment.link_rate_bps[i]),
+        }
+        for i, k in np.argwhere(np.asarray(deployment.association.z) == 1)
+    ]
     return {
         "uav_count": deployment.uav_count,
         "positions": [{"x": p.x, "y": p.y, "z": p.z} for p in deployment.uav_positions],

@@ -196,6 +196,14 @@ def _deficits(q, xy, h2, r) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy + h2[:, None]) - r[:, None]
 
 
+def _padded(sets: Sequence[Sequence[int]], centers: np.ndarray, radii: np.ndarray, pad):
+    """Set sizes, and member centres and radii in rows padded by centre ``pad``, radius inf."""
+    sizes = np.array([len(s) for s in sets])
+    cols = np.full((len(sets), sizes.max()), len(centers))
+    cols[np.arange(cols.shape[1]) < sizes[:, None]] = np.concatenate(sets)
+    return sizes, np.vstack([centers, pad])[cols], np.append(radii, np.inf)[cols]
+
+
 # Basis points x working members that one witness solve scores at once.
 _WITNESS_BUDGET = 1 << 14
 
@@ -228,13 +236,10 @@ def zone_witnesses(sets: Sequence[Iterable[int]], centers: np.ndarray, radii: np
     if not sets:
         return []
     z = box.z[0]
-    sizes = np.array([len(s) for s in sets])
-    cols = np.full((len(sets), sizes.max()), len(centers))  # the padding: on the floor, radius inf
-    cols[np.arange(cols.shape[1]) < sizes[:, None]] = np.concatenate(sets)
-    c = np.vstack([centers, [0.0, 0.0, z]])[cols]
+    sizes, c, r = _padded(sets, centers, radii, [0.0, 0.0, z])  # the padding lies on the floor
     if box.z[1] > z and (c[..., 2] > z).any():
         raise ValueError(f"a member centre lies above the altitude floor {z} m")
-    xy, h2, r = c[..., :2], (z - c[..., 2]) ** 2, np.append(radii, np.inf)[cols]
+    xy, h2 = c[..., :2], (z - c[..., 2]) ** 2
     lo, hi = box.lower[:2], box.upper[:2]
     out = np.empty((len(sets), 3))  # x, y, deficit
 
@@ -381,16 +386,12 @@ def _clamped_means(sets: Sequence[tuple[int, ...]], centers, radii,
                    box: FeasibleBox) -> list[Point3 | None]:
     """The clamped mean of each set's member centres, or None where it misses a member sphere.
 
-    Member lists are padded with a zero centre of infinite radius: it adds
-    zeros after the members, in the order ``mean(axis=0)`` sums them, and
-    its deficit is never the worst.
+    Member lists are padded with a zero centre: it adds zeros after the
+    members, in the order ``mean(axis=0)`` sums them.
     """
-    sizes = np.array([len(s) for s in sets])
-    cols = np.full((len(sets), sizes.max()), len(centers))
-    cols[np.arange(cols.shape[1]) < sizes[:, None]] = np.concatenate(sets)
-    c = np.vstack([centers, np.zeros(3)])[cols]
+    sizes, c, r = _padded(sets, centers, radii, np.zeros(3))
     p = box.clamp(c.sum(axis=1) / sizes[:, None])
-    deficit = np.linalg.norm(p[:, None, :] - c, axis=2) - np.append(radii, np.inf)[cols]
+    deficit = np.linalg.norm(p[:, None, :] - c, axis=2) - r
     return [Point3.from_array(q) if inside else None
             for q, inside in zip(p, (deficit.max(axis=1) <= 0).tolist())]
 

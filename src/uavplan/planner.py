@@ -347,6 +347,35 @@ def _assemble(placed, scenario: "Scenario") -> Deployment:
     )
 
 
+def uav_loads(z: np.ndarray, bandwidth_hz: np.ndarray) -> np.ndarray:
+    """Summed link width of each UAV's UEs (``z == 1``), each sum in UE order."""
+    return np.array([np.sum(bandwidth_hz[z[:, k] == 1]) for k in range(z.shape[1])])
+
+
+def served_links(z: np.ndarray, uav_positions: Sequence[Point3], ues: Sequence,
+                 width_hz: np.ndarray, params: "ChannelParams") -> tuple[np.ndarray, np.ndarray]:
+    """Each UE's one serving UAV and the channel's rate to it at ``width_hz``.
+
+    ``z`` associates ``ues`` (rows) with ``uav_positions`` (columns), and
+    ``width_hz`` holds one width per UE. The server is -1 for a UE that no
+    UAV or several UAVs serve. The rate is 0 there, at a width that is not
+    positive and where the UAV is not above its UE; elsewhere it is
+    ``shannon_rate_kernel`` of ``snr_hz_between``, the same bits the swarm
+    scores the link with.
+    """
+    ue, uav = np.nonzero(z == 1)
+    server = np.full(len(z), -1)
+    server[ue] = uav
+    server[np.bincount(ue, minlength=len(z)) != 1] = -1
+    live = (server >= 0) & (width_hz > 0)
+    ue_xyz = np.array([u.position.as_array() for u in ues]).reshape(-1, 3)
+    uav_xyz = np.array([p.as_array() for p in uav_positions]).reshape(-1, 3)
+    snr_hz = channel.snr_hz_between(ue_xyz[live], uav_xyz[server[live]], params)
+    rate = np.zeros(len(z))
+    rate[live] = channel.shannon_rate_kernel(snr_hz, width_hz[live])
+    return server, rate
+
+
 def validate_deployment(
     deployment: Deployment,
     scenario: "Scenario",
@@ -373,42 +402,17 @@ def validate_deployment(
     z, a = z[:n_ues, :n_uavs], a[:n_uavs]
     bandwidth = np.asarray(deployment.link_bandwidth_hz, dtype=float)[:n_ues]
 
-    binary_residual = 0.0
-    for arr in (z, a):
-        vals = np.unique(arr)
-        bad = [v for v in vals if v not in (0, 1)]
-        if bad:
-            binary_residual = 1.0
+    binary_residual = 0.0 if all(((arr == 0) | (arr == 1)).all() for arr in (z, a)) else 1.0
 
     assoc_residual = float(np.max(np.abs(z.sum(axis=1) - 1))) if n_ues else 0.0
     link_residual = float(np.max(z - a[None, :])) if n_ues and n_uavs else 0.0
 
-    demand_residual = -math.inf
-    for i in range(n_ues):
-        ue = scenario.ues[i]
-        served_by = np.flatnonzero(z[i] == 1)
-        if len(served_by) != 1:
-            demand_residual = max(demand_residual, 1.0)
-            continue
-        k = int(served_by[0])
-        b = float(bandwidth[i])
-        if b <= 0:
-            demand_residual = max(demand_residual, 1.0)
-            continue
-        try:
-            r = channel.link_rate(ue.position, deployment.uav_positions[k], b, params)
-        except channel.ChannelDomainError:
-            r = 0.0
-        demand_residual = max(demand_residual, (ue.demand_bps - r) / ue.demand_bps - RATE_RTOL)
-    if demand_residual == -math.inf:
-        demand_residual = 0.0
-
-    capacity_residual = -math.inf
-    for k in range(n_uavs):
-        used = float(np.sum(bandwidth[z[:, k] == 1]))
-        capacity_residual = max(capacity_residual, used - scenario.b_max_hz)
-    if capacity_residual == -math.inf:
-        capacity_residual = 0.0
+    demands = np.array([ue.demand_bps for ue in scenario.ues[:n_ues]])
+    server, rate = served_links(z, deployment.uav_positions[:n_uavs], scenario.ues[:n_ues],
+                                bandwidth, params)
+    residual = np.where((server >= 0) & (bandwidth > 0), (demands - rate) / demands - RATE_RTOL, 1.0)
+    demand_residual = float(residual.max()) if n_ues else 0.0
+    capacity_residual = float(np.max(uav_loads(z, bandwidth) - scenario.b_max_hz)) if n_uavs else 0.0
 
     box_residual = max(
         (scenario.venue.distance_to(p.as_array()) for p in deployment.uav_positions), default=0.0

@@ -18,9 +18,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import channel
 from .geometry import FeasibleBox, Point3
-from .planner import Deployment, _assemble, plan_deployment
+from .planner import Deployment, _assemble, plan_deployment, served_links, uav_loads
 from .positioning import (
     SwarmConfig,
     optimize_position,  # not called here: perfbench/spans.py wraps it on this module
@@ -251,38 +250,21 @@ def evaluate_throughput(
 ) -> tuple[float, list[float]]:
     """Demand-capped delivered rate per UE and its sum.
 
-    When a UAV's allocated bandwidths exceed its budget (baselines may
-    oversubscribe), every link on that UAV is rescaled proportionally and
-    re-evaluated, so infeasible deployments still yield a finite throughput.
+    Every link is re-evaluated from the channel model (``served_links``) at
+    its width. When a UAV's allocated bandwidths exceed its budget (baselines
+    may oversubscribe), every width on that UAV is first rescaled
+    proportionally, so infeasible deployments still yield a finite
+    throughput. A UE that no UAV or several UAVs serve delivers 0.
     """
     z = np.asarray(deployment.association.z)
-    n_ues, n_uavs = z.shape
-    scale = np.ones(n_uavs)
-    for k in range(n_uavs):
-        used = float(np.sum(deployment.link_bandwidth_hz[z[:, k] == 1]))
-        if used > scenario.b_max_hz:
-            scale[k] = scenario.b_max_hz / used
-    delivered: list[float] = []
-    for i in range(n_ues):
-        served_by = np.flatnonzero(z[i] == 1)
-        if len(served_by) != 1:
-            delivered.append(0.0)
-            continue
-        k = int(served_by[0])
-        b = float(deployment.link_bandwidth_hz[i]) * float(scale[k])
-        if b <= 0:
-            delivered.append(0.0)
-            continue
-        if scale[k] == 1.0:
-            r = float(deployment.link_rate_bps[i])
-        else:
-            try:
-                r = channel.link_rate(
-                    scenario.ues[i].position, deployment.uav_positions[k], b, params
-                )
-            except channel.ChannelDomainError:
-                r = 0.0
-        delivered.append(min(scenario.ues[i].demand_bps, r))
+    bandwidth = np.asarray(deployment.link_bandwidth_hz, dtype=float)
+    loads = uav_loads(z, bandwidth)
+    scale = np.divide(scenario.b_max_hz, loads, out=np.ones(len(loads)),
+                      where=loads > scenario.b_max_hz)
+    # A served UE's row of z holds a single 1, so the minimum is its UAV's scale.
+    width = bandwidth * np.min(np.where(z == 1, scale, 1.0), axis=1, initial=1.0)
+    _, rate = served_links(z, deployment.uav_positions, scenario.ues, width, params)
+    delivered = np.minimum([ue.demand_bps for ue in scenario.ues], rate).tolist()
     return float(sum(delivered)), delivered
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from uavplan import ChannelParams, FeasibleBox, Point3, Scenario, SwarmConfig, UE
+from uavplan.channel import SPEED_OF_LIGHT
 from uavplan.coverage import build_spheres
 from witness_reference import reference_witness
 
@@ -32,7 +33,7 @@ def oracle_chain(ue, uav, bandwidth, p: ChannelParams):
     d = math.sqrt((uav[0] - ue[0]) ** 2 + (uav[1] - ue[1]) ** 2 + (uav[2] - ue[2]) ** 2)
     theta = math.degrees(math.asin((uav[2] - ue[2]) / d))
     eps = 1.0 / (1.0 + p.c1 * math.exp(-p.c2 * (theta - p.c1)))
-    k0 = (4.0 * math.pi * p.carrier_frequency_hz / p.speed_of_light) ** 2
+    k0 = (4.0 * math.pi * p.carrier_frequency_hz / SPEED_OF_LIGHT) ** 2
     gain = 1.0 / (k0 * d * d * (eps * p.mu_los + (1.0 - eps) * p.mu_nlos))
     snr = p.tx_power_w * p.tx_antenna_gain * p.rx_antenna_gain * gain \
         / (p.noise_spectral_density * bandwidth)
@@ -42,7 +43,7 @@ def oracle_chain(ue, uav, bandwidth, p: ChannelParams):
 
 def oracle_rate_at_threshold(d, bandwidth, p: ChannelParams):
     """Rate along a ray with the LoS probability clamped at the threshold."""
-    k0 = (4.0 * math.pi * p.carrier_frequency_hz / p.speed_of_light) ** 2
+    k0 = (4.0 * math.pi * p.carrier_frequency_hz / SPEED_OF_LIGHT) ** 2
     bracket = p.los_threshold * p.mu_los + (1.0 - p.los_threshold) * p.mu_nlos
     gain = 1.0 / (k0 * d * d * bracket)
     snr = p.tx_power_w * p.tx_antenna_gain * p.rx_antenna_gain * gain \

@@ -21,7 +21,11 @@ from uavplan import (
     watt_to_dbm,
 )
 from uavplan.channel import (
+    SPEED_OF_LIGHT,
     demand_fit_kernel,
+    gain_kernel,
+    link_geometry,
+    los_probability_kernel,
     shannon_rate_kernel,
     snr_hz_between,
     snr_hz_upper_bound,
@@ -70,7 +74,7 @@ def test_los_probability_rejects_below_horizon(params):
 def test_gain_is_inverse_k0_at_unit_distance():
     p = ChannelParams(mu_los=1.0, mu_nlos=1.0)
     gain = channel_gain(Point3(0, 0, 0), Point3(0, 0, 1), p)
-    k0 = (4 * math.pi * p.carrier_frequency_hz / p.speed_of_light) ** 2
+    k0 = (4 * math.pi * p.carrier_frequency_hz / SPEED_OF_LIGHT) ** 2
     assert gain == pytest.approx(1.0 / k0, rel=1e-12)
     assert gain == pytest.approx(2.0649192406869657e-05, rel=1e-12)
 
@@ -385,3 +389,40 @@ def test_min_bandwidth_for_demand_scalar_at_the_production_grid(params):
             assert b % GRID_HZ == 0 and GRID_HZ <= b <= B_MAX_HZ
             assert link_rate(ue, uav, b, params) >= demand
             assert b == GRID_HZ or link_rate(ue, uav, b - GRID_HZ, params) < demand
+
+
+def test_scalar_operations_equal_the_array_kernels_bit_for_bit(params):
+    # Each scalar operation measures its link with link_geometry, as
+    # snr_hz_between does for a batch, so it returns its kernel's bits there.
+    rng = np.random.default_rng(2024)
+    n = 2000
+    ue = np.column_stack([rng.uniform(-500, 500, (n, 2)), rng.uniform(0, 5, n)])
+    uav = np.column_stack([rng.uniform(-500, 500, (n, 2)), rng.uniform(0, 150, n)])
+    uav[:40, 2] = ue[:40, 2]  # level with the UE: outside the elevation model
+    uav[40:60] = ue[40:60]    # coincident
+    bandwidth = rng.uniform(GRID_HZ, B_MAX_HZ, n)
+    demand = rng.uniform(1e5, 60e6, n)
+    distance, elevation, valid = link_geometry(ue, uav)
+    p_los = los_probability_kernel(elevation, params.c1, params.c2)
+    gain = gain_kernel(np.where(valid, distance, 1.0), elevation, params)
+    snr_hz = snr_hz_between(ue, uav, params)
+    rate = shannon_rate_kernel(snr_hz, bandwidth)
+    fit_bw, fit_rate = demand_fit_kernel(snr_hz, demand, B_MAX_HZ, GRID_HZ)
+    assert 60 < n - valid.sum() < n // 10
+    for i in range(n):
+        a, b = Point3(*ue[i]), Point3(*uav[i])
+        if not valid[i]:
+            assert snr_hz[i] == 0.0 and rate[i] == 0.0
+            with pytest.raises(ChannelDomainError):
+                link_rate(a, b, bandwidth[i], params)
+            with pytest.raises(ChannelDomainError):
+                min_bandwidth_for_demand(a, b, demand[i], params, B_MAX_HZ, GRID_HZ)
+            continue
+        assert los_probability(a, b, params) == p_los[i]
+        assert channel_gain(a, b, params) == gain[i]
+        assert link_rate(a, b, bandwidth[i], params) == rate[i]
+        lb = link_budget(a, b, bandwidth[i], params)
+        assert (lb.distance_m, lb.elevation_deg, lb.p_los, lb.gain, lb.rate_bps) \
+            == (distance[i], elevation[i], p_los[i], gain[i], rate[i])
+        width = min_bandwidth_for_demand(a, b, demand[i], params, B_MAX_HZ, GRID_HZ)
+        assert width == (fit_bw[i] if fit_rate[i] >= demand[i] else None)

@@ -29,9 +29,9 @@ from uavplan import (
     validate_deployment,
     zone_witness,
 )
-from uavplan import planner
+from uavplan import evaluate_throughput, planner
 from uavplan.cli import deployment_to_dict
-from uavplan.planner import min_feasible_bandwidths, zone_capacity
+from uavplan.planner import min_feasible_bandwidths, served_links, uav_loads, zone_capacity
 from uavplan.positioning import PlacementSolution, ZoneCapacityError
 from conftest import random_scenario
 
@@ -210,6 +210,58 @@ def test_validator_activation_linkage(params):
     report = validate_deployment(bad, scn, params)
     assert not report.passed
     assert report.residual("activation_linkage") > 0
+
+
+@pytest.mark.parametrize("method", ["planner", "fixed-altitude", "fixed-n"])
+def test_served_links_recompute_every_planned_rate_bit_for_bit(params, method):
+    # The validator and the throughput check measure each link as the swarm
+    # scored it, so a plan's own rates come back exactly.
+    for kind, variant in (("A", 0), ("A", 3), ("A", 5), ("B", 2), ("B", 4), ("C", 2), ("C", 4)):
+        for seed in (11, 12):
+            scn = generate_scenario(kind, variant, seed)
+            if method == "planner":
+                dep = plan_deployment(scn, params)
+            else:
+                kind_of = {"fixed-altitude": BaselineKind.FIXED_ALTITUDE,
+                           "fixed-n": BaselineKind.FIXED_GROUP_SIZE}[method]
+                dep = run_baseline(kind_of, scn, params)
+            z = np.asarray(dep.association.z)
+            server, rate = served_links(z, dep.uav_positions, scn.ues, dep.link_bandwidth_hz, params)
+            assert np.array_equal(server, z.argmax(axis=1))
+            assert np.array_equal(rate, dep.link_rate_bps)
+            if np.all(uav_loads(z, dep.link_bandwidth_hz) <= scn.b_max_hz):
+                _, delivered = evaluate_throughput(dep, scn, params)
+                demands = [ue.demand_bps for ue in scn.ues]
+                assert delivered == np.minimum(demands, dep.link_rate_bps).tolist()
+
+
+def test_served_links_edge_cases(params):
+    # UE 0 unassociated, UE 1 on both UAVs, UE 2 at zero width, UE 3 above
+    # its UAV, UE 4 a working link; then the same UEs with no UAV at all.
+    ues = tuple(UE(position=Point3(x, 50.0, ue_z), demand_bps=6.5e6)
+                for x, ue_z in ((10.0, 0.0), (30.0, 0.0), (50.0, 0.0), (70.0, 60.0), (90.0, 0.0)))
+    scn = Scenario(label="edges", seed=1, venue=FeasibleBox((0.0, 100.0), (0.0, 100.0), (10.0, 100.0)),
+                   ues=ues, bandwidth_policy="fixed")
+    uavs = (Point3(50.0, 50.0, 40.0), Point3(70.0, 50.0, 40.0))
+    z = np.array([[0, 0], [1, 1], [1, 0], [0, 1], [1, 0]], dtype=np.int8)
+    width = np.array([20e6, 20e6, 0.0, 20e6, 20e6])
+    server, rate = served_links(z, uavs, ues, width, params)
+    expected = link_rate(ues[4].position, uavs[0], 20e6, params)
+    assert server.tolist() == [-1, -1, 0, 1, 0]
+    assert rate.tolist() == [0.0, 0.0, 0.0, 0.0, expected]
+    dep = Deployment(uav_positions=uavs, association=Association(z=z, a=np.ones(2, dtype=np.int8)),
+                     link_bandwidth_hz=width, link_rate_bps=rate, uav_count=2,
+                     aggregate_bps=float(rate.sum()))
+    report = validate_deployment(dep, scn, params)
+    assert report.residual("demand_rate") == 1.0
+    assert uav_loads(z, width).tolist() == [40e6, 40e6]
+    assert report.residual("bandwidth_capacity") == 40e6 - scn.b_max_hz
+    _, delivered = evaluate_throughput(dep, scn, params)
+    assert delivered == [0.0, 0.0, 0.0, 0.0, min(6.5e6, expected)]
+
+    server, rate = served_links(z[:, :0], (), ues, width, params)
+    assert server.tolist() == [-1] * 5 and rate.tolist() == [0.0] * 5
+    assert uav_loads(z[:, :0], width).shape == (0,)
 
 
 def test_validation_report_csv_round_trip(params, tmp_path):

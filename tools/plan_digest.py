@@ -1,6 +1,6 @@
 """Digest of every plan one benchmark pass produces, to show that a change keeps plans byte-identical.
 
-    python3 tools/plan_digest.py [--workload NAME] [--zones | --swarms]
+    python3 tools/plan_digest.py [--workload NAME] [--zones | --swarms | --throughput]
 
 Run from anywhere inside a checkout. For each workload (all of them when
 ``--workload`` is not given) it plans one ``make_pass(0)`` of
@@ -23,6 +23,12 @@ the bits of the position, fitness and every link, feasibility and iterations)
 and ``trace`` (members, then every row's iteration and bits). These are what
 ``uavplan plan --dump-pool`` and ``--pso-trace`` write, so the digest shows a
 swarm that moves, or runs in another order, even where the plan does not.
+
+With ``--throughput`` each digest is over what the plans are judged by
+instead: for each operation, in label order, the pass flag of every
+``validate_deployment`` check and the ``float.hex`` of ``evaluate_throughput``'s
+aggregate and of every UE's delivered rate. The validation is outside the
+plan digest, so this one shows a change to how the plans are checked.
 """
 import argparse
 import hashlib
@@ -40,16 +46,34 @@ from uavplan.cli import deployment_to_dict  # noqa: E402
 def plan_digest(workload, **changes) -> str:
     """Digest of one pass; ``changes`` replace fields of every scenario."""
     h = hashlib.sha256()
+    for op, scn, dep in planned(workload, **changes):
+        doc = deployment_to_dict(dep, workloads.planner.validate_deployment(dep, scn, workloads.PARAMS))
+        del doc["validation"]
+        h.update(op.label.encode())
+        h.update(json.dumps(doc, sort_keys=True).encode())
+    return h.hexdigest()[:16]
+
+
+def planned(workload, **changes):
+    """Each operation of one pass in label order, with its scenario and deployment."""
     for op in sorted(workload.make_pass(0), key=lambda op: op.label):
         scn = replace(op.scenario, **changes)
         if op.method == "planner":
             dep = workloads.planner.plan_deployment(scn, workloads.PARAMS)
         else:
             dep = workloads.scenario.run_baseline(workloads.BASELINES[op.method], scn, workloads.PARAMS)
-        doc = deployment_to_dict(dep, workloads.planner.validate_deployment(dep, scn, workloads.PARAMS))
-        del doc["validation"]
+        yield op, scn, dep
+
+
+def throughput_digest(workload, **changes) -> str:
+    """Digest of every op's validation pass flags and throughput; ``changes`` as in ``plan_digest``."""
+    h = hashlib.sha256()
+    for op, scn, dep in planned(workload, **changes):
+        report = workloads.planner.validate_deployment(dep, scn, workloads.PARAMS)
+        aggregate, delivered = workloads.scenario.evaluate_throughput(dep, scn, workloads.PARAMS)
         h.update(op.label.encode())
-        h.update(json.dumps(doc, sort_keys=True).encode())
+        h.update(f" {' '.join(str(c.passed) for c in report.checks)}\n".encode())
+        h.update(f"{' '.join(v.hex() for v in (aggregate, *delivered))}\n".encode())
     return h.hexdigest()[:16]
 
 
@@ -105,8 +129,11 @@ def main(argv=None) -> int:
                       help="digest the candidate zones, not the plans")
     what.add_argument("--swarms", action="store_true",
                       help="digest the planner's swarms, not the plans")
+    what.add_argument("--throughput", action="store_true",
+                      help="digest the validation pass flags and throughput, not the plans")
     args = p.parse_args(argv)
-    digest = zone_digest if args.zones else swarm_digest if args.swarms else plan_digest
+    digest = (zone_digest if args.zones else swarm_digest if args.swarms
+              else throughput_digest if args.throughput else plan_digest)
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
     for name in names:
         print(f"{name} {digest(workloads.WORKLOADS[name])}", flush=True)
