@@ -30,7 +30,7 @@ value, feasible = fitness(zone.witness, zone, scenario, params)
 print(f"fitness at witness: {value / 1e6:.1f} Mbit/s, feasible={feasible}\n")
 
 trace = []
-sol = optimize_position(zone, scenario, params, SwarmConfig(seed=4),
+sol = optimize_position(zone, scenario, params, SwarmConfig(),  # swarms draw from scenario.seed
                         spheres=spheres, trace=trace)
 
 print("iteration  best fitness (Mbit/s)")

@@ -7,7 +7,6 @@ validator signs off on every constraint.
 """
 from uavplan import (
     ChannelParams,
-    SwarmConfig,
     evaluate_throughput,
     generate_scenario,
     plan_deployment,
@@ -21,7 +20,7 @@ print(f"{len(scenario.ues)} users in a 500 m venue, "
       f"{scenario.ues[0].demand_bps / 1e6:.1f} Mbit/s each, "
       f"altitude band {scenario.venue.z} m")
 
-deployment = plan_deployment(scenario, params, SwarmConfig(seed=5))
+deployment = plan_deployment(scenario, params)
 print(f"\nplanned {deployment.uav_count} UAV(s):")
 for k, p in enumerate(deployment.uav_positions):
     served = int(deployment.association.z[:, k].sum())

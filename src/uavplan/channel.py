@@ -28,6 +28,10 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # Largest demand/bandwidth ratio (bit/s/Hz) before 2**x overflows a double.
 _MAX_SPECTRAL_EFFICIENCY = 1000.0
 
+# Most bandwidth grid steps a budget may hold: every grid index and width
+# stays an exact double (and fits the int64 index).
+MAX_GRID_STEPS = 2 ** 53
+
 
 class ChannelDomainError(ValueError):
     """Link geometry or rate target outside the model's domain."""
@@ -213,8 +217,8 @@ def demand_fit_kernel(snr_hz, demand_bps, b_max_hz: float, grid_hz: float):
     the Shannon kernel itself decides the first sufficient multiple of
     ``grid_hz``. Where even the last index b_max_hz//grid_hz falls short,
     the bandwidth is the last grid width and the rate stays below the
-    demand. Needs ``grid_hz <= b_max_hz``, which ``Scenario.validate``
-    guarantees.
+    demand. Needs ``grid_hz <= b_max_hz`` within ``MAX_GRID_STEPS`` steps,
+    which ``Scenario.validate`` guarantees.
     """
     snr_hz, demand_bps = np.broadcast_arrays(np.asarray(snr_hz, dtype=float),
                                              np.asarray(demand_bps, dtype=float))
@@ -331,9 +335,10 @@ def min_bandwidth_for_demand(
     """
     if demand_bps <= 0:
         raise ChannelDomainError(f"demand must be positive, got {demand_bps}")
-    if not 0 < grid_hz <= b_max_hz < math.inf:
+    if not (0 < grid_hz <= b_max_hz < math.inf and b_max_hz // grid_hz <= MAX_GRID_STEPS):
         raise ChannelDomainError(
-            f"need 0 < grid_hz <= b_max_hz < inf, got grid {grid_hz}, budget {b_max_hz}"
+            f"need 0 < grid_hz <= b_max_hz < inf within {MAX_GRID_STEPS} grid steps, "
+            f"got grid {grid_hz}, budget {b_max_hz}"
         )
     snr_hz = snr_hz_kernel(gain_kernel(*_checked_geometry(ue, uav), params), params)
     bw, rate = demand_fit_kernel(snr_hz, demand_bps, b_max_hz, grid_hz)

@@ -52,101 +52,83 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
-_CHANNEL_KEYS = {
-    "carrier_frequency_hz", "tx_power_dbm", "tx_power_w",
-    "tx_antenna_gain_dbi", "tx_antenna_gain",
-    "rx_antenna_gain_dbi", "rx_antenna_gain",
-    "noise_floor_dbm", "noise_floor_bandwidth_hz", "noise_spectral_density",
-    "c1", "c2", "mu_los_db", "mu_los", "mu_nlos_db", "mu_nlos",
-    "los_threshold",
+def _from_db(db) -> float:
+    return db_to_linear(float(db))
+
+
+def _from_dbm(dbm) -> float:
+    return dbm_to_watt(float(dbm))
+
+
+def _noise_floor(dbm, bandwidth_hz=20e6) -> float:
+    """Noise spectral density of a floor of ``dbm`` over ``bandwidth_hz``."""
+    return dbm_to_watt(float(dbm)) / float(bandwidth_hz)
+
+
+# Section name -> (what it builds, its key -> (field, conversion) table).
+# Keys that set the same field are alternatives: a section gives at most
+# one. A tuple of keys is one entry whose conversion takes the first key's
+# value and then those of the others the section gives; the others mean
+# nothing alone.
+_SECTIONS = {
+    "channel": (ChannelParams, {
+        "carrier_frequency_hz": ("carrier_frequency_hz", float),
+        "tx_power_dbm": ("tx_power_w", _from_dbm),
+        "tx_power_w": ("tx_power_w", float),
+        "tx_antenna_gain_dbi": ("tx_antenna_gain", _from_db),
+        "tx_antenna_gain": ("tx_antenna_gain", float),
+        "rx_antenna_gain_dbi": ("rx_antenna_gain", _from_db),
+        "rx_antenna_gain": ("rx_antenna_gain", float),
+        ("noise_floor_dbm", "noise_floor_bandwidth_hz"): ("noise_spectral_density", _noise_floor),
+        "noise_spectral_density": ("noise_spectral_density", float),
+        "c1": ("c1", float),
+        "c2": ("c2", float),
+        "mu_los_db": ("mu_los", _from_db),
+        "mu_los": ("mu_los", float),
+        "mu_nlos_db": ("mu_nlos", _from_db),
+        "mu_nlos": ("mu_nlos", float),
+        "los_threshold": ("los_threshold", float),
+    }),
+    "pso": (SwarmConfig, {
+        "particle_count": ("particle_count", int),
+        "max_iterations": ("max_iterations", int),
+        "inertia_weight": ("inertia_weight", float),
+        "cognitive_coeff": ("cognitive_coeff", float),
+        "social_coeff": ("social_coeff", float),
+        "early_stop_patience": ("early_stop_patience", int),
+    }),
+    # Scenario field values; absent keys are left out.
+    "policy": (dict, {
+        "bandwidth": ("bandwidth_policy", str),
+        "fixed_bandwidth_hz": ("fixed_bandwidth_hz", float),
+        "grid_hz": ("bandwidth_grid_hz", float),
+    }),
 }
 
-_PSO_KEYS = {
-    "particle_count", "max_iterations", "inertia_weight",
-    "cognitive_coeff", "social_coeff", "early_stop_patience",
-}
 
-# Policy-section key -> (Scenario field, type).
-_POLICY_FIELDS = {
-    "bandwidth": ("bandwidth_policy", str),
-    "fixed_bandwidth_hz": ("fixed_bandwidth_hz", float),
-    "grid_hz": ("bandwidth_grid_hz", float),
-}
-
-
-def parse_channel(section: dict) -> ChannelParams:
-    _require_keys(section, _CHANNEL_KEYS, "channel section")
+def parse_section(name: str, section):
+    """Build what the ``name`` section of a scenario or config file sets."""
+    build, table = _SECTIONS[name]
+    where = f"{name} section"
+    entries = [((keys,) if isinstance(keys, str) else keys, field, convert)
+               for keys, (field, convert) in table.items()]
+    _require_keys(section, {k for keys, _, _ in entries for k in keys}, where)
+    given: dict = {}  # field -> (the entry's keys the section gives, conversion)
+    for keys, field, convert in entries:
+        present = [k for k in keys if k in section]
+        if not present:
+            continue
+        if present[0] != keys[0]:
+            raise ConfigError(f"{', '.join(present)} needs {keys[0]!r} in the {where}")
+        if field in given:
+            first = given[field][0][0]
+            raise ConfigError(f"give {first!r} or {keys[0]!r} in the {where}, not both")
+        given[field] = present, convert
     try:
-        return ChannelParams(**_channel_kwargs(section))
+        return build(**{field: convert(*(section[k] for k in present))
+                        for field, (present, convert) in given.items()})
     except _CAST_ERRORS as exc:
-        raise ConfigError(f"invalid channel section: {exc}") from exc
-
-
-def _channel_kwargs(section: dict) -> dict:
-    if "tx_power_dbm" in section and "tx_power_w" in section:
-        raise ConfigError("give tx power as dBm or W, not both")
-    kwargs: dict = {}
-    if "carrier_frequency_hz" in section:
-        kwargs["carrier_frequency_hz"] = float(section["carrier_frequency_hz"])
-    if "tx_power_dbm" in section:
-        kwargs["tx_power_w"] = dbm_to_watt(float(section["tx_power_dbm"]))
-    if "tx_power_w" in section:
-        kwargs["tx_power_w"] = float(section["tx_power_w"])
-    for side in ("tx", "rx"):
-        dbi, lin = f"{side}_antenna_gain_dbi", f"{side}_antenna_gain"
-        if dbi in section and lin in section:
-            raise ConfigError(f"give {side} antenna gain as dBi or linear, not both")
-        if dbi in section:
-            kwargs[lin] = db_to_linear(float(section[dbi]))
-        if lin in section:
-            kwargs[lin] = float(section[lin])
-    if "noise_spectral_density" in section and "noise_floor_dbm" in section:
-        raise ConfigError("give noise as a floor (dBm over a bandwidth) or a density, not both")
-    if "noise_floor_dbm" in section:
-        bw = float(section.get("noise_floor_bandwidth_hz", 20e6))
-        kwargs["noise_spectral_density"] = dbm_to_watt(float(section["noise_floor_dbm"])) / bw
-    if "noise_spectral_density" in section:
-        kwargs["noise_spectral_density"] = float(section["noise_spectral_density"])
-    for plain in ("c1", "c2", "los_threshold"):
-        if plain in section:
-            kwargs[plain] = float(section[plain])
-    for mu in ("mu_los", "mu_nlos"):
-        db_key = f"{mu}_db"
-        if db_key in section and mu in section:
-            raise ConfigError(f"give {mu} as dB or linear, not both")
-        if db_key in section:
-            kwargs[mu] = db_to_linear(float(section[db_key]))
-        if mu in section:
-            kwargs[mu] = float(section[mu])
-    return kwargs
-
-
-def parse_pso(section: dict, seed: int) -> SwarmConfig:
-    _require_keys(section, _PSO_KEYS, "pso section")
-    kwargs = dict(section)
-    try:
-        for int_key in ("particle_count", "max_iterations", "early_stop_patience"):
-            if int_key in kwargs:
-                kwargs[int_key] = int(kwargs[int_key])
-        for f_key in ("inertia_weight", "cognitive_coeff", "social_coeff"):
-            if f_key in kwargs:
-                kwargs[f_key] = float(kwargs[f_key])
-        return SwarmConfig(seed=seed, **kwargs)
-    except _CAST_ERRORS as exc:
-        raise ConfigError(f"invalid pso section: {exc}") from exc
-
-
-def parse_policy(section: dict) -> dict:
-    """Scenario field values set by a policy section; absent keys are left out."""
-    _require_keys(section, set(_POLICY_FIELDS), "policy section")
-    try:
-        return {
-            field: cast(section[key])
-            for key, (field, cast) in _POLICY_FIELDS.items()
-            if key in section
-        }
-    except _CAST_ERRORS as exc:
-        raise ConfigError(f"invalid policy section: {exc}") from exc
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def _cast(cast, value, where: str):
@@ -193,12 +175,11 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, ChannelParams, SwarmConfig]
         venue=venue,
         ues=tuple(ues),
         b_max_hz=_cast(float, doc.get("b_max_hz", 160e6), "b_max_hz"),
-        **parse_policy(doc.get("policy", {})),
+        **parse_section("policy", doc.get("policy", {})),
     )
     scenario.validate()
-    params = parse_channel(doc.get("channel", {}))
-    swarm = parse_pso(doc.get("pso", {}), seed=scenario.seed)
-    return scenario, params, swarm
+    return (scenario, parse_section("channel", doc.get("channel", {})),
+            parse_section("pso", doc.get("pso", {})))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -232,15 +213,15 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def _apply_config_overrides(path, scenario, params, swarm):
     doc = _load_json(path)
-    _require_keys(doc, {"channel", "pso", "policy", "seed"}, "config document")
+    _require_keys(doc, {*_SECTIONS, "seed"}, "config document")
     if "channel" in doc:
-        params = parse_channel(doc["channel"])
+        params = parse_section("channel", doc["channel"])
     if "seed" in doc:
         scenario = replace(scenario, seed=_cast(int, doc["seed"], "seed"))
     if "pso" in doc:
-        swarm = parse_pso(doc["pso"], seed=scenario.seed)
+        swarm = parse_section("pso", doc["pso"])
     if "policy" in doc:
-        scenario = replace(scenario, **parse_policy(doc["policy"]))
+        scenario = replace(scenario, **parse_section("policy", doc["policy"]))
         scenario.validate()
     return scenario, params, swarm
 
@@ -313,7 +294,6 @@ def cmd_plan(args) -> int:
         scenario, params, swarm = _apply_config_overrides(args.config, scenario, params, swarm)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-        swarm = replace(swarm, seed=args.seed)
 
     if args.dump_zones:
         spheres = build_spheres(scenario, params)
@@ -363,22 +343,15 @@ def cmd_plan(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params = ChannelParams()
-    swarm = None
-    overrides = None
+    sections = {}
     if args.config:
         doc = _load_json(args.config)
-        _require_keys(doc, {"channel", "pso", "policy"}, "sweep config (seeds come from --base-seed)")
-        if "channel" in doc:
-            params = parse_channel(doc["channel"])
-        if "pso" in doc:
-            swarm = parse_pso(doc["pso"], seed=args.base_seed)
-        if "policy" in doc:
-            overrides = parse_policy(doc["policy"])
+        _require_keys(doc, set(_SECTIONS), "sweep config (seeds come from --base-seed)")
+        sections = {name: parse_section(name, doc[name]) for name in doc}
 
     table = run_experiment(
-        args.kind, params, swarm, n_runs=args.runs, base_seed=args.base_seed,
-        scenario_overrides=overrides,
+        args.kind, sections.get("channel", ChannelParams()), sections.get("pso", SwarmConfig()),
+        n_runs=args.runs, base_seed=args.base_seed, scenario_overrides=sections.get("policy"),
     )
     import os
 

@@ -216,7 +216,7 @@ def _restrict_zone(zone: CandidateZone, served: Sequence[int],
 def plan_deployment(
     scenario: "Scenario",
     params: "ChannelParams | None" = None,
-    swarm_config: SwarmConfig | None = None,
+    swarm_config: SwarmConfig = SwarmConfig(),
     pool: list | None = None,
     trace: list | None = None,
 ) -> Deployment:
@@ -225,12 +225,12 @@ def plan_deployment(
     Raises UnservableError when some UE cannot be served from anywhere in
     the feasible box, and CapacityDeadlockError when a single UE's demand
     exceeds one UAV's whole bandwidth budget (a configuration error). The
-    returned deployment always passes ``validate_deployment``.
+    returned deployment always passes ``validate_deployment``. The swarms
+    draw from ``scenario.seed``; ``swarm_config`` sets only how they search.
     """
     from .channel import ChannelParams
 
     params = params or ChannelParams()
-    swarm_config = swarm_config or SwarmConfig(seed=scenario.seed)
     scenario.validate()
 
     lower_bounds = min_feasible_bandwidths(scenario, params)

@@ -42,7 +42,6 @@ class SwarmConfig:
     cognitive_coeff: float = 1.5
     social_coeff: float = 1.5
     early_stop_patience: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.particle_count < 2:
@@ -340,8 +339,9 @@ def optimize_positions(
     returns that infeasible best. Placements that keep an infeasible zone
     (``allow_capacity_overrun``) also stop at their first feasible best;
     they only skip the certificate. Per-particle RNG substreams are derived
-    from (config.seed, members), so every zone's trajectory is a pure
-    function of the zone and the inputs, whatever else shares the call.
+    from (scenario.seed, members), so every zone's trajectory is a pure
+    function of the zone and the inputs, whatever else shares the call; to
+    re-seed the swarms, plan ``replace(scenario, seed=k)``.
     ``spheres`` is indexed by UE (see ``build_spheres``) and only bounds
     where the particles start and how fast they move; without spheres (the
     baselines) the box alone bounds both. The global best is returned as
@@ -399,7 +399,7 @@ def optimize_positions(
         v_max = 0.5 * (hi - lo)
         coefficients, draws = [], []
         for ues in members:
-            seed_seq = np.random.SeedSequence([int(config.seed) & 0xFFFFFFFF, *ues])
+            seed_seq = np.random.SeedSequence([scenario.seed & 0xFFFFFFFF, *ues])
             rngs = [np.random.default_rng(s) for s in seed_seq.spawn(particles)]
             draws.append([rng.random(3) for rng in rngs[1:]])
             # Draws nothing until the first step: a feasible start draws no block.

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .channel import MAX_GRID_STEPS
 from .geometry import FeasibleBox, Point3
 from .planner import Deployment, _assemble, plan_deployment, served_links, uav_loads
 from .positioning import (
@@ -91,10 +92,10 @@ class Scenario:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if self.b_max_hz < self.bandwidth_grid_hz:
+        if not 1 <= self.b_max_hz // self.bandwidth_grid_hz <= MAX_GRID_STEPS:
             raise ConfigError(
-                f"b_max_hz {self.b_max_hz} is below one bandwidth grid step "
-                f"{self.bandwidth_grid_hz}"
+                f"b_max_hz {self.b_max_hz} must hold 1 to {MAX_GRID_STEPS} bandwidth grid "
+                f"steps of {self.bandwidth_grid_hz}"
             )
         max_ue_z = max(ue.position.z for ue in self.ues)
         if self.venue.z[0] <= max_ue_z:
@@ -214,7 +215,7 @@ def run_baseline(
     kind: BaselineKind,
     scenario: Scenario,
     params: "ChannelParams",
-    swarm_config: SwarmConfig | None = None,
+    swarm_config: SwarmConfig = SwarmConfig(),
 ) -> Deployment:
     """Run one comparison planner; violations are reported, never hidden.
 
@@ -222,9 +223,9 @@ def run_baseline(
     band collapsed to 20 m, clamped into the venue's band when 20 m lies
     outside it. Fixed-group-size clusters UEs into groups of at
     most 10 and positions one UAV per group over the full box; its UAV count
-    is forced to ceil(N/10) regardless of feasibility.
+    is forced to ceil(N/10) regardless of feasibility. Both draw their
+    swarm streams, and fixed-n its clustering, from ``scenario.seed``.
     """
-    swarm_config = swarm_config or SwarmConfig(seed=scenario.seed)
     if kind is BaselineKind.FIXED_ALTITUDE:
         z_min, z_max = scenario.venue.z
         altitude = min(max(FIXED_BASELINE_ALTITUDE_M, z_min), z_max)
@@ -254,10 +255,19 @@ def evaluate_throughput(
     its width. When a UAV's allocated bandwidths exceed its budget (baselines
     may oversubscribe), every width on that UAV is first rescaled
     proportionally, so infeasible deployments still yield a finite
-    throughput. A UE that no UAV or several UAVs serve delivers 0.
+    throughput. A UE that no UAV or several UAVs serve delivers 0. Raises
+    ValueError when the arrays it reads disagree on the UE or UAV count
+    (``validate_deployment`` reports that as ``shape_agreement``).
     """
     z = np.asarray(deployment.association.z)
     bandwidth = np.asarray(deployment.link_bandwidth_hz, dtype=float)
+    for counts in ({"association rows": len(z), "link widths": len(bandwidth),
+                    "scenario UEs": len(scenario.ues)},
+                   {"association columns": z.shape[1],
+                    "UAV positions": len(deployment.uav_positions)}):
+        if len(set(counts.values())) > 1:
+            raise ValueError("deployment counts disagree: "
+                             + ", ".join(f"{n} {what}" for what, n in counts.items()))
     loads = uav_loads(z, bandwidth)
     scale = np.divide(scenario.b_max_hz, loads, out=np.ones(len(loads)),
                       where=loads > scenario.b_max_hz)
@@ -369,16 +379,17 @@ def _fmt(x) -> str:
 def run_experiment(
     kind: str,
     params: "ChannelParams",
-    swarm_config: SwarmConfig | None = None,
+    swarm_config: SwarmConfig = SwarmConfig(),
     n_runs: int = 30,
     base_seed: int = 0,
     scenario_overrides: dict | None = None,
 ) -> ExperimentTable:
     """Plan every (variant, run) cell with the planner and both baselines.
 
-    Run r uses seed base_seed + r, r in 1..n_runs; the three methods share
-    each cell's scenario. Individual failures are recorded in their row and
-    never abort the sweep.
+    Run r uses seed base_seed + r, r in 1..n_runs, which generates the
+    cell's scenario and, as its ``seed``, seeds every swarm planned on it;
+    the three methods share each cell's scenario. Individual failures are
+    recorded in their row and never abort the sweep.
     """
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
@@ -392,9 +403,8 @@ def run_experiment(
             scn = generate_scenario(kind, variant_index, seed)
             if scenario_overrides:
                 scn = replace(scn, **scenario_overrides)
-            cfg = swarm_config or SwarmConfig(seed=seed)
             for method in METHODS:
-                row = _run_cell(kind, variant_value, method, run, seed, scn, params, cfg)
+                row = _run_cell(kind, variant_value, method, run, seed, scn, params, swarm_config)
                 table.rows.append(row)
     return table
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from uavplan import ChannelParams, FeasibleBox, Point3, Scenario, SwarmConfig, UE
+from uavplan import ChannelParams, FeasibleBox, Point3, Scenario, UE
 from uavplan.channel import SPEED_OF_LIGHT
 from uavplan.coverage import build_spheres
 from witness_reference import reference_witness
@@ -15,12 +15,6 @@ from witness_reference import reference_witness
 @pytest.fixture
 def params():
     return ChannelParams()
-
-
-@pytest.fixture
-def fast_swarm():
-    """Small swarm for unit tests where convergence quality is irrelevant."""
-    return SwarmConfig(particle_count=12, max_iterations=40, seed=0)
 
 
 # ---------------------------------------------------------------------------

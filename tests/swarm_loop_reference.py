@@ -165,7 +165,7 @@ def loop_position(zone, scenario, params, config, spheres=(), allow_capacity_ove
     lo, hi = init_bounds(zone, centers, radii, box)
     v_max = 0.5 * (hi - lo)
 
-    seed_seq = np.random.SeedSequence([int(config.seed) & 0xFFFFFFFF, *data.indices.tolist()])
+    seed_seq = np.random.SeedSequence([scenario.seed & 0xFFFFFFFF, *data.indices.tolist()])
     rngs = [np.random.default_rng(s) for s in seed_seq.spawn(config.particle_count)]
 
     positions = np.concatenate([witness[None, :],

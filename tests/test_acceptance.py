@@ -34,7 +34,6 @@ import pytest
 from uavplan import (
     BaselineKind,
     ChannelParams,
-    SwarmConfig,
     UE,
     build_spheres,
     enumerate_zones,
@@ -161,7 +160,7 @@ def _run_criterion_3():
     ratios_one = True
     for _ in range(100):
         scn = random_scenario(rng, n_max=30)
-        dep = plan_deployment(scn, PARAMS, SwarmConfig(seed=scn.seed))
+        dep = plan_deployment(scn, PARAMS)
         rep = validate_deployment(dep, scn, PARAMS)
         if not rep.passed or any(c.residual > 0 for c in rep.checks):
             all_valid = False
@@ -198,7 +197,7 @@ def test_criterion_4_minimality():
     for _ in range(n_instances):
         scn = random_scenario(rng, n_max=8, side_range=(80.0, 250.0),
                               demands=(6.5e6, 13e6))
-        dep = plan_deployment(scn, PARAMS, SwarmConfig(seed=scn.seed))
+        dep = plan_deployment(scn, PARAMS)
         opt = partition_oracle(scn, PARAMS)
         if dep.uav_count == opt:
             matches += 1
@@ -221,7 +220,7 @@ def _run_criterion_5():
         for run in range(1, 31):
             seed = run
             scn = generate_scenario("B", variant, seed)
-            dep = plan_deployment(scn, PARAMS, SwarmConfig(seed=seed))
+            dep = plan_deployment(scn, PARAMS)
             rows.append((100 * (variant + 1), run, seed, dep.uav_count))
     lines = ["scenario,variant,method,run,seed,uav_count,aggregate_bps,demand_satisfied_ratio"]
     for venue, run, seed, count in rows:
@@ -266,9 +265,8 @@ def test_criterion_6_population_dominance():
     for variant, n in enumerate((20, 30, 40, 50, 60)):
         for run in range(1, 31):
             scn = generate_scenario("C", variant, run)
-            cfg = SwarmConfig(seed=run)
-            dep = plan_deployment(scn, PARAMS, cfg)
-            base = run_baseline(BaselineKind.FIXED_GROUP_SIZE, scn, PARAMS, cfg)
+            dep = plan_deployment(scn, PARAMS)
+            base = run_baseline(BaselineKind.FIXED_GROUP_SIZE, scn, PARAMS)
             total += 1
             if dep.uav_count <= base.uav_count:
                 cells_ok += 1
@@ -291,11 +289,10 @@ def test_criterion_7_highest_demand_satisfaction():
     runs = 30
     for run in range(1, runs + 1):
         scn = generate_scenario("A", 5, run)  # 52 Mbit/s per UE
-        cfg = SwarmConfig(seed=run)
-        dep = plan_deployment(scn, PARAMS, cfg)
+        dep = plan_deployment(scn, PARAMS)
         _, delivered = evaluate_throughput(dep, scn, PARAMS)
         r_planner = demand_satisfaction_ratio(delivered, scn)
-        alt = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, PARAMS, cfg)
+        alt = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, PARAMS)
         _, delivered_alt = evaluate_throughput(alt, scn, PARAMS)
         r_alt = demand_satisfaction_ratio(delivered_alt, scn)
         if r_planner == 1.0:
@@ -341,12 +338,12 @@ def test_criterion_9_demand_monotonicity():
     for _ in range(n_instances):
         scn = random_scenario(rng, n_max=12, side_range=(100.0, 300.0),
                               demands=(6.5e6, 13e6))
-        base = plan_deployment(scn, PARAMS, SwarmConfig(seed=scn.seed)).uav_count
+        base = plan_deployment(scn, PARAMS).uav_count
         doubled = replace(
             scn,
             ues=tuple(UE(position=u.position, demand_bps=2 * u.demand_bps) for u in scn.ues),
         )
-        harder = plan_deployment(doubled, PARAMS, SwarmConfig(seed=scn.seed)).uav_count
+        harder = plan_deployment(doubled, PARAMS).uav_count
         if harder >= base:
             ok += 1
     passed = ok == n_instances

@@ -226,6 +226,9 @@ def test_min_bandwidth_for_demand_properties(params):
     # A budget below one grid step has no grid width at all.
     with pytest.raises(ChannelDomainError):
         min_bandwidth_for_demand(ue, uav, 6.5e6, params, b_max_hz=500.0, grid_hz=1e3)
+    # Nor one with more steps than an exact grid index holds (1.6e19 > 2**53).
+    with pytest.raises(ChannelDomainError):
+        min_bandwidth_for_demand(ue, uav, 6.5e6, params, b_max_hz=160e6, grid_hz=1e-11)
 
 
 def test_demand_fit_kernel_matches_a_linear_scan():

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from uavplan.cli import main, scenario_from_dict, scenario_to_dict
-from uavplan import generate_scenario
+from uavplan import SwarmConfig, generate_scenario
 
 
 def run_cli(*argv):
@@ -30,7 +30,7 @@ def test_generate_round_trip(tmp_path):
     assert doc["ues"][0]["demand_bps"] == 6.5e6
     scn, params, swarm = scenario_from_dict(doc)
     assert scenario_to_dict(scn) == doc
-    assert swarm.seed == scn.seed == 3
+    assert scn.seed == 3 and swarm == SwarmConfig()
 
 
 def test_generate_matches_library(tmp_path):
@@ -125,9 +125,11 @@ def test_plan_malformed_json_is_config_error(tmp_path):
     lambda d: d.update(seed="x"),
     lambda d: d.update(b_max_hz="x"),
     lambda d: d.update(channel={"c1": "x"}),
+    lambda d: d["policy"].update(grid_hz=1e-11),  # 1.6e19 steps overflow the grid index
 ], ids=["nan-demand", "nan-ue-bandwidth", "inf-b-max", "nan-fixed-bandwidth",
         "inf-grid", "b-max-below-grid", "text-grid", "list-venue", "list-channel",
-        "int-ues", "text-particle-count", "text-seed", "text-b-max", "text-c1"])
+        "int-ues", "text-particle-count", "text-seed", "text-b-max", "text-c1",
+        "overflowing-grid"])
 def test_plan_bad_bandwidth_numbers_are_config_errors(tmp_path, mutate):
     scn = tmp_path / "scn.json"
     write_scenario(scn, mutate=mutate)
@@ -147,6 +149,67 @@ def test_plan_bad_pso_numbers_are_config_errors(tmp_path, pso):
     scn = tmp_path / "scn.json"
     write_scenario(scn, mutate=lambda d: d.update(pso=pso))
     assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 4
+
+
+# Each channel key with the bits it parses to; a key and its alternative
+# (dBm or W, dBi or linear, dB or linear, a noise floor or a density) set
+# the same field.
+@pytest.mark.parametrize("section, field, bits", [
+    ({"carrier_frequency_hz": 2.4e9}, "carrier_frequency_hz", "0x1.1e1a300000000p+31"),
+    ({"tx_power_dbm": 23}, "tx_power_w", "0x1.98a13577c93c0p-3"),
+    ({"tx_power_w": 0.2}, "tx_power_w", "0x1.999999999999ap-3"),
+    ({"tx_antenna_gain_dbi": 3}, "tx_antenna_gain", "0x1.fec982d5bb8afp+0"),
+    ({"tx_antenna_gain": 2.5}, "tx_antenna_gain", "0x1.4000000000000p+1"),
+    ({"rx_antenna_gain_dbi": 2}, "rx_antenna_gain", "0x1.95bb8f6d46053p+0"),
+    ({"rx_antenna_gain": 1.5}, "rx_antenna_gain", "0x1.8000000000000p+0"),
+    ({"noise_floor_dbm": -90}, "noise_spectral_density", "0x1.d83c94fb6d2acp-65"),
+    ({"noise_floor_dbm": -90, "noise_floor_bandwidth_hz": 40e6}, "noise_spectral_density",
+     "0x1.d83c94fb6d2acp-66"),
+    ({"noise_spectral_density": 1e-20}, "noise_spectral_density", "0x1.79ca10c924223p-67"),
+    ({"c1": 11.95}, "c1", "0x1.7e66666666666p+3"),
+    ({"c2": 0.136}, "c2", "0x1.16872b020c49cp-3"),
+    ({"mu_los_db": 1.6}, "mu_los", "0x1.7208573fb105ep+0"),
+    ({"mu_los": 1.5}, "mu_los", "0x1.8000000000000p+0"),
+    ({"mu_nlos_db": 23}, "mu_nlos", "0x1.8f0d6e36fa846p+7"),
+    ({"mu_nlos": 150}, "mu_nlos", "0x1.2c00000000000p+7"),
+    ({"los_threshold": 0.8}, "los_threshold", "0x1.999999999999ap-1"),
+], ids=lambda v: "+".join(v) if isinstance(v, dict) else None)
+def test_channel_keys_parse_to_pinned_bits(section, field, bits):
+    doc = scenario_to_dict(generate_scenario("B", 0, 7))
+    doc["channel"] = section
+    _, params, _ = scenario_from_dict(doc)
+    assert getattr(params, field).hex() == bits
+
+
+@pytest.mark.parametrize("section", [
+    {"tx_power_dbm": 20, "tx_power_w": 0.1},
+    {"tx_antenna_gain_dbi": 0, "tx_antenna_gain": 1.0},
+    {"rx_antenna_gain_dbi": 0, "rx_antenna_gain": 1.0},
+    {"mu_los_db": 1, "mu_los": 1.3},
+    {"mu_nlos_db": 20, "mu_nlos": 100.0},
+    {"noise_floor_dbm": -85, "noise_spectral_density": 1e-20},
+    {"noise_floor_bandwidth_hz": 20e6},
+    {"noise_floor_bandwidth_hz": 20e6, "noise_spectral_density": 1e-20},
+], ids=["tx-power", "tx-gain", "rx-gain", "mu-los", "mu-nlos", "noise", "orphan-noise-bandwidth",
+        "noise-bandwidth-with-density"])
+def test_plan_both_alternatives_or_an_orphan_noise_key_are_config_errors(tmp_path, section):
+    scn = tmp_path / "scn.json"
+    write_scenario(scn, mutate=lambda d: d.update(channel=section))
+    assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 4
+
+
+def test_plan_config_seed_is_the_scenario_seed(tmp_path):
+    # A-5 seed 3 runs swarms, so the seed moves the plan; a config seed and
+    # --seed set the same scenario seed, which seeds those swarms.
+    scn, cfg = tmp_path / "scn.json", tmp_path / "cfg.json"
+    write_scenario(scn, kind="A", variant=5, seed=3)
+    cfg.write_text(json.dumps({"seed": 7}))
+    out = {name: tmp_path / f"{name}.json" for name in ("own", "config", "flag")}
+    assert run_cli("plan", "--scenario", str(scn), "--out", str(out["own"])) == 0
+    assert run_cli("plan", "--scenario", str(scn), "--config", str(cfg),
+                   "--out", str(out["config"])) == 0
+    assert run_cli("plan", "--scenario", str(scn), "--seed", "7", "--out", str(out["flag"])) == 0
+    assert out["config"].read_bytes() == out["flag"].read_bytes() != out["own"].read_bytes()
 
 
 def test_plan_unservable_exit_three(tmp_path):

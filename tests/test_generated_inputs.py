@@ -1,0 +1,156 @@
+"""Generated scenario and config files through ``uavplan plan``: the exit-code contract.
+
+Every document, however malformed, must exit 0, 3 (unservable) or 4
+(configuration error), never raise; every exit-0 result must re-validate
+from the written file with no positive residual. Sizes stay small (at most
+6 UEs, 64 particles, 200 iterations) so that no draw asks for a large
+allocation.
+"""
+import json
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from uavplan import Association, Deployment, Point3, validate_deployment
+from uavplan.cli import _apply_config_overrides, main, scenario_from_dict
+
+# Values of the wrong JSON type or out of every domain, for any key.
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([]),
+                 st.lists(st.integers(0, 3), min_size=1, max_size=2), st.just({}))
+WILD = st.one_of(JUNK, st.floats(allow_nan=True, allow_infinity=True),
+                 st.sampled_from([0.0, -1.0, float("nan"), float("inf"), float("-inf")]))
+
+
+def mostly(plausible, wild=WILD):
+    """A plausible value seven times in eight, else a wild one."""
+    return st.integers(0, 7).flatmap(lambda k: wild if k == 7 else plausible)
+
+
+def number(lo, hi):
+    return mostly(st.floats(lo, hi))
+
+
+def count(lo, hi):
+    return mostly(st.integers(lo, hi))
+
+
+def pair(lo, hi):
+    """Box bounds: two numbers, possibly out of order, or a list of another length."""
+    return mostly(st.lists(number(lo, hi), min_size=2, max_size=2) | st.lists(number(lo, hi)))
+
+
+def some_of(fields: dict, most: int):
+    """A section giving at most ``most`` of its keys, each with a drawn value."""
+    keys = st.lists(st.sampled_from(sorted(fields)), max_size=most, unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries({k: fields[k] for k in ks}))
+
+
+# Several keys of one section can set the same field, so some draws give both
+# alternatives of a channel key.
+CHANNEL = {
+    "carrier_frequency_hz": number(1e8, 1e11),
+    "tx_power_dbm": number(-10.0, 40.0),
+    "tx_power_w": number(1e-3, 10.0),
+    "tx_antenna_gain_dbi": number(-5.0, 10.0),
+    "tx_antenna_gain": number(0.1, 10.0),
+    "rx_antenna_gain_dbi": number(-5.0, 10.0),
+    "rx_antenna_gain": number(0.1, 10.0),
+    "noise_floor_dbm": number(-120.0, -60.0),
+    "noise_floor_bandwidth_hz": number(1e3, 1e9),
+    "noise_spectral_density": number(1e-22, 1e-15),
+    "c1": number(1.0, 20.0),
+    "c2": number(0.05, 1.0),
+    "mu_los_db": number(0.0, 5.0),
+    "mu_los": number(1.0, 3.0),
+    "mu_nlos_db": number(5.0, 40.0),
+    "mu_nlos": number(3.0, 1e4),
+    "los_threshold": number(0.05, 0.99),
+}
+PSO = {
+    "particle_count": count(2, 64),
+    "max_iterations": count(0, 200),
+    "inertia_weight": number(0.0, 1.0),
+    "cognitive_coeff": number(0.0, 3.0),
+    "social_coeff": number(0.0, 3.0),
+    "early_stop_patience": count(1, 20),
+}
+POLICY = {
+    "bandwidth": mostly(st.sampled_from(["demand-fit", "fixed", "other"])),
+    "fixed_bandwidth_hz": number(1e5, 1e8),
+    "grid_hz": mostly(st.sampled_from([1e-11, 1e-8, 1e-3, 1.0, 1e3, 1e5])),
+}
+SEED = mostly(st.integers(-2**40, 2**70))
+UE = {
+    "x": number(0.0, 300.0),
+    "y": number(0.0, 300.0),
+    "z": number(0.0, 2.0),
+    "demand_bps": mostly(st.sampled_from([1e5, 6.5e6, 26e6, 52e6, 1e12]) | st.floats(1e5, 6e7)),
+    "bandwidth_hz": number(1e5, 4e7),
+}
+VENUE = {"x": pair(0.0, 300.0), "y": pair(0.0, 300.0), "z_uav": pair(0.0, 120.0)}
+SECTIONS = {
+    "seed": SEED,
+    "channel": mostly(some_of(CHANNEL, 3)),
+    "pso": mostly(some_of(PSO, 3)),
+    "policy": mostly(some_of(POLICY, 3)),
+}
+SCENARIO = {
+    **SECTIONS,
+    "label": mostly(st.text(max_size=3)),
+    "venue": mostly(st.fixed_dictionaries(VENUE), some_of(VENUE, 3)),
+    "b_max_hz": number(1e3, 1e9),
+    "ues": mostly(st.lists(mostly(st.fixed_dictionaries(
+        {k: UE[k] for k in ("x", "y", "demand_bps")},
+        optional={k: UE[k] for k in ("z", "bandwidth_hz")}), some_of(UE, 5)), max_size=6)),
+}
+SKELETON = {
+    "seed": 3,
+    "venue": {"x": [0.0, 300.0], "y": [0.0, 300.0], "z_uav": [10.0, 100.0]},
+    "ues": [{"x": 60.0, "y": 80.0, "demand_bps": 6.5e6},
+            {"x": 240.0, "y": 220.0, "demand_bps": 26e6}],
+}
+# Mostly a valid skeleton with a few parts redrawn, so that many draws reach
+# the planner; else any subset of the keys and an unknown one.
+DOCUMENTS = mostly(some_of(SCENARIO, 3).map(lambda drawn: {**SKELETON, **drawn}),
+                   some_of({**SCENARIO, "bogus": st.integers()}, len(SCENARIO) + 1))
+CONFIGS = st.none() | mostly(some_of(SECTIONS, 2), some_of({**SECTIONS, "bogus": st.integers()}, 5))
+
+
+def revalidate(result: dict, scenario_path, config_path) -> None:
+    """Rebuild the deployment from the written file and check it from scratch."""
+    scenario, params, swarm = scenario_from_dict(json.loads(scenario_path.read_text()))
+    if config_path is not None:
+        scenario, params, swarm = _apply_config_overrides(config_path, scenario, params, swarm)
+    n_ues, n_uavs = len(scenario.ues), result["uav_count"]
+    z = np.zeros((n_ues, n_uavs), dtype=np.int8)
+    bandwidth, rate = np.zeros(n_ues), np.zeros(n_ues)
+    for link in result["assoc"]:
+        z[link["ue"], link["uav"]] = 1
+        bandwidth[link["ue"]], rate[link["ue"]] = link["bandwidth_hz"], link["rate_bps"]
+    deployment = Deployment(
+        uav_positions=tuple(Point3(p["x"], p["y"], p["z"]) for p in result["positions"]),
+        association=Association(z=z, a=np.ones(n_uavs, dtype=np.int8)),
+        link_bandwidth_hz=bandwidth, link_rate_bps=rate,
+        uav_count=n_uavs, aggregate_bps=result["aggregate_bps"],
+    )
+    report = validate_deployment(deployment, scenario, params)
+    assert all(c.residual <= 0 for c in report.checks), report.checks
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(doc=DOCUMENTS, config=CONFIGS)
+def test_plan_exits_within_the_contract_on_generated_files(tmp_path, doc, config):
+    scenario_path, result_path = tmp_path / "scn.json", tmp_path / "res.json"
+    scenario_path.write_text(json.dumps(doc))
+    argv = ["plan", "--scenario", str(scenario_path), "--out", str(result_path)]
+    config_path = None
+    if config is not None:
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        argv += ["--config", str(config_path)]
+    result_path.unlink(missing_ok=True)
+    code = main(argv)
+    assert code in (0, 3, 4)
+    if code == 0:
+        revalidate(json.loads(result_path.read_text()), scenario_path, config_path)

@@ -16,7 +16,6 @@ from uavplan import (
     FeasibleBox,
     Point3,
     Scenario,
-    SwarmConfig,
     UE,
     UnservableError,
     build_spheres,
@@ -36,15 +35,15 @@ from uavplan.positioning import PlacementSolution, ZoneCapacityError
 from conftest import random_scenario
 
 
-def make_scenario(ue_xy, demand=6.5e6, side=300.0, z=(10.0, 100.0), **kw):
+def make_scenario(ue_xy, demand=6.5e6, side=300.0, z=(10.0, 100.0), seed=21, **kw):
     ues = tuple(UE(position=Point3(x, y, 0.0), demand_bps=demand) for x, y in ue_xy)
-    return Scenario(label="t", seed=21, venue=FeasibleBox((0.0, side), (0.0, side), z),
+    return Scenario(label="t", seed=seed, venue=FeasibleBox((0.0, side), (0.0, side), z),
                     ues=ues, **kw)
 
 
 def test_single_ue_single_uav(params):
-    scn = make_scenario([(120, 180)])
-    dep = plan_deployment(scn, params, SwarmConfig(seed=1))
+    scn = make_scenario([(120, 180)], seed=1)
+    dep = plan_deployment(scn, params)
     assert dep.uav_count == 1
     d = math.dist((120, 180, 0), (dep.uav_positions[0].x, dep.uav_positions[0].y,
                                   dep.uav_positions[0].z))
@@ -57,7 +56,7 @@ def test_planner_output_validates(params):
     rng = np.random.default_rng(31)
     for _ in range(8):
         scn = random_scenario(rng, n_max=15)
-        dep = plan_deployment(scn, params, SwarmConfig(seed=scn.seed))
+        dep = plan_deployment(scn, params)
         report = validate_deployment(dep, scn, params)
         assert report.passed, [(c.name, c.residual) for c in report.checks]
         assert dep.uav_count <= len(scn.ues)
@@ -65,9 +64,9 @@ def test_planner_output_validates(params):
 
 def test_planner_deterministic(params):
     rng = np.random.default_rng(5)
-    scn = random_scenario(rng, n_max=12)
-    d1 = plan_deployment(scn, params, SwarmConfig(seed=7))
-    d2 = plan_deployment(scn, params, SwarmConfig(seed=7))
+    scn = replace(random_scenario(rng, n_max=12), seed=7)
+    d1 = plan_deployment(scn, params)
+    d2 = plan_deployment(scn, params)
     assert d1.uav_positions == d2.uav_positions
     assert np.array_equal(d1.association.z, d2.association.z)
     assert np.array_equal(d1.link_bandwidth_hz, d2.link_bandwidth_hz)
@@ -75,16 +74,17 @@ def test_planner_deterministic(params):
 
 
 def test_planner_unservable(params):
-    scn = make_scenario([(50, 50)], demand=2.5e9, bandwidth_policy="fixed")
+    scn = make_scenario([(50, 50)], demand=2.5e9, bandwidth_policy="fixed", seed=1)
     with pytest.raises(UnservableError):
-        plan_deployment(scn, params, SwarmConfig(seed=1))
+        plan_deployment(scn, params)
 
 
 def test_planner_capacity_deadlock(params):
     # Fixed per-UE bandwidth beyond the per-UAV budget is a config error.
-    scn = make_scenario([(50, 50)], bandwidth_policy="fixed", fixed_bandwidth_hz=200e6)
+    scn = make_scenario([(50, 50)], bandwidth_policy="fixed", fixed_bandwidth_hz=200e6,
+                         seed=1)
     with pytest.raises(CapacityDeadlockError):
-        plan_deployment(scn, params, SwarmConfig(seed=1))
+        plan_deployment(scn, params)
 
 
 def test_planner_fixed_policy_capacity_splits(params):
@@ -92,8 +92,8 @@ def test_planner_fixed_policy_capacity_splits(params):
     rng = np.random.default_rng(2)
     scn = make_scenario([(float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
                          for _ in range(20)],
-                        side=100.0, bandwidth_policy="fixed")
-    dep = plan_deployment(scn, params, SwarmConfig(seed=2))
+                        side=100.0, bandwidth_policy="fixed", seed=2)
+    dep = plan_deployment(scn, params)
     assert dep.uav_count == 3
     report = validate_deployment(dep, scn, params)
     assert report.passed
@@ -107,7 +107,7 @@ def test_demand_fit_keeps_a_per_ue_bandwidth_pinned(params):
     scn = generate_scenario("A", 0, 3)
     scn = replace(scn, ues=(replace(scn.ues[0], bandwidth_hz=20e6),) + scn.ues[1:])
     assert scn.bandwidth_policy == "demand-fit"
-    dep = plan_deployment(scn, params, SwarmConfig(seed=scn.seed))
+    dep = plan_deployment(scn, params)
     assert dep.link_bandwidth_hz[0] == 20e6
     assert np.all(dep.link_bandwidth_hz[1:] < 20e6)
     report = validate_deployment(dep, scn, params)
@@ -115,8 +115,8 @@ def test_demand_fit_keeps_a_per_ue_bandwidth_pinned(params):
 
 
 def test_validator_catches_double_association(params):
-    scn = make_scenario([(100, 100), (120, 100)])
-    dep = plan_deployment(scn, params, SwarmConfig(seed=3))
+    scn = make_scenario([(100, 100), (120, 100)], seed=3)
+    dep = plan_deployment(scn, params)
     z = np.asarray(dep.association.z).copy()
     if z.shape[1] == 1:
         z = np.hstack([z, np.zeros_like(z)])
@@ -182,7 +182,7 @@ def test_validator_shape_agreement(params, fault):
     # A-0 seed 3: dropping a position used to raise IndexError, and a
     # uav_count one too high passed.
     scn = generate_scenario("A", 0, 3)
-    dep = plan_deployment(scn, params, SwarmConfig(seed=scn.seed))
+    dep = plan_deployment(scn, params)
     assert validate_deployment(dep, scn, params).residual("shape_agreement") == 0
     if fault == "position-dropped":
         bad = replace(dep, uav_positions=dep.uav_positions[:-1])
@@ -193,11 +193,15 @@ def test_validator_shape_agreement(params, fault):
     assert not report.passed
     if fault == "count-plus-one":
         assert [c.name for c in report.checks if not c.passed] == ["shape_agreement"]
+    else:
+        # The throughput check reads no uav_count, but it does read positions.
+        with pytest.raises(ValueError, match="1 association columns, 0 UAV positions"):
+            evaluate_throughput(bad, scn, params)
 
 
 def test_validator_activation_linkage(params):
-    scn = make_scenario([(100, 100)])
-    dep = plan_deployment(scn, params, SwarmConfig(seed=4))
+    scn = make_scenario([(100, 100)], seed=4)
+    dep = plan_deployment(scn, params)
     bad = Deployment(
         uav_positions=dep.uav_positions,
         association=Association(z=np.asarray(dep.association.z),
@@ -265,8 +269,8 @@ def test_served_links_edge_cases(params):
 
 
 def test_validation_report_csv_round_trip(params, tmp_path):
-    scn = make_scenario([(100, 100), (150, 150)])
-    dep = plan_deployment(scn, params, SwarmConfig(seed=2))
+    scn = make_scenario([(100, 100), (150, 150)], seed=2)
+    dep = plan_deployment(scn, params)
     report = validate_deployment(dep, scn, params)
     out = tmp_path / "validation.csv"
     report.write_csv(out)
@@ -363,7 +367,7 @@ def test_demand_doubling_never_reduces_count(params):
     for _ in range(6):
         scn = random_scenario(rng, n_max=10, side_range=(100.0, 300.0),
                               demands=(6.5e6, 13e6))
-        base = plan_deployment(scn, params, SwarmConfig(seed=scn.seed)).uav_count
+        base = plan_deployment(scn, params).uav_count
         doubled = Scenario(
             label=scn.label, seed=scn.seed, venue=scn.venue,
             ues=tuple(UE(position=u.position, demand_bps=2 * u.demand_bps) for u in scn.ues),
@@ -371,7 +375,7 @@ def test_demand_doubling_never_reduces_count(params):
             fixed_bandwidth_hz=scn.fixed_bandwidth_hz,
             bandwidth_grid_hz=scn.bandwidth_grid_hz,
         )
-        harder = plan_deployment(doubled, params, SwarmConfig(seed=scn.seed)).uav_count
+        harder = plan_deployment(doubled, params).uav_count
         assert harder >= base
 
 

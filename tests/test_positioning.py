@@ -34,9 +34,9 @@ from uavplan.scenario import _pseudo_zone
 import swarm_loop_reference as ref
 
 
-def make_scenario(ue_xy, demand=6.5e6, side=300.0, z=(10.0, 100.0), **kw):
+def make_scenario(ue_xy, demand=6.5e6, side=300.0, z=(10.0, 100.0), seed=9, **kw):
     ues = tuple(UE(position=Point3(x, y, 0.0), demand_bps=demand) for x, y in ue_xy)
-    return Scenario(label="t", seed=9, venue=FeasibleBox((0.0, side), (0.0, side), z),
+    return Scenario(label="t", seed=seed, venue=FeasibleBox((0.0, side), (0.0, side), z),
                     ues=ues, **kw)
 
 
@@ -102,9 +102,9 @@ def test_fitness_below_horizon_penalized_not_raised(params):
 
 
 def test_optimize_singleton_within_service_distance(params):
-    scn = make_scenario([(150, 150)])
+    scn = make_scenario([(150, 150)], seed=3)
     zone, spheres = full_zone(scn, params)
-    cfg = SwarmConfig(seed=3)
+    cfg = SwarmConfig()
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres)
     assert sol.feasible
     d = math.dist((150, 150, 0), (sol.uav_position.x, sol.uav_position.y, sol.uav_position.z))
@@ -113,9 +113,9 @@ def test_optimize_singleton_within_service_distance(params):
 
 
 def test_optimize_deterministic_same_seed(params):
-    scn = make_scenario([(100, 80), (180, 200), (240, 60), (60, 240)])
+    scn = make_scenario([(100, 80), (180, 200), (240, 60), (60, 240)], seed=42)
     zone, spheres = full_zone(scn, params)
-    cfg = SwarmConfig(seed=42)
+    cfg = SwarmConfig()
     s1 = optimize_position(zone, scn, params, cfg, spheres=spheres)
     s2 = optimize_position(zone, scn, params, cfg, spheres=spheres)
     assert s1.uav_position == s2.uav_position
@@ -129,40 +129,40 @@ def test_optimize_seed_changes_trajectory(params):
     scn = make_scenario([(20, 20), (480, 480), (20, 480)], side=500.0)
     zone, spheres = full_zone(scn, params)
     t1, t2 = [], []
-    optimize_position(zone, scn, params, SwarmConfig(seed=1), spheres=spheres, trace=t1)
-    optimize_position(zone, scn, params, SwarmConfig(seed=2), spheres=spheres, trace=t2)
+    optimize_position(zone, replace(scn, seed=1), params, SwarmConfig(), spheres=spheres, trace=t1)
+    optimize_position(zone, replace(scn, seed=2), params, SwarmConfig(), spheres=spheres, trace=t2)
     assert t1 != t2
 
 
 def test_optimize_dominates_witness(params):
-    scn = make_scenario([(60, 60), (210, 210)])
+    scn = make_scenario([(60, 60), (210, 210)], seed=5)
     zone, spheres = full_zone(scn, params)
     w_value, _ = fitness(zone.witness, zone, scn, params)
-    sol = optimize_position(zone, scn, params, SwarmConfig(seed=5), spheres=spheres)
+    sol = optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres)
     assert sol.fitness >= w_value
 
 
 def test_optimize_gbest_monotone_trace(params):
-    scn = make_scenario([(60, 60), (210, 210), (120, 250), (250, 120)])
+    scn = make_scenario([(60, 60), (210, 210), (120, 250), (250, 120)], seed=8)
     zone, spheres = full_zone(scn, params)
     trace = []
-    optimize_position(zone, scn, params, SwarmConfig(seed=8), spheres=spheres, trace=trace)
+    optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres, trace=trace)
     values = [row[1] for row in trace]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_optimize_respects_box(params):
-    scn = make_scenario([(10, 10), (290, 290)])
+    scn = make_scenario([(10, 10), (290, 290)], seed=13)
     zone, spheres = full_zone(scn, params)
-    sol = optimize_position(zone, scn, params, SwarmConfig(seed=13), spheres=spheres)
+    sol = optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres)
     assert scn.venue.contains(sol.uav_position.as_array())
 
 
 def test_optimize_degenerate_altitude_band(params):
     # Fixed-altitude search: z pinned to a single value.
-    scn = make_scenario([(100, 100), (150, 150)], z=(20.0, 20.0))
+    scn = make_scenario([(100, 100), (150, 150)], z=(20.0, 20.0), seed=4)
     zone, spheres = full_zone(scn, params)
-    sol = optimize_position(zone, scn, params, SwarmConfig(seed=4), spheres=spheres)
+    sol = optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres)
     assert sol.uav_position.z == 20.0
     assert sol.feasible
 
@@ -170,17 +170,17 @@ def test_optimize_degenerate_altitude_band(params):
 def test_optimize_capacity_error_under_fixed_policy(params):
     # Nine UEs at 20 MHz each against a 160 MHz budget: the witness overruns.
     ue_xy = [(100 + 5 * k, 100) for k in range(9)]
-    scn = make_scenario(ue_xy, bandwidth_policy="fixed")
+    scn = make_scenario(ue_xy, bandwidth_policy="fixed", seed=1)
     zone, spheres = full_zone(scn, params)
     with pytest.raises(ZoneCapacityError):
-        optimize_position(zone, scn, params, SwarmConfig(seed=1), spheres=spheres)
-    sol = optimize_position(zone, scn, params, SwarmConfig(seed=1), spheres=spheres,
+        optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres)
+    sol = optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres,
                             allow_capacity_overrun=True)
     assert not sol.feasible
 
 
 def test_optimize_early_stop_activates(params, monkeypatch):
-    scn = make_scenario([(150, 150)])
+    scn = make_scenario([(150, 150)], seed=2)
     zone, spheres = full_zone(scn, params)
     assert fitness(zone.witness, zone, scn, params)[1]
     drawn, seeded = [], []
@@ -189,7 +189,7 @@ def test_optimize_early_stop_activates(params, monkeypatch):
     seed_sequence = np.random.SeedSequence
     monkeypatch.setattr(np.random, "SeedSequence",
                         lambda *args, **kw: seeded.append(args) or seed_sequence(*args, **kw))
-    cfg = SwarmConfig(seed=2, max_iterations=100, early_stop_patience=10)
+    cfg = SwarmConfig(max_iterations=100, early_stop_patience=10)
     trace = []
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
     # A feasible witness is the first feasible best: no iteration, no draw,
@@ -207,7 +207,7 @@ def reference_placement(zone, scn, params, config, spheres):
     centers = np.array([spheres[i].center.as_array() for i in data.indices])
     radii = np.array([spheres[i].radius for i in data.indices])
     lo, hi = ref.init_bounds(zone, centers, radii, box)
-    seed_seq = np.random.SeedSequence([config.seed, *data.indices.tolist()])
+    seed_seq = np.random.SeedSequence([scn.seed, *data.indices.tolist()])
     rngs = [np.random.default_rng(s) for s in seed_seq.spawn(config.particle_count)]
     positions = np.array([zone.witness.as_array()]
                          + [lo + rng.random(3) * (hi - lo) for rng in rngs[1:]])
@@ -238,10 +238,10 @@ def test_first_feasible_best_is_the_full_search_result(params):
     for k in range(20):
         side = float(rng.choice([200.0, 500.0, 2000.0]))
         scn = make_scenario(rng.uniform(0.0, side, (int(rng.integers(2, 5)), 2)),
-                            demand=float(rng.choice([6.5e6, 26e6])), side=side)
+                            demand=float(rng.choice([6.5e6, 26e6])), side=side, seed=k)
         zone = _pseudo_zone(range(len(scn.ues)), scn)
         spheres = build_spheres(scn, params)
-        cfg = SwarmConfig(seed=k)
+        cfg = SwarmConfig()
         sol = optimize_position(zone, scn, params, cfg, spheres=spheres)
         ref_pos, ref_val, ref_feasible = reference_placement(zone, scn, params, cfg, spheres)
         if sol.feasible or ref_feasible:
@@ -280,7 +280,8 @@ def swarm_batches(params):
     for trial in range(6):
         side = float(rng.choice([300.0, 800.0, 1500.0]))
         scn = make_scenario(rng.uniform(0.0, side, (14, 2)), side=side,
-                            bandwidth_policy="fixed" if trial % 3 == 2 else "demand-fit")
+                            bandwidth_policy="fixed" if trial % 3 == 2 else "demand-fit",
+                            seed=trial)
         # Uneven demands, so that sums over members round: padded or
         # regrouped sums would change their bits.
         demands = rng.uniform(0.5, 1.0, 14) * rng.choice([13e6, 52e6])
@@ -290,7 +291,7 @@ def swarm_batches(params):
         zones = [_pseudo_zone(sorted(rng.choice(14, size=k, replace=False).tolist()), scn)
                  for k in (1, 3, 5, 8, 9, 12)] + enumerate_zones(spheres, scn.venue)[:3]
         cfg = SwarmConfig(particle_count=6, max_iterations=int(rng.choice([4, 25])),
-                          early_stop_patience=int(rng.choice([1, 5])), seed=trial)
+                          early_stop_patience=int(rng.choice([1, 5])))
         yield scn, zones, spheres, cfg, trial % 4 == 3
 
 
@@ -345,11 +346,11 @@ def test_lockstep_swarms_match_the_per_zone_search(params, monkeypatch):
 @pytest.mark.parametrize("patience", [3, 10])
 def test_optimize_stops_at_patience_on_a_proven_unservable_zone(params, patience):
     # Two users 1.5 km apart at 26 Mbit/s: no point of the box reaches both.
-    scn = make_scenario([(250, 1000), (1750, 1000)], demand=26e6, side=2000.0)
+    scn = make_scenario([(250, 1000), (1750, 1000)], demand=26e6, side=2000.0, seed=1)
     spheres = build_spheres(scn, params)
     zone = _pseudo_zone((0, 1), scn)
     assert unservable(zone.members, scn, params)
-    cfg = SwarmConfig(seed=1, early_stop_patience=patience)
+    cfg = SwarmConfig(early_stop_patience=patience)
     trace = []
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
     assert not sol.feasible
@@ -415,7 +416,7 @@ def reference_swarm_steps(rngs, positions, pbest_pos, gbest_pos, config, v_max, 
 @pytest.mark.parametrize("iterations", [5, _DRAW_CHUNK, 2 * _DRAW_CHUNK + 3])
 def test_swarm_step_reproduces_the_per_particle_loop(iterations):
     # Below one draw chunk, exactly one, and across two chunk boundaries.
-    config = SwarmConfig(particle_count=7, seed=4)
+    config = SwarmConfig(particle_count=7)
     box = FeasibleBox((0.0, 300.0), (0.0, 300.0), (10.0, 100.0))
     data = np.random.default_rng(11)
     start = box.clamp(data.uniform(-50.0, 350.0, (7, 3)))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from uavplan import (
     run_experiment,
     validate_deployment,
 )
+from uavplan import scenario as scenario_module
 from uavplan.scenario import demand_satisfaction_ratio, _proximity_groups
 
 
@@ -115,7 +117,7 @@ def test_pinned_bandwidth_rule_under_both_policies():
 def test_fixed_group_size_counts(params):
     for variant, n in enumerate((20, 30, 40, 50, 60)):
         scn = generate_scenario("C", variant, seed=4)
-        dep = run_baseline(BaselineKind.FIXED_GROUP_SIZE, scn, params, SwarmConfig(seed=4))
+        dep = run_baseline(BaselineKind.FIXED_GROUP_SIZE, scn, params)
         assert dep.uav_count == math.ceil(n / 10)
         z = np.asarray(dep.association.z)
         assert np.all(z.sum(axis=1) == 1)
@@ -190,7 +192,7 @@ def test_proximity_groups_match_the_fifty_round_loop():
 
 def test_fixed_altitude_pins_z(params):
     scn = generate_scenario("A", 0, seed=6)
-    dep = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params, SwarmConfig(seed=6))
+    dep = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
     assert all(p.z == 20.0 for p in dep.uav_positions)
     assert validate_deployment(dep, scn, params).passed
 
@@ -199,7 +201,7 @@ def test_fixed_altitude_single_ue(params):
     scn = Scenario(label="one", seed=2,
                    venue=FeasibleBox((0.0, 100.0), (0.0, 100.0), (10.0, 100.0)),
                    ues=(UE(Point3(40.0, 60.0, 0.0), 6.5e6),))
-    dep = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params, SwarmConfig(seed=2))
+    dep = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
     assert dep.uav_count == 1
     assert dep.uav_positions[0].z == 20.0
     assert validate_deployment(dep, scn, params).passed
@@ -211,7 +213,7 @@ def test_fixed_altitude_single_ue(params):
 
 def test_throughput_equals_demand_sum_when_feasible(params):
     scn = generate_scenario("B", 1, seed=5)
-    dep = plan_deployment(scn, params, SwarmConfig(seed=5))
+    dep = plan_deployment(scn, params)
     aggregate, delivered = evaluate_throughput(dep, scn, params)
     assert aggregate == sum(ue.demand_bps for ue in scn.ues)
     assert demand_satisfaction_ratio(delivered, scn) == 1.0
@@ -219,7 +221,7 @@ def test_throughput_equals_demand_sum_when_feasible(params):
 
 def test_throughput_demand_capped(params):
     scn = generate_scenario("B", 0, seed=5)
-    dep = plan_deployment(scn, params, SwarmConfig(seed=5))
+    dep = plan_deployment(scn, params)
     _, delivered = evaluate_throughput(dep, scn, params)
     for d, ue in zip(delivered, scn.ues):
         assert d <= ue.demand_bps
@@ -278,7 +280,7 @@ def test_throughput_unassociated_ue_counts_zero(params):
 # ---------------------------------------------------------------------------
 
 def test_experiment_single_run_rows(params):
-    table = run_experiment("A", params, SwarmConfig(seed=0), n_runs=1, base_seed=100)
+    table = run_experiment("A", params, SwarmConfig(), n_runs=1, base_seed=100)
     assert len(table.rows) == 6 * 3
     methods = {r.method for r in table.rows}
     assert methods == {"planner", "fixed-altitude", "fixed-n"}
@@ -298,6 +300,29 @@ def test_experiment_deterministic_bytes(params, tmp_path):
     t1.write_summary_csv(s1)
     t2.write_summary_csv(s2)
     assert s1.read_bytes() == s2.read_bytes()
+
+
+def test_experiment_runs_plan_as_each_scenario_alone(params, monkeypatch):
+    # A given SwarmConfig sets how the swarms search, never their seed: each
+    # run's swarms draw from its own scenario's seed, as plan_deployment's do.
+    planned = []
+
+    def recording(scn, *args):
+        dep = plan_deployment(scn, *args)
+        planned.append((scn, dep))
+        return dep
+
+    monkeypatch.setattr(scenario_module, "plan_deployment", recording)
+    run_experiment("A", params, SwarmConfig(), n_runs=2, base_seed=2)
+    assert {scn.seed for scn, _ in planned} == {3, 4}
+    moved = 0
+    for scn, dep in planned:
+        alone = plan_deployment(scn, params)
+        assert dep.uav_positions == alone.uav_positions
+        assert np.array_equal(dep.link_bandwidth_hz, alone.link_bandwidth_hz)
+        moved += plan_deployment(replace(scn, seed=scn.seed + 100), params).uav_positions \
+            != dep.uav_positions
+    assert moved  # some cells run swarms, whose seed moves the plan
 
 
 def test_experiment_planner_not_worse_than_fixed_n(params):
