@@ -17,7 +17,7 @@ accepted only at construction helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,10 +75,15 @@ class ChannelParams:
     los_threshold: float = 0.9
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.carrier_frequency_hz <= 0:
             raise ValueError("carrier frequency must be positive")
         if self.tx_power_w <= 0:
             raise ValueError("tx power must be positive")
+        if self.tx_antenna_gain <= 0 or self.rx_antenna_gain <= 0:
+            raise ValueError("antenna gains must be positive")
         if self.noise_spectral_density <= 0:
             raise ValueError("noise spectral density must be positive")
         if self.c1 <= 0 or self.c2 <= 0:

@@ -60,6 +60,13 @@ def _from_dbm(dbm) -> float:
     return dbm_to_watt(float(dbm))
 
 
+def _integer(value) -> int:
+    """A JSON integer as given: ``int()`` would truncate 30.9 and read ``true`` as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _noise_floor(dbm, bandwidth_hz=20e6) -> float:
     """Noise spectral density of a floor of ``dbm`` over ``bandwidth_hz``."""
     return dbm_to_watt(float(dbm)) / float(bandwidth_hz)
@@ -90,12 +97,12 @@ _SECTIONS = {
         "los_threshold": ("los_threshold", float),
     }),
     "pso": (SwarmConfig, {
-        "particle_count": ("particle_count", int),
-        "max_iterations": ("max_iterations", int),
+        "particle_count": ("particle_count", _integer),
+        "max_iterations": ("max_iterations", _integer),
         "inertia_weight": ("inertia_weight", float),
         "cognitive_coeff": ("cognitive_coeff", float),
         "social_coeff": ("social_coeff", float),
-        "early_stop_patience": ("early_stop_patience", int),
+        "early_stop_patience": ("early_stop_patience", _integer),
     }),
     # Scenario field values; absent keys are left out.
     "policy": (dict, {
@@ -113,7 +120,8 @@ def parse_section(name: str, section):
     entries = [((keys,) if isinstance(keys, str) else keys, field, convert)
                for keys, (field, convert) in table.items()]
     _require_keys(section, {k for keys, _, _ in entries for k in keys}, where)
-    given: dict = {}  # field -> (the entry's keys the section gives, conversion)
+    given: dict = {}  # field -> the entry's first key, which the section gives
+    values: dict = {}  # field -> its converted value
     for keys, field, convert in entries:
         present = [k for k in keys if k in section]
         if not present:
@@ -121,12 +129,14 @@ def parse_section(name: str, section):
         if present[0] != keys[0]:
             raise ConfigError(f"{', '.join(present)} needs {keys[0]!r} in the {where}")
         if field in given:
-            first = given[field][0][0]
-            raise ConfigError(f"give {first!r} or {keys[0]!r} in the {where}, not both")
-        given[field] = present, convert
+            raise ConfigError(f"give {given[field]!r} or {keys[0]!r} in the {where}, not both")
+        given[field] = keys[0]
+        try:
+            values[field] = convert(*(section[k] for k in present))
+        except _CAST_ERRORS as exc:
+            raise ConfigError(f"invalid {keys[0]!r} in the {where}: {exc}") from exc
     try:
-        return build(**{field: convert(*(section[k] for k in present))
-                        for field, (present, convert) in given.items()})
+        return build(**values)
     except _CAST_ERRORS as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
@@ -171,7 +181,7 @@ def scenario_from_dict(doc: dict) -> tuple[Scenario, ChannelParams, SwarmConfig]
 
     scenario = Scenario(
         label=str(doc.get("label", "")),
-        seed=_cast(int, doc["seed"], "seed"),
+        seed=_cast(_integer, doc["seed"], "seed"),
         venue=venue,
         ues=tuple(ues),
         b_max_hz=_cast(float, doc.get("b_max_hz", 160e6), "b_max_hz"),
@@ -217,7 +227,7 @@ def _apply_config_overrides(path, scenario, params, swarm):
     if "channel" in doc:
         params = parse_section("channel", doc["channel"])
     if "seed" in doc:
-        scenario = replace(scenario, seed=_cast(int, doc["seed"], "seed"))
+        scenario = replace(scenario, seed=_cast(_integer, doc["seed"], "seed"))
     if "pso" in doc:
         swarm = parse_section("pso", doc["pso"])
     if "policy" in doc:

@@ -298,6 +298,22 @@ def _membership(sets: Sequence[Iterable[int]], n: int) -> np.ndarray:
     return member
 
 
+def _unique_rows(rows: np.ndarray, return_index: bool = False):
+    """``np.unique(rows, axis=0)`` of ``uint8`` rows, each row compared as one byte string.
+
+    ``axis=0`` sorts the rows a byte field at a time; as one ``np.void`` a
+    row sorts by memcmp, which orders unsigned bytes the same. With
+    ``return_index`` the 1-D ``np.unique`` sorts stably, so it keeps each
+    first occurrence, as ``axis=0`` does.
+    """
+    rows = np.ascontiguousarray(rows, np.uint8)
+    width = rows.shape[1]
+    out = np.unique(rows.view(np.dtype((np.void, width))).ravel(), return_index=return_index)
+    if return_index:
+        return out[0].view(np.uint8).reshape(-1, width), out[1]
+    return out.view(np.uint8).reshape(-1, width)
+
+
 def _dominated(member: np.ndarray) -> np.ndarray:
     """Rows whose set lies inside another row's: strictly, or equal to an earlier row's.
 
@@ -313,7 +329,7 @@ def _dominated(member: np.ndarray) -> np.ndarray:
         for block in np.array_split(rows, -(-len(rows) // _BLOCK)):
             inside[block] = (member[block] @ kept.T == s).any(axis=1)
     first = np.zeros(len(member), bool)
-    first[np.unique(np.packbits(member > 0, axis=1), axis=0, return_index=True)[1]] = True
+    first[_unique_rows(np.packbits(member > 0, axis=1), return_index=True)[1]] = True
     return inside | ~first
 
 
@@ -379,7 +395,7 @@ def _sets_at(points, defined_by, xy, h2, radii) -> np.ndarray:
     inside = np.zeros((len(points), n + 1), bool)  # column n takes the padding
     inside[:, :n] = np.sqrt(dx, out=dx) - radii <= 0
     inside[np.arange(len(points))[:, None], defined_by] = True
-    return np.unique(np.packbits(inside[:, :n], axis=1), axis=0)
+    return _unique_rows(np.packbits(inside[:, :n], axis=1))
 
 
 def _clamped_means(sets: Sequence[tuple[int, ...]], centers, radii,
@@ -440,7 +456,7 @@ def enumerate_zones(spheres: Sequence[CoverageSphere], box: FeasibleBox) -> list
 
     rows = np.concatenate([_sets_at(points[k:k + _BLOCK], defined_by[k:k + _BLOCK], xy, h2, radii)
                            for k in range(0, len(points), _BLOCK)])
-    member = np.unpackbits(np.unique(rows, axis=0), axis=1, count=n).astype(bool)
+    member = np.unpackbits(_unique_rows(rows), axis=1, count=n).astype(bool)
     member = member[member.any(axis=1)]
 
     witness: dict[tuple[int, ...], Point3 | None] = {}

@@ -15,6 +15,7 @@ follows alone. ``optimize_position`` is a one-zone call into it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -212,6 +213,94 @@ def _swarm_coefficients(rngs, iterations: int):
             yield block[:, step, 0], block[:, step, 1]
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): the
+# hashmix constants of the pool's mixing and of ``generate_state``, and mix's
+# two multipliers. The pool holds 4 words.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """``init * mult**k mod 2**32`` for k = 0..n, as uint32."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, np.uint32)
+
+
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """numpy's hashmix of ``value`` under the constants of its call: xor, then multiply."""
+    value = (value ^ xor) * mul
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> 16)
+
+
+def _spawn_words(entropies: Sequence[Sequence[int]], children: int) -> np.ndarray:
+    """``SeedSequence(e).spawn(children)[c].generate_state(4, np.uint64)`` for every e and c.
+
+    Returns (len(entropies), children, 4) uint64 words; each entropy holds
+    words below 2**32. numpy pads an entropy to the pool's 4 words when a
+    spawn key follows, so a child's key is its last word, mixed in the
+    remaining-entropy phase: each pool is mixed once up to it, and only the
+    key and ``generate_state`` run per child. The k-th hashmix of a mixing
+    takes the k-th constant whatever the entropy, so entropies of any length
+    mix together, a word position at a time, and each pool is taken after
+    its own last word. All words are uint32 arrays, which wrap silently as
+    numpy's C words do.
+    """
+    given = np.array([len(e) for e in entropies])
+    length = np.maximum(given, 4)
+    width = int(length.max())
+    words = np.zeros((len(entropies), width), np.uint32)
+    words[np.arange(width) < given[:, None]] = np.fromiter(
+        (w for e in entropies for w in e), np.uint32, int(given.sum()))
+    # Hashmix k uses constants k and k + 1: 4 to fill the pool, 12 to mix it,
+    # then 4 per word past the pool, the key included.
+    h = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (width - 3))
+    pool = _hashmix(words[:, :4], h[:4], h[1:5])
+    for src in range(4):
+        dst, k = [d for d in range(4) if d != src], 4 + 3 * src
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], h[k:k + 3], h[k + 1:k + 4]))
+    rest = h[16:16 + 4 * (width - 4) + 1]
+    mixed = _hashmix(words[:, 4:, None], rest[:-1].reshape(-1, 4), rest[1:].reshape(-1, 4))
+    pools = [pool]
+    for p in range(width - 4):
+        pools.append(_mix(pools[-1], mixed[:, p]))
+    pool = np.stack(pools)[length - 4, np.arange(len(length))]
+    key = 16 + 4 * (length - 4)[:, None] + np.arange(4)
+    pool = _mix(pool[:, None, :], _hashmix(np.arange(children, dtype=np.uint32)[:, None],
+                                           h[key][:, None, :], h[key + 1][:, None, :]))
+    state = _hashmix(np.tile(pool, 2), _STATE_CONSTANTS[:-1], _STATE_CONSTANTS[1:])
+    return state[..., ::2].astype(np.uint64) | state[..., 1::2].astype(np.uint64) << 32
+
+
+@functools.cache
+def _spawned_seed():
+    """The ``ISeedSequence`` that hands PCG64 a spawned child's four uint64 words.
+
+    Built on first use: ``np.random`` loads lazily, and a class defined at
+    import would load it there, tens of milliseconds before any swarm runs.
+    """
+
+    class SpawnedSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a spawned seed holds PCG64's (4, uint64) words only")
+            return self.words
+
+    return SpawnedSeed
+
+
 def _swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
                       config: SwarmConfig, v_max):
     """One velocity update of whole swarms, clipped to +-v_max per axis."""
@@ -338,10 +427,11 @@ def optimize_positions(
     (``_unservable``); each zone it proves unservable stops there and
     returns that infeasible best. Placements that keep an infeasible zone
     (``allow_capacity_overrun``) also stop at their first feasible best;
-    they only skip the certificate. Per-particle RNG substreams are derived
-    from (scenario.seed, members), so every zone's trajectory is a pure
-    function of the zone and the inputs, whatever else shares the call; to
-    re-seed the swarms, plan ``replace(scenario, seed=k)``.
+    they only skip the certificate. Particle c draws from the PCG64 stream
+    of child c of ``SeedSequence([scenario.seed, *members])``, every zone's
+    seeding words derived in one pass (``_spawn_words``), so each zone's
+    trajectory is a pure function of the zone and the inputs, whatever else
+    shares the call; to re-seed the swarms, plan ``replace(scenario, seed=k)``.
     ``spheres`` is indexed by UE (see ``build_spheres``) and only bounds
     where the particles start and how fast they move; without spheres (the
     baselines) the box alone bounds both. The global best is returned as
@@ -398,9 +488,10 @@ def optimize_positions(
                               box)
         v_max = 0.5 * (hi - lo)
         coefficients, draws = [], []
-        for ues in members:
-            seed_seq = np.random.SeedSequence([scenario.seed & 0xFFFFFFFF, *ues])
-            rngs = [np.random.default_rng(s) for s in seed_seq.spawn(particles)]
+        words = _spawn_words([[scenario.seed & 0xFFFFFFFF, *ues] for ues in members], particles)
+        seed = _spawned_seed()
+        for zone_words in words:
+            rngs = [np.random.Generator(np.random.PCG64(seed(w))) for w in zone_words]
             draws.append([rng.random(3) for rng in rngs[1:]])
             # Draws nothing until the first step: a feasible start draws no block.
             coefficients.append(_swarm_coefficients(rngs, config.max_iterations))

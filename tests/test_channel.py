@@ -260,6 +260,16 @@ def test_channel_params_invariants():
         ChannelParams(tx_power_w=0.0)
     with pytest.raises(ValueError):
         ChannelParams(c1=-1.0)
+    # NaN fails no ordered comparison, and nothing above bounds these from above.
+    for field in ("c1", "mu_nlos", "tx_power_w", "rx_antenna_gain"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                ChannelParams(**{field: value})
+    # A negative gain makes every SNR negative, and the demand fit never ends.
+    for field in ("tx_antenna_gain", "rx_antenna_gain"):
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match="must be positive"):
+                ChannelParams(**{field: value})
 
 
 def random_cells(rng, ues, kind):

@@ -151,6 +151,75 @@ def test_plan_bad_pso_numbers_are_config_errors(tmp_path, pso):
     assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 4
 
 
+@pytest.mark.parametrize("channel", [
+    {"c1": math.nan},
+    {"c2": math.inf},
+    {"carrier_frequency_hz": math.nan},
+    {"mu_nlos": math.nan},
+    {"mu_los": math.inf},
+    {"tx_power_w": math.inf},
+    {"tx_antenna_gain": math.nan},
+    {"rx_antenna_gain": math.inf},
+    {"noise_spectral_density": math.inf},
+    {"los_threshold": math.nan},
+], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+def test_plan_non_finite_channel_constants_are_config_errors(tmp_path, capsys, channel):
+    # NaN passes every "<= 0" check, so these planned as unservable (exit 3).
+    scn = tmp_path / "scn.json"
+    write_scenario(scn, kind="A", variant=5, seed=3, mutate=lambda d: d.update(channel=channel))
+    assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 4
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channel", [
+    {"tx_antenna_gain": -1.0},
+    {"rx_antenna_gain": 0.0},
+    {"tx_antenna_gain_dbi": -math.inf},
+], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+def test_plan_non_positive_antenna_gains_are_config_errors(tmp_path, capsys, channel):
+    # A negative gain planned without end: the demand fit walked its grid
+    # index up from the int64 minimum one step at a time.
+    scn = tmp_path / "scn.json"
+    write_scenario(scn, kind="A", variant=5, seed=3, mutate=lambda d: d.update(channel=channel))
+    assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 4
+    assert "antenna gains must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("pso", "particle_count", 30.9),
+    ("pso", "particle_count", 30.0),
+    ("pso", "max_iterations", True),
+    ("pso", "early_stop_patience", "10"),
+    ("pso", "early_stop_patience", False),
+    ("scenario", "seed", 3.0),
+    ("scenario", "seed", True),
+    ("config", "seed", 7.5),
+    ("config", "seed", False),
+], ids=lambda v: str(v))
+def test_plan_counts_and_seeds_must_be_json_integers(tmp_path, capsys, where, key, value):
+    # int() truncated 30.9 and read true as 1: such files planned and exited 0.
+    scn, cfg = tmp_path / "scn.json", tmp_path / "cfg.json"
+    doc = write_scenario(scn, kind="A", variant=5, seed=3)
+    argv = ["plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")]
+    if where == "pso":
+        doc["pso"] = {key: value}
+    elif where == "scenario":
+        doc[key] = value
+    else:
+        cfg.write_text(json.dumps({key: value}))
+        argv += ["--config", str(cfg)]
+    scn.write_text(json.dumps(doc))
+    assert run_cli(*argv) == 4
+    assert key in capsys.readouterr().err
+
+
+def test_plan_integer_counts_and_seed_still_plan(tmp_path):
+    scn = tmp_path / "scn.json"
+    write_scenario(scn, kind="A", variant=5, seed=3, mutate=lambda d: d.update(
+        seed=2**40, pso={"particle_count": 8, "max_iterations": 20, "early_stop_patience": 5}))
+    assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 0
+
+
 # Each channel key with the bits it parses to; a key and its alternative
 # (dBm or W, dBi or linear, dB or linear, a noise floor or a density) set
 # the same field.

@@ -680,3 +680,21 @@ def test_cover_capped_exact_vs_brute():
             if best is not None:
                 break
         assert len(exact) == best
+
+
+@pytest.mark.parametrize("width", [1, 25])
+@pytest.mark.parametrize("count", [0, 1, 300])
+def test_unique_rows_match_numpy_axis0(width, count):
+    # Packed member rows with duplicates and an all-zero row, at the widths
+    # of 8 and 200 users, and the single-row and empty cases.
+    rng = np.random.default_rng(width * 1000 + count)
+    rows = np.packbits(rng.random((count, 8 * width)) < 0.3, axis=1)
+    if count > 1:
+        rows[rng.integers(0, count, count // 2)] = rows[rng.integers(0, count, count // 2)]
+        rows[count // 3] = 0
+        assert len(np.unique(rows, axis=0)) < count
+    expected, first = np.unique(rows, axis=0, return_index=True)
+    got, got_first = coverage._unique_rows(rows, return_index=True)
+    assert got.dtype == np.uint8 and got.shape == expected.shape
+    assert np.array_equal(got, expected) and np.array_equal(got_first, first)
+    assert np.array_equal(coverage._unique_rows(rows), expected)

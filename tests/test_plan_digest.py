@@ -1,7 +1,9 @@
-"""The n100-1km benchmark pass plans, enumerates, searches and scores byte for byte as pinned.
+"""The benchmark passes plan, enumerate, search and score byte for byte as pinned.
 
-A change that moves any plan, zone, swarm or throughput bit updates these
-pins and says why; ``tools/plan_digest.py`` prints the same digests for every
+n100-1km pins all four digests. n200-2km, where the zone stage's row dedup
+and the swarm seeding do the most work, pins its zones and swarms. A change
+that moves any plan, zone, swarm or throughput bit updates these pins and
+says why; ``tools/plan_digest.py`` prints the same digests for every
 workload.
 """
 import importlib.util
@@ -17,6 +19,10 @@ PINS = {
     "swarm_digest": "7ef5e3b4dc146416",
     "throughput_digest": "5e67ed65efeed6d5",
 }
+N200_PINS = {
+    "zone_digest": "4ff046fc2c6bb991",
+    "swarm_digest": "4da253c3ce66db2b",
+}
 
 
 @pytest.fixture(scope="module")
@@ -31,3 +37,9 @@ def plan_digest():
 def test_n100_digests_are_pinned(plan_digest, digest):
     workload = plan_digest.workloads.WORKLOADS["n100-1km"]
     assert getattr(plan_digest, digest)(workload) == PINS[digest]
+
+
+@pytest.mark.parametrize("digest", sorted(N200_PINS))
+def test_n200_digests_are_pinned(plan_digest, digest):
+    workload = plan_digest.workloads.WORKLOADS["n200-2km"]
+    assert getattr(plan_digest, digest)(workload) == N200_PINS[digest]

@@ -25,6 +25,8 @@ from uavplan.positioning import (
     _fitness,
     _members,
     _rows,
+    _spawn_words,
+    _spawned_seed,
     _swarm_coefficients,
     _swarm_velocities,
     _unservable,
@@ -186,9 +188,9 @@ def test_optimize_early_stop_activates(params, monkeypatch):
     drawn, seeded = [], []
     monkeypatch.setattr(positioning, "_swarm_coefficients",
                         lambda *args: drawn.append(args) or iter(()))
-    seed_sequence = np.random.SeedSequence
-    monkeypatch.setattr(np.random, "SeedSequence",
-                        lambda *args, **kw: seeded.append(args) or seed_sequence(*args, **kw))
+    spawn_words = positioning._spawn_words
+    monkeypatch.setattr(positioning, "_spawn_words",
+                        lambda *args: seeded.append(args) or spawn_words(*args))
     cfg = SwarmConfig(max_iterations=100, early_stop_patience=10)
     trace = []
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
@@ -441,3 +443,29 @@ def test_swarm_step_reproduces_the_per_particle_loop(iterations):
         positions = box.clamp(positions + velocities)
         assert np.array_equal(velocities, v_ref)
         assert np.array_equal(positions, x_ref)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spawn_words_are_numpys_spawned_seeds():
+    # One call mixes entropy lengths 1 to 40 (padded to the pool, exactly
+    # the pool, past it) in shuffled order, with the extreme words.
+    data = np.random.default_rng(17)
+    entropies = [data.integers(0, 2**32, n, dtype=np.uint64).tolist() for n in range(1, 41)]
+    entropies += [[0], [0xFFFFFFFF], [0xFFFFFFFF, 0, 7], [0] * 4, [0xFFFFFFFF] * 6]
+    data.shuffle(entropies)
+    words = _spawn_words(entropies, 30)
+    assert words.shape == (len(entropies), 30, 4) and words.dtype == np.uint64
+    for e, zone_words in zip(entropies, words):
+        children = np.random.SeedSequence(e).spawn(30)
+        for child, w in zip(children, zone_words):
+            assert np.array_equal(w, child.generate_state(4, np.uint64))
+        for c in (0, 29):
+            drawn = np.random.Generator(np.random.PCG64(_spawned_seed()(zone_words[c]))).random(200)
+            assert np.array_equal(drawn, np.random.default_rng(children[c]).random(200))
+
+
+def test_spawned_seed_gives_only_pcg64s_words():
+    seed = _spawned_seed()(_spawn_words([[1, 2]], 1)[0, 0])
+    for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
+        with pytest.raises(ValueError):
+            seed.generate_state(n_words, dtype)
