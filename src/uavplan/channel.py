@@ -221,16 +221,16 @@ def demand_fit_kernel(snr_hz, demand_bps, b_max_hz: float, grid_hz: float):
     rate falls short and down while one step less still meets the demand, so
     the Shannon kernel itself decides the first sufficient multiple of
     ``grid_hz``. Where even the last index b_max_hz//grid_hz falls short,
-    the bandwidth is the last grid width and the rate stays below the
-    demand. Needs ``grid_hz <= b_max_hz`` within ``MAX_GRID_STEPS`` steps,
-    which ``Scenario.validate`` guarantees.
+    or the SNR is negative or NaN, the bandwidth is the last grid width and
+    the rate misses the demand. Needs ``grid_hz <= b_max_hz`` within
+    ``MAX_GRID_STEPS`` steps, which ``Scenario.validate`` guarantees.
     """
     snr_hz, demand_bps = np.broadcast_arrays(np.asarray(snr_hz, dtype=float),
                                              np.asarray(demand_bps, dtype=float))
     k_max = int(b_max_hz // grid_hz)
     with np.errstate(divide="ignore"):  # a zero SNR gives c = inf: unreachable
         c = demand_bps * math.log(2.0) / snr_hz
-    fits = c < 1.0
+    fits = (c > 0.0) & (c < 1.0)
     k = np.full(snr_hz.shape, k_max, dtype=np.int64)
     k[fits] = np.clip(np.ceil(snr_hz[fits] / _fit_width_root(c[fits]) / grid_hz), 1, k_max)
 

@@ -15,7 +15,6 @@ from uavplan import channel
 from uavplan.geometry import Point3
 from uavplan.positioning import LinkAllocation, PlacementSolution, ZoneCapacityError
 
-_DRAW_CHUNK = 32
 _CERTIFY_PAIRS = 1 << 16
 _BOUND_MARGIN = 1e-9
 
@@ -78,14 +77,6 @@ def allocations(position, data, params):
         LinkAllocation(ue_index=int(i), bandwidth_hz=float(b), rate_bps=float(r))
         for i, b, r in zip(data.indices, bw[0], rate[0])
     ], bool(np.all(served[0])) and float(np.sum(bw[0])) <= data.b_max_hz
-
-
-def swarm_coefficients(rngs, iterations):
-    for start in range(0, iterations, _DRAW_CHUNK):
-        block = np.stack([rng.random((min(_DRAW_CHUNK, iterations - start), 2, 3))
-                          for rng in rngs])
-        for step in range(block.shape[1]):
-            yield block[:, step, 0], block[:, step, 1]
 
 
 def swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2, config, v_max):
@@ -165,11 +156,10 @@ def loop_position(zone, scenario, params, config, spheres=(), allow_capacity_ove
     lo, hi = init_bounds(zone, centers, radii, box)
     v_max = 0.5 * (hi - lo)
 
-    seed_seq = np.random.SeedSequence([scenario.seed & 0xFFFFFFFF, *data.indices.tolist()])
-    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(config.particle_count)]
+    rng = np.random.default_rng([scenario.seed & 0xFFFFFFFF, *data.indices.tolist()])
 
     positions = np.concatenate([witness[None, :],
-                                lo + np.array([rng.random(3) for rng in rngs[1:]]) * (hi - lo)])
+                                lo + rng.random((config.particle_count - 1, 3)) * (hi - lo)])
     velocities = np.zeros_like(positions)
 
     values, feas = swarm_fitness(positions, data, params, box)
@@ -185,9 +175,10 @@ def loop_position(zone, scenario, params, config, spheres=(), allow_capacity_ove
     if trace is not None:
         trace.append((0, gbest_val, tuple(gbest_pos)))
 
-    coefficients = () if gbest_feasible else swarm_coefficients(rngs, config.max_iterations)
-    for it, (r1, r2) in enumerate(coefficients, start=1):
+    steps = () if gbest_feasible else range(1, config.max_iterations + 1)
+    for it in steps:
         iterations = it
+        r1, r2 = np.moveaxis(rng.random((config.particle_count, 2, 3)), 1, 0)
         velocities = swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
                                       config, v_max)
         positions = box.clamp(positions + velocities)

@@ -367,6 +367,15 @@ def test_demand_fit_kernel_unreachable_demands_take_the_last_width():
     assert_first_sufficient_width(snr_hz, demand, bw, rate)
 
 
+def test_demand_fit_kernel_negative_or_nan_snr_takes_the_last_width():
+    # No root exists (c = D*ln2/S < 0 or NaN): the walk starts at the last
+    # width, not at a cast of a NaN root to the int64 minimum.
+    demand = np.array([6.5e6, 6.5e6])
+    bw, rate = demand_fit_kernel(np.array([-1.0, math.nan]), demand, B_MAX_HZ, GRID_HZ)
+    assert np.array_equal(bw, [int(B_MAX_HZ // GRID_HZ) * GRID_HZ] * 2)
+    assert rate[0] < demand[0] and np.isnan(rate[1])
+
+
 def test_demand_fit_kernel_reachable_only_at_the_last_width():
     snr_hz = np.array([1e5, 3e7, 1e8, 4e9])
     last = shannon_rate_kernel(snr_hz, B_MAX_HZ)

@@ -1,9 +1,12 @@
 """Generated scenario and config files through ``uavplan plan``: the exit-code contract.
 
 Every document, however malformed, must exit 0, 3 (unservable) or 4
-(configuration error), never raise; every exit-0 result must re-validate
-from the written file with no positive residual. Sizes stay small (at most
-6 UEs, 64 particles, 200 iterations) so that no draw asks for a large
+(configuration error), never raise; every exit-0 plan must re-validate
+from the written file with no positive residual. A baseline (``--baseline
+fixed-altitude`` or ``fixed-n``) may report demand and capacity violations,
+but its exit-0 deployment must still be well formed: consistent counts, one
+UAV per UE, binary variables and UAVs inside the box. Sizes stay small (at
+most 6 UEs, 64 particles, 200 iterations) so that no draw asks for a large
 allocation.
 """
 import json
@@ -116,8 +119,15 @@ DOCUMENTS = mostly(some_of(SCENARIO, 3).map(lambda drawn: {**SKELETON, **drawn})
 CONFIGS = st.none() | mostly(some_of(SECTIONS, 2), some_of({**SECTIONS, "bogus": st.integers()}, 5))
 
 
-def revalidate(result: dict, scenario_path, config_path) -> None:
-    """Rebuild the deployment from the written file and check it from scratch."""
+# The checks that hold for any deployment the CLI writes, baselines included.
+STRUCTURAL = {"shape_agreement", "unique_association", "binary_variables", "position_in_box"}
+
+
+def revalidate(result: dict, scenario_path, config_path, checks=None) -> None:
+    """Rebuild the deployment from the written file and check it from scratch.
+
+    ``checks`` names the checks that must pass; all of them when None.
+    """
     scenario, params, swarm = scenario_from_dict(json.loads(scenario_path.read_text()))
     if config_path is not None:
         scenario, params, swarm = _apply_config_overrides(config_path, scenario, params, swarm)
@@ -134,16 +144,16 @@ def revalidate(result: dict, scenario_path, config_path) -> None:
         uav_count=n_uavs, aggregate_bps=result["aggregate_bps"],
     )
     report = validate_deployment(deployment, scenario, params)
-    assert all(c.residual <= 0 for c in report.checks), report.checks
+    checked = [c for c in report.checks if checks is None or c.name in checks]
+    assert len(checked) == len(checks or report.checks), report.checks
+    assert all(c.residual <= 0 for c in checked), report.checks
 
 
-@settings(derandomize=True, max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(doc=DOCUMENTS, config=CONFIGS)
-def test_plan_exits_within_the_contract_on_generated_files(tmp_path, doc, config):
+def plan_file(tmp_path, doc, config, *options) -> None:
+    """``uavplan plan`` of the written documents: exit 0, 3 or 4, and an exit-0 result re-checked."""
     scenario_path, result_path = tmp_path / "scn.json", tmp_path / "res.json"
     scenario_path.write_text(json.dumps(doc))
-    argv = ["plan", "--scenario", str(scenario_path), "--out", str(result_path)]
+    argv = ["plan", "--scenario", str(scenario_path), "--out", str(result_path), *options]
     config_path = None
     if config is not None:
         config_path = tmp_path / "cfg.json"
@@ -153,4 +163,21 @@ def test_plan_exits_within_the_contract_on_generated_files(tmp_path, doc, config
     code = main(argv)
     assert code in (0, 3, 4)
     if code == 0:
-        revalidate(json.loads(result_path.read_text()), scenario_path, config_path)
+        revalidate(json.loads(result_path.read_text()), scenario_path, config_path,
+                   STRUCTURAL if options else None)
+
+
+SETTINGS = dict(derandomize=True, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(doc=DOCUMENTS, config=CONFIGS)
+def test_plan_exits_within_the_contract_on_generated_files(tmp_path, doc, config):
+    plan_file(tmp_path, doc, config)
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(doc=DOCUMENTS, config=CONFIGS, baseline=st.sampled_from(["fixed-altitude", "fixed-n"]))
+def test_baselines_exit_within_the_contract_on_generated_files(tmp_path, doc, config, baseline):
+    plan_file(tmp_path, doc, config, "--baseline", baseline)

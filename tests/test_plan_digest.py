@@ -14,14 +14,14 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "plan_digest.py"
 
 PINS = {
-    "plan_digest": "22544210d33fa7c7",
+    "plan_digest": "eb7e2aafa5b6f02b",
     "zone_digest": "2770973116f1e98e",
-    "swarm_digest": "7ef5e3b4dc146416",
+    "swarm_digest": "0f3075746af94190",
     "throughput_digest": "5e67ed65efeed6d5",
 }
 N200_PINS = {
     "zone_digest": "4ff046fc2c6bb991",
-    "swarm_digest": "4da253c3ce66db2b",
+    "swarm_digest": "1a671d5cb742bf97",
 }
 
 

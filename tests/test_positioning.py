@@ -21,13 +21,9 @@ from uavplan import (
 )
 from uavplan import positioning
 from uavplan.positioning import (
-    _DRAW_CHUNK,
     _fitness,
     _members,
     _rows,
-    _spawn_words,
-    _spawned_seed,
-    _swarm_coefficients,
     _swarm_velocities,
     _unservable,
 )
@@ -185,12 +181,19 @@ def test_optimize_early_stop_activates(params, monkeypatch):
     scn = make_scenario([(150, 150)], seed=2)
     zone, spheres = full_zone(scn, params)
     assert fitness(zone.witness, zone, scn, params)[1]
-    drawn, seeded = [], []
-    monkeypatch.setattr(positioning, "_swarm_coefficients",
-                        lambda *args: drawn.append(args) or iter(()))
-    spawn_words = positioning._spawn_words
-    monkeypatch.setattr(positioning, "_spawn_words",
-                        lambda *args: seeded.append(args) or spawn_words(*args))
+    seeded, drawn = [], []
+    generator = np.random.Generator
+
+    class Recorded:
+        def __init__(self, bit_generator):
+            seeded.append(bit_generator)
+            self.rng = generator(bit_generator)
+
+        def random(self, size):
+            drawn.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(np.random, "Generator", Recorded)
     cfg = SwarmConfig(max_iterations=100, early_stop_patience=10)
     trace = []
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
@@ -200,6 +203,13 @@ def test_optimize_early_stop_activates(params, monkeypatch):
     assert sol.feasible and sol.uav_position == zone.witness and sol.fitness == value
     assert sol.iterations == 0 and not drawn and not seeded
     assert trace == [(0, value, tuple(zone.witness.as_array()))]
+    # The recorder sees a swarm that runs: one generator, its starts, then
+    # one draw per step.
+    far = make_scenario([(250, 1000), (1750, 1000)], demand=26e6, side=2000.0, seed=1)
+    sol = optimize_position(_pseudo_zone((0, 1), far), far, params, cfg,
+                            spheres=build_spheres(far, params))
+    assert len(seeded) == 1
+    assert drawn == [(cfg.particle_count - 1, 3)] + [(cfg.particle_count, 2, 3)] * sol.iterations
 
 
 def reference_placement(zone, scn, params, config, spheres):
@@ -209,15 +219,15 @@ def reference_placement(zone, scn, params, config, spheres):
     centers = np.array([spheres[i].center.as_array() for i in data.indices])
     radii = np.array([spheres[i].radius for i in data.indices])
     lo, hi = ref.init_bounds(zone, centers, radii, box)
-    seed_seq = np.random.SeedSequence([scn.seed, *data.indices.tolist()])
-    rngs = [np.random.default_rng(s) for s in seed_seq.spawn(config.particle_count)]
-    positions = np.array([zone.witness.as_array()]
-                         + [lo + rng.random(3) * (hi - lo) for rng in rngs[1:]])
+    rng = np.random.default_rng([scn.seed, *data.indices.tolist()])
+    positions = np.concatenate([zone.witness.as_array()[None, :],
+                                lo + rng.random((config.particle_count - 1, 3)) * (hi - lo)])
     velocities = np.zeros_like(positions)
     pbest_pos = positions.copy()
     pbest_val, _ = ref.swarm_fitness(positions, data, params, box)
     gbest_pos, gbest_val = positions[np.argmax(pbest_val)].copy(), np.max(pbest_val)
-    for r1, r2 in ref.swarm_coefficients(rngs, config.max_iterations):
+    for _ in range(config.max_iterations):
+        r1, r2 = np.moveaxis(rng.random((config.particle_count, 2, 3)), 1, 0)
         velocities = ref.swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
                                           config, 0.5 * (hi - lo))
         positions = box.clamp(positions + velocities)
@@ -396,14 +406,14 @@ def test_swarm_config_invariants():
     SwarmConfig(max_iterations=0, cognitive_coeff=0.0, social_coeff=0.0)
 
 
-def reference_swarm_steps(rngs, positions, pbest_pos, gbest_pos, config, v_max, box, iterations):
-    """The per-particle velocity loop: r1 then r2 by ``random(3)``, inertia, clip."""
+def reference_swarm_steps(rng, positions, pbest_pos, gbest_pos, config, v_max, box, iterations):
+    """The per-particle velocity loop: each particle's r1 then r2 by ``random(3)``, inertia, clip."""
     velocities = np.zeros_like(positions)
     trajectory = []
     for _ in range(iterations):
         for i in range(len(positions)):
-            r1 = rngs[i].random(3)
-            r2 = rngs[i].random(3)
+            r1 = rng.random(3)
+            r2 = rng.random(3)
             velocities[i] = (
                 config.inertia_weight * velocities[i]
                 + config.cognitive_coeff * r1 * (pbest_pos[i] - positions[i])
@@ -415,9 +425,8 @@ def reference_swarm_steps(rngs, positions, pbest_pos, gbest_pos, config, v_max, 
     return trajectory
 
 
-@pytest.mark.parametrize("iterations", [5, _DRAW_CHUNK, 2 * _DRAW_CHUNK + 3])
+@pytest.mark.parametrize("iterations", [5])
 def test_swarm_step_reproduces_the_per_particle_loop(iterations):
-    # Below one draw chunk, exactly one, and across two chunk boundaries.
     config = SwarmConfig(particle_count=7)
     box = FeasibleBox((0.0, 300.0), (0.0, 300.0), (10.0, 100.0))
     data = np.random.default_rng(11)
@@ -426,46 +435,18 @@ def test_swarm_step_reproduces_the_per_particle_loop(iterations):
     gbest_pos = pbest_pos[3].copy()
     v_max = np.array([40.0, 25.0, 9.0])
 
-    def streams():
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(99).spawn(7)]
-        for rng in rngs[1:]:
-            rng.random(3)  # the initial position draw of particles 1..n-1
-        return rngs
+    def stream():
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([99, 4, 8])))
+        rng.random((6, 3))  # the initial positions of particles 1..n-1
+        return rng
 
-    expected = reference_swarm_steps(streams(), start.copy(), pbest_pos, gbest_pos, config,
+    expected = reference_swarm_steps(stream(), start.copy(), pbest_pos, gbest_pos, config,
                                      v_max, box, iterations)
-    positions, velocities = start.copy(), np.zeros_like(start)
-    steps = list(_swarm_coefficients(streams(), iterations))
-    assert len(steps) == iterations
-    for (r1, r2), (v_ref, x_ref) in zip(steps, expected):
-        velocities = _swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2,
-                                       config, v_max)
+    positions, velocities, rng = start.copy(), np.zeros_like(start), stream()
+    for v_ref, x_ref in expected:
+        r = rng.random((7, 2, 3))
+        velocities = _swarm_velocities(velocities, positions, pbest_pos, gbest_pos,
+                                       r[:, 0], r[:, 1], config, v_max)
         positions = box.clamp(positions + velocities)
         assert np.array_equal(velocities, v_ref)
         assert np.array_equal(positions, x_ref)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_spawn_words_are_numpys_spawned_seeds():
-    # One call mixes entropy lengths 1 to 40 (padded to the pool, exactly
-    # the pool, past it) in shuffled order, with the extreme words.
-    data = np.random.default_rng(17)
-    entropies = [data.integers(0, 2**32, n, dtype=np.uint64).tolist() for n in range(1, 41)]
-    entropies += [[0], [0xFFFFFFFF], [0xFFFFFFFF, 0, 7], [0] * 4, [0xFFFFFFFF] * 6]
-    data.shuffle(entropies)
-    words = _spawn_words(entropies, 30)
-    assert words.shape == (len(entropies), 30, 4) and words.dtype == np.uint64
-    for e, zone_words in zip(entropies, words):
-        children = np.random.SeedSequence(e).spawn(30)
-        for child, w in zip(children, zone_words):
-            assert np.array_equal(w, child.generate_state(4, np.uint64))
-        for c in (0, 29):
-            drawn = np.random.Generator(np.random.PCG64(_spawned_seed()(zone_words[c]))).random(200)
-            assert np.array_equal(drawn, np.random.default_rng(children[c]).random(200))
-
-
-def test_spawned_seed_gives_only_pcg64s_words():
-    seed = _spawned_seed()(_spawn_words([[1, 2]], 1)[0, 0])
-    for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64)):
-        with pytest.raises(ValueError):
-            seed.generate_state(n_words, dtype)
