@@ -299,6 +299,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    dumps = [flag for flag, path in zip(("--dump-zones", "--dump-pool", "--pso-trace"),
+                                        (args.dump_zones, args.dump_pool, args.pso_trace)) if path]
+    if args.baseline and dumps:
+        raise ConfigError(f"{', '.join(dumps)} dump planner stages that --baseline does not run")
     scenario, params, swarm = scenario_from_dict(_load_json(args.scenario))
     if args.config:
         scenario, params, swarm = _apply_config_overrides(args.config, scenario, params, swarm)
@@ -332,7 +336,7 @@ def cmd_plan(args) -> int:
     doc["demand_satisfied_ratio"] = demand_satisfaction_ratio(delivered, scenario)
     _dump_json(args.out, doc)
 
-    if args.dump_pool and pool is not None:
+    if args.dump_pool:
         _dump_json(args.dump_pool, [
             {
                 "members": list(members),
@@ -342,7 +346,7 @@ def cmd_plan(args) -> int:
             }
             for members, s in pool
         ])
-    if args.pso_trace and trace is not None:
+    if args.pso_trace:
         lines = ["members,iteration,gbest_fitness_bps,x_m,y_m,z_m"]
         for members, rows in trace:
             tag = "|".join(str(m) for m in members)

@@ -3,9 +3,10 @@
 The cover stage decides how many UAVs to aim for; positioning refines one
 UAV per cover pick. Picks whose refined position cannot meet every demand or
 the bandwidth budget are split geometrically and re-optimized, bottoming out
-at singleton zones, which are always servable from the member's nadir. An
-independent validator re-checks every constraint of the final deployment
-using only the channel model.
+at singleton zones, which are always servable from the member's nadir. The
+picks are placed a wave at a time, the split pieces of one wave forming the
+next. An independent validator re-checks every constraint of the final
+deployment using only the channel model.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .geometry import Point3
 from .positioning import (
     PlacementSolution,
     SwarmConfig,
-    ZoneCapacityError,
     optimize_position,
     optimize_positions,
 )
@@ -253,69 +253,46 @@ def plan_deployment(
     served_sets = cover_assignment(cover, pick_caps, len(scenario.ues))
 
     # Zones are placed a wave at a time: every queued zone in one lockstep
-    # call, then the splits of the failures. Each zone keeps its path in the
-    # split tree, so the pool, the trace and the first error follow the
-    # depth-first order of one zone at a time.
-    wave: list[tuple[tuple[int, ...], CandidateZone]] = [
-        ((k,), _restrict_zone(z, served, spheres))
-        for k, (z, served) in enumerate(zip(cover, served_sets)) if served
-    ]
+    # call, then the pieces of that wave's failures, in wave order. Every
+    # wave runs to the end, and the plan then fails on every user whose
+    # one-member zone no position serves.
+    wave = [_restrict_zone(z, served, spheres) for z, served in zip(cover, served_sets) if served]
     placed: list[tuple[CandidateZone, PlacementSolution]] = []
-    swarms = []  # (path, members, solution, trace rows) of every swarm run
-    failure: tuple[tuple[int, ...], Exception] | None = None
+    unservable: list[int] = []
     while wave:
         traces = [[] if trace is not None else None for _ in wave]
         # A singleton is placed alone by optimize_position, the name
         # perfbench/spans.py wraps, so that a traced run still shows the
-        # positioning layer; the other zones of a wave run in lockstep.
-        many = [k for k, (_, sub) in enumerate(wave) if len(sub.members) > 1]
+        # positioning layer (the budget check above leaves no singleton a
+        # pinned overrun); the other zones of a wave run in lockstep.
+        many = [k for k, sub in enumerate(wave) if len(sub.members) > 1]
         sols = dict(zip(many, optimize_positions(
-            [wave[k][1] for k in many], scenario, params, swarm_config, spheres=spheres,
+            [wave[k] for k in many], scenario, params, swarm_config, spheres=spheres,
             traces=[traces[k] for k in many] if trace is not None else None)))
         queued = []
-        for k, (path, sub) in enumerate(wave):
-            if k not in sols:
-                try:
-                    sols[k] = optimize_position(sub, scenario, params, swarm_config,
-                                                spheres=spheres, trace=traces[k])
-                except ZoneCapacityError:
-                    sols[k] = None
-            sol = sols[k]
+        for k, sub in enumerate(wave):
+            sol = sols[k] if k in sols else optimize_position(
+                sub, scenario, params, swarm_config, spheres=spheres, trace=traces[k])
             if sol is None:  # the pinned widths alone overrun the budget
-                if len(sub.members) == 1:
-                    if failure is None or path < failure[0]:
-                        failure = path, CapacityDeadlockError(
-                            f"UE {sub.members[0]} overruns the bandwidth budget on its own")
-                    continue
                 cap = zone_capacity(sub.members, lower_bounds, scenario.b_max_hz)
                 cap = max(min(cap, len(sub.members) - 1), 1)
+                queued.extend(split_zone(sub, spheres, scenario, cap))
+                continue
+            if pool is not None:
+                pool.append((sub.members, sol))
+            if trace is not None:
+                trace.append((sub.members, traces[k]))
+            if sol.feasible:
+                placed.append((sub, sol))
+            elif len(sub.members) == 1:
+                # Nadir placement of a box-reaching sphere is always feasible,
+                # so a failing singleton means the UE is truly unservable.
+                unservable.append(sub.members[0])
             else:
-                swarms.append((path, sub.members, sol, traces[k]))
-                if sol.feasible:
-                    placed.append((sub, sol))
-                    continue
-                if len(sub.members) == 1:
-                    # Nadir placement of a box-reaching sphere is always feasible,
-                    # so a failing singleton means the UE is truly unservable.
-                    if failure is None or path < failure[0]:
-                        failure = path, UnservableError([sub.members[0]])
-                    continue
-                cap = math.ceil(len(sub.members) / 2)
-            queued.extend((path + (j,), piece)
-                          for j, piece in enumerate(split_zone(sub, spheres, scenario, cap)))
-        # Depth first, nothing after the first error would have run.
-        wave = [(path, sub) for path, sub in queued if failure is None or path < failure[0]]
-
-    swarms.sort(key=lambda s: s[0])
-    for path, members, sol, rows in swarms:
-        if failure is not None and path > failure[0]:
-            break
-        if pool is not None:
-            pool.append((members, sol))
-        if trace is not None:
-            trace.append((members, rows))
-    if failure is not None:
-        raise failure[1]
+                queued.extend(split_zone(sub, spheres, scenario, math.ceil(len(sub.members) / 2)))
+        wave = queued
+    if unservable:
+        raise UnservableError(unservable)
 
     placed.sort(key=lambda pair: pair[0].members)
     return _assemble(placed, scenario)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from uavplan.cli import main, scenario_from_dict, scenario_to_dict
-from uavplan import SwarmConfig, generate_scenario
+from uavplan import BaselineKind, SwarmConfig, generate_scenario
 
 
 def run_cli(*argv):
@@ -330,6 +330,20 @@ def test_plan_baseline_flag(tmp_path):
                    "--baseline", "fixed-altitude") == 0
     doc = json.loads(res.read_text())
     assert all(p["z"] == 20.0 for p in doc["positions"])
+
+
+@pytest.mark.parametrize("baseline", [k.value for k in BaselineKind])
+def test_plan_debug_dumps_under_a_baseline_are_config_errors(tmp_path, capsys, baseline):
+    # The dumps show the planner's zones and swarms, which no baseline runs.
+    scn = tmp_path / "scn.json"
+    write_scenario(scn, kind="B", variant=4, seed=5)
+    res = tmp_path / "r.json"
+    for flag in ("--dump-zones", "--dump-pool", "--pso-trace"):
+        dump = tmp_path / "dump"
+        assert run_cli("plan", "--scenario", str(scn), "--out", str(res),
+                       "--baseline", baseline, flag, str(dump)) == 4
+        assert flag in capsys.readouterr().err
+        assert not res.exists() and not dump.exists()
 
 
 def test_plan_fixed_altitude_stays_in_the_venue_band(tmp_path):

@@ -1,10 +1,10 @@
 """The benchmark passes plan, enumerate, search and score byte for byte as pinned.
 
-n100-1km pins all four digests. n200-2km, where the zone stage's row dedup
-and the swarm seeding do the most work, pins its zones and swarms. A change
-that moves any plan, zone, swarm or throughput bit updates these pins and
-says why; ``tools/plan_digest.py`` prints the same digests for every
-workload.
+n100-1km pins all four digests. n200-2km, where the zone stage's row dedup,
+the swarm seeding and the planner's splits do the most work, pins its plans,
+zones and swarms. A change that moves any plan, zone, swarm or throughput bit
+updates these pins and says why; ``tools/plan_digest.py`` prints the same
+digests for every workload.
 """
 import importlib.util
 from pathlib import Path
@@ -16,12 +16,13 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "plan_digest.py"
 PINS = {
     "plan_digest": "eb7e2aafa5b6f02b",
     "zone_digest": "2770973116f1e98e",
-    "swarm_digest": "0f3075746af94190",
+    "swarm_digest": "4fde2625df8a6fa0",
     "throughput_digest": "5e67ed65efeed6d5",
 }
 N200_PINS = {
+    "plan_digest": "0faafee3327e138c",
     "zone_digest": "4ff046fc2c6bb991",
-    "swarm_digest": "1a671d5cb742bf97",
+    "swarm_digest": "1311b9487f6da3a3",
 }
 
 

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from uavplan import (
 from uavplan import evaluate_throughput, planner
 from uavplan.cli import deployment_to_dict
 from uavplan.planner import min_feasible_bandwidths, served_links, uav_loads, zone_capacity
-from uavplan.positioning import PlacementSolution, ZoneCapacityError
+from uavplan.positioning import PlacementSolution
 from conftest import random_scenario
 
 
@@ -411,87 +412,74 @@ def test_split_heavy_plans_are_pinned(params):
     dep = plan_deployment(scn, params, pool=pool, trace=trace)
     assert any(not sol.feasible for _, sol in pool)
     assert (dep.uav_count, plan_digest(dep, scn, params)) == (8, "f23522cd2b5764d2")
-    # The swarms, in the depth-first order of the split tree, as --dump-pool
+    # The swarms, in the order of the waves that placed them, as --dump-pool
     # and --pso-trace write them.
     assert [members for members, _ in trace] == [members for members, _ in pool]
-    assert (len(pool), swarm_digest(pool, trace)) == (10, "b2c1113314295e5a")
+    assert (len(pool), swarm_digest(pool, trace)) == (10, "a5a542a039d83e22")
     fixed = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
     assert (fixed.uav_count, plan_digest(fixed, scn, params)) == (24, "0a944bb91fd5e514")
 
 
-
-def depth_first(roots, scn, params, spheres, place):
-    """The planner's queue one zone at a time: its pool, and the error it stops at."""
+def breadth_first(roots, scn, params, spheres, place):
+    """The planner's queue one zone at a time, first in first out: its pool and failing users."""
     lower = min_feasible_bandwidths(scn, params)
-    pool, queue = [], list(roots)
+    pool, failed, queue = [], [], deque(roots)
     while queue:
-        sub = queue.pop(0)
+        sub = queue.popleft()
         sol = place(sub)
         if sol is None:
-            if len(sub.members) == 1:
-                return pool, (CapacityDeadlockError, sub.members[0])
             cap = max(min(zone_capacity(sub.members, lower, scn.b_max_hz), len(sub.members) - 1), 1)
-            queue[0:0] = split_zone(sub, spheres, scn, max_members=cap)
+            queue.extend(split_zone(sub, spheres, scn, max_members=cap))
             continue
         pool.append((sub.members, sol))
         if sol.feasible:
             continue
         if len(sub.members) == 1:
-            return pool, (UnservableError, sub.members[0])
-        queue[0:0] = split_zone(sub, spheres, scn, max_members=math.ceil(len(sub.members) / 2))
-    return pool, None
+            failed.append(sub.members[0])
+            continue
+        queue.extend(split_zone(sub, spheres, scn, max_members=math.ceil(len(sub.members) / 2)))
+    return pool, failed
 
 
-@pytest.mark.parametrize("salt", [3, 5, 6])
-def test_waves_keep_the_depth_first_pool_trace_and_first_error(params, monkeypatch, salt):
-    # A stand-in swarm fails zones by a fixed rule, pinned overruns included,
-    # so that the split tree is deep. Under salt 3 no singleton fails; under
-    # 5 and 6 several do, and the plan stops at the first one that the queue
-    # of one zone at a time reaches (5: a capacity deadlock, 6: an
-    # unservable user).
+@pytest.mark.parametrize("salt", [3, 5])
+def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkeypatch, salt):
+    # A stand-in swarm fails zones by a fixed rule, so that the split tree is
+    # deep. Like the real one, it returns None (pinned widths over the
+    # budget) only for zones of more than one user. Under salt 3 no
+    # singleton fails; under 5 several do, and the plan reports them all.
     rng = np.random.default_rng(2024)
     scn = make_scenario(rng.uniform(0.0, 1000.0, (40, 2)).tolist(), demand=26e6, side=1000.0)
 
     def place(zone):
         key = 7 * sum(zone.members) + len(zone.members) + salt
+        if len(zone.members) == 1:
+            return PlacementSolution(zone.witness, (), float(key), key % 2 != 0, 0)
         if key % 5 == 0:
             return None
-        feasible = key % (2 if len(zone.members) == 1 else 3) != 0
-        return PlacementSolution(zone.witness, (), float(key), feasible, 0)
-
-    placed = []
+        return PlacementSolution(zone.witness, (), float(key), key % 3 != 0, 0)
 
     def place_all(zones, *args, traces=None, **kwargs):
-        placed.extend(zones)
         for zone, rows in zip(zones, traces or [None] * len(zones)):
             if rows is not None and place(zone) is not None:
                 rows.append((0, float(len(zone.members)), (0.0, 0.0, 0.0)))
         return [place(zone) for zone in zones]
-
-    def place_one(zone, *args, trace=None, **kwargs):
-        sol, = place_all([zone], traces=[trace])
-        if sol is None:
-            raise ZoneCapacityError(zone.members)
-        return sol
 
     roots = []
     restrict = planner._restrict_zone
     monkeypatch.setattr(planner, "_restrict_zone",
                         lambda *a: roots.append(restrict(*a)) or roots[-1])
     monkeypatch.setattr(planner, "optimize_positions", place_all)
-    monkeypatch.setattr(planner, "optimize_position", place_one)
-    pool, trace, error = [], [], None
+    monkeypatch.setattr(planner, "optimize_position",
+                        lambda zone, *a, trace=None, **kw: place_all([zone], traces=[trace])[0])
+    pool, trace, failed = [], [], ()
     try:
         plan_deployment(scn, params, pool=pool, trace=trace)
-    except CapacityDeadlockError as exc:
-        error = type(exc), int(str(exc).split()[1])
     except UnservableError as exc:
-        error = type(exc), exc.ue_indices[0]
-    expected, expected_error = depth_first(roots, scn, params, build_spheres(scn, params), place)
-    assert (pool, error) == (expected, expected_error)
+        failed = exc.ue_indices
+    expected, expected_failed = breadth_first(roots, scn, params, build_spheres(scn, params), place)
+    assert pool == expected
     assert trace == [(members, [(0, float(len(members)), (0.0, 0.0, 0.0))])
                      for members, _ in expected]
-    assert (error and error[0]) == {3: None, 5: CapacityDeadlockError, 6: UnservableError}[salt]
+    assert failed == tuple(sorted(set(expected_failed)))
+    assert len(failed) == {3: 0, 5: 5}[salt]
     assert len(pool) > len(roots)
-    if error is not None:
-        assert len(placed) > len(pool)  # waves placed zones past the error

@@ -20,9 +20,10 @@ a witness moving in a zone no cover picked.
 With ``--swarms`` each digest is over the swarms of the planner operations
 instead: for each, in label order, ``plan_deployment``'s ``pool`` (members,
 the bits of the position, fitness and every link, feasibility and iterations)
-and ``trace`` (members, then every row's iteration and bits). These are what
-``uavplan plan --dump-pool`` and ``--pso-trace`` write, so the digest shows a
-swarm that moves, or runs in another order, even where the plan does not.
+and ``trace`` (members, then every row's iteration and bits), in the wave
+order the planner placed them in. These are what ``uavplan plan --dump-pool``
+and ``--pso-trace`` write, so the digest shows a swarm that moves, or runs in
+another order, even where the plan does not.
 
 With ``--throughput`` each digest is over what the plans are judged by
 instead: for each operation, in label order, the pass flag of every
