@@ -27,6 +27,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 # Largest demand/bandwidth ratio (bit/s/Hz) before 2**x overflows a double.
 _MAX_SPECTRAL_EFFICIENCY = 1000.0
+_MIN_SPECTRAL_EFFICIENCY = 1e-12  # smallest inverted: 2**x - 1 rounds to 0 below ~1e-16
 
 # Most bandwidth grid steps a budget may hold: every grid index and width
 # stays an exact double (and fits the int64 index).
@@ -309,13 +310,14 @@ def max_service_distance(demand_bps: float, bandwidth_hz: float, params: Channel
     is evaluated at the fixed design probability ``params.los_threshold``.
     The result is a conservative closed form: any position within this
     distance whose realized LoS probability meets the threshold achieves at
-    least ``demand_bps`` over ``bandwidth_hz``.
+    least ``demand_bps`` over ``bandwidth_hz``. A ratio below
+    ``_MIN_SPECTRAL_EFFICIENCY`` gets the distance at that floor, still conservative.
     """
     if demand_bps <= 0:
         raise ChannelDomainError(f"demand must be positive, got {demand_bps}")
     if bandwidth_hz <= 0:
         raise ChannelDomainError(f"bandwidth must be positive, got {bandwidth_hz}")
-    spectral = demand_bps / bandwidth_hz
+    spectral = max(demand_bps / bandwidth_hz, _MIN_SPECTRAL_EFFICIENCY)
     if not math.isfinite(spectral) or spectral > _MAX_SPECTRAL_EFFICIENCY:
         raise ChannelDomainError(
             f"demand/bandwidth = {spectral} bit/s/Hz overflows the rate inversion"

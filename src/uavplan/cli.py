@@ -102,7 +102,6 @@ _SECTIONS = {
         "inertia_weight": ("inertia_weight", float),
         "cognitive_coeff": ("cognitive_coeff", float),
         "social_coeff": ("social_coeff", float),
-        "early_stop_patience": ("early_stop_patience", _integer),
     }),
     # Scenario field values; absent keys are left out.
     "policy": (dict, {

@@ -43,15 +43,12 @@ class SwarmConfig:
     inertia_weight: float = 0.7
     cognitive_coeff: float = 1.5
     social_coeff: float = 1.5
-    early_stop_patience: int = 10
 
     def __post_init__(self):
         if self.particle_count < 2:
             raise ValueError("particle_count must be >= 2")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
         if not 0.0 < self.inertia_weight < 1.0:
             raise ValueError("inertia_weight must lie in (0, 1)")
         for name in ("cognitive_coeff", "social_coeff"):
@@ -314,12 +311,12 @@ def optimize_positions(
     generator is made, as the full swarm would return it (``argmax`` takes
     the first maximum, particle 0). The other zones are seeded, each from its
     own stream, and every stop is checked after seeding (a feasible random
-    start runs no iteration) and after every update. Each step moves all
-    running swarms in one array step, and a zone leaves at its first
-    feasible best. Zones whose global best is still infeasible at iteration
-    ``early_stop_patience`` try one batched branch and bound over the box
-    (``_unservable``); each zone it proves unservable stops there and
-    returns that infeasible best. Placements that keep an infeasible zone
+    start runs no iteration) and after every update. Zones that no seeded
+    start serves then try one batched branch and bound over the box
+    (``_unservable``), sound and judging each zone alone: a zone it proves
+    unservable returns its seeded best with no iteration. Each step moves
+    all running swarms in one array step, and a zone leaves at its first
+    feasible best. Placements that keep an infeasible zone
     (``allow_capacity_overrun``) also stop at their first feasible best;
     they only skip the certificate. Each seeded zone draws from one PCG64
     stream seeded with ``SeedSequence([scenario.seed, *members])``: first
@@ -403,7 +400,7 @@ def optimize_positions(
             stop = gbest_feas.copy()
             if it == config.max_iterations:
                 stop[:] = True
-            elif it == config.early_stop_patience and not allow_capacity_overrun and not stop.all():
+            elif it == 0 and not allow_capacity_overrun and not stop.all():
                 stop[~stop] = _unservable(m, zone[~stop], params, box)
             if stop.any():
                 best[zone[stop]] = gbest_pos[stop]

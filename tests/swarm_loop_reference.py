@@ -175,7 +175,9 @@ def loop_position(zone, scenario, params, config, spheres=(), allow_capacity_ove
     if trace is not None:
         trace.append((0, gbest_val, tuple(gbest_pos)))
 
-    steps = () if gbest_feasible else range(1, config.max_iterations + 1)
+    # The certificate runs once, after seeding: a proven zone runs no step.
+    stop = gbest_feasible or (not allow_capacity_overrun and zone_unservable(data, params, box))
+    steps = () if stop else range(1, config.max_iterations + 1)
     for it in steps:
         iterations = it
         r1, r2 = np.moveaxis(rng.random((config.particle_count, 2, 3)), 1, 0)
@@ -196,8 +198,7 @@ def loop_position(zone, scenario, params, config, spheres=(), allow_capacity_ove
         if trace is not None:
             trace.append((it, gbest_val, tuple(gbest_pos)))
 
-        if gbest_feasible or (it == config.early_stop_patience and not allow_capacity_overrun
-                              and zone_unservable(data, params, box)):
+        if gbest_feasible:
             break
 
     links, feasible = allocations(gbest_pos, data, params)

@@ -193,6 +193,15 @@ def test_rate_at_max_service_distance_is_demand(params):
             assert oracle_rate_at_threshold(d, b, params) == pytest.approx(t, rel=1e-9)
 
 
+def test_max_service_distance_of_a_vanishing_demand_is_finite(params):
+    # 2**x - 1 rounds to 0 below x of about 1e-16: such demands, down to the
+    # smallest subnormal, get the finite distance at the floor ratio.
+    floor = max_service_distance(1e-12 * 20e6, 20e6, params)
+    assert math.isfinite(floor) and floor > max_service_distance(1.0, 20e6, params)
+    for demand in (1e-9, 9.5e-131, 5e-324):
+        assert max_service_distance(demand, 20e6, params) == floor
+
+
 def test_max_service_distance_overflow_guard(params):
     with pytest.raises(ChannelDomainError):
         max_service_distance(2e12, 1e6, params)

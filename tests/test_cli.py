@@ -138,12 +138,12 @@ def test_plan_bad_bandwidth_numbers_are_config_errors(tmp_path, mutate):
 
 @pytest.mark.parametrize("pso", [
     {"max_iterations": -5},
-    {"early_stop_patience": 0},
+    {"early_stop_patience": 5},
     {"cognitive_coeff": -1.0},
     {"social_coeff": math.nan},
     {"cognitive_coeff": math.inf},
     {"position_precision_m": 1.0},
-], ids=["negative-iterations", "zero-patience", "negative-cognitive", "nan-social",
+], ids=["negative-iterations", "removed-patience", "negative-cognitive", "nan-social",
         "inf-cognitive", "removed-precision"])
 def test_plan_bad_pso_numbers_are_config_errors(tmp_path, pso):
     scn = tmp_path / "scn.json"
@@ -189,8 +189,8 @@ def test_plan_non_positive_antenna_gains_are_config_errors(tmp_path, capsys, cha
     ("pso", "particle_count", 30.9),
     ("pso", "particle_count", 30.0),
     ("pso", "max_iterations", True),
-    ("pso", "early_stop_patience", "10"),
-    ("pso", "early_stop_patience", False),
+    ("pso", "max_iterations", "10"),
+    ("pso", "particle_count", False),
     ("scenario", "seed", 3.0),
     ("scenario", "seed", True),
     ("config", "seed", 7.5),
@@ -216,7 +216,7 @@ def test_plan_counts_and_seeds_must_be_json_integers(tmp_path, capsys, where, ke
 def test_plan_integer_counts_and_seed_still_plan(tmp_path):
     scn = tmp_path / "scn.json"
     write_scenario(scn, kind="A", variant=5, seed=3, mutate=lambda d: d.update(
-        seed=2**40, pso={"particle_count": 8, "max_iterations": 20, "early_stop_patience": 5}))
+        seed=2**40, pso={"particle_count": 8, "max_iterations": 20}))
     assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 0
 
 

@@ -75,7 +75,6 @@ PSO = {
     "inertia_weight": number(0.0, 1.0),
     "cognitive_coeff": number(0.0, 3.0),
     "social_coeff": number(0.0, 3.0),
-    "early_stop_patience": count(1, 20),
 }
 POLICY = {
     "bandwidth": mostly(st.sampled_from(["demand-fit", "fixed", "other"])),

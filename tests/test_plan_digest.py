@@ -2,9 +2,10 @@
 
 n100-1km pins all four digests. n200-2km, where the zone stage's row dedup,
 the swarm seeding and the planner's splits do the most work, pins its plans,
-zones and swarms. A change that moves any plan, zone, swarm or throughput bit
-updates these pins and says why; ``tools/plan_digest.py`` prints the same
-digests for every workload.
+zones and swarms. paper-sweep, the one pass that plans fixed-altitude
+baselines (a flat box, so a 2D certificate), pins its plans. A change that
+moves any plan, zone, swarm or throughput bit updates these pins and says
+why; ``tools/plan_digest.py`` prints the same digests for every workload.
 """
 import importlib.util
 from pathlib import Path
@@ -16,14 +17,15 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "plan_digest.py"
 PINS = {
     "plan_digest": "eb7e2aafa5b6f02b",
     "zone_digest": "2770973116f1e98e",
-    "swarm_digest": "4fde2625df8a6fa0",
+    "swarm_digest": "b7b5e0787d44df53",
     "throughput_digest": "5e67ed65efeed6d5",
 }
 N200_PINS = {
     "plan_digest": "0faafee3327e138c",
     "zone_digest": "4ff046fc2c6bb991",
-    "swarm_digest": "1311b9487f6da3a3",
+    "swarm_digest": "ed856cbf7e4fe397",
 }
+PAPER_SWEEP_PLAN_DIGEST = "09ef367a7d7f110b"
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +46,8 @@ def test_n100_digests_are_pinned(plan_digest, digest):
 def test_n200_digests_are_pinned(plan_digest, digest):
     workload = plan_digest.workloads.WORKLOADS["n200-2km"]
     assert getattr(plan_digest, digest)(workload) == N200_PINS[digest]
+
+
+def test_paper_sweep_plan_digest_is_pinned(plan_digest):
+    workload = plan_digest.workloads.WORKLOADS["paper-sweep"]
+    assert plan_digest.plan_digest(workload) == PAPER_SWEEP_PLAN_DIGEST

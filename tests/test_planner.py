@@ -415,7 +415,7 @@ def test_split_heavy_plans_are_pinned(params):
     # The swarms, in the order of the waves that placed them, as --dump-pool
     # and --pso-trace write them.
     assert [members for members, _ in trace] == [members for members, _ in pool]
-    assert (len(pool), swarm_digest(pool, trace)) == (10, "a5a542a039d83e22")
+    assert (len(pool), swarm_digest(pool, trace)) == (10, "21d25430f7590008")
     fixed = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
     assert (fixed.uav_count, plan_digest(fixed, scn, params)) == (24, "0a944bb91fd5e514")
 

@@ -124,12 +124,12 @@ def test_optimize_deterministic_same_seed(params):
 def test_optimize_seed_changes_trajectory(params):
     # Spread UEs make the low-altitude witness infeasible, so the swarm has
     # to explore and different streams take different paths.
-    scn = make_scenario([(20, 20), (480, 480), (20, 480)], side=500.0)
+    scn = make_scenario([(20, 20), (300, 300), (20, 300)], demand=26e6, side=500.0)
     zone, spheres = full_zone(scn, params)
     t1, t2 = [], []
     optimize_position(zone, replace(scn, seed=1), params, SwarmConfig(), spheres=spheres, trace=t1)
     optimize_position(zone, replace(scn, seed=2), params, SwarmConfig(), spheres=spheres, trace=t2)
-    assert t1 != t2
+    assert len(t1) > 1 and t1 != t2
 
 
 def test_optimize_dominates_witness(params):
@@ -177,10 +177,8 @@ def test_optimize_capacity_error_under_fixed_policy(params):
     assert not sol.feasible
 
 
-def test_optimize_early_stop_activates(params, monkeypatch):
-    scn = make_scenario([(150, 150)], seed=2)
-    zone, spheres = full_zone(scn, params)
-    assert fitness(zone.witness, zone, scn, params)[1]
+def record_generators(monkeypatch):
+    """Lists that receive every generator the swarms make and the size of every draw."""
     seeded, drawn = [], []
     generator = np.random.Generator
 
@@ -194,7 +192,15 @@ def test_optimize_early_stop_activates(params, monkeypatch):
             return self.rng.random(size)
 
     monkeypatch.setattr(np.random, "Generator", Recorded)
-    cfg = SwarmConfig(max_iterations=100, early_stop_patience=10)
+    return seeded, drawn
+
+
+def test_optimize_early_stop_activates(params, monkeypatch):
+    scn = make_scenario([(150, 150)], seed=2)
+    zone, spheres = full_zone(scn, params)
+    assert fitness(zone.witness, zone, scn, params)[1]
+    seeded, drawn = record_generators(monkeypatch)
+    cfg = SwarmConfig(max_iterations=100)
     trace = []
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
     # A feasible witness is the first feasible best: no iteration, no draw,
@@ -205,10 +211,10 @@ def test_optimize_early_stop_activates(params, monkeypatch):
     assert trace == [(0, value, tuple(zone.witness.as_array()))]
     # The recorder sees a swarm that runs: one generator, its starts, then
     # one draw per step.
-    far = make_scenario([(250, 1000), (1750, 1000)], demand=26e6, side=2000.0, seed=1)
-    sol = optimize_position(_pseudo_zone((0, 1), far), far, params, cfg,
-                            spheres=build_spheres(far, params))
-    assert len(seeded) == 1
+    spread = make_scenario([(20, 20), (400, 400)], side=400.0)
+    sol = optimize_position(_pseudo_zone((0, 1), spread), spread, params, cfg,
+                            spheres=build_spheres(spread, params))
+    assert sol.feasible and sol.iterations > 0 and len(seeded) == 1
     assert drawn == [(cfg.particle_count - 1, 3)] + [(cfg.particle_count, 2, 3)] * sol.iterations
 
 
@@ -267,7 +273,7 @@ def test_first_feasible_best_is_the_full_search_result(params):
         elif sol.feasible:
             kinds.add("swarm reaches feasibility")
         elif unservable(zone.members, scn, params):
-            assert not sol.feasible and sol.iterations == cfg.early_stop_patience
+            assert not sol.feasible and sol.iterations == 0
             kinds.add("unservable")
     assert kinds == {"feasible witness", "seeded particle", "swarm reaches feasibility",
                      "unservable"}
@@ -289,7 +295,7 @@ def trace_bits(rows):
 def swarm_batches(params):
     """Random zones of 1 to 12 members, pseudo and enumerated, under both bandwidth policies."""
     rng = np.random.default_rng(7)
-    for trial in range(6):
+    for trial in range(8):
         side = float(rng.choice([300.0, 800.0, 1500.0]))
         scn = make_scenario(rng.uniform(0.0, side, (14, 2)), side=side,
                             bandwidth_policy="fixed" if trial % 3 == 2 else "demand-fit",
@@ -302,25 +308,20 @@ def swarm_batches(params):
         spheres = build_spheres(scn, params)
         zones = [_pseudo_zone(sorted(rng.choice(14, size=k, replace=False).tolist()), scn)
                  for k in (1, 3, 5, 8, 9, 12)] + enumerate_zones(spheres, scn.venue)[:3]
-        cfg = SwarmConfig(particle_count=6, max_iterations=int(rng.choice([4, 25])),
-                          early_stop_patience=int(rng.choice([1, 5])))
+        cfg = SwarmConfig(particle_count=6, max_iterations=int(rng.choice([4, 25])))
         yield scn, zones, spheres, cfg, trial % 4 == 3
 
 
-def outcomes(zone, sol, cfg, allow):
+def outcomes(zone, sol, allow):
     if sol is None:
         return {"pinned overrun"}
     if sol.iterations == 0:
+        if not sol.feasible:
+            return {"certificate stop"}
         return {"feasible witness" if sol.uav_position == zone.witness else "seeded start"}
-    seen = {"runs on past the certificate"} if (
-        not allow and cfg.early_stop_patience < sol.iterations) else set()
     if sol.feasible:
-        return seen | {"swarm"}
-    if allow:
-        return seen | {"overrun kept"}
-    if sol.iterations == cfg.early_stop_patience < cfg.max_iterations:
-        return seen | {"certificate stop"}
-    return seen | {"max iterations"}
+        return {"swarm"}
+    return {"overrun kept" if allow else "max iterations"}
 
 
 def test_lockstep_swarms_match_the_per_zone_search(params, monkeypatch):
@@ -335,7 +336,7 @@ def test_lockstep_swarms_match_the_per_zone_search(params, monkeypatch):
                 sol = None
             expected.append((solution_bits(sol), trace_bits(rows)))
             n = len(zone.members)
-            seen |= outcomes(zone, sol, cfg, allow)
+            seen |= outcomes(zone, sol, allow)
             seen.add("singleton" if n == 1 else "below 8" if n < 8 else "8 or more")
 
         def lockstep(batch):
@@ -352,25 +353,66 @@ def test_lockstep_swarms_match_the_per_zone_search(params, monkeypatch):
             assert lockstep(zones[::-1]) == expected[::-1]
     assert seen == {"singleton", "below 8", "8 or more", "pinned overrun", "feasible witness",
                     "seeded start", "swarm", "overrun kept", "certificate stop",
-                    "max iterations", "runs on past the certificate"}
+                    "max iterations"}
 
 
-@pytest.mark.parametrize("patience", [3, 10])
-def test_optimize_stops_at_patience_on_a_proven_unservable_zone(params, patience):
+@pytest.mark.parametrize("particles", [3, SwarmConfig().particle_count])
+def test_optimize_returns_a_proven_unservable_zone_after_seeding(params, monkeypatch, particles):
     # Two users 1.5 km apart at 26 Mbit/s: no point of the box reaches both.
     scn = make_scenario([(250, 1000), (1750, 1000)], demand=26e6, side=2000.0, seed=1)
     spheres = build_spheres(scn, params)
     zone = _pseudo_zone((0, 1), scn)
     assert unservable(zone.members, scn, params)
-    cfg = SwarmConfig(early_stop_patience=patience)
+    seeded, drawn = record_generators(monkeypatch)
+    cfg = SwarmConfig(particle_count=particles)
     trace = []
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
-    assert not sol.feasible
-    assert sol.iterations == patience and len(trace) == patience + 1
+    # The seeded best is the answer: one generator, the starts and no step.
+    assert not sol.feasible and sol.iterations == 0
+    assert trace == [(0, sol.fitness, tuple(sol.uav_position.as_array()))]
+    assert len(seeded) == 1 and drawn == [(cfg.particle_count - 1, 3)]
     # Placements that keep an infeasible zone run the whole search.
     kept = optimize_position(zone, scn, params, cfg, spheres=spheres,
                              allow_capacity_overrun=True)
     assert not kept.feasible and kept.iterations == cfg.max_iterations
+
+
+@pytest.mark.parametrize("pairs", [positioning._CERTIFY_PAIRS, 64], ids=["budget", "small-budget"])
+def test_certificate_stop_keeps_the_full_search_result(params, monkeypatch, pairs):
+    # Plans do not depend on when the certificate runs: every zone it proves
+    # stays infeasible through all ``max_iterations``, and every zone it
+    # leaves unproven gets the full search's result bit for bit. A small
+    # pair budget leaves unproven zones that the swarm cannot serve either.
+    monkeypatch.setattr(positioning, "_CERTIFY_PAIRS", pairs)
+    rng = np.random.default_rng(17)
+    seen = set()
+    for trial in range(12):
+        side = float(rng.choice([150.0, 400.0, 1000.0]))
+        flat = trial % 4 >= 2
+        policy = "fixed" if trial % 2 else "demand-fit"
+        scn = make_scenario(rng.uniform(0.0, side, (8, 2)),
+                            demand=float(rng.choice([6.5e6, 26e6])), side=side,
+                            z=(20.0, 20.0) if flat else (10.0, 100.0), seed=trial,
+                            bandwidth_policy=policy)
+        spheres = build_spheres(scn, params)
+        zones = [_pseudo_zone(sorted(rng.choice(8, size=k, replace=False).tolist()), scn)
+                 for k in (2, 3, 4, 6)]
+        cfg = SwarmConfig(particle_count=10, max_iterations=40)
+        sols = optimize_positions(zones, scn, params, cfg, spheres=spheres)
+        for zone, sol in zip(zones, sols):
+            ref_pos, ref_val, ref_feasible = reference_placement(zone, scn, params, cfg, spheres)
+            if unservable(zone.members, scn, params):
+                assert not ref_feasible
+                assert not sol.feasible and sol.iterations == 0
+                seen.add(("proven", flat, policy))
+            else:
+                assert sol.uav_position.as_array().tobytes() == ref_pos.tobytes()
+                assert sol.fitness.hex() == ref_val.hex() and sol.feasible == ref_feasible
+                seen.add(("served" if sol.feasible else "unserved", flat, policy))
+    assert {(kind, flat, policy) for kind in ("proven", "served") for flat in (False, True)
+            for policy in ("fixed", "demand-fit")} <= seen
+    if pairs == 64:
+        assert any(kind == "unserved" for kind, _, _ in seen)
 
 
 def test_certificate_never_fires_where_a_dense_grid_serves_the_zone(params):
@@ -398,8 +440,7 @@ def test_swarm_config_invariants():
         SwarmConfig(particle_count=1)
     with pytest.raises(ValueError):
         SwarmConfig(inertia_weight=1.0)
-    for bad in ({"max_iterations": -1}, {"early_stop_patience": 0},
-                {"cognitive_coeff": -0.1}, {"social_coeff": math.nan},
+    for bad in ({"max_iterations": -1}, {"cognitive_coeff": -0.1}, {"social_coeff": math.nan},
                 {"cognitive_coeff": math.inf}):
         with pytest.raises(ValueError):
             SwarmConfig(**bad)
