@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .channel import ChannelDomainError, max_service_distance
-from .geometry import FeasibleBox, Point3
+from .geometry import FeasibleBox, Point3, read_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import ChannelParams
@@ -66,42 +66,48 @@ class CandidateZone:
     slack: float
 
 
-def sphere_bandwidth(ue, scenario) -> float:
-    """Bandwidth assumed when sizing a UE's coverage sphere.
+@dataclass(frozen=True, eq=False)
+class Spheres:
+    """Read-only ``centers`` (N, 3) and ``radii`` (N,); item ``i`` is UE ``i``'s ``CoverageSphere``."""
 
-    A pinned link (see ``Scenario.pinned_bandwidth_hz``) is sized at its
-    width. A demand-fit link's width is chosen at positioning time, so its
-    sphere uses the full per-UAV budget: the ball then contains exactly the
-    positions where *some* admissible bandwidth meets the demand.
+    centers: np.ndarray
+    radii: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.radii)
+
+    def __getitem__(self, i) -> CoverageSphere:
+        i = range(len(self))[i]
+        return CoverageSphere(ue_index=i, center=Point3.from_array(self.centers[i]),
+                              radius=float(self.radii[i]))
+
+
+def build_spheres(scenario: "Scenario", params: "ChannelParams") -> Spheres:
+    """One service sphere per UE, centred on it; fails if any UE is unservable.
+
+    A pinned link (``Scenario.pinned_widths_hz``) is sized at its width. A
+    demand-fit link's width is chosen at positioning time, so its sphere
+    uses the full per-UAV budget: the ball then contains exactly the
+    positions where *some* admissible bandwidth meets the demand. The radius
+    is ``max_service_distance``, once per distinct (demand, width). A UE is
+    unservable when its sphere misses the box or its demand/width overflows.
     """
-    pinned = scenario.pinned_bandwidth_hz(ue)
-    return scenario.b_max_hz if pinned is None else pinned
-
-
-def build_spheres(scenario: "Scenario", params: "ChannelParams") -> list[CoverageSphere]:
-    """One service sphere per UE, in UE order; fails if any UE is unservable.
-
-    A UE is unservable when its sphere misses the UAV box, or when its demand
-    is beyond the rate inversion at its sphere's width (``sphere_bandwidth``).
-
-    Every later stage indexes spheres by position: ``spheres[i]`` is the
-    sphere of UE ``i`` and has ``ue_index == i``.
-    """
-    spheres = []
-    unservable = []
-    box = scenario.venue
-    for i, ue in enumerate(scenario.ues):
+    pinned = scenario.pinned_widths_hz
+    links = np.column_stack([scenario.demands_bps, np.where(np.isnan(pinned), scenario.b_max_hz, pinned)])
+    distinct, inverse = np.unique(links, axis=0, return_inverse=True)
+    reach = []
+    for demand, width in distinct.tolist():
         try:
-            radius = max_service_distance(ue.demand_bps, sphere_bandwidth(ue, scenario), params)
+            reach.append(max_service_distance(demand, width, params))
         except ChannelDomainError:  # demand/width overflows the rate inversion
-            unservable.append(i)
-            continue
-        spheres.append(CoverageSphere(ue_index=i, center=ue.position, radius=radius))
-        if box.distance_to(ue.position.as_array()) >= radius:
-            unservable.append(i)
+            reach.append(math.nan)
+    radii = np.array(reach)[inverse.reshape(-1)]
+    xyz = scenario.ue_positions
+    gap = np.linalg.norm(xyz - scenario.venue.clamp(xyz), axis=1)
+    unservable = np.flatnonzero(np.isnan(radii) | (gap >= radii)).tolist()
     if unservable:
         raise UnservableError(unservable)
-    return spheres
+    return Spheres(centers=xyz, radii=read_only(radii))
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +276,9 @@ def zone_witnesses(sets: Sequence[Iterable[int]], centers: np.ndarray, radii: np
     return [(Point3(float(x), float(y), float(z)), float(f)) for x, y, f in out]
 
 
-def zone_witness(members: Iterable[int], spheres: Sequence[CoverageSphere],
-                 box: FeasibleBox) -> tuple[Point3, float]:
-    """``zone_witnesses`` of one member set; ``spheres`` is indexed by UE (see ``build_spheres``)."""
-    centers = np.array([s.center.as_array() for s in spheres])
-    return zone_witnesses([members], centers, np.array([s.radius for s in spheres]), box)[0]
+def zone_witness(members: Iterable[int], spheres: Spheres, box: FeasibleBox) -> tuple[Point3, float]:
+    """``zone_witnesses`` of one member set of ``spheres``."""
+    return zone_witnesses([members], spheres.centers, spheres.radii, box)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +432,7 @@ def _certify(sets: Sequence[tuple[int, ...]], centers, radii, box: FeasibleBox) 
     return out
 
 
-def enumerate_zones(spheres: Sequence[CoverageSphere], box: FeasibleBox) -> list[CandidateZone]:
+def enumerate_zones(spheres: Spheres, box: FeasibleBox) -> list[CandidateZone]:
     """All maximal candidate zones of the sphere arrangement inside the box.
 
     Every zone lies on the altitude floor (see ``zone_witnesses``), where a
@@ -440,15 +444,13 @@ def enumerate_zones(spheres: Sequence[CoverageSphere], box: FeasibleBox) -> list
     candidate sets; each maximal one is certified once (``_certify``), the
     sets whose clamped mean misses in one batched witness solve per round.
     One that fails, which only a degenerate touch can cause, gives way to
-    the candidate sets it hid. ``spheres`` is indexed by UE (see
-    ``build_spheres``). Raises ValueError, as ``zone_witnesses`` does, for
-    a centre above the floor of a box that is not flat.
+    the candidate sets it hid. Raises ValueError, as ``zone_witnesses``
+    does, for a centre above the floor of a box that is not flat.
     """
-    if not spheres:
+    if not len(spheres):
         raise ValueError("no spheres to enumerate")
     n = len(spheres)
-    centers = np.array([s.center.as_array() for s in spheres])
-    radii = np.array([s.radius for s in spheres])
+    centers, radii = spheres.centers, spheres.radii
     if box.z[1] > box.z[0] and (centers[:, 2] > box.z[0]).any():
         raise ValueError(f"a sphere centre lies above the altitude floor {box.z[0]} m")
     xy, h2 = centers[:, :2], (box.z[0] - centers[:, 2]) ** 2

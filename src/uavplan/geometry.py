@@ -1,6 +1,7 @@
 """Basic 3D geometry shared by the channel model, coverage stage and planner."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,13 +48,15 @@ class FeasibleBox:
         if not self.z[0] <= self.z[1]:
             raise ValueError(f"inverted z bounds: {self.z}")
 
-    @property
+    @functools.cached_property
     def lower(self) -> np.ndarray:
-        return np.array([self.x[0], self.y[0], self.z[0]], dtype=float)
+        """Lowest x, y and z, read-only."""
+        return read_only(np.array([self.x[0], self.y[0], self.z[0]], dtype=float))
 
-    @property
+    @functools.cached_property
     def upper(self) -> np.ndarray:
-        return np.array([self.x[1], self.y[1], self.z[1]], dtype=float)
+        """Highest x, y and z, read-only."""
+        return read_only(np.array([self.x[1], self.y[1], self.z[1]], dtype=float))
 
     def clamp(self, p: np.ndarray) -> np.ndarray:
         return np.clip(p, self.lower, self.upper)
@@ -62,10 +65,7 @@ class FeasibleBox:
         a = np.asarray(p, dtype=float)
         return bool(np.all(a >= self.lower - tol) and np.all(a <= self.upper + tol))
 
-    def footprint_contains(self, x: float, y: float) -> bool:
-        return self.x[0] <= x <= self.x[1] and self.y[0] <= y <= self.y[1]
 
-    def distance_to(self, p: np.ndarray) -> float:
-        """Euclidean distance from a point to the box (0 if inside)."""
-        a = np.asarray(p, dtype=float)
-        return float(np.linalg.norm(a - self.clamp(a)))
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a

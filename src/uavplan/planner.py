@@ -19,7 +19,7 @@ import numpy as np
 from . import channel
 from .coverage import (
     CandidateZone,
-    CoverageSphere,
+    Spheres,
     UnservableError,
     build_spheres,
     cover_assignment,
@@ -113,11 +113,10 @@ def min_feasible_bandwidths(scenario: "Scenario", params: "ChannelParams") -> np
     lowest allowed altitude, where both the distance and the NLoS mix are at
     their minima. NaN marks a UE whose demand even ``b_max_hz`` cannot meet.
     """
-    bounds = np.array([scenario.pinned_bandwidth_hz(ue) for ue in scenario.ues], dtype=float)
+    bounds = scenario.pinned_widths_hz.copy()
     fit = np.isnan(bounds)
     if fit.any():
-        positions = np.array([ue.position.as_array() for ue in scenario.ues])[fit]
-        demands = np.array([ue.demand_bps for ue in scenario.ues])[fit]
+        positions, demands = scenario.ue_positions[fit], scenario.demands_bps[fit]
         # Every UE lies inside the footprint and below the altitude floor, so
         # clamping it into the box gives the point straight above it.
         overhead = scenario.venue.clamp(positions)
@@ -148,7 +147,7 @@ def zone_capacity(members: Sequence[int], lower_bounds: Sequence[float], b_max_h
 
 def split_zone(
     zone: CandidateZone,
-    spheres: Sequence[CoverageSphere],
+    spheres: Spheres,
     scenario: "Scenario",
     max_members: int,
 ) -> list[CandidateZone]:
@@ -167,7 +166,7 @@ def split_zone(
     def bisect(members: tuple[int, ...]) -> list[tuple[int, ...]]:
         if len(members) <= max_members:
             return [members]
-        pts = np.array([spheres[i].center.as_array() for i in members])
+        pts = spheres.centers[list(members)]
         centered = pts - pts.mean(axis=0)
         cov = centered.T @ centered
         w, v = np.linalg.eigh(cov)
@@ -183,8 +182,7 @@ def split_zone(
 
     members = tuple(sorted(zone.members))
     groups = bisect(members)
-    centers = np.array([spheres[i].center.as_array() for i in members])
-    radii = np.array([spheres[i].radius for i in members])
+    centers, radii = spheres.centers[list(members)], spheres.radii[list(members)]
     local = [np.searchsorted(members, g) for g in groups]
     solved = zone_witnesses(local, centers, radii, scenario.venue)
     # Fall back to singletons; cannot happen for subsets of a certified zone
@@ -200,17 +198,14 @@ def split_zone(
     return out
 
 
-def _restrict_zone(zone: CandidateZone, served: Sequence[int],
-                   spheres: Sequence[CoverageSphere]) -> CandidateZone:
+def _restrict_zone(zone: CandidateZone, served: Sequence[int], spheres: Spheres) -> CandidateZone:
     members = tuple(sorted(served))
     if members == zone.members:
         return zone
-    w = zone.witness.as_array()
-    slack = min(
-        spheres[i].radius - float(np.linalg.norm(w - spheres[i].center.as_array()))
-        for i in members
-    )
-    return CandidateZone(members=members, witness=zone.witness, slack=slack)
+    idx = list(members)
+    gap = np.linalg.norm(zone.witness.as_array() - spheres.centers[idx], axis=1)
+    return CandidateZone(members=members, witness=zone.witness,
+                         slack=float(np.min(spheres.radii[idx] - gap)))
 
 
 def plan_deployment(
@@ -312,8 +307,7 @@ def _assemble(placed, scenario: "Scenario") -> Deployment:
             z[link.ue_index, k] = 1
             bw[link.ue_index] = link.bandwidth_hz
             rate[link.ue_index] = link.rate_bps
-    demands = np.array([ue.demand_bps for ue in scenario.ues])
-    aggregate = float(np.sum(np.minimum(rate, demands)))
+    aggregate = float(np.sum(np.minimum(rate, scenario.demands_bps)))
     return Deployment(
         uav_positions=tuple(positions),
         association=Association(z=z, a=a),
@@ -329,11 +323,12 @@ def uav_loads(z: np.ndarray, bandwidth_hz: np.ndarray) -> np.ndarray:
     return np.array([np.sum(bandwidth_hz[z[:, k] == 1]) for k in range(z.shape[1])])
 
 
-def served_links(z: np.ndarray, uav_positions: Sequence[Point3], ues: Sequence,
+def served_links(z: np.ndarray, uav_positions: Sequence[Point3], ue_xyz: np.ndarray,
                  width_hz: np.ndarray, params: "ChannelParams") -> tuple[np.ndarray, np.ndarray]:
     """Each UE's one serving UAV and the channel's rate to it at ``width_hz``.
 
-    ``z`` associates ``ues`` (rows) with ``uav_positions`` (columns), and
+    ``z`` associates the UEs at ``ue_xyz`` (rows, an (N, 3) array such as
+    ``Scenario.ue_positions``) with ``uav_positions`` (columns), and
     ``width_hz`` holds one width per UE. The server is -1 for a UE that no
     UAV or several UAVs serve. The rate is 0 there, at a width that is not
     positive and where the UAV is not above its UE; elsewhere it is
@@ -345,8 +340,7 @@ def served_links(z: np.ndarray, uav_positions: Sequence[Point3], ues: Sequence,
     server[ue] = uav
     server[np.bincount(ue, minlength=len(z)) != 1] = -1
     live = (server >= 0) & (width_hz > 0)
-    ue_xyz = np.array([u.position.as_array() for u in ues]).reshape(-1, 3)
-    uav_xyz = np.array([p.as_array() for p in uav_positions]).reshape(-1, 3)
+    uav_xyz = np.array([(p.x, p.y, p.z) for p in uav_positions], dtype=float).reshape(-1, 3)
     snr_hz = channel.snr_hz_between(ue_xyz[live], uav_xyz[server[live]], params)
     rate = np.zeros(len(z))
     rate[live] = channel.shannon_rate_kernel(snr_hz, width_hz[live])
@@ -366,7 +360,9 @@ def validate_deployment(
     spread of the UAV count over positions, association columns, ``a`` and
     ``uav_count`` plus that of the UE count over association rows, link
     arrays and the scenario's UEs; the other checks read the UAVs and UEs
-    that every array has.
+    that every array has. ``pinned_width`` is the largest |link width -
+    pinned width| over the UEs whose link is pinned
+    (``Scenario.pinned_widths_hz``), and passes only at 0.
     """
     z = np.asarray(deployment.association.z)
     a = np.asarray(deployment.association.a)
@@ -384,16 +380,17 @@ def validate_deployment(
     assoc_residual = float(np.max(np.abs(z.sum(axis=1) - 1))) if n_ues else 0.0
     link_residual = float(np.max(z - a[None, :])) if n_ues and n_uavs else 0.0
 
-    demands = np.array([ue.demand_bps for ue in scenario.ues[:n_ues]])
-    server, rate = served_links(z, deployment.uav_positions[:n_uavs], scenario.ues[:n_ues],
+    demands = scenario.demands_bps[:n_ues]
+    server, rate = served_links(z, deployment.uav_positions[:n_uavs], scenario.ue_positions[:n_ues],
                                 bandwidth, params)
     residual = np.where((server >= 0) & (bandwidth > 0), (demands - rate) / demands - RATE_RTOL, 1.0)
     demand_residual = float(residual.max()) if n_ues else 0.0
     capacity_residual = float(np.max(uav_loads(z, bandwidth) - scenario.b_max_hz)) if n_uavs else 0.0
 
-    box_residual = max(
-        (scenario.venue.distance_to(p.as_array()) for p in deployment.uav_positions), default=0.0
-    )
+    pinned = scenario.pinned_widths_hz[:n_ues]
+    pin_residual = float(np.max(np.abs(bandwidth - pinned), where=~np.isnan(pinned), initial=0.0))
+    uav_xyz = np.array([(p.x, p.y, p.z) for p in deployment.uav_positions], dtype=float).reshape(-1, 3)
+    box_residual = float(np.linalg.norm(uav_xyz - scenario.venue.clamp(uav_xyz), axis=1).max(initial=0.0))
 
     checks = (
         ConstraintCheck("demand_rate", demand_residual, demand_residual <= 0),
@@ -403,5 +400,6 @@ def validate_deployment(
         ConstraintCheck("binary_variables", binary_residual, binary_residual == 0),
         ConstraintCheck("position_in_box", box_residual, box_residual <= 0),
         ConstraintCheck("shape_agreement", shape_residual, shape_residual == 0),
+        ConstraintCheck("pinned_width", pin_residual, pin_residual == 0),
     )
     return ValidationReport(checks=checks)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from . import channel
-from .coverage import CandidateZone
+from .coverage import CandidateZone, Spheres
 from .geometry import FeasibleBox, Point3
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,12 +112,10 @@ def _members(zones: Sequence[Sequence[int]], scenario: "Scenario") -> _Members:
     sets = [sorted(z) for z in zones]
     count = np.array([len(s) for s in sets], dtype=np.intp)
     indices = np.array([i for s in sets for i in s], dtype=int)
-    ues = [scenario.ues[i] for i in indices.tolist()]
-    demands = np.array([ue.demand_bps for ue in ues])
-    pinned = np.array([scenario.pinned_bandwidth_hz(ue) for ue in ues], dtype=float)
+    demands, pinned = scenario.demands_bps[indices], scenario.pinned_widths_hz[indices]
     return _Members(
         indices=indices,
-        positions=np.array([ue.position.as_array() for ue in ues]),
+        positions=scenario.ue_positions[indices],
         demands=demands,
         pinned=pinned,
         fit=np.isnan(pinned),
@@ -297,7 +295,7 @@ def optimize_positions(
     scenario: "Scenario",
     params: "ChannelParams",
     config: SwarmConfig,
-    spheres: Sequence = (),
+    spheres: Spheres | None = None,
     allow_capacity_overrun: bool = False,
     traces: Sequence[list] | None = None,
 ) -> list[PlacementSolution | None]:
@@ -324,11 +322,11 @@ def optimize_positions(
     step ``random((n, 2, 3))``, each particle's r1 then its r2. So each
     zone's trajectory is a pure function of the zone and the inputs, whatever
     else shares the call; to re-seed the swarms, plan ``replace(scenario, seed=k)``.
-    ``spheres`` is indexed by UE (see ``build_spheres``) and only bounds
-    where the particles start and how fast they move; without spheres (the
-    baselines) the box alone bounds both. The global best is returned as
-    found, even outside a member sphere: the demand check, not sphere
-    containment, decides feasibility.
+    ``spheres`` (``build_spheres``) only bounds where the particles start
+    and how fast they move; without spheres (the baselines) the box alone
+    bounds both. The global best is returned as found, even outside a
+    member sphere: the demand check, not sphere containment, decides
+    feasibility.
 
     Returns one result per zone, in order: None where the members' pinned
     link widths alone overrun the bandwidth budget (the caller should split
@@ -373,9 +371,9 @@ def optimize_positions(
     if len(zone):
         members = [m.indices[m.start[j]:m.start[j] + m.count[j]].tolist() for j in zone]
         centers = radii = None
-        if spheres:
-            centers = np.array([spheres[i].center.as_array() for g in members for i in g])
-            radii = np.array([spheres[i].radius for g in members for i in g])
+        if spheres is not None:
+            own = [i for g in members for i in g]
+            centers, radii = spheres.centers[own], spheres.radii[own]
         lo, hi = _init_bounds(best[zone], centers, radii, np.cumsum(m.count[zone]) - m.count[zone],
                               box)
         v_max = 0.5 * (hi - lo)
@@ -459,7 +457,7 @@ def optimize_position(
     scenario: "Scenario",
     params: "ChannelParams",
     config: SwarmConfig,
-    spheres: Sequence = (),
+    spheres: Spheres | None = None,
     allow_capacity_overrun: bool = False,
     trace: list | None = None,
 ) -> PlacementSolution:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .channel import MAX_GRID_STEPS
-from .geometry import FeasibleBox, Point3
+from .geometry import FeasibleBox, Point3, read_only
 from .planner import Deployment, _assemble, plan_deployment, served_links, uav_loads
 from .positioning import (
     SwarmConfig,
@@ -71,17 +72,27 @@ class Scenario:
     fixed_bandwidth_hz: float = 20e6
     bandwidth_grid_hz: float = 1e3
 
-    def pinned_bandwidth_hz(self, ue: UE) -> float | None:
-        """Width a UE's link is pinned at, or None when demand-fit chooses it.
+    @functools.cached_property
+    def ue_positions(self) -> np.ndarray:
+        """(N, 3) UE positions. The UE arrays are read-only and built on first use."""
+        xyz = [(ue.position.x, ue.position.y, ue.position.z) for ue in self.ues]
+        return read_only(np.array(xyz, dtype=float).reshape(-1, 3))
+
+    @functools.cached_property
+    def demands_bps(self) -> np.ndarray:
+        """(N,) UE demands."""
+        return read_only(np.array([ue.demand_bps for ue in self.ues], dtype=float))
+
+    @functools.cached_property
+    def pinned_widths_hz(self) -> np.ndarray:
+        """(N,) width each UE's link is pinned at, NaN where demand-fit chooses it.
 
         A per-UE ``bandwidth_hz`` pins its link under either policy; under
         ``"fixed"`` every other link is pinned at ``fixed_bandwidth_hz``.
         """
-        if ue.bandwidth_hz is not None:
-            return ue.bandwidth_hz
-        if self.bandwidth_policy == "fixed":
-            return self.fixed_bandwidth_hz
-        return None
+        other = self.fixed_bandwidth_hz if self.bandwidth_policy == "fixed" else math.nan
+        pins = [other if ue.bandwidth_hz is None else ue.bandwidth_hz for ue in self.ues]
+        return read_only(np.array(pins, dtype=float))
 
     def validate(self) -> None:
         if not self.ues:
@@ -97,20 +108,24 @@ class Scenario:
                 f"b_max_hz {self.b_max_hz} must hold 1 to {MAX_GRID_STEPS} bandwidth grid "
                 f"steps of {self.bandwidth_grid_hz}"
             )
-        max_ue_z = max(ue.position.z for ue in self.ues)
+        xyz, demand = self.ue_positions, self.demands_bps
+        max_ue_z = float(xyz[:, 2].max())
         if self.venue.z[0] <= max_ue_z:
             raise ConfigError(
                 f"UAV altitude floor {self.venue.z[0]} m must exceed the "
                 f"highest UE altitude {max_ue_z} m"
             )
+        bad = np.flatnonzero(~((demand > 0) & (demand < math.inf)))
+        if len(bad):
+            raise ConfigError(f"UE {bad[0]} demand must be positive and finite, got {demand[bad[0]]}")
+        # The raw values: the pinned-width array reads a NaN width as "not pinned".
         for i, ue in enumerate(self.ues):
-            if not 0 < ue.demand_bps < math.inf:
-                raise ConfigError(f"UE {i} demand must be positive and finite, got {ue.demand_bps}")
-            pinned = self.pinned_bandwidth_hz(ue)
-            if pinned is not None and not 0 < pinned < math.inf:
-                raise ConfigError(f"UE {i} bandwidth must be positive and finite, got {pinned}")
-            if not self.venue.footprint_contains(ue.position.x, ue.position.y):
-                raise ConfigError(f"UE {i} lies outside the venue footprint")
+            if ue.bandwidth_hz is not None and not 0 < ue.bandwidth_hz < math.inf:
+                raise ConfigError(f"UE {i} bandwidth must be positive and finite, got {ue.bandwidth_hz}")
+        bad = np.flatnonzero(~((xyz[:, :2] >= self.venue.lower[:2])
+                               & (xyz[:, :2] <= self.venue.upper[:2])).all(axis=1))
+        if len(bad):
+            raise ConfigError(f"UE {bad[0]} lies outside the venue footprint")
 
 
 class BaselineKind(enum.Enum):
@@ -160,7 +175,7 @@ def _proximity_groups(scenario: Scenario, group_size: int) -> list[list[int]]:
     """
     n = len(scenario.ues)
     k = math.ceil(n / group_size)
-    pts = np.array([ue.position.as_array()[:2] for ue in scenario.ues])
+    pts = scenario.ue_positions[:, :2]
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed & 0xFFFFFFFF, 0xC1]))
     centroids = pts[rng.choice(n, size=k, replace=False)]
 
@@ -177,17 +192,13 @@ def _proximity_groups(scenario: Scenario, group_size: int) -> list[list[int]]:
         centroids[held] = sums[held] / counts[held, None]
 
     groups: list[list[int]] = [sorted(np.flatnonzero(assign == c).tolist()) for c in range(k)]
-    # Enforce the per-group cap deterministically.
+    # Enforce the per-group cap deterministically: argmax and argmin take the
+    # first of equal distances, the lower index.
     for c in range(k):
         while len(groups[c]) > group_size:
-            dists = [(-np.linalg.norm(pts[i] - centroids[c]), i) for i in groups[c]]
-            _, worst = min(dists)
-            candidates = [
-                (np.linalg.norm(pts[worst] - centroids[d]), d)
-                for d in range(k)
-                if d != c and len(groups[d]) < group_size
-            ]
-            _, dest = min(candidates)
+            worst = groups[c][np.linalg.norm(pts[groups[c]] - centroids[c], axis=1).argmax()]
+            room = [d for d in range(k) if d != c and len(groups[d]) < group_size]
+            dest = room[np.linalg.norm(pts[worst] - centroids[room], axis=1).argmin()]
             groups[c].remove(worst)
             groups[dest] = sorted(groups[dest] + [worst])
     # The UAV count is fixed at k, so empty groups poach from the largest one.
@@ -195,8 +206,7 @@ def _proximity_groups(scenario: Scenario, group_size: int) -> list[list[int]]:
         if groups[c]:
             continue
         donor = max(range(k), key=lambda d: (len(groups[d]), -d))
-        dists = [(-np.linalg.norm(pts[i] - centroids[donor]), i) for i in groups[donor]]
-        _, moved = min(dists)
+        moved = groups[donor][np.linalg.norm(pts[groups[donor]] - centroids[donor], axis=1).argmax()]
         groups[donor].remove(moved)
         groups[c] = [moved]
     return groups
@@ -204,8 +214,7 @@ def _proximity_groups(scenario: Scenario, group_size: int) -> list[list[int]]:
 
 def _pseudo_zone(members: list[int], scenario: Scenario) -> CandidateZone:
     """Anchor zone for baseline PSO runs: no sphere certificate required."""
-    pts = np.array([scenario.ues[i].position.as_array() for i in members])
-    anchor = pts.mean(axis=0)
+    anchor = scenario.ue_positions[list(members)].mean(axis=0)
     anchor[2] = 0.5 * (scenario.venue.z[0] + scenario.venue.z[1])
     anchor = scenario.venue.clamp(anchor)
     return CandidateZone(members=tuple(sorted(members)), witness=Point3.from_array(anchor), slack=0.0)
@@ -273,16 +282,13 @@ def evaluate_throughput(
                       where=loads > scenario.b_max_hz)
     # A served UE's row of z holds a single 1, so the minimum is its UAV's scale.
     width = bandwidth * np.min(np.where(z == 1, scale, 1.0), axis=1, initial=1.0)
-    _, rate = served_links(z, deployment.uav_positions, scenario.ues, width, params)
-    delivered = np.minimum([ue.demand_bps for ue in scenario.ues], rate).tolist()
+    _, rate = served_links(z, deployment.uav_positions, scenario.ue_positions, width, params)
+    delivered = np.minimum(scenario.demands_bps, rate).tolist()
     return float(sum(delivered)), delivered
 
 
 def demand_satisfaction_ratio(delivered: list[float], scenario: Scenario) -> float:
-    satisfied = sum(
-        1 for d, ue in zip(delivered, scenario.ues) if d >= ue.demand_bps
-    )
-    return satisfied / len(scenario.ues)
+    return int(np.count_nonzero(np.asarray(delivered) >= scenario.demands_bps)) / len(scenario.ues)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ def member_data(members, scenario) -> MemberData:
     idx = np.array(sorted(members), dtype=int)
     ues = [scenario.ues[i] for i in idx]
     demands = np.array([ue.demand_bps for ue in ues])
-    pinned = np.array([scenario.pinned_bandwidth_hz(ue) for ue in ues], dtype=float)
+    pinned = scenario.pinned_widths_hz[idx]
     return MemberData(
         indices=idx,
         positions=np.array([ue.position.as_array() for ue in ues]),

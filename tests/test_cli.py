@@ -57,7 +57,7 @@ def test_plan_exit_zero_and_results_schema(tmp_path):
     names = {c["name"] for c in doc["validation"]["constraints"]}
     assert names == {"demand_rate", "bandwidth_capacity", "unique_association",
                      "activation_linkage", "binary_variables", "position_in_box",
-                     "shape_agreement"}
+                     "shape_agreement", "pinned_width"}
 
 
 def test_plan_byte_identical_reruns(tmp_path):

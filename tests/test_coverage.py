@@ -37,6 +37,12 @@ def sphere(i, x, y, r, z=0.0):
     return CoverageSphere(ue_index=i, center=Point3(x, y, z), radius=r)
 
 
+def as_spheres(items):
+    """The ``Spheres`` of hand-built spheres; sphere ``i`` is ``items[i]``."""
+    return coverage.Spheres(centers=np.array([s.center.as_array() for s in items]),
+                            radii=np.array([s.radius for s in items]))
+
+
 # ---------------------------------------------------------------------------
 # build_spheres
 # ---------------------------------------------------------------------------
@@ -75,6 +81,26 @@ def test_build_spheres_fixed_policy_radius(params):
     assert spheres[0].radius == max_service_distance(6.5e6, 20e6, params)
 
 
+@pytest.mark.parametrize("policy", ["demand-fit", "fixed"])
+def test_build_spheres_radius_per_ue_from_its_own_link(params, policy):
+    # Mixed demands and per-UE widths: each radius is the scalar service
+    # distance of that UE's own (demand, width), bit for bit.
+    demands = [6.5e6, 26e6, 6.5e6, 26e6, 13e6]
+    widths = [None, 5e6, 5e6, None, 20e6]
+    ues = tuple(UE(position=Point3(10.0 + 20.0 * k, 30.0, 0.0), demand_bps=d, bandwidth_hz=w)
+                for k, (d, w) in enumerate(zip(demands, widths)))
+    scn = Scenario(label="t", seed=1, venue=FeasibleBox((0.0, 200.0), (0.0, 200.0), (10.0, 100.0)),
+                   ues=ues, bandwidth_policy=policy)
+    spheres = build_spheres(scn, params)
+    other = scn.b_max_hz if policy == "demand-fit" else scn.fixed_bandwidth_hz
+    expected = [max_service_distance(d, other if w is None else w, params)
+                for d, w in zip(demands, widths)]
+    assert spheres.radii.tolist() == expected
+    assert spheres.centers is scn.ue_positions
+    assert [s.center for s in spheres] == [ue.position for ue in ues]
+    assert [s.ue_index for s in spheres] == list(range(5))
+
+
 def test_build_spheres_unservable(params):
     # Demand so high the sphere cannot reach the altitude floor.
     scn = make_scenario([(50, 50)], demand=2.5e9, bandwidth_policy="fixed")
@@ -89,7 +115,7 @@ def test_build_spheres_unservable(params):
 
 def test_witness_singleton_is_clamped_nadir():
     s = sphere(0, 200.0, 300.0, 50.0)
-    w, deficit = zone_witness([0], [s], BOX)
+    w, deficit = zone_witness([0], as_spheres([s]), BOX)
     assert (w.x, w.y, w.z) == (200.0, 300.0, 10.0)
     assert deficit == pytest.approx(-40.0)
 
@@ -99,7 +125,7 @@ def test_witness_two_overlapping_unit_spheres():
     # region is feasible and the deficit is negative.
     a = sphere(0, 100.0, 100.0, 1.0, z=9.5)
     b = sphere(1, 101.0, 100.0, 1.0, z=9.5)
-    w, deficit = zone_witness([0, 1], [a, b], BOX)
+    w, deficit = zone_witness([0, 1], as_spheres([a, b]), BOX)
     assert deficit < 0
     for s in (a, b):
         assert math.dist((w.x, w.y, w.z), (s.center.x, s.center.y, s.center.z)) <= s.radius
@@ -108,7 +134,7 @@ def test_witness_two_overlapping_unit_spheres():
 def test_witness_disjoint_spheres_infeasible():
     a = sphere(0, 0.0, 0.0, 30.0)
     b = sphere(1, 100.0, 0.0, 30.0)
-    _, deficit = zone_witness([0, 1], [a, b], BOX)
+    _, deficit = zone_witness([0, 1], as_spheres([a, b]), BOX)
     assert deficit > 0
 
 
@@ -117,7 +143,7 @@ def test_witness_tangent_geometry_accuracy():
     # search must find the thin lens.
     a = sphere(0, 0.0, 500.0, 60.0)
     b = sphere(1, 100.0, 500.0, 60.0)
-    w, deficit = zone_witness([0, 1], [a, b], BOX)
+    w, deficit = zone_witness([0, 1], as_spheres([a, b]), BOX)
     assert deficit <= 0
     # Analytic check: the lens center is at (50, 500, z) with z up to
     # sqrt(60^2 - 50^2) = 33.17; the box floor at 10 is inside.
@@ -126,7 +152,7 @@ def test_witness_tangent_geometry_accuracy():
 
 def test_witness_respects_box():
     a = sphere(0, 500.0, 500.0, 300.0)
-    w, _ = zone_witness([0], [a], BOX)
+    w, _ = zone_witness([0], as_spheres([a]), BOX)
     assert BOX.contains(w.as_array())
 
 
@@ -134,8 +160,8 @@ def test_witness_deterministic():
     a = sphere(0, 10.0, 20.0, 80.0)
     b = sphere(1, 60.0, 40.0, 90.0)
     c = sphere(2, 30.0, 90.0, 85.0)
-    w1, d1 = zone_witness([0, 1, 2], [a, b, c], BOX)
-    w2, d2 = zone_witness([0, 1, 2], [a, b, c], BOX)
+    w1, d1 = zone_witness([0, 1, 2], as_spheres([a, b, c]), BOX)
+    w2, d2 = zone_witness([0, 1, 2], as_spheres([a, b, c]), BOX)
     assert (w1.x, w1.y, w1.z, d1) == (w2.x, w2.y, w2.z, d2)
 
 
@@ -155,13 +181,14 @@ def _witness_cases(rng):
         # A flat box takes any UE altitude; otherwise UEs sit below the floor.
         z = rng.uniform(0.0, floor + 5.0 if flat else floor - 0.5, m)
         radii = rng.uniform(20.0, 400.0, m)
-        spheres = [sphere(i, *xy[i], radii[i], z=z[i]) for i in range(m)]
+        spheres = as_spheres([sphere(i, *xy[i], radii[i], z=z[i]) for i in range(m)])
         yield spheres, box
         if m == 2:
             # Shift both radii so the pair's best deficit sits just off zero.
             _, ref = reference_witness(range(m), spheres, box)
             for eps in (-1e-3, 1e-3):
-                yield [sphere(i, *xy[i], radii[i] + ref - eps, z=z[i]) for i in range(m)], box
+                yield as_spheres([sphere(i, *xy[i], radii[i] + ref - eps, z=z[i])
+                                  for i in range(m)]), box
 
 
 def test_witness_matches_slsqp_reference():
@@ -182,9 +209,9 @@ def test_witness_matches_slsqp_reference():
 def test_witness_rejects_centre_above_floor():
     above = sphere(0, 100.0, 100.0, 50.0, z=BOX.z[0] + 1.0)
     with pytest.raises(ValueError, match="above the altitude floor"):
-        zone_witness([0], [above], BOX)
+        zone_witness([0], as_spheres([above]), BOX)
     flat = FeasibleBox(BOX.x, BOX.y, (20.0, 20.0))
-    w, deficit = zone_witness([0], [sphere(0, 100.0, 100.0, 50.0, z=30.0)], flat)
+    w, deficit = zone_witness([0], as_spheres([sphere(0, 100.0, 100.0, 50.0, z=30.0)]), flat)
     assert (w.x, w.y, w.z) == (100.0, 100.0, 20.0) and deficit == pytest.approx(-40.0)
 
 
@@ -279,7 +306,7 @@ def test_clamped_means_match_the_per_set_mean():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_coincident_ues_single_zone():
-    spheres = [sphere(i, 50.0, 50.0, 100.0) for i in range(5)]
+    spheres = as_spheres([sphere(i, 50.0, 50.0, 100.0) for i in range(5)])
     zones = enumerate_zones(spheres, BOX)
     assert len(zones) == 1
     assert zones[0].members == (0, 1, 2, 3, 4)
@@ -287,10 +314,10 @@ def test_enumerate_coincident_ues_single_zone():
 
 
 def test_enumerate_two_clusters_no_cross_zone():
-    spheres = [
+    spheres = as_spheres([
         sphere(0, 0.0, 0.0, 60.0), sphere(1, 20.0, 0.0, 60.0),
         sphere(2, 900.0, 900.0, 60.0), sphere(3, 920.0, 900.0, 60.0),
-    ]
+    ])
     zones = enumerate_zones(spheres, BOX)
     # Brute-force pairwise disjointness between the clusters.
     for i in (0, 1):
@@ -309,7 +336,7 @@ def test_enumerate_seven_ues_two_zone_cover():
     # 3-set zone exist, so two zones cover all seven UEs.
     left = [(0.0, 0.0), (30.0, 0.0), (0.0, 30.0), (30.0, 30.0)]
     right = [(800.0, 800.0), (830.0, 800.0), (815.0, 830.0)]
-    spheres = [sphere(i, x, y, 80.0) for i, (x, y) in enumerate(left + right)]
+    spheres = as_spheres([sphere(i, x, y, 80.0) for i, (x, y) in enumerate(left + right)])
     zones = enumerate_zones(spheres, BOX)
     members = {z.members for z in zones}
     assert (0, 1, 2, 3) in members
@@ -366,8 +393,8 @@ def test_check_solves_through_the_module_global(monkeypatch):
     # beyond the footprint give zones whose clamped mean misses.
     seen = _solved_sets(monkeypatch)
     rng = np.random.default_rng(8)
-    spheres = [sphere(i, *rng.uniform(-300.0, 1300.0, 2), rng.uniform(50.0, 300.0),
-                      z=rng.uniform(0.0, 5.0)) for i in range(60)]
+    spheres = as_spheres([sphere(i, *rng.uniform(-300.0, 1300.0, 2), rng.uniform(50.0, 300.0),
+                                 z=rng.uniform(0.0, 5.0)) for i in range(60)])
     zones = enumerate_zones(spheres, BOX)
     assert 0 < len(seen) <= len(zones)
 
@@ -426,7 +453,7 @@ def test_enumerate_is_exact_on_one_large_component(flat):
     radii = rng.uniform(70.0, 160.0, 30)
     z = rng.uniform(0.0, 35.0 if flat else 9.0, 30)
     box = FeasibleBox((0.0, 400.0), (0.0, 400.0), (30.0, 30.0) if flat else (10.0, 100.0))
-    pairs = _assert_exact([sphere(i, *xy[i], radii[i], z=z[i]) for i in range(30)], box)
+    pairs = _assert_exact(as_spheres([sphere(i, *xy[i], radii[i], z=z[i]) for i in range(30)]), box)
     component, stack = {0}, [0]
     while stack:
         u = stack.pop()
@@ -450,7 +477,8 @@ def test_enumerate_keeps_every_user_on_degenerate_touches(flat):
     disks += [(500.0 + 60.0 * math.cos(0.1 + 0.4 * math.pi * k),
                500.0 + 60.0 * math.sin(0.1 + 0.4 * math.pi * k), 60.0) for k in range(5)]
     cz = floor if flat else 0.0
-    spheres = [sphere(i, x, y, math.hypot(rho, floor - cz), z=cz) for i, (x, y, rho) in enumerate(disks)]
+    spheres = as_spheres([sphere(i, x, y, math.hypot(rho, floor - cz), z=cz)
+                          for i, (x, y, rho) in enumerate(disks)])
     box = FeasibleBox((0.0, 1000.0), (0.0, 1000.0), (floor, floor if flat else 100.0))
     zones = enumerate_zones(spheres, box)
     for z in zones:
@@ -477,7 +505,7 @@ def test_enumerate_large_chain_is_exact():
     # 30 spheres in a line, only neighbors overlapping: the zones are exactly
     # the adjacent pairs.
     box = FeasibleBox((0.0, 3000.0), (0.0, 3000.0), (10.0, 100.0))
-    spheres = [sphere(i, 100.0 + 80.0 * i, 500.0, 50.0) for i in range(30)]
+    spheres = as_spheres([sphere(i, 100.0 + 80.0 * i, 500.0, 50.0) for i in range(30)])
     zones = enumerate_zones(spheres, box)
     assert {z.members for z in zones} == {(i, i + 1) for i in range(29)}
     # Midpoint witness at the altitude floor: slack = 50 - sqrt(40^2 + 10^2).

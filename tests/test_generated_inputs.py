@@ -119,7 +119,8 @@ CONFIGS = st.none() | mostly(some_of(SECTIONS, 2), some_of({**SECTIONS, "bogus":
 
 
 # The checks that hold for any deployment the CLI writes, baselines included.
-STRUCTURAL = {"shape_agreement", "unique_association", "binary_variables", "position_in_box"}
+STRUCTURAL = {"shape_agreement", "unique_association", "binary_variables", "position_in_box",
+              "pinned_width"}
 
 
 def revalidate(result: dict, scenario_path, config_path, checks=None) -> None:

@@ -2,10 +2,12 @@
 
 n100-1km pins all four digests. n200-2km, where the zone stage's row dedup,
 the swarm seeding and the planner's splits do the most work, pins its plans,
-zones and swarms. paper-sweep, the one pass that plans fixed-altitude
-baselines (a flat box, so a 2D certificate), pins its plans. A change that
-moves any plan, zone, swarm or throughput bit updates these pins and says
-why; ``tools/plan_digest.py`` prints the same digests for every workload.
+zones and swarms. paper-sweep, the one pass that plans the baselines
+(fixed-altitude on a flat box, so a 2D certificate, and fixed-n), pins its
+plans, zones and throughput, and paper-sweep:fixed, the one pass whose zone
+capacity caps bind and whose every link is pinned, pins its plans. A change
+that moves any plan, zone, swarm or throughput bit updates these pins and
+says why; ``tools/plan_digest.py`` prints the same digests for every workload.
 """
 import importlib.util
 from pathlib import Path
@@ -18,7 +20,7 @@ PINS = {
     "plan_digest": "eb7e2aafa5b6f02b",
     "zone_digest": "2770973116f1e98e",
     "swarm_digest": "b7b5e0787d44df53",
-    "throughput_digest": "5e67ed65efeed6d5",
+    "throughput_digest": "dd163e9cae56166c",
 }
 N200_PINS = {
     "plan_digest": "0faafee3327e138c",
@@ -26,6 +28,11 @@ N200_PINS = {
     "swarm_digest": "ed856cbf7e4fe397",
 }
 PAPER_SWEEP_PLAN_DIGEST = "09ef367a7d7f110b"
+PAPER_SWEEP_PINS = {
+    "zone_digest": "1a29f85849c202bc",
+    "throughput_digest": "566c864e459b31d7",
+}
+PAPER_SWEEP_FIXED_PLAN_DIGEST = "597629429edc4957"
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +58,14 @@ def test_n200_digests_are_pinned(plan_digest, digest):
 def test_paper_sweep_plan_digest_is_pinned(plan_digest):
     workload = plan_digest.workloads.WORKLOADS["paper-sweep"]
     assert plan_digest.plan_digest(workload) == PAPER_SWEEP_PLAN_DIGEST
+
+
+@pytest.mark.parametrize("digest", sorted(PAPER_SWEEP_PINS))
+def test_paper_sweep_digests_are_pinned(plan_digest, digest):
+    workload = plan_digest.workloads.WORKLOADS["paper-sweep"]
+    assert getattr(plan_digest, digest)(workload) == PAPER_SWEEP_PINS[digest]
+
+
+def test_paper_sweep_fixed_plan_digest_is_pinned(plan_digest):
+    workload = plan_digest.workloads.WORKLOADS["paper-sweep"]
+    assert plan_digest.plan_digest(workload, bandwidth_policy="fixed") == PAPER_SWEEP_FIXED_PLAN_DIGEST

@@ -178,6 +178,24 @@ def test_validator_position_in_box(params):
     assert report.residual("position_in_box") == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("pin", ["fixed-policy", "per-ue"])
+def test_validator_pinned_width(params, pin):
+    # Hand-built deployment whose only fault is one pinned 20 MHz link
+    # narrowed to 19 MHz, which still meets its demand and the budget.
+    if pin == "fixed-policy":
+        scn = make_scenario([(100, 100), (130, 100)], bandwidth_policy="fixed")
+    else:
+        scn = make_scenario([(100, 100), (130, 100)])
+        scn = replace(scn, ues=(replace(scn.ues[0], bandwidth_hz=20e6), scn.ues[1]))
+    dep = plan_deployment(scn, params)
+    assert validate_deployment(dep, scn, params).passed
+    width = dep.link_bandwidth_hz.copy()
+    width[0] = 19e6
+    report = validate_deployment(replace(dep, link_bandwidth_hz=width), scn, params)
+    assert [c.name for c in report.checks if not c.passed] == ["pinned_width"]
+    assert report.residual("pinned_width") == 1e6
+
+
 @pytest.mark.parametrize("fault", ["position-dropped", "count-plus-one"])
 def test_validator_shape_agreement(params, fault):
     # A-0 seed 3: dropping a position used to raise IndexError, and a
@@ -231,7 +249,8 @@ def test_served_links_recompute_every_planned_rate_bit_for_bit(params, method):
                            "fixed-n": BaselineKind.FIXED_GROUP_SIZE}[method]
                 dep = run_baseline(kind_of, scn, params)
             z = np.asarray(dep.association.z)
-            server, rate = served_links(z, dep.uav_positions, scn.ues, dep.link_bandwidth_hz, params)
+            server, rate = served_links(z, dep.uav_positions, scn.ue_positions, dep.link_bandwidth_hz,
+                                        params)
             assert np.array_equal(server, z.argmax(axis=1))
             assert np.array_equal(rate, dep.link_rate_bps)
             if np.all(uav_loads(z, dep.link_bandwidth_hz) <= scn.b_max_hz):
@@ -250,7 +269,7 @@ def test_served_links_edge_cases(params):
     uavs = (Point3(50.0, 50.0, 40.0), Point3(70.0, 50.0, 40.0))
     z = np.array([[0, 0], [1, 1], [1, 0], [0, 1], [1, 0]], dtype=np.int8)
     width = np.array([20e6, 20e6, 0.0, 20e6, 20e6])
-    server, rate = served_links(z, uavs, ues, width, params)
+    server, rate = served_links(z, uavs, scn.ue_positions, width, params)
     expected = link_rate(ues[4].position, uavs[0], 20e6, params)
     assert server.tolist() == [-1, -1, 0, 1, 0]
     assert rate.tolist() == [0.0, 0.0, 0.0, 0.0, expected]
@@ -264,7 +283,7 @@ def test_served_links_edge_cases(params):
     _, delivered = evaluate_throughput(dep, scn, params)
     assert delivered == [0.0, 0.0, 0.0, 0.0, min(6.5e6, expected)]
 
-    server, rate = served_links(z[:, :0], (), ues, width, params)
+    server, rate = served_links(z[:, :0], (), scn.ue_positions, width, params)
     assert server.tolist() == [-1] * 5 and rate.tolist() == [0.0] * 5
     assert uav_loads(z[:, :0], width).shape == (0,)
 

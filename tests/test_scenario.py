@@ -63,9 +63,9 @@ def test_generate_family_c_counts():
 def test_generate_ues_inside_footprint_at_ground():
     for kind, variant in (("A", 2), ("B", 4), ("C", 3)):
         scn = generate_scenario(kind, variant, seed=9)
-        for ue in scn.ues:
-            assert scn.venue.footprint_contains(ue.position.x, ue.position.y)
-            assert ue.position.z == 0.0
+        xyz = scn.ue_positions
+        assert np.all((xyz[:, :2] >= scn.venue.lower[:2]) & (xyz[:, :2] <= scn.venue.upper[:2]))
+        assert np.all(xyz[:, 2] == 0.0)
 
 
 def test_generate_seeded_reproducible():
@@ -95,6 +95,49 @@ def test_scenario_validation_errors():
                         ues=(UE(Point3(50.0, 50.0, 0.0), -1.0),))
     with pytest.raises(ConfigError):
         negative.validate()
+    # The pinned-width array reads a NaN width as unpinned; the check reads the UE.
+    for policy in ("demand-fit", "fixed"):
+        nan_width = Scenario(label="x", seed=1, venue=box, bandwidth_policy=policy,
+                             ues=(UE(Point3(50.0, 50.0, 0.0), 1e6, bandwidth_hz=math.nan),))
+        with pytest.raises(ConfigError, match="UE 0 bandwidth must be positive and finite"):
+            nan_width.validate()
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def test_ue_arrays_hold_the_tuples_bit_for_bit():
+    scn = generate_scenario("C", 4, seed=5)
+    scn = replace(scn, ues=scn.ues[:-1] + (replace(scn.ues[-1], bandwidth_hz=5e6),))
+    xyz = [v for ue in scn.ues for v in (ue.position.x, ue.position.y, ue.position.z)]
+    assert scn.ue_positions.shape == (len(scn.ues), 3)
+    assert _bits(scn.ue_positions.ravel()) == _bits(xyz)
+    assert _bits(scn.demands_bps) == _bits(ue.demand_bps for ue in scn.ues)
+    assert np.isnan(scn.pinned_widths_hz[:-1]).all() and scn.pinned_widths_hz[-1] == 5e6
+    box = scn.venue
+    for a in (scn.ue_positions, scn.demands_bps, scn.pinned_widths_hz, box.lower, box.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert scn.ue_positions is scn.ue_positions  # built once
+    assert _bits(box.lower) == _bits((box.x[0], box.y[0], box.z[0]))
+    assert _bits(box.upper) == _bits((box.x[1], box.y[1], box.z[1]))
+
+
+def test_replaced_scenarios_build_fresh_arrays():
+    scn = generate_scenario("A", 2, seed=5)
+    # Build every array of the original first, so that a stale copy would show.
+    assert np.isnan(scn.pinned_widths_hz).all()
+    assert scn.ue_positions.shape == (20, 3) and scn.venue.lower[2] == 10.0
+    fixed = replace(scn, bandwidth_policy="fixed")
+    assert fixed.pinned_widths_hz.tolist() == [fixed.fixed_bandwidth_hz] * len(scn.ues)
+    assert np.isnan(scn.pinned_widths_hz).all()
+    # As the fixed-altitude baseline pins the altitude band.
+    flat = replace(scn, venue=FeasibleBox(scn.venue.x, scn.venue.y, (20.0, 20.0)))
+    assert flat.venue.lower[2] == flat.venue.upper[2] == 20.0
+    moved = replace(scn, ues=tuple(replace(ue, position=Point3(1.0, 2.0, 0.0)) for ue in scn.ues))
+    assert moved.ue_positions[:, :2].tolist() == [[1.0, 2.0]] * len(scn.ues)
+    assert scn.ue_positions[:, :2].tolist() == [[ue.position.x, ue.position.y] for ue in scn.ues]
 
 
 def test_pinned_bandwidth_rule_under_both_policies():
@@ -104,10 +147,8 @@ def test_pinned_bandwidth_rule_under_both_policies():
     fit = Scenario(label="x", seed=1, venue=box, ues=(free, own))
     fixed = Scenario(label="x", seed=1, venue=box, ues=(free, own),
                      bandwidth_policy="fixed", fixed_bandwidth_hz=20e6)
-    assert fit.pinned_bandwidth_hz(free) is None
-    assert fit.pinned_bandwidth_hz(own) == 5e6
-    assert fixed.pinned_bandwidth_hz(free) == 20e6
-    assert fixed.pinned_bandwidth_hz(own) == 5e6
+    assert np.array_equal(fit.pinned_widths_hz, [np.nan, 5e6], equal_nan=True)
+    assert fixed.pinned_widths_hz.tolist() == [20e6, 5e6]
 
 
 # ---------------------------------------------------------------------------
