@@ -29,7 +29,7 @@ scenario = Scenario(
 )
 
 spheres = build_spheres(scenario, params)
-print(f"{len(spheres)} users, service radius {spheres[0].radius:.1f} m each\n")
+print(f"{len(spheres)} users, service radius {spheres.radii[0]:.1f} m each\n")
 
 zones = enumerate_zones(spheres, scenario.venue)
 print("candidate zones (maximal member sets with an in-box witness):")

@@ -39,10 +39,9 @@ for it, val, _pos in trace:
     if val != last:
         print(f"{it:>9}  {val / 1e6:>12.1f}")
         last = val
-print(f"\nfinal position ({sol.uav_position.x:.1f}, {sol.uav_position.y:.1f}, "
-      f"{sol.uav_position.z:.1f}), feasible={sol.feasible}, "
+x, y, z = sol.uav_position
+print(f"\nfinal position ({x:.1f}, {y:.1f}, {z:.1f}), feasible={sol.feasible}, "
       f"stopped after {sol.iterations} iterations")
 print("per-user allocation (first 5):")
-for link in sol.served_ues[:5]:
-    print(f"  UE {link.ue_index}: {link.bandwidth_hz / 1e6:.2f} MHz -> "
-          f"{link.rate_bps / 1e6:.1f} Mbit/s")
+for ue, bw, rate in zip(sol.ue_indices[:5], sol.bandwidth_hz, sol.rate_bps):
+    print(f"  UE {ue}: {bw / 1e6:.2f} MHz -> {rate / 1e6:.1f} Mbit/s")

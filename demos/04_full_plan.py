@@ -22,9 +22,9 @@ print(f"{len(scenario.ues)} users in a 500 m venue, "
 
 deployment = plan_deployment(scenario, params)
 print(f"\nplanned {deployment.uav_count} UAV(s):")
-for k, p in enumerate(deployment.uav_positions):
+for k, (x, y, z) in enumerate(deployment.uav_positions):
     served = int(deployment.association.z[:, k].sum())
-    print(f"  UAV {k}: ({p.x:.1f}, {p.y:.1f}, {p.z:.1f})  serving {served} users")
+    print(f"  UAV {k}: ({x:.1f}, {y:.1f}, {z:.1f})  serving {served} users")
 
 report = validate_deployment(deployment, scenario, params)
 print("\nindependent constraint check:")

@@ -24,7 +24,6 @@ from .channel import (
     db_to_linear,
 )
 from .coverage import (
-    CoverageSphere,
     CandidateZone,
     UnservableError,
     UncoverableError,
@@ -76,7 +75,6 @@ __all__ = [
     "dbm_to_watt",
     "watt_to_dbm",
     "db_to_linear",
-    "CoverageSphere",
     "CandidateZone",
     "UnservableError",
     "UncoverableError",

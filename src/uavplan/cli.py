@@ -278,7 +278,7 @@ def deployment_to_dict(deployment, report) -> dict:
     ]
     return {
         "uav_count": deployment.uav_count,
-        "positions": [{"x": p.x, "y": p.y, "z": p.z} for p in deployment.uav_positions],
+        "positions": [dict(zip("xyz", p)) for p in deployment.uav_positions.tolist()],
         "assoc": assoc,
         "aggregate_bps": deployment.aggregate_bps,
         "validation": {
@@ -339,7 +339,7 @@ def cmd_plan(args) -> int:
         _dump_json(args.dump_pool, [
             {
                 "members": list(members),
-                "position": {"x": s.uav_position.x, "y": s.uav_position.y, "z": s.uav_position.z},
+                "position": dict(zip("xyz", s.uav_position.tolist())),
                 "fitness_bps": s.fitness,
                 "feasible": s.feasible,
             }

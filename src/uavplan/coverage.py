@@ -41,24 +41,13 @@ class UncoverableError(Exception):
 
 
 @dataclass(frozen=True)
-class CoverageSphere:
-    """Service ball around one UE: inside it the UE's demand is satisfiable."""
-
-    ue_index: int
-    center: Point3
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError(f"sphere radius must be positive, got {self.radius}")
-
-
-@dataclass(frozen=True)
 class CandidateZone:
     """Nonempty intersection of member spheres with the feasible box.
 
     ``slack`` is the smallest margin by which the witness sits inside the
-    member spheres: min_i (radius_i - |witness - center_i|), >= 0.
+    member spheres: min_i (radius_i - |witness - center_i|), >= 0. It is
+    read only on ``enumerate_zones`` output: a pick the planner restricts to
+    fewer members keeps its zone's slack, which is a lower bound on its own.
     """
 
     members: tuple[int, ...]
@@ -68,18 +57,16 @@ class CandidateZone:
 
 @dataclass(frozen=True, eq=False)
 class Spheres:
-    """Read-only ``centers`` (N, 3) and ``radii`` (N,); item ``i`` is UE ``i``'s ``CoverageSphere``."""
+    """Every UE's service ball, read-only: ``centers`` (N, 3) and ``radii`` (N,).
+
+    Within ``radii[i]`` of ``centers[i]``, UE ``i``'s demand is satisfiable.
+    """
 
     centers: np.ndarray
     radii: np.ndarray
 
     def __len__(self) -> int:
         return len(self.radii)
-
-    def __getitem__(self, i) -> CoverageSphere:
-        i = range(len(self))[i]
-        return CoverageSphere(ue_index=i, center=Point3.from_array(self.centers[i]),
-                              radius=float(self.radii[i]))
 
 
 def build_spheres(scenario: "Scenario", params: "ChannelParams") -> Spheres:

@@ -11,7 +11,7 @@ deployment using only the channel model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .coverage import (
     zone_witness,  # not called here: perfbench/spans.py wraps it on this module
     zone_witnesses,
 )
-from .geometry import Point3
+from .geometry import read_only
 from .positioning import (
     PlacementSolution,
     SwarmConfig,
@@ -61,7 +61,7 @@ class Association:
 
 @dataclass(frozen=True)
 class Deployment:
-    uav_positions: tuple[Point3, ...]
+    uav_positions: np.ndarray      # (uav_count, 3) position of each UAV
     association: Association
     link_bandwidth_hz: np.ndarray  # (n_ues,) bandwidth of each UE's link
     link_rate_bps: np.ndarray      # (n_ues,) achieved rate of each UE's link
@@ -198,16 +198,6 @@ def split_zone(
     return out
 
 
-def _restrict_zone(zone: CandidateZone, served: Sequence[int], spheres: Spheres) -> CandidateZone:
-    members = tuple(sorted(served))
-    if members == zone.members:
-        return zone
-    idx = list(members)
-    gap = np.linalg.norm(zone.witness.as_array() - spheres.centers[idx], axis=1)
-    return CandidateZone(members=members, witness=zone.witness,
-                         slack=float(np.min(spheres.radii[idx] - gap)))
-
-
 def plan_deployment(
     scenario: "Scenario",
     params: "ChannelParams | None" = None,
@@ -251,7 +241,8 @@ def plan_deployment(
     # call, then the pieces of that wave's failures, in wave order. Every
     # wave runs to the end, and the plan then fails on every user whose
     # one-member zone no position serves.
-    wave = [_restrict_zone(z, served, spheres) for z, served in zip(cover, served_sets) if served]
+    wave = [replace(z, members=tuple(sorted(served)))
+            for z, served in zip(cover, served_sets) if served]
     placed: list[tuple[CandidateZone, PlacementSolution]] = []
     unservable: list[int] = []
     while wave:
@@ -300,16 +291,15 @@ def _assemble(placed, scenario: "Scenario") -> Deployment:
     a = np.ones(n_uavs, dtype=np.int8)
     bw = np.zeros(n_ues)
     rate = np.zeros(n_ues)
-    positions = []
-    for k, (zone, sol) in enumerate(placed):
-        positions.append(sol.uav_position)
-        for link in sol.served_ues:
-            z[link.ue_index, k] = 1
-            bw[link.ue_index] = link.bandwidth_hz
-            rate[link.ue_index] = link.rate_bps
+    positions = np.zeros((n_uavs, 3))
+    for k, (_, sol) in enumerate(placed):
+        positions[k] = sol.uav_position
+        z[sol.ue_indices, k] = 1
+        bw[sol.ue_indices] = sol.bandwidth_hz
+        rate[sol.ue_indices] = sol.rate_bps
     aggregate = float(np.sum(np.minimum(rate, scenario.demands_bps)))
     return Deployment(
-        uav_positions=tuple(positions),
+        uav_positions=read_only(positions),
         association=Association(z=z, a=a),
         link_bandwidth_hz=bw,
         link_rate_bps=rate,
@@ -323,12 +313,13 @@ def uav_loads(z: np.ndarray, bandwidth_hz: np.ndarray) -> np.ndarray:
     return np.array([np.sum(bandwidth_hz[z[:, k] == 1]) for k in range(z.shape[1])])
 
 
-def served_links(z: np.ndarray, uav_positions: Sequence[Point3], ue_xyz: np.ndarray,
+def served_links(z: np.ndarray, uav_xyz: np.ndarray, ue_xyz: np.ndarray,
                  width_hz: np.ndarray, params: "ChannelParams") -> tuple[np.ndarray, np.ndarray]:
     """Each UE's one serving UAV and the channel's rate to it at ``width_hz``.
 
     ``z`` associates the UEs at ``ue_xyz`` (rows, an (N, 3) array such as
-    ``Scenario.ue_positions``) with ``uav_positions`` (columns), and
+    ``Scenario.ue_positions``) with the UAVs at ``uav_xyz`` (columns, a
+    (K, 3) array such as ``Deployment.uav_positions``), and
     ``width_hz`` holds one width per UE. The server is -1 for a UE that no
     UAV or several UAVs serve. The rate is 0 there, at a width that is not
     positive and where the UAV is not above its UE; elsewhere it is
@@ -340,7 +331,6 @@ def served_links(z: np.ndarray, uav_positions: Sequence[Point3], ue_xyz: np.ndar
     server[ue] = uav
     server[np.bincount(ue, minlength=len(z)) != 1] = -1
     live = (server >= 0) & (width_hz > 0)
-    uav_xyz = np.array([(p.x, p.y, p.z) for p in uav_positions], dtype=float).reshape(-1, 3)
     snr_hz = channel.snr_hz_between(ue_xyz[live], uav_xyz[server[live]], params)
     rate = np.zeros(len(z))
     rate[live] = channel.shannon_rate_kernel(snr_hz, width_hz[live])
@@ -366,7 +356,8 @@ def validate_deployment(
     """
     z = np.asarray(deployment.association.z)
     a = np.asarray(deployment.association.a)
-    uav_arrays = (z.shape[1], len(a), len(deployment.uav_positions))
+    uav_xyz = np.asarray(deployment.uav_positions, dtype=float).reshape(-1, 3)
+    uav_arrays = (z.shape[1], len(a), len(uav_xyz))
     ue_counts = (z.shape[0], len(deployment.link_bandwidth_hz), len(deployment.link_rate_bps),
                  len(scenario.ues))
     uav_counts = uav_arrays + (deployment.uav_count,)
@@ -381,15 +372,14 @@ def validate_deployment(
     link_residual = float(np.max(z - a[None, :])) if n_ues and n_uavs else 0.0
 
     demands = scenario.demands_bps[:n_ues]
-    server, rate = served_links(z, deployment.uav_positions[:n_uavs], scenario.ue_positions[:n_ues],
-                                bandwidth, params)
+    server, rate = served_links(z, uav_xyz[:n_uavs], scenario.ue_positions[:n_ues], bandwidth,
+                                params)
     residual = np.where((server >= 0) & (bandwidth > 0), (demands - rate) / demands - RATE_RTOL, 1.0)
     demand_residual = float(residual.max()) if n_ues else 0.0
     capacity_residual = float(np.max(uav_loads(z, bandwidth) - scenario.b_max_hz)) if n_uavs else 0.0
 
     pinned = scenario.pinned_widths_hz[:n_ues]
     pin_residual = float(np.max(np.abs(bandwidth - pinned), where=~np.isnan(pinned), initial=0.0))
-    uav_xyz = np.array([(p.x, p.y, p.z) for p in deployment.uav_positions], dtype=float).reshape(-1, 3)
     box_residual = float(np.linalg.norm(uav_xyz - scenario.venue.clamp(uav_xyz), axis=1).max(initial=0.0))
 
     checks = (

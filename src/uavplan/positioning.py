@@ -25,7 +25,7 @@ import numpy as np
 
 from . import channel
 from .coverage import CandidateZone, Spheres
-from .geometry import FeasibleBox, Point3
+from .geometry import FeasibleBox, Point3, read_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import ChannelParams
@@ -56,17 +56,18 @@ class SwarmConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class LinkAllocation:
-    ue_index: int
-    bandwidth_hz: float
-    rate_bps: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlacementSolution:
-    uav_position: Point3
-    served_ues: tuple[LinkAllocation, ...]
+    """One zone's UAV position (3,) and its members' links, as read-only arrays.
+
+    ``ue_indices`` (ascending), ``bandwidth_hz`` and ``rate_bps`` hold one
+    entry per member: the link each member gets from ``uav_position``.
+    """
+
+    uav_position: np.ndarray
+    ue_indices: np.ndarray
+    bandwidth_hz: np.ndarray
+    rate_bps: np.ndarray
     fitness: float
     feasible: bool
     iterations: int
@@ -436,15 +437,17 @@ def optimize_positions(
     bw, rate, served = links
     feasible = ((_row_sums(~served, rows.groups) == 0)
                 & (_row_sums(bw, rows.groups) <= m.b_max_hz)).tolist()
-    ue, bw, rate = m.indices[rows.member].tolist(), bw.tolist(), rate.tolist()
+    ue = read_only(m.indices[rows.member])
+    bw, rate = read_only(bw), read_only(rate)
     at = 0
     for k, j in enumerate(live.tolist()):
         own = slice(at, at + int(m.count[j]))
         at = own.stop
         out[order[j]] = PlacementSolution(
-            uav_position=Point3.from_array(best[j]),
-            served_ues=tuple(LinkAllocation(ue_index=i, bandwidth_hz=b, rate_bps=r)
-                             for i, b, r in zip(ue[own], bw[own], rate[own])),
+            uav_position=read_only(best[j]),
+            ue_indices=ue[own],
+            bandwidth_hz=bw[own],
+            rate_bps=rate[own],
             fitness=float(value[k]),
             feasible=feasible[k],
             iterations=int(iterations[j]),

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from uavplan import channel
-from uavplan.geometry import Point3
-from uavplan.positioning import LinkAllocation, PlacementSolution, ZoneCapacityError
+from uavplan.positioning import PlacementSolution, ZoneCapacityError
 
 _CERTIFY_PAIRS = 1 << 16
 _BOUND_MARGIN = 1e-9
@@ -73,10 +72,8 @@ def swarm_fitness(positions, data, params, box):
 
 def allocations(position, data, params):
     bw, rate, served = swarm_rates(position[None, :], data, params)
-    return [
-        LinkAllocation(ue_index=int(i), bandwidth_hz=float(b), rate_bps=float(r))
-        for i, b, r in zip(data.indices, bw[0], rate[0])
-    ], bool(np.all(served[0])) and float(np.sum(bw[0])) <= data.b_max_hz
+    links = {"ue_indices": data.indices, "bandwidth_hz": bw[0], "rate_bps": rate[0]}
+    return links, bool(np.all(served[0])) and float(np.sum(bw[0])) <= data.b_max_hz
 
 
 def swarm_velocities(velocities, positions, pbest_pos, gbest_pos, r1, r2, config, v_max):
@@ -146,13 +143,13 @@ def loop_position(zone, scenario, params, config, spheres=(), allow_capacity_ove
         if trace is not None:
             trace.append((0, float(value[0]), tuple(witness)))
         links, feasible = allocations(witness, data, params)
-        return PlacementSolution(uav_position=Point3.from_array(witness), served_ues=tuple(links),
-                                 fitness=float(value[0]), feasible=feasible, iterations=0)
+        return PlacementSolution(uav_position=witness, **links, fitness=float(value[0]),
+                                 feasible=feasible, iterations=0)
 
     centers = radii = None
     if spheres:
-        centers = np.array([spheres[i].center.as_array() for i in zone.members])
-        radii = np.array([spheres[i].radius for i in zone.members])
+        centers = spheres.centers[list(zone.members)]
+        radii = spheres.radii[list(zone.members)]
     lo, hi = init_bounds(zone, centers, radii, box)
     v_max = 0.5 * (hi - lo)
 
@@ -204,8 +201,8 @@ def loop_position(zone, scenario, params, config, spheres=(), allow_capacity_ove
     links, feasible = allocations(gbest_pos, data, params)
     final_val, _ = swarm_fitness(gbest_pos[None, :], data, params, box)
     return PlacementSolution(
-        uav_position=Point3.from_array(gbest_pos),
-        served_ues=tuple(links),
+        uav_position=gbest_pos,
+        **links,
         fitness=float(final_val[0]),
         feasible=feasible,
         iterations=iterations,

@@ -9,7 +9,6 @@ import pytest
 from uavplan import (
     CandidateZone,
     ChannelParams,
-    CoverageSphere,
     FeasibleBox,
     Point3,
     Scenario,
@@ -33,14 +32,15 @@ from witness_reference import reference_witness
 BOX = FeasibleBox(x=(0.0, 1000.0), y=(0.0, 1000.0), z=(10.0, 100.0))
 
 
-def sphere(i, x, y, r, z=0.0):
-    return CoverageSphere(ue_index=i, center=Point3(x, y, z), radius=r)
+def sphere(x, y, r, z=0.0):
+    """A hand-built sphere: its centre and radius."""
+    return (x, y, z), r
 
 
 def as_spheres(items):
     """The ``Spheres`` of hand-built spheres; sphere ``i`` is ``items[i]``."""
-    return coverage.Spheres(centers=np.array([s.center.as_array() for s in items]),
-                            radii=np.array([s.radius for s in items]))
+    return coverage.Spheres(centers=np.array([c for c, _ in items], dtype=float),
+                            radii=np.array([r for _, r in items], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +57,15 @@ def test_build_spheres_single_ue(params):
     scn = make_scenario([(50, 50)])
     spheres = build_spheres(scn, params)
     assert len(spheres) == 1
-    assert spheres[0].radius == max_service_distance(6.5e6, scn.b_max_hz, params)
+    assert spheres.radii[0] == max_service_distance(6.5e6, scn.b_max_hz, params)
 
 
 def test_build_spheres_identical_ues(params):
     scn = make_scenario([(70, 30), (70, 30)])
-    a, b = build_spheres(scn, params)
-    assert a.center == b.center and a.radius == b.radius
+    spheres = build_spheres(scn, params)
+    assert len(spheres) == 2
+    assert np.array_equal(spheres.centers[0], spheres.centers[1])
+    assert spheres.radii[0] == spheres.radii[1]
 
 
 def test_build_spheres_uniform_demand_uniform_radius(params):
@@ -72,13 +74,13 @@ def test_build_spheres_uniform_demand_uniform_radius(params):
                         side=100.0)
     spheres = build_spheres(scn, params)
     assert len(spheres) == 20
-    assert len({s.radius for s in spheres}) == 1
+    assert len(set(spheres.radii.tolist())) == 1
 
 
 def test_build_spheres_fixed_policy_radius(params):
     scn = make_scenario([(50, 50)], bandwidth_policy="fixed")
     spheres = build_spheres(scn, params)
-    assert spheres[0].radius == max_service_distance(6.5e6, 20e6, params)
+    assert spheres.radii[0] == max_service_distance(6.5e6, 20e6, params)
 
 
 @pytest.mark.parametrize("policy", ["demand-fit", "fixed"])
@@ -97,8 +99,8 @@ def test_build_spheres_radius_per_ue_from_its_own_link(params, policy):
                 for d, w in zip(demands, widths)]
     assert spheres.radii.tolist() == expected
     assert spheres.centers is scn.ue_positions
-    assert [s.center for s in spheres] == [ue.position for ue in ues]
-    assert [s.ue_index for s in spheres] == list(range(5))
+    assert [Point3(*c) for c in spheres.centers.tolist()] == [ue.position for ue in ues]
+    assert len(spheres) == 5
 
 
 def test_build_spheres_unservable(params):
@@ -114,7 +116,7 @@ def test_build_spheres_unservable(params):
 # ---------------------------------------------------------------------------
 
 def test_witness_singleton_is_clamped_nadir():
-    s = sphere(0, 200.0, 300.0, 50.0)
+    s = sphere(200.0, 300.0, 50.0)
     w, deficit = zone_witness([0], as_spheres([s]), BOX)
     assert (w.x, w.y, w.z) == (200.0, 300.0, 10.0)
     assert deficit == pytest.approx(-40.0)
@@ -123,17 +125,18 @@ def test_witness_singleton_is_clamped_nadir():
 def test_witness_two_overlapping_unit_spheres():
     # Centers 1 m apart on the altitude floor, unit radii: the midpoint
     # region is feasible and the deficit is negative.
-    a = sphere(0, 100.0, 100.0, 1.0, z=9.5)
-    b = sphere(1, 101.0, 100.0, 1.0, z=9.5)
-    w, deficit = zone_witness([0, 1], as_spheres([a, b]), BOX)
+    a = sphere(100.0, 100.0, 1.0, z=9.5)
+    b = sphere(101.0, 100.0, 1.0, z=9.5)
+    spheres = as_spheres([a, b])
+    w, deficit = zone_witness([0, 1], spheres, BOX)
     assert deficit < 0
-    for s in (a, b):
-        assert math.dist((w.x, w.y, w.z), (s.center.x, s.center.y, s.center.z)) <= s.radius
+    for center, radius in zip(spheres.centers, spheres.radii):
+        assert math.dist((w.x, w.y, w.z), center) <= radius
 
 
 def test_witness_disjoint_spheres_infeasible():
-    a = sphere(0, 0.0, 0.0, 30.0)
-    b = sphere(1, 100.0, 0.0, 30.0)
+    a = sphere(0.0, 0.0, 30.0)
+    b = sphere(100.0, 0.0, 30.0)
     _, deficit = zone_witness([0, 1], as_spheres([a, b]), BOX)
     assert deficit > 0
 
@@ -141,8 +144,8 @@ def test_witness_disjoint_spheres_infeasible():
 def test_witness_tangent_geometry_accuracy():
     # Two spheres overlapping only near a point above the floor: the witness
     # search must find the thin lens.
-    a = sphere(0, 0.0, 500.0, 60.0)
-    b = sphere(1, 100.0, 500.0, 60.0)
+    a = sphere(0.0, 500.0, 60.0)
+    b = sphere(100.0, 500.0, 60.0)
     w, deficit = zone_witness([0, 1], as_spheres([a, b]), BOX)
     assert deficit <= 0
     # Analytic check: the lens center is at (50, 500, z) with z up to
@@ -151,15 +154,15 @@ def test_witness_tangent_geometry_accuracy():
 
 
 def test_witness_respects_box():
-    a = sphere(0, 500.0, 500.0, 300.0)
+    a = sphere(500.0, 500.0, 300.0)
     w, _ = zone_witness([0], as_spheres([a]), BOX)
     assert BOX.contains(w.as_array())
 
 
 def test_witness_deterministic():
-    a = sphere(0, 10.0, 20.0, 80.0)
-    b = sphere(1, 60.0, 40.0, 90.0)
-    c = sphere(2, 30.0, 90.0, 85.0)
+    a = sphere(10.0, 20.0, 80.0)
+    b = sphere(60.0, 40.0, 90.0)
+    c = sphere(30.0, 90.0, 85.0)
     w1, d1 = zone_witness([0, 1, 2], as_spheres([a, b, c]), BOX)
     w2, d2 = zone_witness([0, 1, 2], as_spheres([a, b, c]), BOX)
     assert (w1.x, w1.y, w1.z, d1) == (w2.x, w2.y, w2.z, d2)
@@ -181,13 +184,13 @@ def _witness_cases(rng):
         # A flat box takes any UE altitude; otherwise UEs sit below the floor.
         z = rng.uniform(0.0, floor + 5.0 if flat else floor - 0.5, m)
         radii = rng.uniform(20.0, 400.0, m)
-        spheres = as_spheres([sphere(i, *xy[i], radii[i], z=z[i]) for i in range(m)])
+        spheres = as_spheres([sphere(*xy[i], radii[i], z=z[i]) for i in range(m)])
         yield spheres, box
         if m == 2:
             # Shift both radii so the pair's best deficit sits just off zero.
             _, ref = reference_witness(range(m), spheres, box)
             for eps in (-1e-3, 1e-3):
-                yield as_spheres([sphere(i, *xy[i], radii[i] + ref - eps, z=z[i])
+                yield as_spheres([sphere(*xy[i], radii[i] + ref - eps, z=z[i])
                                   for i in range(m)]), box
 
 
@@ -200,18 +203,17 @@ def test_witness_matches_slsqp_reference():
         assert (deficit <= 0) == (ref <= 0)
         assert deficit <= ref + 1e-9
         assert box.contains(w.as_array()) and w.z == box.z[0]
-        centers = np.array([s.center.as_array() for s in spheres])
-        radii = np.array([s.radius for s in spheres])
+        centers, radii = spheres.centers, spheres.radii
         # The deficit is a true value at the returned point.
         assert deficit == np.max(np.linalg.norm(w.as_array() - centers, axis=1) - radii)
 
 
 def test_witness_rejects_centre_above_floor():
-    above = sphere(0, 100.0, 100.0, 50.0, z=BOX.z[0] + 1.0)
+    above = sphere(100.0, 100.0, 50.0, z=BOX.z[0] + 1.0)
     with pytest.raises(ValueError, match="above the altitude floor"):
         zone_witness([0], as_spheres([above]), BOX)
     flat = FeasibleBox(BOX.x, BOX.y, (20.0, 20.0))
-    w, deficit = zone_witness([0], as_spheres([sphere(0, 100.0, 100.0, 50.0, z=30.0)]), flat)
+    w, deficit = zone_witness([0], as_spheres([sphere(100.0, 100.0, 50.0, z=30.0)]), flat)
     assert (w.x, w.y, w.z) == (100.0, 100.0, 20.0) and deficit == pytest.approx(-40.0)
 
 
@@ -306,7 +308,7 @@ def test_clamped_means_match_the_per_set_mean():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_coincident_ues_single_zone():
-    spheres = as_spheres([sphere(i, 50.0, 50.0, 100.0) for i in range(5)])
+    spheres = as_spheres([sphere(50.0, 50.0, 100.0) for _ in range(5)])
     zones = enumerate_zones(spheres, BOX)
     assert len(zones) == 1
     assert zones[0].members == (0, 1, 2, 3, 4)
@@ -315,16 +317,15 @@ def test_enumerate_coincident_ues_single_zone():
 
 def test_enumerate_two_clusters_no_cross_zone():
     spheres = as_spheres([
-        sphere(0, 0.0, 0.0, 60.0), sphere(1, 20.0, 0.0, 60.0),
-        sphere(2, 900.0, 900.0, 60.0), sphere(3, 920.0, 900.0, 60.0),
+        sphere(0.0, 0.0, 60.0), sphere(20.0, 0.0, 60.0),
+        sphere(900.0, 900.0, 60.0), sphere(920.0, 900.0, 60.0),
     ])
     zones = enumerate_zones(spheres, BOX)
     # Brute-force pairwise disjointness between the clusters.
     for i in (0, 1):
         for j in (2, 3):
-            d = math.dist((spheres[i].center.x, spheres[i].center.y),
-                          (spheres[j].center.x, spheres[j].center.y))
-            assert d > spheres[i].radius + spheres[j].radius
+            d = math.dist(spheres.centers[i, :2], spheres.centers[j, :2])
+            assert d > spheres.radii[i] + spheres.radii[j]
     for z in zones:
         assert set(z.members) <= {0, 1} or set(z.members) <= {2, 3}
     covered = set().union(*(z.members for z in zones))
@@ -336,7 +337,7 @@ def test_enumerate_seven_ues_two_zone_cover():
     # 3-set zone exist, so two zones cover all seven UEs.
     left = [(0.0, 0.0), (30.0, 0.0), (0.0, 30.0), (30.0, 30.0)]
     right = [(800.0, 800.0), (830.0, 800.0), (815.0, 830.0)]
-    spheres = as_spheres([sphere(i, x, y, 80.0) for i, (x, y) in enumerate(left + right)])
+    spheres = as_spheres([sphere(x, y, 80.0) for x, y in left + right])
     zones = enumerate_zones(spheres, BOX)
     members = {z.members for z in zones}
     assert (0, 1, 2, 3) in members
@@ -351,18 +352,16 @@ def test_enumerate_witness_validity_invariant(params):
         scn = random_scenario(rng, n_max=12, side_range=(150.0, 500.0))
         spheres = build_spheres(scn, params)
         zones = enumerate_zones(spheres, scn.venue)
-        by_index = {s.ue_index: s for s in spheres}
         covered = set()
         for z in zones:
             w = z.witness.as_array()
             assert scn.venue.contains(w, tol=1e-9)
+            gap = np.linalg.norm(w - spheres.centers, axis=1)
             for i in z.members:
-                s = by_index[i]
-                assert np.linalg.norm(w - s.center.as_array()) <= s.radius + 1e-6
+                assert gap[i] <= spheres.radii[i] + 1e-6
             # Maximality over the witness: every containing sphere is a member.
-            for s in spheres:
-                if np.linalg.norm(w - s.center.as_array()) <= s.radius:
-                    assert s.ue_index in z.members
+            for i in np.flatnonzero(gap <= spheres.radii).tolist():
+                assert i in z.members
             covered.update(z.members)
         assert covered == set(range(len(scn.ues)))
 
@@ -393,8 +392,8 @@ def test_check_solves_through_the_module_global(monkeypatch):
     # beyond the footprint give zones whose clamped mean misses.
     seen = _solved_sets(monkeypatch)
     rng = np.random.default_rng(8)
-    spheres = as_spheres([sphere(i, *rng.uniform(-300.0, 1300.0, 2), rng.uniform(50.0, 300.0),
-                                 z=rng.uniform(0.0, 5.0)) for i in range(60)])
+    spheres = as_spheres([sphere(*rng.uniform(-300.0, 1300.0, 2), rng.uniform(50.0, 300.0),
+                                 z=rng.uniform(0.0, 5.0)) for _ in range(60)])
     zones = enumerate_zones(spheres, BOX)
     assert 0 < len(seen) <= len(zones)
 
@@ -453,7 +452,7 @@ def test_enumerate_is_exact_on_one_large_component(flat):
     radii = rng.uniform(70.0, 160.0, 30)
     z = rng.uniform(0.0, 35.0 if flat else 9.0, 30)
     box = FeasibleBox((0.0, 400.0), (0.0, 400.0), (30.0, 30.0) if flat else (10.0, 100.0))
-    pairs = _assert_exact(as_spheres([sphere(i, *xy[i], radii[i], z=z[i]) for i in range(30)]), box)
+    pairs = _assert_exact(as_spheres([sphere(*xy[i], radii[i], z=z[i]) for i in range(30)]), box)
     component, stack = {0}, [0]
     while stack:
         u = stack.pop()
@@ -477,14 +476,13 @@ def test_enumerate_keeps_every_user_on_degenerate_touches(flat):
     disks += [(500.0 + 60.0 * math.cos(0.1 + 0.4 * math.pi * k),
                500.0 + 60.0 * math.sin(0.1 + 0.4 * math.pi * k), 60.0) for k in range(5)]
     cz = floor if flat else 0.0
-    spheres = as_spheres([sphere(i, x, y, math.hypot(rho, floor - cz), z=cz)
-                          for i, (x, y, rho) in enumerate(disks)])
+    spheres = as_spheres([sphere(x, y, math.hypot(rho, floor - cz), z=cz) for x, y, rho in disks])
     box = FeasibleBox((0.0, 1000.0), (0.0, 1000.0), (floor, floor if flat else 100.0))
     zones = enumerate_zones(spheres, box)
     for z in zones:
         w = z.witness.as_array()
         assert box.contains(w) and z.slack >= 0
-        assert all(np.linalg.norm(w - spheres[i].center.as_array()) <= spheres[i].radius
+        assert all(np.linalg.norm(w - spheres.centers[i]) <= spheres.radii[i]
                    for i in z.members)
     assert set().union(*(z.members for z in zones)) == set(range(len(spheres)))
     sets = [set(z.members) for z in zones]
@@ -505,7 +503,7 @@ def test_enumerate_large_chain_is_exact():
     # 30 spheres in a line, only neighbors overlapping: the zones are exactly
     # the adjacent pairs.
     box = FeasibleBox((0.0, 3000.0), (0.0, 3000.0), (10.0, 100.0))
-    spheres = as_spheres([sphere(i, 100.0 + 80.0 * i, 500.0, 50.0) for i in range(30)])
+    spheres = as_spheres([sphere(100.0 + 80.0 * i, 500.0, 50.0) for i in range(30)])
     zones = enumerate_zones(spheres, box)
     assert {z.members for z in zones} == {(i, i + 1) for i in range(29)}
     # Midpoint witness at the altitude floor: slack = 50 - sqrt(40^2 + 10^2).

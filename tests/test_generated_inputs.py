@@ -14,7 +14,7 @@ import json
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from uavplan import Association, Deployment, Point3, validate_deployment
+from uavplan import Association, Deployment, validate_deployment
 from uavplan.cli import _apply_config_overrides, main, scenario_from_dict
 
 # Values of the wrong JSON type or out of every domain, for any key.
@@ -138,7 +138,8 @@ def revalidate(result: dict, scenario_path, config_path, checks=None) -> None:
         z[link["ue"], link["uav"]] = 1
         bandwidth[link["ue"]], rate[link["ue"]] = link["bandwidth_hz"], link["rate_bps"]
     deployment = Deployment(
-        uav_positions=tuple(Point3(p["x"], p["y"], p["z"]) for p in result["positions"]),
+        uav_positions=np.array([[p["x"], p["y"], p["z"]] for p in result["positions"]],
+                               dtype=float).reshape(-1, 3),
         association=Association(z=z, a=np.ones(n_uavs, dtype=np.int8)),
         link_bandwidth_hz=bandwidth, link_rate_bps=rate,
         uav_count=n_uavs, aggregate_bps=result["aggregate_bps"],

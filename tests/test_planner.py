@@ -46,8 +46,7 @@ def test_single_ue_single_uav(params):
     scn = make_scenario([(120, 180)], seed=1)
     dep = plan_deployment(scn, params)
     assert dep.uav_count == 1
-    d = math.dist((120, 180, 0), (dep.uav_positions[0].x, dep.uav_positions[0].y,
-                                  dep.uav_positions[0].z))
+    d = math.dist((120, 180, 0), dep.uav_positions[0])
     assert d <= max_service_distance(6.5e6, scn.b_max_hz, params)
     assert dep.aggregate_bps == pytest.approx(6.5e6, rel=1e-12)
     assert validate_deployment(dep, scn, params).passed
@@ -68,10 +67,31 @@ def test_planner_deterministic(params):
     scn = replace(random_scenario(rng, n_max=12), seed=7)
     d1 = plan_deployment(scn, params)
     d2 = plan_deployment(scn, params)
-    assert d1.uav_positions == d2.uav_positions
+    assert d1.uav_positions.tobytes() == d2.uav_positions.tobytes()
     assert np.array_equal(d1.association.z, d2.association.z)
     assert np.array_equal(d1.link_bandwidth_hz, d2.link_bandwidth_hz)
     assert d1.aggregate_bps == d2.aggregate_bps
+
+
+def test_plan_and_pool_are_read_only_arrays(params):
+    # The venue of test_split_heavy_plans_are_pinned: its pool holds failed and stepped swarms.
+    rng = np.random.default_rng(2024)
+    scn = make_scenario(rng.uniform(0.0, 1000.0, (40, 2)).tolist(), demand=26e6, side=1000.0)
+    pool = []
+    dep = plan_deployment(replace(scn, seed=5), params, pool=pool)
+    positions = dep.uav_positions
+    assert isinstance(positions, np.ndarray) and positions.dtype == float
+    assert positions.shape == (dep.uav_count, 3) and not positions.flags.writeable
+    assert any(sol.iterations > 0 for _, sol in pool)
+    assert any(not sol.feasible for _, sol in pool)
+    for members, sol in pool:
+        arrays = (sol.uav_position, sol.ue_indices, sol.bandwidth_hz, sol.rate_bps)
+        assert not any(a.flags.writeable for a in arrays)
+        assert sol.uav_position.shape == (3,)
+        assert sol.ue_indices.tolist() == list(members)
+        assert len(sol.bandwidth_hz) == len(sol.rate_bps) == len(members)
+    with pytest.raises(ValueError, match="read-only"):
+        pool[0][1].rate_bps[0] = 0.0
 
 
 def test_planner_unservable(params):
@@ -122,7 +142,7 @@ def test_validator_catches_double_association(params):
     if z.shape[1] == 1:
         z = np.hstack([z, np.zeros_like(z)])
         a = np.array([1, 1], dtype=np.int8)
-        positions = dep.uav_positions + (Point3(0, 0, 50),)
+        positions = np.vstack([dep.uav_positions, [0.0, 0.0, 50.0]])
     else:
         a = np.asarray(dep.association.a).copy()
         positions = dep.uav_positions
@@ -147,7 +167,7 @@ def test_validator_capacity_residual_one_hz(params):
     b = (scn.b_max_hz + 1.0) / 2.0
     rates = [link_rate(ue.position, uav, b, params) for ue in scn.ues]
     dep = Deployment(
-        uav_positions=(uav,),
+        uav_positions=uav.as_array()[None, :],
         association=Association(z=np.ones((2, 1), dtype=np.int8), a=np.ones(1, dtype=np.int8)),
         link_bandwidth_hz=np.array([b, b]),
         link_rate_bps=np.array(rates),
@@ -166,7 +186,7 @@ def test_validator_position_in_box(params):
     b = scn.fixed_bandwidth_hz
     rate = link_rate(scn.ues[0].position, uav, b, params)
     dep = Deployment(
-        uav_positions=(uav,),
+        uav_positions=uav.as_array()[None, :],
         association=Association(z=np.ones((1, 1), dtype=np.int8), a=np.ones(1, dtype=np.int8)),
         link_bandwidth_hz=np.array([b]),
         link_rate_bps=np.array([rate]),
@@ -266,11 +286,11 @@ def test_served_links_edge_cases(params):
                 for x, ue_z in ((10.0, 0.0), (30.0, 0.0), (50.0, 0.0), (70.0, 60.0), (90.0, 0.0)))
     scn = Scenario(label="edges", seed=1, venue=FeasibleBox((0.0, 100.0), (0.0, 100.0), (10.0, 100.0)),
                    ues=ues, bandwidth_policy="fixed")
-    uavs = (Point3(50.0, 50.0, 40.0), Point3(70.0, 50.0, 40.0))
+    uavs = np.array([[50.0, 50.0, 40.0], [70.0, 50.0, 40.0]])
     z = np.array([[0, 0], [1, 1], [1, 0], [0, 1], [1, 0]], dtype=np.int8)
     width = np.array([20e6, 20e6, 0.0, 20e6, 20e6])
     server, rate = served_links(z, uavs, scn.ue_positions, width, params)
-    expected = link_rate(ues[4].position, uavs[0], 20e6, params)
+    expected = link_rate(ues[4].position, Point3.from_array(uavs[0]), 20e6, params)
     assert server.tolist() == [-1, -1, 0, 1, 0]
     assert rate.tolist() == [0.0, 0.0, 0.0, 0.0, expected]
     dep = Deployment(uav_positions=uavs, association=Association(z=z, a=np.ones(2, dtype=np.int8)),
@@ -283,7 +303,7 @@ def test_served_links_edge_cases(params):
     _, delivered = evaluate_throughput(dep, scn, params)
     assert delivered == [0.0, 0.0, 0.0, 0.0, min(6.5e6, expected)]
 
-    server, rate = served_links(z[:, :0], (), scn.ue_positions, width, params)
+    server, rate = served_links(z[:, :0], uavs[:0], scn.ue_positions, width, params)
     assert server.tolist() == [-1] * 5 and rate.tolist() == [0.0] * 5
     assert uav_loads(z[:, :0], width).shape == (0,)
 
@@ -348,12 +368,10 @@ def test_split_groups_keep_witness_feasibility(params):
     scn = make_scenario([(float(rng.uniform(0, 200)), float(rng.uniform(0, 200)))
                          for _ in range(12)], side=200.0)
     zone, spheres = zone_of(scn, params, list(range(12)))
-    by_index = {s.ue_index: s for s in spheres}
     for sub in split_zone(zone, spheres, scn, max_members=5):
         w = sub.witness.as_array()
         for i in sub.members:
-            s = by_index[i]
-            assert np.linalg.norm(w - s.center.as_array()) <= s.radius + 1e-9
+            assert np.linalg.norm(w - spheres.centers[i]) <= spheres.radii[i] + 1e-9
 
 
 def test_split_falls_back_to_singletons_in_place(params):
@@ -410,10 +428,11 @@ def swarm_digest(pool, trace) -> str:
     """First 16 hex digits of SHA-256 over a plan's swarms, as ``tools/plan_digest.py --swarms``."""
     h = hashlib.sha256()
     for members, sol in pool:
-        bits = (v.hex() for v in (*sol.uav_position.as_array().tolist(), sol.fitness))
+        bits = (v.hex() for v in (*sol.uav_position.tolist(), sol.fitness))
         h.update(f"{members} {' '.join(bits)} {sol.feasible} {sol.iterations}\n".encode())
-        for link in sol.served_ues:
-            h.update(f"{link.ue_index} {link.bandwidth_hz.hex()} {link.rate_bps.hex()}\n".encode())
+        for ue, bw, rate in zip(sol.ue_indices.tolist(), sol.bandwidth_hz.tolist(),
+                                sol.rate_bps.tolist()):
+            h.update(f"{ue} {bw.hex()} {rate.hex()}\n".encode())
     for members, rows in trace:
         h.update(f"{members} {len(rows)} rows\n".encode())
         for it, val, pos in rows:
@@ -471,11 +490,11 @@ def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkey
 
     def place(zone):
         key = 7 * sum(zone.members) + len(zone.members) + salt
-        if len(zone.members) == 1:
-            return PlacementSolution(zone.witness, (), float(key), key % 2 != 0, 0)
-        if key % 5 == 0:
+        if len(zone.members) > 1 and key % 5 == 0:
             return None
-        return PlacementSolution(zone.witness, (), float(key), key % 3 != 0, 0)
+        feasible = key % 2 != 0 if len(zone.members) == 1 else key % 3 != 0
+        return PlacementSolution(zone.witness.as_array(), np.empty(0, int), np.empty(0),
+                                 np.empty(0), float(key), feasible, 0)
 
     def place_all(zones, *args, traces=None, **kwargs):
         for zone, rows in zip(zones, traces or [None] * len(zones)):
@@ -483,10 +502,17 @@ def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkey
                 rows.append((0, float(len(zone.members)), (0.0, 0.0, 0.0)))
         return [place(zone) for zone in zones]
 
+    # The first wave: each cover pick restricted to the users it serves.
     roots = []
-    restrict = planner._restrict_zone
-    monkeypatch.setattr(planner, "_restrict_zone",
-                        lambda *a: roots.append(restrict(*a)) or roots[-1])
+    assign = planner.cover_assignment
+
+    def record_roots(cover, *args):
+        served_sets = assign(cover, *args)
+        roots.extend(replace(z, members=tuple(sorted(served)))
+                     for z, served in zip(cover, served_sets) if served)
+        return served_sets
+
+    monkeypatch.setattr(planner, "cover_assignment", record_roots)
     monkeypatch.setattr(planner, "optimize_positions", place_all)
     monkeypatch.setattr(planner, "optimize_position",
                         lambda zone, *a, trace=None, **kw: place_all([zone], traces=[trace])[0])
@@ -496,7 +522,12 @@ def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkey
     except UnservableError as exc:
         failed = exc.ue_indices
     expected, expected_failed = breadth_first(roots, scn, params, build_spheres(scn, params), place)
-    assert pool == expected
+
+    def fields(entries):
+        return [(members, sol.uav_position.tobytes(), sol.fitness, sol.feasible)
+                for members, sol in entries]
+
+    assert fields(pool) == fields(expected)
     assert trace == [(members, [(0, float(len(members)), (0.0, 0.0, 0.0))])
                      for members, _ in expected]
     assert failed == tuple(sorted(set(expected_failed)))

@@ -81,7 +81,7 @@ def test_fitness_beyond_service_range_infeasible(params):
     scn = make_scenario([(10, 10)], side=5000.0, bandwidth_policy="fixed")
     spheres = build_spheres(scn, params)
     zone = enumerate_zones(spheres, scn.venue)[0]
-    r = spheres[0].radius
+    r = spheres.radii[0]
     # Slightly past the service radius along an in-box ray at threshold-high
     # elevation: the demand cannot be met there.
     d = r * 1.05
@@ -105,9 +105,9 @@ def test_optimize_singleton_within_service_distance(params):
     cfg = SwarmConfig()
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres)
     assert sol.feasible
-    d = math.dist((150, 150, 0), (sol.uav_position.x, sol.uav_position.y, sol.uav_position.z))
-    assert d <= spheres[0].radius
-    assert sol.served_ues[0].rate_bps >= 6.5e6
+    d = math.dist((150, 150, 0), sol.uav_position)
+    assert d <= spheres.radii[0]
+    assert sol.rate_bps[0] >= 6.5e6
 
 
 def test_optimize_deterministic_same_seed(params):
@@ -116,9 +116,10 @@ def test_optimize_deterministic_same_seed(params):
     cfg = SwarmConfig()
     s1 = optimize_position(zone, scn, params, cfg, spheres=spheres)
     s2 = optimize_position(zone, scn, params, cfg, spheres=spheres)
-    assert s1.uav_position == s2.uav_position
+    assert s1.uav_position.tobytes() == s2.uav_position.tobytes()
     assert s1.fitness == s2.fitness
-    assert s1.served_ues == s2.served_ues
+    for name in ("ue_indices", "bandwidth_hz", "rate_bps"):
+        assert getattr(s1, name).tobytes() == getattr(s2, name).tobytes()
 
 
 def test_optimize_seed_changes_trajectory(params):
@@ -153,7 +154,7 @@ def test_optimize_respects_box(params):
     scn = make_scenario([(10, 10), (290, 290)], seed=13)
     zone, spheres = full_zone(scn, params)
     sol = optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres)
-    assert scn.venue.contains(sol.uav_position.as_array())
+    assert scn.venue.contains(sol.uav_position)
 
 
 def test_optimize_degenerate_altitude_band(params):
@@ -161,7 +162,7 @@ def test_optimize_degenerate_altitude_band(params):
     scn = make_scenario([(100, 100), (150, 150)], z=(20.0, 20.0), seed=4)
     zone, spheres = full_zone(scn, params)
     sol = optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres)
-    assert sol.uav_position.z == 20.0
+    assert sol.uav_position[2] == 20.0
     assert sol.feasible
 
 
@@ -206,7 +207,8 @@ def test_optimize_early_stop_activates(params, monkeypatch):
     # A feasible witness is the first feasible best: no iteration, no draw,
     # no generator.
     value = fitness(zone.witness, zone, scn, params)[0]
-    assert sol.feasible and sol.uav_position == zone.witness and sol.fitness == value
+    assert sol.feasible and np.array_equal(sol.uav_position, zone.witness.as_array())
+    assert sol.fitness == value
     assert sol.iterations == 0 and not drawn and not seeded
     assert trace == [(0, value, tuple(zone.witness.as_array()))]
     # The recorder sees a swarm that runs: one generator, its starts, then
@@ -222,8 +224,7 @@ def reference_placement(zone, scn, params, config, spheres):
     """The per-zone search's seeding, then all ``max_iterations`` with no stop."""
     data = ref.member_data(zone.members, scn)
     box = scn.venue
-    centers = np.array([spheres[i].center.as_array() for i in data.indices])
-    radii = np.array([spheres[i].radius for i in data.indices])
+    centers, radii = spheres.centers[data.indices], spheres.radii[data.indices]
     lo, hi = ref.init_bounds(zone, centers, radii, box)
     rng = np.random.default_rng([scn.seed, *data.indices.tolist()])
     positions = np.concatenate([zone.witness.as_array()[None, :],
@@ -264,7 +265,7 @@ def test_first_feasible_best_is_the_full_search_result(params):
         ref_pos, ref_val, ref_feasible = reference_placement(zone, scn, params, cfg, spheres)
         if sol.feasible or ref_feasible:
             assert sol.feasible and ref_feasible
-            assert np.array_equal(sol.uav_position.as_array(), ref_pos)
+            assert np.array_equal(sol.uav_position, ref_pos)
             assert sol.fitness == ref_val
         if fitness(zone.witness, zone, scn, params)[1]:
             kinds.add("feasible witness")
@@ -283,9 +284,9 @@ def solution_bits(sol):
     """Every field of a placement, floats by their bits; None stays None."""
     if sol is None:
         return None
-    return (tuple(v.hex() for v in sol.uav_position.as_array().tolist()), sol.fitness.hex(),
-            sol.feasible, sol.iterations,
-            tuple((k.ue_index, k.bandwidth_hz.hex(), k.rate_bps.hex()) for k in sol.served_ues))
+    links = zip(sol.ue_indices.tolist(), sol.bandwidth_hz.tolist(), sol.rate_bps.tolist())
+    return (tuple(v.hex() for v in sol.uav_position.tolist()), sol.fitness.hex(),
+            sol.feasible, sol.iterations, tuple((i, b.hex(), r.hex()) for i, b, r in links))
 
 
 def trace_bits(rows):
@@ -318,7 +319,8 @@ def outcomes(zone, sol, allow):
     if sol.iterations == 0:
         if not sol.feasible:
             return {"certificate stop"}
-        return {"feasible witness" if sol.uav_position == zone.witness else "seeded start"}
+        at_witness = np.array_equal(sol.uav_position, zone.witness.as_array())
+        return {"feasible witness" if at_witness else "seeded start"}
     if sol.feasible:
         return {"swarm"}
     return {"overrun kept" if allow else "max iterations"}
@@ -369,7 +371,7 @@ def test_optimize_returns_a_proven_unservable_zone_after_seeding(params, monkeyp
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
     # The seeded best is the answer: one generator, the starts and no step.
     assert not sol.feasible and sol.iterations == 0
-    assert trace == [(0, sol.fitness, tuple(sol.uav_position.as_array()))]
+    assert trace == [(0, sol.fitness, tuple(sol.uav_position))]
     assert len(seeded) == 1 and drawn == [(cfg.particle_count - 1, 3)]
     # Placements that keep an infeasible zone run the whole search.
     kept = optimize_position(zone, scn, params, cfg, spheres=spheres,
@@ -406,7 +408,7 @@ def test_certificate_stop_keeps_the_full_search_result(params, monkeypatch, pair
                 assert not sol.feasible and sol.iterations == 0
                 seen.add(("proven", flat, policy))
             else:
-                assert sol.uav_position.as_array().tobytes() == ref_pos.tobytes()
+                assert sol.uav_position.tobytes() == ref_pos.tobytes()
                 assert sol.fitness.hex() == ref_val.hex() and sol.feasible == ref_feasible
                 seen.add(("served" if sol.feasible else "unserved", flat, policy))
     assert {(kind, flat, policy) for kind in ("proven", "served") for flat in (False, True)

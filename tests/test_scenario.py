@@ -234,7 +234,7 @@ def test_proximity_groups_match_the_fifty_round_loop():
 def test_fixed_altitude_pins_z(params):
     scn = generate_scenario("A", 0, seed=6)
     dep = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
-    assert all(p.z == 20.0 for p in dep.uav_positions)
+    assert np.all(dep.uav_positions[:, 2] == 20.0)
     assert validate_deployment(dep, scn, params).passed
 
 
@@ -244,7 +244,7 @@ def test_fixed_altitude_single_ue(params):
                    ues=(UE(Point3(40.0, 60.0, 0.0), 6.5e6),))
     dep = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
     assert dep.uav_count == 1
-    assert dep.uav_positions[0].z == 20.0
+    assert dep.uav_positions[0, 2] == 20.0
     assert validate_deployment(dep, scn, params).passed
 
 
@@ -282,7 +282,7 @@ def test_throughput_oversubscription_rescaling(params):
     )
     rate_full = link_rate(ue_pos, uav, b, params)
     dep = Deployment(
-        uav_positions=(uav,),
+        uav_positions=uav.as_array()[None, :],
         association=Association(z=np.ones((2, 1), dtype=np.int8),
                                 a=np.ones(1, dtype=np.int8)),
         link_bandwidth_hz=np.array([b, b]),
@@ -304,7 +304,7 @@ def test_throughput_unassociated_ue_counts_zero(params):
         ues=(UE(Point3(50.0, 50.0, 0.0), 1e6),),
     )
     dep = Deployment(
-        uav_positions=(Point3(50.0, 50.0, 40.0),),
+        uav_positions=np.array([[50.0, 50.0, 40.0]]),
         association=Association(z=np.zeros((1, 1), dtype=np.int8),
                                 a=np.ones(1, dtype=np.int8)),
         link_bandwidth_hz=np.zeros(1),
@@ -359,10 +359,10 @@ def test_experiment_runs_plan_as_each_scenario_alone(params, monkeypatch):
     moved = 0
     for scn, dep in planned:
         alone = plan_deployment(scn, params)
-        assert dep.uav_positions == alone.uav_positions
+        assert dep.uav_positions.tobytes() == alone.uav_positions.tobytes()
         assert np.array_equal(dep.link_bandwidth_hz, alone.link_bandwidth_hz)
-        moved += plan_deployment(replace(scn, seed=scn.seed + 100), params).uav_positions \
-            != dep.uav_positions
+        other = plan_deployment(replace(scn, seed=scn.seed + 100), params)
+        moved += other.uav_positions.tobytes() != dep.uav_positions.tobytes()
     assert moved  # some cells run swarms, whose seed moves the plan
 
 

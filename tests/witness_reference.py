@@ -71,8 +71,7 @@ def _starts(centers, box, max_pairs=12):
 def reference_witness(members, spheres, box):
     """``(point, deficit)`` as ``zone_witness`` returns it, by multi-start SLSQP."""
     idx = sorted(set(members))
-    centers = np.array([spheres[i].center.as_array() for i in idx])
-    radii = np.array([spheres[i].radius for i in idx])
+    centers, radii = spheres.centers[idx], spheres.radii[idx]
 
     best_p, best_f = None, math.inf
     for start in _starts(centers, box):

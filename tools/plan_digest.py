@@ -19,11 +19,12 @@ a witness moving in a zone no cover picked.
 
 With ``--swarms`` each digest is over the swarms of the planner operations
 instead: for each, in label order, ``plan_deployment``'s ``pool`` (members,
-the bits of the position, fitness and every link, feasibility and iterations)
-and ``trace`` (members, then every row's iteration and bits), in the wave
-order the planner placed them in. These are what ``uavplan plan --dump-pool``
-and ``--pso-trace`` write, so the digest shows a swarm that moves, or runs in
-another order, even where the plan does not.
+the bits of the position and fitness, feasibility and iterations, then one
+line per member: its UE and the bits of its link width and rate, read from
+the solution's arrays) and ``trace`` (members, then every row's iteration and
+bits), in the wave order the planner placed them in. These are what
+``uavplan plan --dump-pool`` and ``--pso-trace`` write, so the digest shows a
+swarm that moves, or runs in another order, even where the plan does not.
 
 With ``--throughput`` each digest is over what the plans are judged by
 instead: for each operation, in label order, the pass flag of every
@@ -110,11 +111,11 @@ def swarm_digest(workload, **changes) -> str:
         workloads.planner.plan_deployment(scn, workloads.PARAMS, pool=pool, trace=trace)
         h.update(op.label.encode())
         for members, sol in pool:
-            bits = (v.hex() for v in (*sol.uav_position.as_array().tolist(), sol.fitness))
+            bits = (v.hex() for v in (*sol.uav_position.tolist(), sol.fitness))
             h.update(f"{members} {' '.join(bits)} {sol.feasible} {sol.iterations}\n".encode())
-            for link in sol.served_ues:
-                bits = f"{link.bandwidth_hz.hex()} {link.rate_bps.hex()}"
-                h.update(f"{link.ue_index} {bits}\n".encode())
+            for ue, bw, rate in zip(sol.ue_indices.tolist(), sol.bandwidth_hz.tolist(),
+                                    sol.rate_bps.tolist()):
+                h.update(f"{ue} {bw.hex()} {rate.hex()}\n".encode())
         for members, rows in trace:
             h.update(f"{members} {len(rows)} rows\n".encode())
             for it, val, pos in rows:
