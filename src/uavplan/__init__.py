@@ -35,8 +35,8 @@ from .coverage import (
     greedy_zone_cover,
     cover_assignment,
 )
-from .positioning import (SwarmConfig, PlacementSolution, ZoneCapacityError, fitness,
-                          optimize_position, optimize_positions)
+from .positioning import (SwarmConfig, PlacementSolution, fitness, optimize_position,
+                          optimize_positions)
 from .planner import (
     Association,
     Deployment,
@@ -87,7 +87,6 @@ __all__ = [
     "cover_assignment",
     "SwarmConfig",
     "PlacementSolution",
-    "ZoneCapacityError",
     "fitness",
     "optimize_position",
     "optimize_positions",

@@ -2,7 +2,7 @@
 
 The cover stage decides how many UAVs to aim for; positioning refines one
 UAV per cover pick. Picks whose refined position cannot meet every demand or
-the bandwidth budget are split geometrically and re-optimized, bottoming out
+the bandwidth budget are halved geometrically and re-optimized, bottoming out
 at singleton zones, which are always servable from the member's nadir. The
 picks are placed a wave at a time, the split pieces of one wave forming the
 next. An independent validator re-checks every constraint of the final
@@ -10,7 +10,6 @@ deployment using only the channel model.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -145,44 +144,26 @@ def zone_capacity(members: Sequence[int], lower_bounds: Sequence[float], b_max_h
     return max(count, 1)
 
 
-def split_zone(
-    zone: CandidateZone,
-    spheres: Spheres,
-    scenario: "Scenario",
-    max_members: int,
-) -> list[CandidateZone]:
-    """Partition an oversized zone into geometric sub-zones of bounded size.
+def split_zone(zone: CandidateZone, spheres: Spheres, scenario: "Scenario") -> list[CandidateZone]:
+    """Halve a zone of two or more members into two geometric sub-zones.
 
     Members are split at the median along the longest principal axis of
-    their positions, recursively, until every group fits; each group gets a
-    fresh witness. Groups of a feasible zone are always feasible (the parent
+    their positions, the first half taking the odd member; each half gets a
+    fresh witness. Halves of a feasible zone are always feasible (the parent
     witness certifies them), so the singleton fallback is purely defensive.
     """
-    if max_members < 1:
-        raise ValueError("max_members must be >= 1")
-    if len(zone.members) <= max_members:
-        return [zone]
-
-    def bisect(members: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if len(members) <= max_members:
-            return [members]
-        pts = spheres.centers[list(members)]
-        centered = pts - pts.mean(axis=0)
-        cov = centered.T @ centered
-        w, v = np.linalg.eigh(cov)
-        axis = v[:, -1]
-        if axis[np.argmax(np.abs(axis))] < 0:
-            axis = -axis
-        proj = centered @ axis
-        order = sorted(range(len(members)), key=lambda k: (proj[k], members[k]))
-        half = (len(members) + 1) // 2
-        left = tuple(sorted(members[k] for k in order[:half]))
-        right = tuple(sorted(members[k] for k in order[half:]))
-        return bisect(left) + bisect(right)
-
     members = tuple(sorted(zone.members))
-    groups = bisect(members)
     centers, radii = spheres.centers[list(members)], spheres.radii[list(members)]
+    centered = centers - centers.mean(axis=0)
+    _, v = np.linalg.eigh(centered.T @ centered)
+    axis = v[:, -1]
+    if axis[np.argmax(np.abs(axis))] < 0:
+        axis = -axis
+    proj = centered @ axis
+    order = sorted(range(len(members)), key=lambda k: (proj[k], members[k]))
+    half = (len(members) + 1) // 2
+    groups = [tuple(sorted(members[k] for k in order[:half])),
+              tuple(sorted(members[k] for k in order[half:]))]
     local = [np.searchsorted(members, g) for g in groups]
     solved = zone_witnesses(local, centers, radii, scenario.venue)
     # Fall back to singletons; cannot happen for subsets of a certified zone
@@ -234,7 +215,7 @@ def plan_deployment(
     caps = [zone_capacity(z.members, lower_bounds, scenario.b_max_hz) for z in zones]
     cover = minimal_zone_cover(zones, len(scenario.ues), caps)
     cap_by_members = {z.members: c for z, c in zip(zones, caps)}
-    pick_caps = [cap_by_members.get(z.members, len(z.members)) for z in cover]
+    pick_caps = [cap_by_members[z.members] for z in cover]
     served_sets = cover_assignment(cover, pick_caps, len(scenario.ues))
 
     # Zones are placed a wave at a time: every queued zone in one lockstep
@@ -249,8 +230,7 @@ def plan_deployment(
         traces = [[] if trace is not None else None for _ in wave]
         # A singleton is placed alone by optimize_position, the name
         # perfbench/spans.py wraps, so that a traced run still shows the
-        # positioning layer (the budget check above leaves no singleton a
-        # pinned overrun); the other zones of a wave run in lockstep.
+        # positioning layer; the other zones of a wave run in lockstep.
         many = [k for k, sub in enumerate(wave) if len(sub.members) > 1]
         sols = dict(zip(many, optimize_positions(
             [wave[k] for k in many], scenario, params, swarm_config, spheres=spheres,
@@ -259,11 +239,6 @@ def plan_deployment(
         for k, sub in enumerate(wave):
             sol = sols[k] if k in sols else optimize_position(
                 sub, scenario, params, swarm_config, spheres=spheres, trace=traces[k])
-            if sol is None:  # the pinned widths alone overrun the budget
-                cap = zone_capacity(sub.members, lower_bounds, scenario.b_max_hz)
-                cap = max(min(cap, len(sub.members) - 1), 1)
-                queued.extend(split_zone(sub, spheres, scenario, cap))
-                continue
             if pool is not None:
                 pool.append((sub.members, sol))
             if trace is not None:
@@ -275,7 +250,7 @@ def plan_deployment(
                 # so a failing singleton means the UE is truly unservable.
                 unservable.append(sub.members[0])
             else:
-                queued.extend(split_zone(sub, spheres, scenario, math.ceil(len(sub.members) / 2)))
+                queued.extend(split_zone(sub, spheres, scenario))
         wave = queued
     if unservable:
         raise UnservableError(unservable)

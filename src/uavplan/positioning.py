@@ -32,10 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
 
 
-class ZoneCapacityError(Exception):
-    """Even the zone witness exceeds the per-UAV bandwidth budget."""
-
-
 @dataclass(frozen=True)
 class SwarmConfig:
     particle_count: int = 30
@@ -297,9 +293,9 @@ def optimize_positions(
     params: "ChannelParams",
     config: SwarmConfig,
     spheres: Spheres | None = None,
-    allow_capacity_overrun: bool = False,
+    certify: bool = True,
     traces: Sequence[list] | None = None,
-) -> list[PlacementSolution | None]:
+) -> list[PlacementSolution]:
     """Global-best PSO over each zone, anchored at its witness, all swarms in lockstep.
 
     One particle is pinned at the witness. Every feasible position scores
@@ -313,11 +309,12 @@ def optimize_positions(
     start runs no iteration) and after every update. Zones that no seeded
     start serves then try one batched branch and bound over the box
     (``_unservable``), sound and judging each zone alone: a zone it proves
-    unservable returns its seeded best with no iteration. Each step moves
-    all running swarms in one array step, and a zone leaves at its first
-    feasible best. Placements that keep an infeasible zone
-    (``allow_capacity_overrun``) also stop at their first feasible best;
-    they only skip the certificate. Each seeded zone draws from one PCG64
+    unservable, such as one whose pinned link widths alone overrun the
+    budget, returns its seeded best with no iteration. Each step moves all
+    running swarms in one array step, and a zone leaves at its first
+    feasible best. Without ``certify`` (the fixed-n baseline, which keeps
+    its infeasible groups) zones skip the certificate and still stop at
+    their first feasible best. Each seeded zone draws from one PCG64
     stream seeded with ``SeedSequence([scenario.seed, *members])``: first
     the starts of particles 1..n-1, ``random((n - 1, 3))``, then at every
     step ``random((n, 2, 3))``, each particle's r1 then its r2. So each
@@ -329,11 +326,9 @@ def optimize_positions(
     member sphere: the demand check, not sphere containment, decides
     feasibility.
 
-    Returns one result per zone, in order: None where the members' pinned
-    link widths alone overrun the bandwidth budget (the caller should split
-    the zone), unless ``allow_capacity_overrun`` is set (baselines report
-    violations instead). ``traces``, when given, holds one list per zone,
-    which receives the zone's (iteration, global best fitness, position) rows.
+    Returns one solution per zone, in order. ``traces``, when given, holds
+    one list per zone, which receives the zone's (iteration, global best
+    fitness, position) rows.
     """
     if not zones:
         return []
@@ -344,31 +339,18 @@ def optimize_positions(
     m = _members([z.members for z in zones], scenario)
     box = scenario.venue
     particles = config.particle_count
-    out: list[PlacementSolution | None] = [None] * len(zones)
-
-    # Pinned widths do not depend on the position, so if they alone overrun
-    # the budget no position serves the zone; the demand-fit share varies
-    # with position and is judged after the search.
-    overrun = np.zeros(len(zones), bool)
-    if not (allow_capacity_overrun or m.fit.all()):
-        for j in range(len(zones)):
-            own = slice(m.start[j], m.start[j] + m.count[j])
-            overrun[j] = float(np.sum(m.pinned[own][~m.fit[own]])) > m.b_max_hz
-    live = np.flatnonzero(~overrun)
-    if not len(live):
-        return out
     # Particle 0 sits at the witness, nothing scores above a feasible
     # position and argmax takes the first maximum: a feasible witness is the
     # swarm's answer, so it needs no generator.
     best = np.array([z.witness.as_array() for z in zones])
     iterations = np.zeros(len(zones), int)
-    rows = _rows(m, live)
-    value, feas, links = _fitness(best[live], rows, m, params, box)
+    rows = _rows(m, np.arange(len(zones)))
+    value, feas, links = _fitness(best, rows, m, params, box)
     if traces is not None:
-        for j, v in zip(live[feas].tolist(), value[feas].tolist()):
-            traces[j].append((0, v, tuple(best[j])))
+        for j in np.flatnonzero(feas).tolist():
+            traces[j].append((0, float(value[j]), tuple(best[j])))
 
-    zone = live[~feas]  # the zones whose swarm runs, ascending
+    zone = np.flatnonzero(~feas)  # the zones whose swarm runs, ascending
     if len(zone):
         members = [m.indices[m.start[j]:m.start[j] + m.count[j]].tolist() for j in zone]
         centers = radii = None
@@ -399,7 +381,7 @@ def optimize_positions(
             stop = gbest_feas.copy()
             if it == config.max_iterations:
                 stop[:] = True
-            elif it == 0 and not allow_capacity_overrun and not stop.all():
+            elif it == 0 and certify and not stop.all():
                 stop[~stop] = _unservable(m, zone[~stop], params, box)
             if stop.any():
                 best[zone[stop]] = gbest_pos[stop]
@@ -432,24 +414,23 @@ def optimize_positions(
             gbest_feas[better] = pbest_feas[at, g][better]
 
         # Score every final position; when no swarm runs, the witness scores stand.
-        value, _, links = _fitness(best[live], rows, m, params, box)
+        value, _, links = _fitness(best, rows, m, params, box)
 
     bw, rate, served = links
     feasible = ((_row_sums(~served, rows.groups) == 0)
                 & (_row_sums(bw, rows.groups) <= m.b_max_hz)).tolist()
     ue = read_only(m.indices[rows.member])
     bw, rate = read_only(bw), read_only(rate)
-    at = 0
-    for k, j in enumerate(live.tolist()):
-        own = slice(at, at + int(m.count[j]))
-        at = own.stop
+    out = [None] * len(zones)
+    for j in range(len(zones)):
+        own = slice(m.start[j], m.start[j] + m.count[j])
         out[order[j]] = PlacementSolution(
             uav_position=read_only(best[j]),
             ue_indices=ue[own],
             bandwidth_hz=bw[own],
             rate_bps=rate[own],
-            fitness=float(value[k]),
-            feasible=feasible[k],
+            fitness=float(value[j]),
+            feasible=feasible[j],
             iterations=int(iterations[j]),
         )
     return out
@@ -461,21 +442,10 @@ def optimize_position(
     params: "ChannelParams",
     config: SwarmConfig,
     spheres: Spheres | None = None,
-    allow_capacity_overrun: bool = False,
+    certify: bool = True,
     trace: list | None = None,
 ) -> PlacementSolution:
-    """``optimize_positions`` of one zone.
-
-    Raises ZoneCapacityError when the members' pinned link widths alone
-    overrun the bandwidth budget (the caller should split the zone), unless
-    ``allow_capacity_overrun`` is set.
-    """
+    """``optimize_positions`` of one zone."""
     traces = [trace] if trace is not None else None
-    sol, = optimize_positions([zone], scenario, params, config, spheres=spheres,
-                              allow_capacity_overrun=allow_capacity_overrun, traces=traces)
-    if sol is None:
-        raise ZoneCapacityError(
-            f"zone {zone.members} pins more link bandwidth than the budget "
-            f"{scenario.b_max_hz:.0f} Hz"
-        )
-    return sol
+    return optimize_positions([zone], scenario, params, config, spheres=spheres, certify=certify,
+                              traces=traces)[0]

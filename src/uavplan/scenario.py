@@ -249,7 +249,7 @@ def run_baseline(
     scenario.validate()
     groups = _proximity_groups(scenario, FIXED_BASELINE_GROUP_SIZE)
     zones = [_pseudo_zone(g, scenario) for g in groups]
-    sols = optimize_positions(zones, scenario, params, swarm_config, allow_capacity_overrun=True)
+    sols = optimize_positions(zones, scenario, params, swarm_config, certify=False)
     return _assemble(list(zip(zones, sols)), scenario)
 
 

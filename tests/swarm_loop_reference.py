@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from uavplan import channel
-from uavplan.positioning import PlacementSolution, ZoneCapacityError
+from uavplan.positioning import PlacementSolution
 
 _CERTIFY_PAIRS = 1 << 16
 _BOUND_MARGIN = 1e-9
@@ -129,14 +129,10 @@ def init_bounds(zone, centers, radii, box):
     return np.minimum(lo, w), np.maximum(hi, w)
 
 
-def loop_position(zone, scenario, params, config, spheres=(), allow_capacity_overrun=False,
-                  trace=None):
+def loop_position(zone, scenario, params, config, spheres=(), certify=True, trace=None):
     """The per-zone ``optimize_position``: witness, seeding, steps, certificate."""
     data = member_data(zone.members, scenario)
     box = scenario.venue
-    pinned_hz = float(np.sum(data.pinned[~data.fit]))
-    if not allow_capacity_overrun and pinned_hz > data.b_max_hz:
-        raise ZoneCapacityError(f"zone {zone.members} pins {pinned_hz:.0f} Hz of links")
     witness = zone.witness.as_array()
     value, feas = swarm_fitness(witness[None, :], data, params, box)
     if feas[0]:
@@ -173,7 +169,7 @@ def loop_position(zone, scenario, params, config, spheres=(), allow_capacity_ove
         trace.append((0, gbest_val, tuple(gbest_pos)))
 
     # The certificate runs once, after seeding: a proven zone runs no step.
-    stop = gbest_feasible or (not allow_capacity_overrun and zone_unservable(data, params, box))
+    stop = gbest_feasible or (certify and zone_unservable(data, params, box))
     steps = () if stop else range(1, config.max_iterations + 1)
     for it in steps:
         iterations = it

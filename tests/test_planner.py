@@ -31,7 +31,7 @@ from uavplan import (
 )
 from uavplan import evaluate_throughput, planner
 from uavplan.cli import deployment_to_dict
-from uavplan.planner import min_feasible_bandwidths, served_links, uav_loads, zone_capacity
+from uavplan.planner import served_links, uav_loads, zone_capacity
 from uavplan.positioning import PlacementSolution
 from conftest import random_scenario
 
@@ -332,46 +332,52 @@ def zone_of(scn, params, members):
     return CandidateZone(members=tuple(sorted(members)), witness=w, slack=-deficit), spheres
 
 
-def test_split_noop_when_under_cap(params):
-    scn = make_scenario([(100, 100), (110, 100), (120, 100)])
+def test_split_halves_at_the_median_odd_member_first(params):
+    # Three users on a line: the half below the median along it takes the
+    # odd member.
+    scn = make_scenario([(120, 100), (100, 100), (110, 100)])
     zone, spheres = zone_of(scn, params, [0, 1, 2])
-    out = split_zone(zone, spheres, scn, max_members=8)
-    assert out == [zone]
+    assert [z.members for z in split_zone(zone, spheres, scn)] == [(1, 2), (0,)]
 
 
 def test_split_coincident_even_halves(params):
     scn = make_scenario([(100.0, 100.0)] * 16)
     zone, spheres = zone_of(scn, params, list(range(16)))
-    out = split_zone(zone, spheres, scn, max_members=8)
-    assert len(out) == 2
-    assert sorted(len(z.members) for z in out) == [8, 8]
+    out = split_zone(zone, spheres, scn)
+    assert [len(z.members) for z in out] == [8, 8]
     assert sorted(i for z in out for i in z.members) == list(range(16))
 
 
-def test_split_seventeen_members_cap_eight(params):
+def test_split_seventeen_members_into_nine_and_eight(params):
     rng = np.random.default_rng(3)
     scn = make_scenario([(float(rng.uniform(0, 120)), float(rng.uniform(0, 120)))
                          for _ in range(17)])
     zone, spheres = zone_of(scn, params, list(range(17)))
-    out = split_zone(zone, spheres, scn, max_members=8)
-    assert len(out) == 3
-    sizes = sorted(len(z.members) for z in out)
-    assert sizes in ([1, 8, 8], [4, 5, 8])
-    assert all(len(z.members) <= 8 for z in out)
+    out = split_zone(zone, spheres, scn)
+    assert [len(z.members) for z in out] == [9, 8]
+    assert not set(out[0].members) & set(out[1].members)
     assert sorted(i for z in out for i in z.members) == list(range(17))
     for z in out:
         assert z.slack >= 0
 
 
 def test_split_groups_keep_witness_feasibility(params):
+    # Halving each piece again down to singletons: every witness lies in
+    # every member's sphere.
     rng = np.random.default_rng(9)
     scn = make_scenario([(float(rng.uniform(0, 200)), float(rng.uniform(0, 200)))
                          for _ in range(12)], side=200.0)
     zone, spheres = zone_of(scn, params, list(range(12)))
-    for sub in split_zone(zone, spheres, scn, max_members=5):
+    queue, seen = [zone], 0
+    while queue:
+        sub = queue.pop()
         w = sub.witness.as_array()
         for i in sub.members:
             assert np.linalg.norm(w - spheres.centers[i]) <= spheres.radii[i] + 1e-9
+        if len(sub.members) > 1:
+            queue.extend(split_zone(sub, spheres, scn))
+        seen += 1
+    assert seen == 2 * 12 - 1
 
 
 def test_split_falls_back_to_singletons_in_place(params):
@@ -382,7 +388,7 @@ def test_split_falls_back_to_singletons_in_place(params):
                         demand=26e6, side=2000.0)
     spheres = build_spheres(scn, params)
     zone = CandidateZone(members=(0, 1, 2, 3), witness=Point3(0.0, 500.0, 10.0), slack=0.0)
-    out = split_zone(zone, spheres, scn, max_members=2)
+    out = split_zone(zone, spheres, scn)
     assert [z.members for z in out] == [(0, 1), (2,), (3,)]
     for z in out:
         w, deficit = zone_witness(z.members, spheres, scn.venue)
@@ -458,47 +464,67 @@ def test_split_heavy_plans_are_pinned(params):
     assert (fixed.uav_count, plan_digest(fixed, scn, params)) == (24, "0a944bb91fd5e514")
 
 
-def breadth_first(roots, scn, params, spheres, place):
+def test_mixed_pin_plans_are_pinned(params):
+    # Random venues where most users pin their link width: many cover picks
+    # pin more width than one UAV's budget, so no position serves them and
+    # the planner halves them until every piece fits.
+    h, uavs = hashlib.sha256(), 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = rng.integers(3, 30)
+        side = rng.choice([100.0, 200.0, 400.0])
+        xy = rng.uniform(0.0, side, (n, 2))
+        ues = []
+        for x, y in xy:
+            demand = rng.choice([6.5e6, 13e6, 26e6])
+            pin = rng.choice([20e6, 40e6, 60e6, 90e6, 120e6]) if rng.random() < 0.6 else None
+            ues.append(UE(position=Point3(x, y, 0.0), demand_bps=float(demand),
+                          bandwidth_hz=None if pin is None else float(pin)))
+        scn = Scenario(label="mixed-pin", seed=seed,
+                       venue=FeasibleBox((0.0, side), (0.0, side), (10.0, 100.0)), ues=tuple(ues))
+        dep = plan_deployment(scn, params)
+        assert validate_deployment(dep, scn, params).passed
+        for a in (dep.uav_positions, dep.association.z, dep.link_bandwidth_hz, dep.link_rate_bps):
+            h.update(np.ascontiguousarray(a).tobytes())
+        uavs += dep.uav_count
+    assert (uavs, h.hexdigest()[:16]) == (260, "0ea0ca8c9668b4bb")
+
+
+def breadth_first(roots, scn, spheres, place):
     """The planner's queue one zone at a time, first in first out: its pool and failing users."""
-    lower = min_feasible_bandwidths(scn, params)
     pool, failed, queue = [], [], deque(roots)
     while queue:
         sub = queue.popleft()
         sol = place(sub)
-        if sol is None:
-            cap = max(min(zone_capacity(sub.members, lower, scn.b_max_hz), len(sub.members) - 1), 1)
-            queue.extend(split_zone(sub, spheres, scn, max_members=cap))
-            continue
         pool.append((sub.members, sol))
         if sol.feasible:
             continue
         if len(sub.members) == 1:
             failed.append(sub.members[0])
             continue
-        queue.extend(split_zone(sub, spheres, scn, max_members=math.ceil(len(sub.members) / 2)))
+        queue.extend(split_zone(sub, spheres, scn))
     return pool, failed
 
 
 @pytest.mark.parametrize("salt", [3, 5])
 def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkeypatch, salt):
     # A stand-in swarm fails zones by a fixed rule, so that the split tree is
-    # deep. Like the real one, it returns None (pinned widths over the
-    # budget) only for zones of more than one user. Under salt 3 no
-    # singleton fails; under 5 several do, and the plan reports them all.
+    # deep; a zone of more than one user whose key is a multiple of 5 or 3
+    # fails. Under salt 3 no singleton fails; under 5 several do, and the
+    # plan reports them all.
     rng = np.random.default_rng(2024)
     scn = make_scenario(rng.uniform(0.0, 1000.0, (40, 2)).tolist(), demand=26e6, side=1000.0)
 
     def place(zone):
         key = 7 * sum(zone.members) + len(zone.members) + salt
-        if len(zone.members) > 1 and key % 5 == 0:
-            return None
-        feasible = key % 2 != 0 if len(zone.members) == 1 else key % 3 != 0
+        feasible = (key % 2 != 0 if len(zone.members) == 1
+                    else key % 5 != 0 and key % 3 != 0)
         return PlacementSolution(zone.witness.as_array(), np.empty(0, int), np.empty(0),
                                  np.empty(0), float(key), feasible, 0)
 
     def place_all(zones, *args, traces=None, **kwargs):
         for zone, rows in zip(zones, traces or [None] * len(zones)):
-            if rows is not None and place(zone) is not None:
+            if rows is not None:
                 rows.append((0, float(len(zone.members)), (0.0, 0.0, 0.0)))
         return [place(zone) for zone in zones]
 
@@ -521,7 +547,7 @@ def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkey
         plan_deployment(scn, params, pool=pool, trace=trace)
     except UnservableError as exc:
         failed = exc.ue_indices
-    expected, expected_failed = breadth_first(roots, scn, params, build_spheres(scn, params), place)
+    expected, expected_failed = breadth_first(roots, scn, build_spheres(scn, params), place)
 
     def fields(entries):
         return [(members, sol.uav_position.tobytes(), sol.fitness, sol.feasible)

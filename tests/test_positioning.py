@@ -11,7 +11,6 @@ from uavplan import (
     Scenario,
     SwarmConfig,
     UE,
-    ZoneCapacityError,
     build_spheres,
     enumerate_zones,
     fitness,
@@ -166,16 +165,27 @@ def test_optimize_degenerate_altitude_band(params):
     assert sol.feasible
 
 
-def test_optimize_capacity_error_under_fixed_policy(params):
-    # Nine UEs at 20 MHz each against a 160 MHz budget: the witness overruns.
+def test_optimize_proves_a_pinned_overrun_after_seeding(params):
+    # Nine UEs at 20 MHz each against a 160 MHz budget: no position serves
+    # them, and the certificate proves it at its first cell, alone and beside
+    # a feasible zone.
     ue_xy = [(100 + 5 * k, 100) for k in range(9)]
     scn = make_scenario(ue_xy, bandwidth_policy="fixed", seed=1)
     zone, spheres = full_zone(scn, params)
-    with pytest.raises(ZoneCapacityError):
-        optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres)
-    sol = optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres,
-                            allow_capacity_overrun=True)
-    assert not sol.feasible
+    cfg = SwarmConfig()
+    trace = []
+    sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
+    assert not sol.feasible and sol.iterations == 0
+    assert trace == [(0, sol.fitness, tuple(sol.uav_position))]
+    pair = _pseudo_zone((0, 1), scn)
+    traces = [[], []]
+    beside, overrun = optimize_positions([pair, zone], scn, params, cfg, spheres=spheres,
+                                         traces=traces)
+    assert beside.feasible
+    assert not overrun.feasible and overrun.iterations == 0 and len(traces[1]) == 1
+    # Without the certificate the search runs to the end.
+    kept = optimize_position(zone, scn, params, cfg, spheres=spheres, certify=False)
+    assert not kept.feasible and kept.iterations == cfg.max_iterations
 
 
 def record_generators(monkeypatch):
@@ -281,9 +291,7 @@ def test_first_feasible_best_is_the_full_search_result(params):
 
 
 def solution_bits(sol):
-    """Every field of a placement, floats by their bits; None stays None."""
-    if sol is None:
-        return None
+    """Every field of a placement, floats by their bits."""
     links = zip(sol.ue_indices.tolist(), sol.bandwidth_hz.tolist(), sol.rate_bps.tolist())
     return (tuple(v.hex() for v in sol.uav_position.tolist()), sol.fitness.hex(),
             sol.feasible, sol.iterations, tuple((i, b.hex(), r.hex()) for i, b, r in links))
@@ -310,41 +318,38 @@ def swarm_batches(params):
         zones = [_pseudo_zone(sorted(rng.choice(14, size=k, replace=False).tolist()), scn)
                  for k in (1, 3, 5, 8, 9, 12)] + enumerate_zones(spheres, scn.venue)[:3]
         cfg = SwarmConfig(particle_count=6, max_iterations=int(rng.choice([4, 25])))
-        yield scn, zones, spheres, cfg, trial % 4 == 3
+        yield scn, zones, spheres, cfg, trial % 4 != 3
 
 
-def outcomes(zone, sol, allow):
-    if sol is None:
-        return {"pinned overrun"}
+def outcomes(zone, sol, certify, scn):
     if sol.iterations == 0:
         if not sol.feasible:
-            return {"certificate stop"}
+            # Pinned widths do not move with the position.
+            overrun = np.nansum(scn.pinned_widths_hz[list(zone.members)]) > scn.b_max_hz
+            return {"pinned overrun" if overrun else "certificate stop"}
         at_witness = np.array_equal(sol.uav_position, zone.witness.as_array())
         return {"feasible witness" if at_witness else "seeded start"}
     if sol.feasible:
         return {"swarm"}
-    return {"overrun kept" if allow else "max iterations"}
+    return {"max iterations" if certify else "uncertified"}
 
 
 def test_lockstep_swarms_match_the_per_zone_search(params, monkeypatch):
     seen = set()
-    for scn, zones, spheres, cfg, allow in swarm_batches(params):
+    for scn, zones, spheres, cfg, certify in swarm_batches(params):
         expected = []
         for zone in zones:
             rows = []
-            try:
-                sol = ref.loop_position(zone, scn, params, cfg, spheres, allow, trace=rows)
-            except ZoneCapacityError:
-                sol = None
+            sol = ref.loop_position(zone, scn, params, cfg, spheres, certify, trace=rows)
             expected.append((solution_bits(sol), trace_bits(rows)))
             n = len(zone.members)
-            seen |= outcomes(zone, sol, allow)
+            seen |= outcomes(zone, sol, certify, scn)
             seen.add("singleton" if n == 1 else "below 8" if n < 8 else "8 or more")
 
         def lockstep(batch):
             traces = [[] for _ in batch]
             sols = optimize_positions(batch, scn, params, cfg, spheres=spheres,
-                                      allow_capacity_overrun=allow, traces=traces)
+                                      certify=certify, traces=traces)
             return [(solution_bits(s), trace_bits(t)) for s, t in zip(sols, traces)]
 
         assert lockstep(zones) == expected
@@ -354,7 +359,7 @@ def test_lockstep_swarms_match_the_per_zone_search(params, monkeypatch):
             m.setattr(positioning, "_CERTIFY_BUDGET", 1)
             assert lockstep(zones[::-1]) == expected[::-1]
     assert seen == {"singleton", "below 8", "8 or more", "pinned overrun", "feasible witness",
-                    "seeded start", "swarm", "overrun kept", "certificate stop",
+                    "seeded start", "swarm", "uncertified", "certificate stop",
                     "max iterations"}
 
 
@@ -373,9 +378,8 @@ def test_optimize_returns_a_proven_unservable_zone_after_seeding(params, monkeyp
     assert not sol.feasible and sol.iterations == 0
     assert trace == [(0, sol.fitness, tuple(sol.uav_position))]
     assert len(seeded) == 1 and drawn == [(cfg.particle_count - 1, 3)]
-    # Placements that keep an infeasible zone run the whole search.
-    kept = optimize_position(zone, scn, params, cfg, spheres=spheres,
-                             allow_capacity_overrun=True)
+    # Without the certificate an infeasible zone runs the whole search.
+    kept = optimize_position(zone, scn, params, cfg, spheres=spheres, certify=False)
     assert not kept.feasible and kept.iterations == cfg.max_iterations
 
 
