@@ -369,53 +369,71 @@ def _floor_points(xy, rho2, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(points), np.concatenate(defined_by)
 
 
+def _z_order(points, lo, hi) -> np.ndarray:
+    """Z-order (Morton) key of each point of the rectangle ``lo``-``hi`` on a 256 x 256 grid."""
+    cell = ((points - lo) * (255 / (hi - lo))).astype(np.uint32)
+    cell = (cell | cell << 4) & 0x0F0F
+    cell = (cell | cell << 2) & 0x3333
+    cell = (cell | cell << 1) & 0x5555
+    return cell[:, 0] | cell[:, 1] << 1
+
+
 def _sets_at(points, defined_by, xy, h2, radii) -> np.ndarray:
     """The distinct member sets at ``points``, as bit-packed rows.
 
     A point's members are the disks ``defined_by`` it and every sphere whose
     deficit there, by ``zone_witnesses``' arithmetic sqrt((dx^2 + dy^2) + h2)
-    - r, is at most 0. The deficits are computed in place, so a block holds
-    two arrays of points x spheres at a time.
+    - r, is at most 0. Only the spheres that reach the points' bounding
+    rectangle are scored: every rounded step of the deficit grows with |dx|
+    and |dy|, so a sphere whose horizontal gap g to the rectangle has
+    g^2 + h2 > r^2 (1 + 1e-9) has a positive deficit at every point. The
+    deficits are computed in place, so a block holds two arrays of points x
+    reaching spheres at a time.
     """
     n = len(xy)
-    dx, dy = points[:, :1] - xy[:, 0], points[:, 1:] - xy[:, 1]
+    gap = xy - xy.clip(points.min(axis=0), points.max(axis=0))
+    reach = np.flatnonzero((gap * gap).sum(axis=1) + h2 <= radii * radii * (1 + 1e-9))
+    dx, dy = points[:, :1] - xy[reach, 0], points[:, 1:] - xy[reach, 1]
     dx *= dx
     dy *= dy
     dx += dy
-    dx += h2
+    dx += h2[reach]
     inside = np.zeros((len(points), n + 1), bool)  # column n takes the padding
-    inside[:, :n] = np.sqrt(dx, out=dx) - radii <= 0
+    inside[:, reach] = np.sqrt(dx, out=dx) - radii[reach] <= 0
     inside[np.arange(len(points))[:, None], defined_by] = True
     return _unique_rows(np.packbits(inside[:, :n], axis=1))
 
 
 def _clamped_means(sets: Sequence[tuple[int, ...]], centers, radii,
-                   box: FeasibleBox) -> list[Point3 | None]:
-    """The clamped mean of each set's member centres, or None where it misses a member sphere.
+                   box: FeasibleBox) -> list[tuple[Point3, float] | None]:
+    """The clamped mean of each set's member centres and its slack, or None where it misses a member sphere.
 
     Member lists are padded with a zero centre: it adds zeros after the
-    members, in the order ``mean(axis=0)`` sums them.
+    members, in the order ``mean(axis=0)`` sums them. Its infinite radius
+    never gives the smallest margin.
     """
     sizes, c, r = _padded(sets, centers, radii, np.zeros(3))
     p = box.clamp(c.sum(axis=1) / sizes[:, None])
-    deficit = np.linalg.norm(p[:, None, :] - c, axis=2) - r
-    return [Point3.from_array(q) if inside else None
-            for q, inside in zip(p, (deficit.max(axis=1) <= 0).tolist())]
+    slack = (r - np.linalg.norm(p[:, None, :] - c, axis=2)).min(axis=1)
+    return [(Point3.from_array(q), v) if v >= 0 else None for q, v in zip(p, slack.tolist())]
 
 
-def _certify(sets: Sequence[tuple[int, ...]], centers, radii, box: FeasibleBox) -> list[Point3 | None]:
-    """Witness of each member set, or None when it is infeasible.
+def _certify(sets: Sequence[tuple[int, ...]], centers, radii,
+             box: FeasibleBox) -> list[tuple[Point3, float] | None]:
+    """Witness and slack of each member set, or None when it is infeasible.
 
     The clamped mean of the member centres when it lies in every member
     sphere, ``_BLOCK`` sets at a time, else the ``zone_witnesses`` point,
     one call for all such sets, looked up on this module so that a wrapper
-    installed there sees it.
+    installed there sees it. That point's slack is its worst deficit
+    negated: the deficits sum |w - c| as np.linalg.norm does, and ``0.0 -``
+    keeps a touch's slack +0.0.
     """
     out = [w for k in range(0, len(sets), _BLOCK)
            for w in _clamped_means(sets[k:k + _BLOCK], centers, radii, box)]
     missed = [k for k, w in enumerate(out) if w is None]
     for k, (w, f) in zip(missed, zone_witnesses([sets[k] for k in missed], centers, radii, box)):
-        out[k] = w if f <= 0 else None
+        out[k] = (w, 0.0 - f) if f <= 0 else None
     return out
 
 
@@ -428,7 +446,9 @@ def enumerate_zones(spheres: Spheres, box: FeasibleBox) -> list[CandidateZone]:
     therefore holds a vertex candidate of the disks (``_floor_points``;
     Chazelle & Lee, "On a circle placement problem", Computing 36, 1986).
     The members at each candidate, the disks defining it included, form the
-    candidate sets; each maximal one is certified once (``_certify``), the
+    candidate sets, scored ``_BLOCK`` candidates at a time (``_sets_at``);
+    past one block the candidates go in Z-order, so that few spheres reach
+    each block. Each maximal set is certified once (``_certify``), the
     sets whose clamped mean misses in one batched witness solve per round.
     One that fails, which only a degenerate touch can cause, gives way to
     the candidate sets it hid. Raises ValueError, as ``zone_witnesses``
@@ -441,14 +461,18 @@ def enumerate_zones(spheres: Spheres, box: FeasibleBox) -> list[CandidateZone]:
     if box.z[1] > box.z[0] and (centers[:, 2] > box.z[0]).any():
         raise ValueError(f"a sphere centre lies above the altitude floor {box.z[0]} m")
     xy, h2 = centers[:, :2], (box.z[0] - centers[:, 2]) ** 2
-    points, defined_by = _floor_points(xy, radii * radii - h2, box.lower[:2], box.upper[:2])
+    lo, hi = box.lower[:2], box.upper[:2]
+    points, defined_by = _floor_points(xy, radii * radii - h2, lo, hi)
+    if len(points) > _BLOCK:  # spatially compact blocks, few spheres reaching each
+        order = np.argsort(_z_order(points, lo, hi), kind="stable")
+        points, defined_by = points[order], defined_by[order]
 
     rows = np.concatenate([_sets_at(points[k:k + _BLOCK], defined_by[k:k + _BLOCK], xy, h2, radii)
                            for k in range(0, len(points), _BLOCK)])
     member = np.unpackbits(_unique_rows(rows), axis=1, count=n).astype(bool)
     member = member[member.any(axis=1)]
 
-    witness: dict[tuple[int, ...], Point3 | None] = {}
+    witness: dict[tuple[int, ...], tuple[Point3, float] | None] = {}
     while True:
         maximal = np.flatnonzero(~_dominated(member))
         top = [tuple(np.flatnonzero(member[k]).tolist()) for k in maximal]
@@ -460,11 +484,7 @@ def enumerate_zones(spheres: Spheres, box: FeasibleBox) -> list[CandidateZone]:
         # Drop the sets that failed; the sets they hid may now be maximal.
         member = np.delete(member, failed, axis=0)
 
-    zones = []
-    for s in top:
-        w, idx = witness[s], list(s)
-        slack = float(np.min(radii[idx] - np.linalg.norm(w.as_array() - centers[idx], axis=1)))
-        zones.append(CandidateZone(members=s, witness=w, slack=slack))
+    zones = [CandidateZone(s, *witness[s]) for s in top]
     zones.sort(key=lambda z: (-len(z.members), z.members))
     return zones
 

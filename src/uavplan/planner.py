@@ -144,34 +144,37 @@ def zone_capacity(members: Sequence[int], lower_bounds: Sequence[float], b_max_h
     return max(count, 1)
 
 
-def split_zone(zone: CandidateZone, spheres: Spheres, scenario: "Scenario") -> list[CandidateZone]:
-    """Halve a zone of two or more members into two geometric sub-zones.
+def split_zone(zones: Sequence[CandidateZone], spheres: Spheres, scenario: "Scenario") -> list[CandidateZone]:
+    """Halve each zone of two or more members into two geometric sub-zones.
 
     Members are split at the median along the longest principal axis of
-    their positions, the first half taking the odd member; each half gets a
-    fresh witness. Halves of a feasible zone are always feasible (the parent
-    witness certifies them), so the singleton fallback is purely defensive.
+    their positions, the first half taking the odd member. Returns the
+    pieces zone after zone, each with a fresh witness; one ``zone_witnesses``
+    call solves every half. Halves of a feasible zone are always feasible
+    (the parent witness certifies them), so the singleton fallback, one more
+    call, is purely defensive.
     """
-    members = tuple(sorted(zone.members))
-    centers, radii = spheres.centers[list(members)], spheres.radii[list(members)]
-    centered = centers - centers.mean(axis=0)
-    _, v = np.linalg.eigh(centered.T @ centered)
-    axis = v[:, -1]
-    if axis[np.argmax(np.abs(axis))] < 0:
-        axis = -axis
-    proj = centered @ axis
-    order = sorted(range(len(members)), key=lambda k: (proj[k], members[k]))
-    half = (len(members) + 1) // 2
-    groups = [tuple(sorted(members[k] for k in order[:half])),
-              tuple(sorted(members[k] for k in order[half:]))]
-    local = [np.searchsorted(members, g) for g in groups]
-    solved = zone_witnesses(local, centers, radii, scenario.venue)
+    halves = []
+    for zone in zones:
+        members = tuple(sorted(zone.members))
+        centers = spheres.centers[list(members)]
+        centered = centers - centers.mean(axis=0)
+        _, v = np.linalg.eigh(centered.T @ centered)
+        axis = v[:, -1]
+        if axis[np.argmax(np.abs(axis))] < 0:
+            axis = -axis
+        proj = centered @ axis
+        order = sorted(range(len(members)), key=lambda k: (proj[k], members[k]))
+        half = (len(members) + 1) // 2
+        halves += [tuple(sorted(members[k] for k in order[:half])),
+                   tuple(sorted(members[k] for k in order[half:]))]
+    solved = zone_witnesses(halves, spheres.centers, spheres.radii, scenario.venue)
     # Fall back to singletons; cannot happen for subsets of a certified zone
     # but keeps the planner total.
-    alone = iter(zone_witnesses([[k] for g, (_, d) in zip(local, solved) if d > 0 for k in g],
-                                centers, radii, scenario.venue))
+    alone = iter(zone_witnesses([[i] for g, (_, d) in zip(halves, solved) if d > 0 for i in g],
+                                spheres.centers, spheres.radii, scenario.venue))
     out: list[CandidateZone] = []
-    for g, (witness, deficit) in zip(groups, solved):
+    for g, (witness, deficit) in zip(halves, solved):
         if deficit > 0:
             out.extend(CandidateZone(members=(i,), witness=w, slack=-d) for i, (w, d) in zip(g, alone))
         else:
@@ -235,7 +238,7 @@ def plan_deployment(
         sols = dict(zip(many, optimize_positions(
             [wave[k] for k in many], scenario, params, swarm_config, spheres=spheres,
             traces=[traces[k] for k in many] if trace is not None else None)))
-        queued = []
+        failed = []
         for k, sub in enumerate(wave):
             sol = sols[k] if k in sols else optimize_position(
                 sub, scenario, params, swarm_config, spheres=spheres, trace=traces[k])
@@ -250,8 +253,8 @@ def plan_deployment(
                 # so a failing singleton means the UE is truly unservable.
                 unservable.append(sub.members[0])
             else:
-                queued.extend(split_zone(sub, spheres, scenario))
-        wave = queued
+                failed.append(sub)
+        wave = split_zone(failed, spheres, scenario)
     if unservable:
         raise UnservableError(unservable)
 

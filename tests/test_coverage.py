@@ -26,6 +26,7 @@ from uavplan import (
 )
 from uavplan import coverage
 from conftest import random_scenario
+from membership_reference import dense_sets_at, loop_slack
 from witness_loop_reference import loop_witness
 from witness_reference import reference_witness
 
@@ -287,18 +288,22 @@ def test_batched_witness_matches_the_per_set_loop_bit_for_bit(monkeypatch):
 
 def test_clamped_means_match_the_per_set_mean():
     # Sets below and past 8 members, whose means numpy would sum pairwise if
-    # it summed along a contiguous axis; both outcomes of the sphere check.
+    # it summed along a contiguous axis; both outcomes of the sphere check,
+    # and the slack to the bit.
     rng = np.random.default_rng(4)
     centers = np.column_stack([rng.uniform(-50.0, 1050.0, (40, 2)), np.zeros(40)])
     radii = rng.uniform(400.0, 2000.0, 40)
     sets = [tuple(sorted(rng.choice(40, size=k, replace=False).tolist()))
             for k in (1, 2, 5, 8, 9, 17, 33) for _ in range(6)]
     seen = set()
-    for s, w in zip(sets, coverage._clamped_means(sets, centers, radii, BOX)):
+    for s, found in zip(sets, coverage._clamped_means(sets, centers, radii, BOX)):
         idx = list(s)
         p = BOX.clamp(centers[idx].mean(axis=0))
+        slack = float(np.min(radii[idx] - np.linalg.norm(p - centers[idx], axis=1)))
         inside = np.max(np.linalg.norm(p - centers[idx], axis=1) - radii[idx]) <= 0
-        assert (w.as_array().tobytes() if w else None) == (p.tobytes() if inside else None), s
+        expected = (p.tobytes(), slack.hex()) if inside else None
+        got = (found[0].as_array().tobytes(), found[1].hex()) if found else None
+        assert got == expected, s
         seen.add(bool(inside))
     assert seen == {True, False}
 
@@ -546,6 +551,73 @@ def test_enumerate_zones_output_is_pinned(params):
     for scn, count, digest in cases:
         zones = enumerate_zones(build_spheres(scn, params), scn.venue)
         assert (len(zones), _zones_digest(zones)) == (count, digest)
+
+
+def _spread_venue(rng, flat):
+    """Spheres of 60-150 users over 300-2000 m, and their box.
+
+    A tenth of the users share another's position and a tenth stand on the
+    footprint edge; floor disks take three radii. Flat boxes put some
+    centres above the altitude.
+    """
+    side = rng.uniform(300.0, 2000.0)
+    floor = rng.uniform(10.0, 40.0)
+    box = FeasibleBox((0.0, side), (0.0, side), (floor, floor if flat else floor + 90.0))
+    n = int(rng.integers(60, 151))
+    tenth = n // 10
+    xy = rng.uniform(0.0, side, (n, 2))
+    xy[:tenth] = xy[tenth:2 * tenth]
+    edge = rng.choice(n, tenth, replace=False)
+    xy[edge, rng.integers(0, 2, tenth)] = rng.choice([0.0, side], tenth)
+    z = rng.uniform(0.0, floor + 5.0 if flat else floor, n)
+    reach = rng.choice([0.06, 0.1, 0.15], n) * side
+    return coverage.Spheres(centers=np.column_stack([xy, z]), radii=np.hypot(reach, floor - z)), box
+
+
+@pytest.mark.parametrize("venue", range(8))
+def test_block_memberships_match_the_dense_path(monkeypatch, venue):
+    # Vertex candidates scored in spatial blocks, each against the spheres
+    # that reach it, give each block the member sets of scoring it against
+    # every sphere, and the zones, witnesses and slacks, to the bit, of
+    # scoring every candidate in candidate order; the slacks are those of
+    # the per-zone norm loop.
+    rng = np.random.default_rng(100 + venue)
+    spheres, box = _spread_venue(rng, flat=venue % 2 == 1)
+
+    def bits(zones):
+        return [(z.members, *(v.hex() for v in (z.witness.x, z.witness.y, z.witness.z, z.slack)))
+                for z in zones]
+
+    sets_at, blocks = coverage._sets_at, []
+    with monkeypatch.context() as m:
+        m.setattr(coverage, "_sets_at", lambda *a: blocks.append(a) or sets_at(*a))
+        zones = enumerate_zones(spheres, box)
+    assert len(blocks) > 1
+    for block in blocks:
+        assert sets_at(*block).tobytes() == dense_sets_at(*block).tobytes()
+    with monkeypatch.context() as m:
+        m.setattr(coverage, "_sets_at", dense_sets_at)
+        m.setattr(coverage, "_z_order", lambda points, lo, hi: np.zeros(len(points)))
+        assert bits(zones) == bits(enumerate_zones(spheres, box))
+    assert [z.slack.hex() for z in zones] == [loop_slack(z.members, z.witness, spheres).hex()
+                                               for z in zones]
+
+
+def test_a_sphere_at_its_radius_from_a_block_is_scored():
+    # Spheres whose horizontal gap to the block's bounding rectangle is
+    # exactly their radius (one touches a candidate on the rectangle's edge,
+    # one the candidate at its corner), just past it, and well past it: the
+    # block's sets are the dense ones, and both touching spheres are members.
+    points = np.array([[100.0, 100.0], [200.0, 150.0], [200.0, 200.0], [150.0, 120.0]])
+    defined_by = np.full((4, 2), 5)
+    xy = np.array([[300.0, 150.0], [260.0, 280.0], [300.0 + 1e-11, 150.0], [500.0, 500.0],
+                   [150.0, 150.0]])
+    h2 = np.zeros(5)
+    radii = np.array([100.0, 100.0, 100.0, 50.0, 80.0])
+    got = coverage._sets_at(points, defined_by, xy, h2, radii)
+    assert got.tobytes() == dense_sets_at(points, defined_by, xy, h2, radii).tobytes()
+    member = np.unpackbits(got, axis=1, count=5).astype(bool)
+    assert member[:, :2].any(axis=0).all() and not member[:, 2:4].any()
 
 
 # ---------------------------------------------------------------------------

@@ -337,13 +337,13 @@ def test_split_halves_at_the_median_odd_member_first(params):
     # odd member.
     scn = make_scenario([(120, 100), (100, 100), (110, 100)])
     zone, spheres = zone_of(scn, params, [0, 1, 2])
-    assert [z.members for z in split_zone(zone, spheres, scn)] == [(1, 2), (0,)]
+    assert [z.members for z in split_zone([zone], spheres, scn)] == [(1, 2), (0,)]
 
 
 def test_split_coincident_even_halves(params):
     scn = make_scenario([(100.0, 100.0)] * 16)
     zone, spheres = zone_of(scn, params, list(range(16)))
-    out = split_zone(zone, spheres, scn)
+    out = split_zone([zone], spheres, scn)
     assert [len(z.members) for z in out] == [8, 8]
     assert sorted(i for z in out for i in z.members) == list(range(16))
 
@@ -353,7 +353,7 @@ def test_split_seventeen_members_into_nine_and_eight(params):
     scn = make_scenario([(float(rng.uniform(0, 120)), float(rng.uniform(0, 120)))
                          for _ in range(17)])
     zone, spheres = zone_of(scn, params, list(range(17)))
-    out = split_zone(zone, spheres, scn)
+    out = split_zone([zone], spheres, scn)
     assert [len(z.members) for z in out] == [9, 8]
     assert not set(out[0].members) & set(out[1].members)
     assert sorted(i for z in out for i in z.members) == list(range(17))
@@ -375,7 +375,7 @@ def test_split_groups_keep_witness_feasibility(params):
         for i in sub.members:
             assert np.linalg.norm(w - spheres.centers[i]) <= spheres.radii[i] + 1e-9
         if len(sub.members) > 1:
-            queue.extend(split_zone(sub, spheres, scn))
+            queue.extend(split_zone([sub], spheres, scn))
         seen += 1
     assert seen == 2 * 12 - 1
 
@@ -388,11 +388,33 @@ def test_split_falls_back_to_singletons_in_place(params):
                         demand=26e6, side=2000.0)
     spheres = build_spheres(scn, params)
     zone = CandidateZone(members=(0, 1, 2, 3), witness=Point3(0.0, 500.0, 10.0), slack=0.0)
-    out = split_zone(zone, spheres, scn)
+    out = split_zone([zone], spheres, scn)
     assert [z.members for z in out] == [(0, 1), (2,), (3,)]
     for z in out:
         w, deficit = zone_witness(z.members, spheres, scn.venue)
         assert (z.witness, z.slack) == (w, -deficit)
+
+
+def test_split_of_a_wave_is_each_zone_split_alone(params):
+    # A wave's failures are split in one call: the pieces come zone after
+    # zone, each with the members, witness and slack bits its zone gets when
+    # split alone. The middle zone is the singleton-fallback zone above.
+    users = [(0.0, 500.0), (10.0, 500.0), (1000.0, 500.0), (1990.0, 500.0),
+             (500.0, 1500.0), (520.0, 1510.0), (505.0, 1530.0), (540.0, 1490.0), (515.0, 1480.0),
+             (1500.0, 1500.0), (1520.0, 1500.0), (1510.0, 1500.0)]
+    scn = make_scenario(users, demand=26e6, side=2000.0)
+    a, spheres = zone_of(scn, params, [4, 5, 6, 7, 8])
+    b = CandidateZone(members=(0, 1, 2, 3), witness=Point3(0.0, 500.0, 10.0), slack=0.0)
+    c, _ = zone_of(scn, params, [9, 10, 11])
+
+    def bits(zones):
+        return [(z.members, *(v.hex() for v in (z.witness.x, z.witness.y, z.witness.z, z.slack)))
+                for z in zones]
+
+    alone = [split_zone([zone], spheres, scn) for zone in (a, b, c)]
+    assert [z.members for z in alone[1]] == [(0, 1), (2,), (3,)]
+    assert bits(split_zone([a, b, c], spheres, scn)) == bits(alone[0] + alone[1] + alone[2])
+    assert split_zone([], spheres, scn) == []
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +524,7 @@ def breadth_first(roots, scn, spheres, place):
         if len(sub.members) == 1:
             failed.append(sub.members[0])
             continue
-        queue.extend(split_zone(sub, spheres, scn))
+        queue.extend(split_zone([sub], spheres, scn))
     return pool, failed
 
 
