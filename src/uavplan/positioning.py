@@ -231,18 +231,33 @@ def _unservable(m: _Members, zones: np.ndarray, params: "ChannelParams",
     demand-fit width there. A cell is excluded when some member misses its
     demand even at its widest allowed link (its pinned width, or the widest
     grid width), or when the members' smallest widths, less one grid step
-    per demand-fit member as rounding slack, overrun the budget. A zone with
-    no cell left is proven. Surviving cells are probed at their centres, and
-    a feasible centre ends the zone's search unproven; otherwise each is
-    halved along every axis of positive extent, so a fixed-altitude box stays
-    2D. A zone whose cells would take it past ``_CERTIFY_PAIRS`` pairs in all
-    gives up, also unproven. Cells are judged one by one, so each zone gets
-    the outcome it gets alone, and a round is scored at most
-    ``_CERTIFY_BUDGET`` pairs at a time.
+    per demand-fit member as rounding slack, overrun the budget. The widest
+    link is tested first, and widths are fitted only in cells that every
+    member reaches. ``channel.demand_fit_kernel`` meets a demand wherever
+    the widest grid width does, and returns that width wherever no grid
+    width does, so the two tests exclude the same cells wherever the rate
+    grows with the width: at every SNR density above about 1.3 kHz, below
+    which rounding can put a narrower width's rate a few ulps above the
+    widest's. A zone with no cell left is proven. Each surviving cell is
+    probed at its zone members' mean position, clamped into the cell and
+    raised to its top, since on a uniform venue reach grows with altitude
+    up to the ceiling; a feasible probe ends the zone's search unproven. A
+    zone some position serves is never proven, so the probe point changes
+    the cost, never the outcome. Otherwise each cell is halved along the
+    axes at least half as long as its longest. All cells share one shape,
+    so a flat box stays 2D, a box about as tall as it is wide is halved
+    along every axis, and a wide one is cut across its footprint alone
+    until its cells are at most twice as wide as tall. A zone whose cells
+    would take it past ``_CERTIFY_PAIRS`` pairs in all gives up, also
+    unproven. Cells are judged one by one, so each zone gets the outcome it
+    gets alone, and a round is scored at most ``_CERTIFY_BUDGET`` pairs at a
+    time.
     """
     proven = np.zeros(len(m.count), bool)
     slack_hz = m.grid_hz * _row_sums(m.fit, _groups(m.count))
-    axes = np.flatnonzero(box.upper > box.lower)
+    widest = np.where(m.fit, int(m.b_max_hz // m.grid_hz) * m.grid_hz, m.pinned)
+    mean = np.add.reduceat(m.positions, m.start) / m.count[:, None]
+    extent = box.upper - box.lower
     examined = m.count.copy()
     tag = zones[examined[zones] <= _CERTIFY_PAIRS]
     lo, hi = np.tile(box.lower, (len(tag), 1)), np.tile(box.upper, (len(tag), 1))
@@ -254,17 +269,29 @@ def _unservable(m: _Members, zones: np.ndarray, params: "ChannelParams",
             demand = m.demands[rows.member]
             snr = channel.snr_hz_upper_bound(m.positions[rows.member], lo[s][rows.row],
                                              hi[s][rows.row], params) * (1.0 + _BOUND_MARGIN)
-            fitted, _ = channel.demand_fit_kernel(snr, demand, m.b_max_hz, m.grid_hz)
-            bw = np.where(m.fit[rows.member], fitted, m.pinned[rows.member])
-            short = ~(channel.shannon_rate_kernel(snr, bw) >= demand)
-            alive[s] = ((_row_sums(short, rows.groups) == 0)
-                        & (_row_sums(bw, rows.groups) - slack_hz[tag[s]] <= m.b_max_hz))
-        proven[np.setdiff1d(tag, tag[alive])] = True
+            bw = widest[rows.member]
+            reach = _row_sums(~(channel.shannon_rate_kernel(snr, bw) >= demand), rows.groups) == 0
+            fit = m.fit[rows.member] & reach[rows.row]
+            if fit.any():
+                bw[fit] = channel.demand_fit_kernel(snr[fit], demand[fit], m.b_max_hz, m.grid_hz)[0]
+            alive[s] = reach & (_row_sums(bw, rows.groups) - slack_hz[tag[s]] <= m.b_max_hz)
+        # Zones that end this round: first those with no cell left, then
+        # those served at a probe.
+        done = np.zeros(len(m.count), bool)
+        done[tag] = True
+        done[tag[alive]] = False
+        proven |= done
         tag, lo, hi = tag[alive], lo[alive], hi[alive]
+        probe = np.clip(mean[tag], lo, hi)
+        probe[:, 2] = hi[:, 2]
         served = np.zeros(len(tag), bool)
         for s in (slice(a, a + step) for a in range(0, len(tag), step)):
-            served[s] = _fitness(0.5 * (lo[s] + hi[s]), _rows(m, tag[s]), m, params, box)[1]
-        tag, lo, hi = (a[~np.isin(tag, tag[served])] for a in (tag, lo, hi))
+            served[s] = _fitness(probe[s], _rows(m, tag[s]), m, params, box)[1]
+        done[tag[served]] = True
+        left = ~done[tag]
+        tag, lo, hi = tag[left], lo[left], hi[left]
+        axes = np.flatnonzero((extent > 0.0) & (extent >= 0.5 * extent.max()))
+        extent[axes] *= 0.5
         # A zone whose halved cells would take it past the limit gives up
         # before they are made.
         examined += np.bincount(tag, minlength=len(m.count)) * m.count * 2 ** len(axes)
@@ -308,9 +335,11 @@ def optimize_positions(
     own stream, and every stop is checked after seeding (a feasible random
     start runs no iteration) and after every update. Zones that no seeded
     start serves then try one batched branch and bound over the box
-    (``_unservable``), sound and judging each zone alone: a zone it proves
-    unservable, such as one whose pinned link widths alone overrun the
-    budget, returns its seeded best with no iteration. Each step moves all
+    (``_unservable``), sound and judging each zone alone. It halves its
+    cells along their long axes only and probes each on its top face, at
+    the members' mean clamped into the cell. A zone it proves unservable,
+    such as one whose pinned link widths alone overrun the budget, returns
+    its seeded best with no iteration. Each step moves all
     running swarms in one array step, and a zone leaves at its first
     feasible best. Without ``certify`` (the fixed-n baseline, which keeps
     its infeasible groups) zones skip the certificate and still stop at

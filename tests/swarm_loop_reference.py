@@ -1,11 +1,13 @@
 """Reference for the lockstep swarms: the same PSO, one zone at a time.
 
 ``positioning.optimize_positions`` runs the swarms of many zones together.
-This module keeps the earlier per-zone search and its infeasibility
-certificate, expression for expression, so the tests can hold the lockstep
-search to it bit for bit: every floating-point operation here is the one the
-batched code performs, in the same order, on one zone's arrays. Only the
-elementwise channel kernels are shared.
+This module keeps the earlier per-zone search, expression for expression,
+so the tests can hold the lockstep search to it bit for bit: every
+floating-point operation here is the one the batched code performs, in the
+same order, on one zone's arrays. Only the elementwise channel kernels are
+shared. Its infeasibility certificate (``zone_unservable``) is an outcome
+oracle instead: it proves the same zones as ``positioning._unservable`` by
+another search.
 """
 from dataclasses import dataclass
 
@@ -95,7 +97,8 @@ def halve(lo, hi, axes):
     return lo, hi
 
 
-def zone_unservable(data, params, box) -> bool:
+def zone_outcome(data, params, box) -> str:
+    """How ``zone_unservable``'s search ends: "proven", "served" at a probe, or "gave up"."""
     lo, hi = box.lower[None, :], box.upper[None, :]
     axes = np.flatnonzero(box.upper > box.lower)
     slack_hz = data.grid_hz * np.count_nonzero(data.fit)
@@ -103,7 +106,7 @@ def zone_unservable(data, params, box) -> bool:
     while True:
         examined += len(lo) * len(data.indices)
         if examined > _CERTIFY_PAIRS:
-            return False
+            return "gave up"
         snr = channel.snr_hz_upper_bound(data.positions[None, :, :], lo[:, None, :],
                                          hi[:, None, :], params) * (1.0 + _BOUND_MARGIN)
         fitted, _ = channel.demand_fit_kernel(snr, data.demands, data.b_max_hz, data.grid_hz)
@@ -111,12 +114,25 @@ def zone_unservable(data, params, box) -> bool:
         reachable = np.all(channel.shannon_rate_kernel(snr, bw) >= data.demands, axis=1)
         alive = reachable & (np.sum(bw, axis=1) - slack_hz <= data.b_max_hz)
         if not alive.any():
-            return True
+            return "proven"
         lo, hi = lo[alive], hi[alive]
         _, feasible = swarm_fitness(0.5 * (lo + hi), data, params, box)
         if feasible.any():
-            return False
+            return "served"
         lo, hi = halve(lo, hi, axes)
+
+
+def zone_unservable(data, params, box) -> bool:
+    """The earlier infeasibility certificate of one zone, kept as an outcome oracle.
+
+    It halves every cell along every axis of positive extent, probes each
+    surviving cell at its centre and tests each member at its fitted
+    demand-fit width. ``positioning._unservable`` cuts other cells, probes
+    other points and tests the widest link first, so it is no longer an
+    expression-for-expression copy: the two must prove the same zones
+    wherever this search does not give up.
+    """
+    return zone_outcome(data, params, box) == "proven"
 
 
 def init_bounds(zone, centers, radii, box):

@@ -408,6 +408,32 @@ def test_demand_fit_kernel_single_width_budget():
     assert_first_sufficient_width(snr_hz, demand, bw, rate, GRID_HZ, GRID_HZ)
 
 
+def test_a_link_misses_at_its_fitted_width_exactly_where_it_misses_at_its_widest():
+    # The certificate tests each member at its widest link and fits widths
+    # only where every member reaches: the same cells as the fitted test.
+    snr_hz = np.concatenate([[0.0], np.logspace(0.0, 13.0, 6501)])[:, None]
+    demand = np.array([1e3, 6.5e6, 26e6, 52e6, 104e6, 450e6])
+    pinned = np.array([math.nan, 5e6, 20e6, math.nan, B_MAX_HZ, math.nan])
+    fit = np.isnan(pinned)
+    widest = np.where(fit, int(B_MAX_HZ // GRID_HZ) * GRID_HZ, pinned)
+    # Demands one ulp either side of each widest rate, from 2 kHz up: below
+    # about 1.3 kHz, log2(1 + S/B) rounds coarser than one grid step's gain,
+    # so a narrower width can round to a rate above the widest's and meet a
+    # demand one ulp above it. Those rates are under 2 kbit/s, and the SNR
+    # bound's margin is far wider than that rounding.
+    fine = snr_hz[snr_hz[:, 0] >= 2e3]
+    top = shannon_rate_kernel(fine, widest)
+    shorts = []
+    for snr, d in ((snr_hz, np.broadcast_to(demand, (len(snr_hz), len(demand)))),
+                   (fine, np.nextafter(top, np.inf)), (fine, np.nextafter(top, -np.inf))):
+        fitted, _ = demand_fit_kernel(snr, d, B_MAX_HZ, GRID_HZ)
+        short = shannon_rate_kernel(snr, widest) < d
+        assert np.array_equal(shannon_rate_kernel(snr, np.where(fit, fitted, pinned)) < d, short)
+        shorts.append(short)
+    assert shorts[0].any() and not shorts[0].all()
+    assert shorts[1].all() and not shorts[2].any()
+
+
 def test_min_bandwidth_for_demand_scalar_at_the_production_grid(params):
     ue = Point3(0, 0, 0)
     for uav in (Point3(0, 0, 10), Point3(30, 10, 60), Point3(400, 0, 100), Point3(1500, 0, 20)):

@@ -441,6 +441,84 @@ def test_certificate_never_fires_where_a_dense_grid_serves_the_zone(params):
     assert {(True, False), (False, True)} <= outcomes  # both sides are exercised
 
 
+# Box kinds for the certificate: a tall venue (the n200-2km box), a box about
+# as tall as it is wide, and a flat fixed-altitude box, each with demands
+# that some zones of its users meet and others do not.
+CERTIFY_BOXES = {
+    "n200": (2000.0, (10.0, 100.0), (6.5e6, 26e6)),
+    "cubic": (100.0, (10.0, 100.0), (150e6, 300e6, 450e6)),
+    "flat": (2000.0, (20.0, 20.0), (6.5e6, 26e6)),
+}
+
+
+def test_certificate_proves_exactly_the_zones_the_reference_proves(params):
+    # The reference halves every axis and probes cell centres, so only the
+    # outcome is comparable, and only where it does not give up. The last
+    # two users of each venue demand within 10 % of what their nadir at the
+    # floor delivers at their widest link, so reach alone decides them.
+    rng = np.random.default_rng(29)
+    outcomes, judged, gave_up = set(), 0, 0
+    for trial in range(24):
+        kind = list(CERTIFY_BOXES)[trial % 3]
+        side, z, demands = CERTIFY_BOXES[kind]
+        policy = "fixed" if trial % 6 >= 3 else "demand-fit"
+        spread = side * rng.uniform(0.1, 0.5)
+        xy = rng.uniform(0.0, side - spread, 2) + rng.uniform(0.0, spread, (14, 2))
+        scn = make_scenario(xy, demand=float(rng.choice(demands)), side=side, z=z, seed=trial,
+                            bandwidth_policy=policy)
+        widest = scn.fixed_bandwidth_hz if policy == "fixed" else scn.b_max_hz
+        edge = [replace(ue, demand_bps=rng.uniform(0.9, 1.1) * link_rate(
+            ue.position, Point3(ue.position.x, ue.position.y, z[0]), widest, params))
+            for ue in scn.ues[12:]]
+        scn = replace(scn, ues=scn.ues[:12] + tuple(edge))
+        zones = sorted((sorted(rng.choice(12, size=k, replace=False).tolist())
+                        for k in rng.integers(1, 9, 10)), key=len)
+        zones = [[12], [13]] + zones
+        proven = _unservable(_members(zones, scn), np.arange(len(zones)), params, scn.venue)
+        for members, got in zip(zones, proven.tolist()):
+            outcome = ref.zone_outcome(ref.member_data(members, scn), params, scn.venue)
+            if outcome == "gave up":
+                gave_up += 1
+                continue
+            assert got == (outcome == "proven"), (kind, policy, members)
+            judged += 1
+            outcomes.add((kind, policy, outcome))
+    assert judged >= 200 and gave_up <= judged // 20
+    assert outcomes == {(kind, policy, outcome) for kind in CERTIFY_BOXES
+                        for policy in ("fixed", "demand-fit") for outcome in ("proven", "served")}
+
+
+def halving_rounds(monkeypatch, xy, demand, side, z, params):
+    """The certificate's halving rounds of one zone: each round's axes and cell extent."""
+    rounds = []
+    halve = positioning._halve
+
+    def recorded(lo, hi, axes):
+        if len(lo):
+            rounds.append((axes.tolist(), (hi[0] - lo[0]).tolist()))
+        return halve(lo, hi, axes)
+
+    monkeypatch.setattr(positioning, "_halve", recorded)
+    assert unservable(range(len(xy)), make_scenario(xy, demand=demand, side=side, z=z), params)
+    return rounds
+
+
+def test_certificate_halves_only_the_long_axes(params, monkeypatch):
+    # Each zone is unservable, but by so little that it takes several rounds.
+    flat = halving_rounds(monkeypatch, [(0, 0), (100, 100)], 60e6, 100.0, (20.0, 20.0), params)
+    assert len(flat) >= 3 and all(axes == [0, 1] for axes, _ in flat)
+    # Two users 426 m apart at 26 Mbit/s, just past twice the ceiling's reach.
+    tall = halving_rounds(monkeypatch, [(787.0, 1000.0), (1213.0, 1000.0)], 26e6, 2000.0,
+                          (10.0, 100.0), params)
+    assert len(tall) >= 7
+    assert [extent for _, extent in tall[:6]] == [[2000.0 / 2 ** k] * 2 + [90.0]
+                                                   for k in range(5)] + [[62.5, 62.5, 45.0]]
+    assert [axes for axes, _ in tall] == [[0, 1]] * 4 + [[0, 1, 2]] * (len(tall) - 4)
+    cubic = halving_rounds(monkeypatch, [(0, 0), (100, 100)], 350e6, 100.0, (10.0, 100.0), params)
+    assert len(cubic) >= 3 and all(axes == [0, 1, 2] for axes, _ in cubic)
+    assert cubic[0][1] == [100.0, 100.0, 90.0]
+
+
 def test_swarm_config_invariants():
     with pytest.raises(ValueError):
         SwarmConfig(particle_count=1)
