@@ -3,9 +3,10 @@
 The geometric witness only certifies that the zone is nonempty; it usually
 sits at the altitude floor where link quality is poor. Every feasible
 position scores the members' summed demand, so the swarm stops at its first
-feasible best. Here the witness misses demands, but one of the randomly
-seeded particles already serves every member, so the swarm stops after 0
-iterations with that particle's position.
+feasible best, and before seeding any particle it tries the witness raised
+to the ceiling, where reach is longest. Here the witness misses demands,
+but the point above it at the ceiling serves every member, so the search
+stops after 0 iterations there, with no particle seeded.
 """
 from uavplan import (
     ChannelParams,

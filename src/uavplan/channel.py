@@ -223,8 +223,15 @@ def demand_fit_kernel(snr_hz, demand_bps, b_max_hz: float, grid_hz: float):
     the Shannon kernel itself decides the first sufficient multiple of
     ``grid_hz``. Where even the last index b_max_hz//grid_hz falls short,
     or the SNR is negative or NaN, the bandwidth is the last grid width and
-    the rate misses the demand. Needs ``grid_hz <= b_max_hz`` within
-    ``MAX_GRID_STEPS`` steps, which ``Scenario.validate`` guarantees.
+    the rate misses the demand. That holds wherever the rate grows with the
+    width, at every SNR density above about 1.3 kHz, and with it the
+    identity that ``positioning._unservable``'s widest-link test rests on:
+    some grid width meets a demand exactly where the last one does. Below
+    that density ``log2(1 + S/B)`` rounds coarser than one grid step's
+    gain, so the down-walk can stop at a narrower width whose rate rounds a
+    few ulps above the last width's and meets a demand the last width
+    misses; such rates are under 2 kbit/s. Needs ``grid_hz <= b_max_hz``
+    within ``MAX_GRID_STEPS`` steps, which ``Scenario.validate`` guarantees.
     """
     snr_hz, demand_bps = np.broadcast_arrays(np.asarray(snr_hz, dtype=float),
                                              np.asarray(demand_bps, dtype=float))

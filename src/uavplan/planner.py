@@ -11,6 +11,7 @@ deployment using only the channel model.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -100,10 +101,6 @@ class ValidationReport:
             fh.write(self.to_csv())
 
 
-# Relative tolerance for re-checked rates: r >= demand * (1 - RATE_RTOL).
-RATE_RTOL = 1e-9
-
-
 def min_feasible_bandwidths(scenario: "Scenario", params: "ChannelParams") -> np.ndarray:
     """Lower bound on the bandwidth each UE can ever need inside the box.
 
@@ -127,21 +124,30 @@ def min_feasible_bandwidths(scenario: "Scenario", params: "ChannelParams") -> np
     return bounds
 
 
-def zone_capacity(members: Sequence[int], lower_bounds: Sequence[float], b_max_hz: float) -> int:
-    """Most members one UAV can serve given per-member bandwidth lower bounds.
+def zone_capacities(member_lists: Sequence[Sequence[int]], lower_bounds: Sequence[float],
+                    b_max_hz: float) -> np.ndarray:
+    """Most members one UAV can serve in each zone, given per-member bandwidth lower bounds.
 
-    The count is the longest prefix of the ascending-sorted bounds that fits
-    the budget; realized bandwidths can only be larger, so this cap is
-    optimistic and the post-placement capacity check remains the authority.
+    A zone's count is the longest prefix of its ascending-sorted bounds that
+    fits the budget, at least 1; realized bandwidths can only be larger, so
+    this cap is optimistic and the post-placement capacity check remains the
+    authority. All zones take one sort and one ``np.cumsum`` over their
+    bounds padded with +inf; ``cumsum`` adds in sequence, so each prefix sum
+    has the bits of a running total.
     """
-    needs = sorted(lower_bounds[i] for i in members)
-    total, count = 0.0, 0
-    for b in needs:
-        if total + b > b_max_hz:
-            break
-        total += b
-        count += 1
-    return max(count, 1)
+    count = np.fromiter(map(len, member_lists), np.intp, len(member_lists))
+    flat = np.fromiter(chain.from_iterable(member_lists), np.intp, int(count.sum()))
+    row = np.repeat(np.arange(len(count)), count)
+    needs = np.full((len(count), count.max(initial=0)), np.inf)
+    needs[row, np.arange(len(flat)) - (np.cumsum(count) - count)[row]] = \
+        np.asarray(lower_bounds, dtype=float)[flat]
+    needs.sort(axis=1)
+    return np.maximum(np.count_nonzero(np.cumsum(needs, axis=1) <= b_max_hz, axis=1), 1)
+
+
+def zone_capacity(members: Sequence[int], lower_bounds: Sequence[float], b_max_hz: float) -> int:
+    """``zone_capacities`` of one zone."""
+    return int(zone_capacities([members], lower_bounds, b_max_hz)[0])
 
 
 def split_zone(zones: Sequence[CandidateZone], spheres: Spheres, scenario: "Scenario") -> list[CandidateZone]:
@@ -215,7 +221,7 @@ def plan_deployment(
 
     spheres = build_spheres(scenario, params)
     zones = enumerate_zones(spheres, scenario.venue)
-    caps = [zone_capacity(z.members, lower_bounds, scenario.b_max_hz) for z in zones]
+    caps = zone_capacities([z.members for z in zones], lower_bounds, scenario.b_max_hz).tolist()
     cover = minimal_zone_cover(zones, len(scenario.ues), caps)
     cap_by_members = {z.members: c for z, c in zip(zones, caps)}
     pick_caps = [cap_by_members[z.members] for z in cover]
@@ -323,8 +329,10 @@ def validate_deployment(
     """Re-check every constraint of a deployment from scratch.
 
     Uses only the channel model and the deployment's own geometry; reports
-    per-constraint residuals (<= 0 means satisfied) and never raises. Rate
-    checks allow a relative slack of RATE_RTOL. ``shape_agreement`` is the
+    per-constraint residuals (<= 0 means satisfied) and never raises.
+    ``demand_rate`` is the largest (demand - rate) / demand, so it passes
+    only where every rate meets its demand exactly, the test the swarm
+    scores with. ``shape_agreement`` is the
     spread of the UAV count over positions, association columns, ``a`` and
     ``uav_count`` plus that of the UE count over association rows, link
     arrays and the scenario's UEs; the other checks read the UAVs and UEs
@@ -352,7 +360,7 @@ def validate_deployment(
     demands = scenario.demands_bps[:n_ues]
     server, rate = served_links(z, uav_xyz[:n_uavs], scenario.ue_positions[:n_ues], bandwidth,
                                 params)
-    residual = np.where((server >= 0) & (bandwidth > 0), (demands - rate) / demands - RATE_RTOL, 1.0)
+    residual = np.where((server >= 0) & (bandwidth > 0), (demands - rate) / demands, 1.0)
     demand_residual = float(residual.max()) if n_ues else 0.0
     capacity_residual = float(np.max(uav_loads(z, bandwidth) - scenario.b_max_hz)) if n_uavs else 0.0
 

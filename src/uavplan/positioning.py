@@ -325,28 +325,30 @@ def optimize_positions(
 ) -> list[PlacementSolution]:
     """Global-best PSO over each zone, anchored at its witness, all swarms in lockstep.
 
-    One particle is pinned at the witness. Every feasible position scores
-    exactly the members' summed demand, which no position exceeds, and the
-    global best moves only on a strict improvement, so a search stops at
-    its first feasible best. The witnesses are scored first, in one
-    evaluation: a feasible witness is returned with no iteration, before any
-    generator is made, as the full swarm would return it (``argmax`` takes
-    the first maximum, particle 0). The other zones are seeded, each from its
-    own stream, and every stop is checked after seeding (a feasible random
-    start runs no iteration) and after every update. Zones that no seeded
-    start serves then try one batched branch and bound over the box
-    (``_unservable``), sound and judging each zone alone. It halves its
-    cells along their long axes only and probes each on its top face, at
-    the members' mean clamped into the cell. A zone it proves unservable,
-    such as one whose pinned link widths alone overrun the budget, returns
-    its seeded best with no iteration. Each step moves all
-    running swarms in one array step, and a zone leaves at its first
-    feasible best. Without ``certify`` (the fixed-n baseline, which keeps
-    its infeasible groups) zones skip the certificate and still stop at
-    their first feasible best. Each seeded zone draws from one PCG64
-    stream seeded with ``SeedSequence([scenario.seed, *members])``: first
-    the starts of particles 1..n-1, ``random((n - 1, 3))``, then at every
-    step ``random((n, 2, 3))``, each particle's r1 then its r2. So each
+    Every feasible position scores exactly the members' summed demand, which
+    no position exceeds, so any feasible position is as good an answer as
+    the swarm's, and a swarm stops at its first feasible best. Before any
+    generator is made, each zone tries two anchors: its witness, scored for
+    all zones in one evaluation, then, where the witness fails, the witness
+    raised to the box top, ``(x, y, box.upper[2])``, in one more. The
+    witness sits on the altitude floor, where the sphere deficits are
+    smallest, while on a uniform venue reach grows with altitude up to the
+    ceiling. A feasible anchor is the zone's answer at iteration 0, the
+    witness first. With ``certify``, the zones that no anchor serves then
+    try one batched branch and bound over the box (``_unservable``), sound
+    and judging each zone alone: a zone it proves unservable, such as one
+    whose pinned link widths alone overrun the budget, returns its witness
+    with no iteration and no generator made. Without ``certify`` (the
+    fixed-n baseline, which keeps its infeasible groups) zones skip the
+    certificate and only the swarm's own stops apply.
+
+    The remaining zones are seeded, each from one PCG64 stream seeded with
+    ``SeedSequence([scenario.seed, *members])``: particle 0 sits at the
+    witness, the starts of particles 1..n-1 are ``random((n - 1, 3))``, then
+    every step draws ``random((n, 2, 3))``, each particle's r1 then its r2.
+    A feasible start ends a zone at iteration 0 (``argmax`` takes the first
+    maximum); otherwise all running swarms move in one array step, and a
+    zone leaves at its first feasible best or at ``max_iterations``. So each
     zone's trajectory is a pure function of the zone and the inputs, whatever
     else shares the call; to re-seed the swarms, plan ``replace(scenario, seed=k)``.
     ``spheres`` (``build_spheres``) only bounds where the particles start
@@ -357,7 +359,7 @@ def optimize_positions(
 
     Returns one solution per zone, in order. ``traces``, when given, holds
     one list per zone, which receives the zone's (iteration, global best
-    fitness, position) rows.
+    fitness, position) rows: one row for a zone that no swarm searched.
     """
     if not zones:
         return []
@@ -368,18 +370,36 @@ def optimize_positions(
     m = _members([z.members for z in zones], scenario)
     box = scenario.venue
     particles = config.particle_count
-    # Particle 0 sits at the witness, nothing scores above a feasible
-    # position and argmax takes the first maximum: a feasible witness is the
-    # swarm's answer, so it needs no generator.
     best = np.array([z.witness.as_array() for z in zones])
     iterations = np.zeros(len(zones), int)
     rows = _rows(m, np.arange(len(zones)))
-    value, feas, links = _fitness(best, rows, m, params, box)
+    value, feas, (bw, rate, served) = _fitness(best, rows, m, params, box)
+
+    def answer(zone, points, every=False):
+        """Score ``points``, one per zone of ``zone`` (ascending), and make the feasible
+        ones, or ``every`` one, those zones' answers; returns which are feasible."""
+        sub = _rows(m, zone)
+        v, f, (b, r, s) = _fitness(points, sub, m, params, box)
+        take = np.ones_like(f) if every else f
+        pairs = take[sub.row]
+        best[zone[take]], value[zone[take]] = points[take], v[take]
+        at = sub.member[pairs]
+        bw[at], rate[at], served[at] = b[pairs], r[pairs], s[pairs]
+        return f
+
+    searched = ~feas  # zones that no anchor serves yet
+    lift = np.flatnonzero(searched & (best[:, 2] < box.upper[2]))
+    if len(lift):
+        anchor = best[lift].copy()
+        anchor[:, 2] = box.upper[2]
+        searched[lift[answer(lift, anchor)]] = False
+    if certify and searched.any():
+        searched[searched] = ~_unservable(m, np.flatnonzero(searched), params, box)
     if traces is not None:
-        for j in np.flatnonzero(feas).tolist():
+        for j in np.flatnonzero(~searched).tolist():
             traces[j].append((0, float(value[j]), tuple(best[j])))
 
-    zone = np.flatnonzero(~feas)  # the zones whose swarm runs, ascending
+    zone = np.flatnonzero(searched)  # the zones whose swarm runs, ascending
     if len(zone):
         members = [m.indices[m.start[j]:m.start[j] + m.count[j]].tolist() for j in zone]
         centers = radii = None
@@ -407,11 +427,7 @@ def optimize_positions(
             if traces is not None:
                 for k, j in enumerate(zone.tolist()):
                     traces[j].append((it, float(gbest_val[k]), tuple(gbest_pos[k])))
-            stop = gbest_feas.copy()
-            if it == config.max_iterations:
-                stop[:] = True
-            elif it == 0 and certify and not stop.all():
-                stop[~stop] = _unservable(m, zone[~stop], params, box)
+            stop = gbest_feas | (it == config.max_iterations)
             if stop.any():
                 best[zone[stop]] = gbest_pos[stop]
                 iterations[zone[stop]] = it
@@ -442,10 +458,8 @@ def optimize_positions(
             gbest_pos[better] = pbest_pos[at, g][better]
             gbest_feas[better] = pbest_feas[at, g][better]
 
-        # Score every final position; when no swarm runs, the witness scores stand.
-        value, _, links = _fitness(best, rows, m, params, box)
+        answer(np.flatnonzero(searched), best[searched], every=True)
 
-    bw, rate, served = links
     feasible = ((_row_sums(~served, rows.groups) == 0)
                 & (_row_sums(bw, rows.groups) <= m.b_max_hz)).tolist()
     ue = read_only(m.indices[rows.member])

@@ -146,17 +146,30 @@ def init_bounds(zone, centers, radii, box):
 
 
 def loop_position(zone, scenario, params, config, spheres=(), certify=True, trace=None):
-    """The per-zone ``optimize_position``: witness, seeding, steps, certificate."""
+    """The per-zone ``optimize_position``: anchors, certificate, seeding, steps."""
     data = member_data(zone.members, scenario)
     box = scenario.venue
     witness = zone.witness.as_array()
-    value, feas = swarm_fitness(witness[None, :], data, params, box)
-    if feas[0]:
+
+    def answer(position, value):
         if trace is not None:
-            trace.append((0, float(value[0]), tuple(witness)))
-        links, feasible = allocations(witness, data, params)
-        return PlacementSolution(uav_position=witness, **links, fitness=float(value[0]),
+            trace.append((0, float(value), tuple(position)))
+        links, feasible = allocations(position, data, params)
+        return PlacementSolution(uav_position=position, **links, fitness=float(value),
                                  feasible=feasible, iterations=0)
+
+    # The witness, then the witness raised to the box top: a feasible anchor
+    # is the answer, and no generator is made.
+    anchors = [witness]
+    if witness[2] < box.upper[2]:
+        anchors.append(np.array([witness[0], witness[1], box.upper[2]]))
+    for position in anchors:
+        value, feas = swarm_fitness(position[None, :], data, params, box)
+        if feas[0]:
+            return answer(position, value[0])
+    # The certificate runs before seeding: a proven zone keeps its witness.
+    if certify and zone_unservable(data, params, box):
+        return answer(witness, swarm_fitness(witness[None, :], data, params, box)[0][0])
 
     centers = radii = None
     if spheres:
@@ -184,9 +197,7 @@ def loop_position(zone, scenario, params, config, spheres=(), certify=True, trac
     if trace is not None:
         trace.append((0, gbest_val, tuple(gbest_pos)))
 
-    # The certificate runs once, after seeding: a proven zone runs no step.
-    stop = gbest_feasible or (certify and zone_unservable(data, params, box))
-    steps = () if stop else range(1, config.max_iterations + 1)
+    steps = () if gbest_feasible else range(1, config.max_iterations + 1)
     for it in steps:
         iterations = it
         r1, r2 = np.moveaxis(rng.random((config.particle_count, 2, 3)), 1, 0)

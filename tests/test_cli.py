@@ -268,10 +268,11 @@ def test_plan_both_alternatives_or_an_orphan_noise_key_are_config_errors(tmp_pat
 
 
 def test_plan_config_seed_is_the_scenario_seed(tmp_path):
-    # A-5 seed 3 runs swarms, so the seed moves the plan; a config seed and
-    # --seed set the same scenario seed, which seeds those swarms.
+    # B-3 seed 4 has a zone that neither anchor nor the certificate decides,
+    # so a seeded swarm places its UAV and the seed moves the plan; a config
+    # seed and --seed set the same scenario seed, which seeds that swarm.
     scn, cfg = tmp_path / "scn.json", tmp_path / "cfg.json"
-    write_scenario(scn, kind="A", variant=5, seed=3)
+    write_scenario(scn, kind="B", variant=3, seed=4)
     cfg.write_text(json.dumps({"seed": 7}))
     out = {name: tmp_path / f"{name}.json" for name in ("own", "config", "flag")}
     assert run_cli("plan", "--scenario", str(scn), "--out", str(out["own"])) == 0
@@ -298,7 +299,7 @@ def test_plan_unservable_exit_three(tmp_path):
 
 
 def test_plan_dumps(tmp_path):
-    # A-5 seed 3 runs the swarm, whose trace positions are numpy floats.
+    # A-5 seed 3's swarms write trace positions that are numpy floats.
     scn = tmp_path / "scn.json"
     write_scenario(scn, kind="A", variant=5, seed=3)
     zones, trace, pool = (tmp_path / n for n in ("z.json", "t.csv", "p.json"))

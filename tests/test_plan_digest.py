@@ -7,37 +7,41 @@ the most work; paper-sweep, the one pass that plans the baselines
 paper-sweep:fixed, the one pass whose zone capacity caps bind and whose
 every link is pinned. A change that moves any plan, zone, swarm or
 throughput bit updates these pins and says why; ``tools/plan_digest.py``
-prints the same digests for every workload.
+prints the same digests for every workload. Its ``--endings`` counts, how
+each planner swarm of a pass ended, are pinned on the two scaled passes.
 """
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from uavplan.positioning import PlacementSolution
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "plan_digest.py"
 
 PINS = {
-    "plan_digest": "eb7e2aafa5b6f02b",
+    "plan_digest": "c405355e7543b1ce",
     "zone_digest": "2770973116f1e98e",
-    "swarm_digest": "b7b5e0787d44df53",
+    "swarm_digest": "091f0aefdceca70d",
     "throughput_digest": "dd163e9cae56166c",
 }
 N200_PINS = {
-    "plan_digest": "0faafee3327e138c",
+    "plan_digest": "5ce2f8c215ed44ac",
     "zone_digest": "4ff046fc2c6bb991",
-    "swarm_digest": "ed856cbf7e4fe397",
+    "swarm_digest": "16d1ad8e94348b4c",
     "throughput_digest": "875f9423ddae894e",
 }
-PAPER_SWEEP_PLAN_DIGEST = "09ef367a7d7f110b"
+PAPER_SWEEP_PLAN_DIGEST = "855abb2b37739ab8"
 PAPER_SWEEP_PINS = {
     "zone_digest": "1a29f85849c202bc",
     "throughput_digest": "566c864e459b31d7",
-    "swarm_digest": "cf1a36663dbc443f",
+    "swarm_digest": "f606ee94119acce2",
 }
-PAPER_SWEEP_FIXED_PLAN_DIGEST = "597629429edc4957"
+PAPER_SWEEP_FIXED_PLAN_DIGEST = "58248cd8c5291688"
 PAPER_SWEEP_FIXED_PINS = {
     "zone_digest": "d6faa4be097bf226",
-    "swarm_digest": "251bd77c63075e64",
+    "swarm_digest": "ec68815c9d3eb21d",
     "throughput_digest": "7283135b0d05e8b1",
 }
 
@@ -83,3 +87,38 @@ def test_paper_sweep_fixed_digests_are_pinned(plan_digest, digest):
     workload = plan_digest.workloads.WORKLOADS["paper-sweep"]
     assert getattr(plan_digest, digest)(workload, bandwidth_policy="fixed") \
         == PAPER_SWEEP_FIXED_PINS[digest]
+
+
+# How the planner swarms of one pass end, as ``tools/plan_digest.py --endings`` prints them.
+ENDINGS = {
+    "n100-1km": "witness 2 ceiling 13 proven 11 seeded 0 iterated 0",
+    "n200-2km": "witness 12 ceiling 94 proven 55 seeded 10 iterated 5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENDINGS))
+def test_swarm_endings_are_pinned(plan_digest, capsys, name):
+    assert plan_digest.main(["--workload", name, "--endings"]) == 0
+    assert capsys.readouterr().out == f"{name} {ENDINGS[name]}\n"
+
+
+def test_each_ending_is_told_apart(plan_digest):
+    # One zone's witness on the floor of a 10-100 m box, and a solution at
+    # each ending: a pool solution carries only its position, feasibility
+    # and iterations.
+    box = plan_digest.workloads.WORKLOADS["n100-1km"].make_pass(0)[0].scenario.venue
+    witness = np.array([120.0, 80.0, 10.0])
+
+    def sol(position, feasible=True, iterations=0):
+        return PlacementSolution(np.array(position), np.empty(0, int), np.empty(0), np.empty(0),
+                                 0.0, feasible, iterations)
+
+    cases = {
+        "witness": sol(witness),
+        "ceiling": sol([120.0, 80.0, 100.0]),
+        "proven": sol(witness, feasible=False),
+        "seeded": sol([121.0, 80.0, 100.0]),
+        "iterated": sol([120.0, 80.0, 100.0], iterations=3),
+    }
+    assert tuple(cases) == plan_digest.ENDINGS
+    assert [plan_digest.ending(s, witness, box) for s in cases.values()] == list(cases)

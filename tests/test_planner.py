@@ -74,8 +74,9 @@ def test_planner_deterministic(params):
 
 
 def test_plan_and_pool_are_read_only_arrays(params):
-    # The venue of test_split_heavy_plans_are_pinned: its pool holds failed and stepped swarms.
-    rng = np.random.default_rng(2024)
+    # A venue like that of test_split_heavy_plans_are_pinned whose pool holds
+    # failed swarms and swarms that neither anchor served, so they stepped.
+    rng = np.random.default_rng(2027)
     scn = make_scenario(rng.uniform(0.0, 1000.0, (40, 2)).tolist(), demand=26e6, side=1000.0)
     pool = []
     dep = plan_deployment(replace(scn, seed=5), params, pool=pool)
@@ -308,6 +309,49 @@ def test_served_links_edge_cases(params):
     assert uav_loads(z[:, :0], width).shape == (0,)
 
 
+def test_demand_rate_fails_a_link_one_ulp_short(params):
+    # The validator checks rate >= demand exactly, as the swarm scores it:
+    # a demand equal to a link's recomputed rate passes, one ulp more fails.
+    scn = make_scenario([(100, 100), (150, 150)], seed=2)
+    dep = plan_deployment(scn, params)
+    _, rate = served_links(dep.association.z, dep.uav_positions, scn.ue_positions,
+                           dep.link_bandwidth_hz, params)
+    for demand, passed in ((rate[0], True), (np.nextafter(rate[0], np.inf), False)):
+        edged = replace(scn, ues=(replace(scn.ues[0], demand_bps=float(demand)),) + scn.ues[1:])
+        report = validate_deployment(dep, edged, params)
+        assert (report.residual("demand_rate") <= 0) == passed
+        assert report.passed == passed
+
+
+def test_zone_capacities_match_the_running_total(params):
+    # One sort and cumsum over +inf-padded rows count, bit for bit, the
+    # prefix a running total fits: bounds at the budget's edge, ties, and
+    # zones of uneven sizes.
+    rng = np.random.default_rng(4)
+    b_max = 160e6
+    bounds = np.concatenate([rng.choice([20e6, 40e6, 80e6, 160e6], 30),
+                             rng.uniform(1e6, 90e6, 30), [b_max / 3] * 6, [0.1 * b_max] * 10])
+    zones = [sorted(rng.choice(len(bounds), size=int(k), replace=False).tolist())
+             for k in rng.integers(1, 20, 200)]
+    # Ten bounds of a tenth of the budget sum to it exactly, and all fit.
+    zones += [list(range(66, 76)), list(range(60, 76))]
+
+    def running_total(members):
+        total, count = 0.0, 0
+        for b in sorted(bounds[i] for i in members):
+            if total + b > b_max:
+                break
+            total += b
+            count += 1
+        return max(count, 1)
+
+    expected = [running_total(z) for z in zones]
+    assert planner.zone_capacities(zones, bounds, b_max).tolist() == expected
+    assert [zone_capacity(z, bounds, b_max) for z in zones] == expected
+    assert len(set(expected)) >= 5 and expected[-2:] == [10, 10]
+    assert planner.zone_capacities([], bounds, b_max).tolist() == []
+
+
 def test_validation_report_csv_round_trip(params, tmp_path):
     scn = make_scenario([(100, 100), (150, 150)], seed=2)
     dep = plan_deployment(scn, params)
@@ -477,11 +521,11 @@ def test_split_heavy_plans_are_pinned(params):
     pool, trace = [], []
     dep = plan_deployment(scn, params, pool=pool, trace=trace)
     assert any(not sol.feasible for _, sol in pool)
-    assert (dep.uav_count, plan_digest(dep, scn, params)) == (8, "f23522cd2b5764d2")
+    assert (dep.uav_count, plan_digest(dep, scn, params)) == (8, "2ada9b9bceb85849")
     # The swarms, in the order of the waves that placed them, as --dump-pool
     # and --pso-trace write them.
     assert [members for members, _ in trace] == [members for members, _ in pool]
-    assert (len(pool), swarm_digest(pool, trace)) == (10, "21d25430f7590008")
+    assert (len(pool), swarm_digest(pool, trace)) == (10, "4df5b16052a4c080")
     fixed = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
     assert (fixed.uav_count, plan_digest(fixed, scn, params)) == (24, "0a944bb91fd5e514")
 
@@ -509,7 +553,7 @@ def test_mixed_pin_plans_are_pinned(params):
         for a in (dep.uav_positions, dep.association.z, dep.link_bandwidth_hz, dep.link_rate_bps):
             h.update(np.ascontiguousarray(a).tobytes())
         uavs += dep.uav_count
-    assert (uavs, h.hexdigest()[:16]) == (260, "0ea0ca8c9668b4bb")
+    assert (uavs, h.hexdigest()[:16]) == (260, "6d8ec8a51e263a64")
 
 
 def breadth_first(roots, scn, spheres, place):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uavplan import (
+    CandidateZone,
     FeasibleBox,
     Point3,
     Scenario,
@@ -18,7 +19,7 @@ from uavplan import (
     optimize_position,
     optimize_positions,
 )
-from uavplan import positioning
+from uavplan import channel, positioning
 from uavplan.positioning import (
     _fitness,
     _members,
@@ -122,9 +123,10 @@ def test_optimize_deterministic_same_seed(params):
 
 
 def test_optimize_seed_changes_trajectory(params):
-    # Spread UEs make the low-altitude witness infeasible, so the swarm has
-    # to explore and different streams take different paths.
-    scn = make_scenario([(20, 20), (300, 300), (20, 300)], demand=26e6, side=500.0)
+    # Spread UEs make both the low-altitude witness and the witness raised to
+    # the ceiling infeasible, while some position serves them, so the swarm
+    # has to explore and different streams take different paths.
+    scn = make_scenario([(388, 154), (135, 432), (441, 255)], demand=26e6, side=500.0)
     zone, spheres = full_zone(scn, params)
     t1, t2 = [], []
     optimize_position(zone, replace(scn, seed=1), params, SwarmConfig(), spheres=spheres, trace=t1)
@@ -165,10 +167,10 @@ def test_optimize_degenerate_altitude_band(params):
     assert sol.feasible
 
 
-def test_optimize_proves_a_pinned_overrun_after_seeding(params):
+def test_optimize_proves_a_pinned_overrun_before_seeding(params):
     # Nine UEs at 20 MHz each against a 160 MHz budget: no position serves
     # them, and the certificate proves it at its first cell, alone and beside
-    # a feasible zone.
+    # a feasible zone. The zone keeps its witness.
     ue_xy = [(100 + 5 * k, 100) for k in range(9)]
     scn = make_scenario(ue_xy, bandwidth_policy="fixed", seed=1)
     zone, spheres = full_zone(scn, params)
@@ -176,6 +178,7 @@ def test_optimize_proves_a_pinned_overrun_after_seeding(params):
     trace = []
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
     assert not sol.feasible and sol.iterations == 0
+    assert np.array_equal(sol.uav_position, zone.witness.as_array())
     assert trace == [(0, sol.fitness, tuple(sol.uav_position))]
     pair = _pseudo_zone((0, 1), scn)
     traces = [[], []]
@@ -223,11 +226,36 @@ def test_optimize_early_stop_activates(params, monkeypatch):
     assert trace == [(0, value, tuple(zone.witness.as_array()))]
     # The recorder sees a swarm that runs: one generator, its starts, then
     # one draw per step.
-    spread = make_scenario([(20, 20), (400, 400)], side=400.0)
-    sol = optimize_position(_pseudo_zone((0, 1), spread), spread, params, cfg,
-                            spheres=build_spheres(spread, params))
+    spread = make_scenario([(388, 154), (135, 432), (441, 255)], demand=26e6, side=500.0, seed=1)
+    zone, spheres = full_zone(spread, params)
+    sol = optimize_position(zone, spread, params, cfg, spheres=spheres)
     assert sol.feasible and sol.iterations > 0 and len(seeded) == 1
     assert drawn == [(cfg.particle_count - 1, 3)] + [(cfg.particle_count, 2, 3)] * sol.iterations
+
+
+def test_anchored_and_proven_zones_make_no_generator(params, monkeypatch):
+    # On a 2 km venue at 26 Mbit/s: a user served at its floor witness, a
+    # pair 200 m apart that the floor midpoint misses and the point above it
+    # at the ceiling serves, and a pair 1.5 km apart that no point serves.
+    scn = make_scenario([(500, 1600), (900, 1000), (1100, 1000), (250, 300), (1750, 300)],
+                        demand=26e6, side=2000.0, seed=1)
+    floor = scn.venue.lower[2]
+    zones = [CandidateZone(members=members, witness=Point3(x, y, floor), slack=0.0)
+             for members, (x, y) in (((0,), (500.0, 1600.0)), ((1, 2), (1000.0, 1000.0)),
+                                     ((3, 4), (1000.0, 300.0)))]
+    assert unservable((3, 4), scn, params)
+    seeded, drawn = record_generators(monkeypatch)
+    traces = [[], [], []]
+    sols = optimize_positions(zones, scn, params, SwarmConfig(), spheres=build_spheres(scn, params),
+                              traces=traces)
+    assert not seeded and not drawn
+    assert [(s.feasible, s.iterations) for s in sols] == [(True, 0), (True, 0), (False, 0)]
+    assert [s.uav_position.tolist() for s in sols] == [[500.0, 1600.0, floor],
+                                                        [1000.0, 1000.0, scn.venue.upper[2]],
+                                                        [1000.0, 300.0, floor]]
+    assert traces == [[(0, s.fitness, tuple(s.uav_position))] for s in sols]
+    # The anchored pair scores its summed demand, as any feasible position does.
+    assert sols[1].fitness == 2 * 26e6
 
 
 def reference_placement(zone, scn, params, config, spheres):
@@ -259,10 +287,18 @@ def reference_placement(zone, scn, params, config, spheres):
     return gbest_pos, float(value[0]), bool(feasible[0])
 
 
+def ceiling_anchor(zone, scn):
+    """The zone's witness raised to the box top."""
+    x, y, _ = zone.witness.as_array()
+    return np.array([x, y, scn.venue.upper[2]])
+
+
 def test_first_feasible_best_is_the_full_search_result(params):
     # Every feasible position scores the summed demand, so stopping at the
-    # first feasible best returns what the whole search would.
-    rng = np.random.default_rng(5)
+    # first feasible best, or at a feasible anchor, scores what the whole
+    # search would; where no anchor serves, the search is the full one. The
+    # draws hold every ending; a seeded particle is the rarest.
+    rng = np.random.default_rng(44)
     kinds = set()
     for k in range(20):
         side = float(rng.choice([200.0, 500.0, 2000.0]))
@@ -273,12 +309,15 @@ def test_first_feasible_best_is_the_full_search_result(params):
         cfg = SwarmConfig()
         sol = optimize_position(zone, scn, params, cfg, spheres=spheres)
         ref_pos, ref_val, ref_feasible = reference_placement(zone, scn, params, cfg, spheres)
-        if sol.feasible or ref_feasible:
-            assert sol.feasible and ref_feasible
-            assert np.array_equal(sol.uav_position, ref_pos)
-            assert sol.fitness == ref_val
+        ceiling = ceiling_anchor(zone, scn)
         if fitness(zone.witness, zone, scn, params)[1]:
             kinds.add("feasible witness")
+        elif feasible_at(ceiling[None, :], zone.members, scn, params)[0]:
+            assert sol.feasible and sol.iterations == 0
+            assert np.array_equal(sol.uav_position, ceiling)
+            assert not ref_feasible or sol.fitness == ref_val
+            kinds.add("ceiling")
+            continue
         elif sol.feasible and sol.iterations == 0:
             kinds.add("seeded particle")
         elif sol.feasible:
@@ -286,8 +325,12 @@ def test_first_feasible_best_is_the_full_search_result(params):
         elif unservable(zone.members, scn, params):
             assert not sol.feasible and sol.iterations == 0
             kinds.add("unservable")
-    assert kinds == {"feasible witness", "seeded particle", "swarm reaches feasibility",
-                     "unservable"}
+        if sol.feasible or ref_feasible:
+            assert sol.feasible and ref_feasible
+            assert np.array_equal(sol.uav_position, ref_pos)
+            assert sol.fitness == ref_val
+    assert kinds == {"feasible witness", "ceiling", "seeded particle",
+                     "swarm reaches feasibility", "unservable"}
 
 
 def solution_bits(sol):
@@ -319,6 +362,18 @@ def swarm_batches(params):
                  for k in (1, 3, 5, 8, 9, 12)] + enumerate_zones(spheres, scn.venue)[:3]
         cfg = SwarmConfig(particle_count=6, max_iterations=int(rng.choice([4, 25])))
         yield scn, zones, spheres, cfg, trial % 4 != 3
+    # Most random zones end at an anchor or the certificate. These fly at one
+    # altitude, so no zone has a ceiling anchor of its own: two close users
+    # and a third 120 m (then 150 m) away, where only a thin lens between
+    # them serves all three and the witness, their mean, misses it. The
+    # first is served at a seeded start, the second not within 4 steps.
+    xy = [(100.0, 300.0), (100.0, 310.0), (220.0, 305.0),
+          (100.0, 700.0), (100.0, 710.0), (250.0, 705.0)]
+    scn = make_scenario(xy, demand=26e6, side=1000.0, z=(20.0, 20.0), seed=4,
+                        bandwidth_policy="fixed")
+    zones = [_pseudo_zone(members, scn) for members in ([0, 1, 2], [3, 4, 5])]
+    for certify in (True, False):
+        yield scn, zones, build_spheres(scn, params), SwarmConfig(particle_count=6, max_iterations=4), certify
 
 
 def outcomes(zone, sol, certify, scn):
@@ -327,8 +382,10 @@ def outcomes(zone, sol, certify, scn):
             # Pinned widths do not move with the position.
             overrun = np.nansum(scn.pinned_widths_hz[list(zone.members)]) > scn.b_max_hz
             return {"pinned overrun" if overrun else "certificate stop"}
-        at_witness = np.array_equal(sol.uav_position, zone.witness.as_array())
-        return {"feasible witness" if at_witness else "seeded start"}
+        if np.array_equal(sol.uav_position, zone.witness.as_array()):
+            return {"feasible witness"}
+        at_ceiling = np.array_equal(sol.uav_position, ceiling_anchor(zone, scn))
+        return {"ceiling" if at_ceiling else "seeded start"}
     if sol.feasible:
         return {"swarm"}
     return {"max iterations" if certify else "uncertified"}
@@ -359,12 +416,12 @@ def test_lockstep_swarms_match_the_per_zone_search(params, monkeypatch):
             m.setattr(positioning, "_CERTIFY_BUDGET", 1)
             assert lockstep(zones[::-1]) == expected[::-1]
     assert seen == {"singleton", "below 8", "8 or more", "pinned overrun", "feasible witness",
-                    "seeded start", "swarm", "uncertified", "certificate stop",
+                    "ceiling", "seeded start", "swarm", "uncertified", "certificate stop",
                     "max iterations"}
 
 
 @pytest.mark.parametrize("particles", [3, SwarmConfig().particle_count])
-def test_optimize_returns_a_proven_unservable_zone_after_seeding(params, monkeypatch, particles):
+def test_optimize_returns_a_proven_unservable_zone_before_seeding(params, monkeypatch, particles):
     # Two users 1.5 km apart at 26 Mbit/s: no point of the box reaches both.
     scn = make_scenario([(250, 1000), (1750, 1000)], demand=26e6, side=2000.0, seed=1)
     spheres = build_spheres(scn, params)
@@ -374,21 +431,26 @@ def test_optimize_returns_a_proven_unservable_zone_after_seeding(params, monkeyp
     cfg = SwarmConfig(particle_count=particles)
     trace = []
     sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
-    # The seeded best is the answer: one generator, the starts and no step.
+    # The witness is the answer: no generator, no draw and no step.
     assert not sol.feasible and sol.iterations == 0
+    assert np.array_equal(sol.uav_position, zone.witness.as_array())
     assert trace == [(0, sol.fitness, tuple(sol.uav_position))]
-    assert len(seeded) == 1 and drawn == [(cfg.particle_count - 1, 3)]
-    # Without the certificate an infeasible zone runs the whole search.
+    assert not seeded and not drawn
+    # Without the certificate an infeasible zone is seeded and runs the
+    # whole search.
     kept = optimize_position(zone, scn, params, cfg, spheres=spheres, certify=False)
     assert not kept.feasible and kept.iterations == cfg.max_iterations
+    assert len(seeded) == 1 and len(drawn) == 1 + cfg.max_iterations
 
 
 @pytest.mark.parametrize("pairs", [positioning._CERTIFY_PAIRS, 64], ids=["budget", "small-budget"])
 def test_certificate_stop_keeps_the_full_search_result(params, monkeypatch, pairs):
     # Plans do not depend on when the certificate runs: every zone it proves
-    # stays infeasible through all ``max_iterations``, and every zone it
-    # leaves unproven gets the full search's result bit for bit. A small
-    # pair budget leaves unproven zones that the swarm cannot serve either.
+    # stays infeasible through all ``max_iterations``, an anchored zone
+    # scores what a feasible search would, and every zone that neither an
+    # anchor serves nor the certificate proves gets the full search's result
+    # bit for bit. A small pair budget leaves unproven zones that the swarm
+    # cannot serve either.
     monkeypatch.setattr(positioning, "_CERTIFY_PAIRS", pairs)
     rng = np.random.default_rng(17)
     seen = set()
@@ -407,9 +469,17 @@ def test_certificate_stop_keeps_the_full_search_result(params, monkeypatch, pair
         sols = optimize_positions(zones, scn, params, cfg, spheres=spheres)
         for zone, sol in zip(zones, sols):
             ref_pos, ref_val, ref_feasible = reference_placement(zone, scn, params, cfg, spheres)
-            if unservable(zone.members, scn, params):
+            witness, ceiling = zone.witness.as_array(), ceiling_anchor(zone, scn)
+            if not fitness(zone.witness, zone, scn, params)[1] and not flat \
+                    and feasible_at(ceiling[None, :], zone.members, scn, params)[0]:
+                assert sol.feasible and sol.iterations == 0
+                assert np.array_equal(sol.uav_position, ceiling)
+                assert not ref_feasible or sol.fitness == ref_val
+                seen.add(("anchored", flat, policy))
+            elif unservable(zone.members, scn, params):
                 assert not ref_feasible
                 assert not sol.feasible and sol.iterations == 0
+                assert np.array_equal(sol.uav_position, witness)
                 seen.add(("proven", flat, policy))
             else:
                 assert sol.uav_position.tobytes() == ref_pos.tobytes()
@@ -417,6 +487,7 @@ def test_certificate_stop_keeps_the_full_search_result(params, monkeypatch, pair
                 seen.add(("served" if sol.feasible else "unserved", flat, policy))
     assert {(kind, flat, policy) for kind in ("proven", "served") for flat in (False, True)
             for policy in ("fixed", "demand-fit")} <= seen
+    assert ("anchored", False, "fixed") in seen
     if pairs == 64:
         assert any(kind == "unserved" for kind, _, _ in seen)
 
@@ -486,6 +557,61 @@ def test_certificate_proves_exactly_the_zones_the_reference_proves(params):
     assert judged >= 200 and gave_up <= judged // 20
     assert outcomes == {(kind, policy, outcome) for kind in CERTIFY_BOXES
                         for policy in ("fixed", "demand-fit") for outcome in ("proven", "served")}
+
+
+# A flight box a micrometre wide at 20 m: every cell the certificate cuts
+# from it is flat, so its SNR bound is the exact SNR of the cell's nearest
+# point, computed along another path than the swarm's, and no width moves
+# within it.
+TINY_BOX = FeasibleBox((500.0, 500.000001), (500.0, 500.000001), (20.0, 20.0))
+
+
+def test_certificate_keeps_a_member_whose_bound_rounds_below_its_rate(params):
+    # Each user's demand is exactly its widest link's rate at the box's
+    # nearest point, as the swarm scores it, so that point serves it. Where
+    # the bound's path rounds that rate a few ulps lower, only the bound
+    # margin keeps the certificate from proving a zone the point serves.
+    rng = np.random.default_rng(1)
+    xy = np.round(500.0 + rng.uniform(-150.0, 150.0, (400, 2)), 1)
+    scn = make_scenario(xy, side=1000.0)
+    ue = scn.ue_positions
+    nearest = np.clip(ue, TINY_BOX.lower, TINY_BOX.upper)
+    widest = scn.b_max_hz
+    demand = channel.shannon_rate_kernel(channel.snr_hz_between(ue, nearest, params), widest)
+    bound = channel.shannon_rate_kernel(
+        channel.snr_hz_upper_bound(ue, TINY_BOX.lower, TINY_BOX.upper, params), widest)
+    edge = np.flatnonzero(bound < demand)
+    assert len(edge) >= 3 and np.all(demand[edge] - bound[edge] <= 8 * np.spacing(demand[edge]))
+    scn = replace(scn, ues=tuple(replace(u, demand_bps=float(d)) for u, d in zip(scn.ues, demand)))
+    m = _members([[i] for i in edge.tolist()], scn)
+    rows = _rows(m, np.arange(len(edge)))
+    assert _fitness(nearest[edge], rows, m, params, TINY_BOX)[1].all()
+    assert not _unservable(m, np.arange(len(edge)), params, TINY_BOX).any()
+
+
+def test_certificate_keeps_widths_within_one_grid_step_per_member_of_the_budget(params):
+    # Two demand-fit users whose smallest grid widths at the box sum to
+    # b_max_hz plus one grid step: no point of the box serves both, but the
+    # certificate excludes a cell on its width sum only beyond one grid step
+    # per demand-fit member of the budget, its rounding slack, so it halves
+    # the cells until it gives up instead of proving the zone.
+    scn = make_scenario([(440.0, 470.0), (560.0, 530.0)], side=1000.0)
+    ue, grid = scn.ue_positions, scn.bandwidth_grid_hz
+    snr = channel.snr_hz_upper_bound(ue, TINY_BOX.lower, TINY_BOX.upper, params) \
+        * (1.0 + positioning._BOUND_MARGIN)
+    width = np.array([0.5 * scn.b_max_hz, 0.5 * scn.b_max_hz + grid])
+    # Each demand lies halfway between its width's rate and one step less's.
+    demand = 0.5 * (channel.shannon_rate_kernel(snr, width - grid)
+                    + channel.shannon_rate_kernel(snr, width))
+    scn = replace(scn, ues=tuple(replace(u, demand_bps=float(d)) for u, d in zip(scn.ues, demand)))
+    fitted = channel.demand_fit_kernel(snr, demand, scn.b_max_hz, grid)[0]
+    assert fitted.tolist() == width.tolist() and fitted.sum() == scn.b_max_hz + grid
+    corners = np.stack(np.meshgrid(*zip(TINY_BOX.lower, TINY_BOX.upper), indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    m = _members([[0, 1]], scn)
+    assert not _fitness(corners, _rows(m, np.zeros(len(corners), int)), m, params,
+                        TINY_BOX)[1].any()
+    assert not _unservable(m, np.zeros(1, int), params, TINY_BOX)[0]
 
 
 def halving_rounds(monkeypatch, xy, demand, side, z, params):

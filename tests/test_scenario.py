@@ -354,8 +354,10 @@ def test_experiment_runs_plan_as_each_scenario_alone(params, monkeypatch):
         return dep
 
     monkeypatch.setattr(scenario_module, "plan_deployment", recording)
-    run_experiment("A", params, SwarmConfig(), n_runs=2, base_seed=2)
-    assert {scn.seed for scn, _ in planned} == {3, 4}
+    # B-3 at seed 4 has a zone that neither anchor nor the certificate
+    # decides, so a seeded swarm places its UAV.
+    run_experiment("B", params, SwarmConfig(), n_runs=2, base_seed=3)
+    assert {scn.seed for scn, _ in planned} == {4, 5}
     moved = 0
     for scn, dep in planned:
         alone = plan_deployment(scn, params)
@@ -363,7 +365,7 @@ def test_experiment_runs_plan_as_each_scenario_alone(params, monkeypatch):
         assert np.array_equal(dep.link_bandwidth_hz, alone.link_bandwidth_hz)
         other = plan_deployment(replace(scn, seed=scn.seed + 100), params)
         moved += other.uav_positions.tobytes() != dep.uav_positions.tobytes()
-    assert moved  # some cells run swarms, whose seed moves the plan
+    assert moved  # some cells run seeded swarms, whose seed moves the plan
 
 
 def test_experiment_planner_not_worse_than_fixed_n(params):

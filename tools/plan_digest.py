@@ -1,6 +1,6 @@
 """Digest of every plan one benchmark pass produces, to show that a change keeps plans byte-identical.
 
-    python3 tools/plan_digest.py [--workload NAME] [--zones | --swarms | --throughput]
+    python3 tools/plan_digest.py [--workload NAME] [--zones | --swarms | --throughput | --endings]
 
 Run from anywhere inside a checkout. For each workload (all of them when
 ``--workload`` is not given) it plans one ``make_pass(0)`` of
@@ -31,6 +31,13 @@ instead: for each operation, in label order, the pass flag of every
 ``validate_deployment`` check and the ``float.hex`` of ``evaluate_throughput``'s
 aggregate and of every UE's delivered rate. The validation is outside the
 plan digest, so this one shows a change to how the plans are checked.
+
+With ``--endings`` it prints counts instead of a digest: how each swarm in
+the pool of every planner operation ended, over one pass. ``witness``: the
+zone's witness served it; ``ceiling``: the witness raised to the box top
+did; ``proven``: the certificate proved the zone unservable; ``seeded``: a
+random start served it; ``iterated``: the swarm stepped at least once.
+Singleton zones are swarms too and count like any other.
 """
 import argparse
 import hashlib
@@ -123,6 +130,55 @@ def swarm_digest(workload, **changes) -> str:
     return h.hexdigest()[:16]
 
 
+ENDINGS = ("witness", "ceiling", "proven", "seeded", "iterated")
+
+
+def ending(sol, witness, box) -> str:
+    """Which of ``ENDINGS`` one pool solution of a zone with ``witness`` (3,) reached."""
+    if sol.iterations > 0:
+        return "iterated"
+    if not sol.feasible:
+        return "proven"
+    position = sol.uav_position.tolist()
+    if position == witness.tolist():
+        return "witness"
+    if position == [witness[0], witness[1], box.upper[2]]:
+        return "ceiling"
+    return "seeded"
+
+
+def endings(workload, **changes) -> str:
+    """Counts of each of ``ENDINGS`` over one pass's planner swarms; ``changes`` as in ``plan_digest``."""
+    counts = dict.fromkeys(ENDINGS, 0)
+    planner = workloads.planner
+    place, place_one = planner.optimize_positions, planner.optimize_position
+    witnesses = {}
+
+    def record(zones):
+        witnesses.update((z.members, z.witness.as_array()) for z in zones)
+
+    def recorded(zones, *args, **kwargs):
+        record(zones)
+        return place(zones, *args, **kwargs)
+
+    def recorded_one(zone, *args, **kwargs):
+        record([zone])
+        return place_one(zone, *args, **kwargs)
+
+    planner.optimize_positions, planner.optimize_position = recorded, recorded_one
+    try:
+        for op in sorted(workload.make_pass(0), key=lambda op: op.label):
+            if op.method != "planner":
+                continue
+            pool, scn = [], replace(op.scenario, **changes)
+            planner.plan_deployment(scn, workloads.PARAMS, pool=pool)
+            for members, sol in pool:
+                counts[ending(sol, witnesses[members], scn.venue)] += 1
+    finally:
+        planner.optimize_positions, planner.optimize_position = place, place_one
+    return " ".join(f"{name} {n}" for name, n in counts.items())
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", choices=sorted(workloads.WORKLOADS), default=None)
@@ -133,9 +189,12 @@ def main(argv=None) -> int:
                       help="digest the planner's swarms, not the plans")
     what.add_argument("--throughput", action="store_true",
                       help="digest the validation pass flags and throughput, not the plans")
+    what.add_argument("--endings", action="store_true",
+                      help="count how the planner's swarms ended, not a digest")
     args = p.parse_args(argv)
     digest = (zone_digest if args.zones else swarm_digest if args.swarms
-              else throughput_digest if args.throughput else plan_digest)
+              else throughput_digest if args.throughput else endings if args.endings
+              else plan_digest)
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
     for name in names:
         print(f"{name} {digest(workloads.WORKLOADS[name])}", flush=True)
