@@ -442,24 +442,45 @@ def enumerate_zones(spheres: Spheres, box: FeasibleBox) -> list[CandidateZone]:
 
     Every zone lies on the altitude floor (see ``zone_witnesses``), where a
     member set is feasible exactly when its floor disks, of radius
-    sqrt(r^2 - h^2), meet inside the footprint. Each maximal feasible set
-    therefore holds a vertex candidate of the disks (``_floor_points``;
-    Chazelle & Lee, "On a circle placement problem", Computing 36, 1986).
-    The members at each candidate, the disks defining it included, form the
-    candidate sets, scored ``_BLOCK`` candidates at a time (``_sets_at``);
-    past one block the candidates go in Z-order, so that few spheres reach
-    each block. Each maximal set is certified once (``_certify``), the
-    sets whose clamped mean misses in one batched witness solve per round.
-    One that fails, which only a degenerate touch can cause, gives way to
-    the candidate sets it hid. Raises ValueError, as ``zone_witnesses``
-    does, for a centre above the floor of a box that is not flat.
+    sqrt(r^2 - h^2), meet inside the footprint. When the clamped mean of
+    every centre lies in every sphere, all users share one zone, the only
+    maximal set, and it is returned with that point as its witness: the
+    answer of the vertex path (``_vertex_zones``), which finds the full set
+    at the vertices of the common region and certifies it with the same
+    clamped mean and slack, to the bit. The two can differ only on a
+    degenerate touch, where rounding keeps the full set out of every vertex
+    candidate: there this returns the full set, certified feasible, and the
+    vertex path a rounding artefact. Otherwise the zones come from the
+    vertex path. Raises ValueError, as ``zone_witnesses`` does, for a centre
+    above the floor of a box that is not flat.
     """
     if not len(spheres):
         raise ValueError("no spheres to enumerate")
-    n = len(spheres)
     centers, radii = spheres.centers, spheres.radii
     if box.z[1] > box.z[0] and (centers[:, 2] > box.z[0]).any():
         raise ValueError(f"a sphere centre lies above the altitude floor {box.z[0]} m")
+    everyone = tuple(range(len(spheres)))
+    shared = _clamped_means([everyone], centers, radii, box)[0]
+    if shared is not None:
+        return [CandidateZone(everyone, *shared)]
+    return _vertex_zones(spheres, box)
+
+
+def _vertex_zones(spheres: Spheres, box: FeasibleBox) -> list[CandidateZone]:
+    """``enumerate_zones`` from the vertex candidates of the floor disks, on checked spheres.
+
+    Each maximal feasible set holds a vertex candidate of the disks
+    (``_floor_points``; Chazelle & Lee, "On a circle placement problem",
+    Computing 36, 1986). The members at each candidate, the disks defining
+    it included, form the candidate sets, scored ``_BLOCK`` candidates at a
+    time (``_sets_at``); past one block the candidates go in Z-order, so
+    that few spheres reach each block. Each maximal set is certified once
+    (``_certify``), the sets whose clamped mean misses in one batched
+    witness solve per round. One that fails, which only a degenerate touch
+    can cause, gives way to the candidate sets it hid.
+    """
+    n = len(spheres)
+    centers, radii = spheres.centers, spheres.radii
     xy, h2 = centers[:, :2], (box.z[0] - centers[:, 2]) ** 2
     lo, hi = box.lower[:2], box.upper[:2]
     points, defined_by = _floor_points(xy, radii * radii - h2, lo, hi)
@@ -600,6 +621,10 @@ def minimal_zone_cover(
     otherwise the greedy cover stands. A zone may appear multiple times in
     the result when its member count exceeds its cap: each pick serves at
     most cap members, which is what later forces oversized zones to split.
+    One zone, as ``enumerate_zones`` gives when all users share one, is
+    picked ceil(n_ues / cap) times: greedy's cover, which the search cannot
+    shorten (its root bound ceil(n_ues / cap) already equals it), so no
+    pruning, greedy pass or search runs.
     """
     if n_ues < 1:
         raise ValueError("n_ues must be >= 1")
@@ -609,6 +634,8 @@ def minimal_zone_cover(
         raise UncoverableError(f"UEs {missing} appear in no zone")
 
     caps = _caps_list(zones, capacity_limit)
+    if len(zones) == 1:
+        return [zones[0]] * math.ceil(n_ues / caps[0])
     # Dominance pruning: keep only maximal member sets (caps grow with sets).
     keep = np.flatnonzero(~_dominated(member)).tolist()
     pruned = [zones[k] for k in keep]

@@ -553,6 +553,65 @@ def test_enumerate_zones_output_is_pinned(params):
         assert (len(zones), _zones_digest(zones)) == (count, digest)
 
 
+def _zone_bits(zones):
+    return [(z.members, *(v.hex() for v in (z.witness.x, z.witness.y, z.witness.z, z.slack)))
+            for z in zones]
+
+
+def _paper_venue(rng, params, flat, policy):
+    """Spheres and box of 20-60 users over a 100-500 m venue at 6.5-19.5 Mbit/s."""
+    side = float(rng.uniform(100.0, 500.0))
+    floor = float(rng.uniform(10.0, 40.0))
+    users = rng.uniform(0.0, side, (int(rng.integers(20, 61)), 2))
+    scn = make_scenario(users.tolist(), demand=float(rng.choice([6.5e6, 13e6, 19.5e6])), side=side,
+                        z=(floor, floor if flat else floor + 90.0), bandwidth_policy=policy)
+    return build_spheres(scn, params), scn.venue
+
+
+def test_shared_venues_give_the_vertex_paths_zone_bit_for_bit(monkeypatch, params):
+    # Where the clamped mean of every centre lies in every sphere, the one
+    # zone enumerate_zones returns without the arrangement is the vertex
+    # path's answer to the bit: members, witness and slack. Some such
+    # venues have floor disks that miss a footprint corner (as B-3 and B-4
+    # do); on one where a member just misses the clamped mean, both calls
+    # take the vertex path.
+    floor_points, vertex_calls = coverage._floor_points, []
+    monkeypatch.setattr(coverage, "_floor_points",
+                        lambda *a: vertex_calls.append(a) or floor_points(*a))
+    rng = np.random.default_rng(2801)
+    seen, shared = set(), []
+    for v in range(64):
+        flat, policy = v % 2 == 1, ("demand-fit", "fixed")[v // 2 % 2]
+        spheres, box = _paper_venue(rng, params, flat, policy)
+        vertex_calls.clear()
+        zones = enumerate_zones(spheres, box)
+        shortcut = not vertex_calls
+        assert _zone_bits(zones) == _zone_bits(coverage._vertex_zones(spheres, box))
+        if not shortcut:
+            continue
+        assert [z.members for z in zones] == [tuple(range(len(spheres)))]
+        shared.append((spheres, box, zones[0].witness.as_array()))
+        rho = np.sqrt(spheres.radii ** 2 - (box.z[0] - spheres.centers[:, 2]) ** 2)
+        corners = np.array([[x, y] for x in box.x for y in box.y])
+        gap = np.linalg.norm(corners[:, None] - spheres.centers[:, :2], axis=2)
+        seen |= {kind for kind, hit in (("flat", flat), ("3D", not flat), (policy, True),
+                                        ("corner missed", (gap > rho).any())) if hit}
+    assert len(shared) >= 50
+    assert seen == {"flat", "3D", "demand-fit", "fixed", "corner missed"}
+
+    spheres, box, witness = shared[0]
+    gap = np.linalg.norm(witness - spheres.centers, axis=1)
+    tight = int(np.argmin(spheres.radii - gap))
+    radii = spheres.radii.copy()
+    radii[tight] = gap[tight] * (1 - 1e-12)
+    missed = coverage.Spheres(spheres.centers, radii)
+    vertex_calls.clear()
+    zones = enumerate_zones(missed, box)
+    assert len(vertex_calls) == 1
+    assert _zone_bits(zones) == _zone_bits(coverage._vertex_zones(missed, box))
+    assert len(vertex_calls) == 2
+
+
 def _spread_venue(rng, flat):
     """Spheres of 60-150 users over 300-2000 m, and their box.
 
@@ -583,11 +642,6 @@ def test_block_memberships_match_the_dense_path(monkeypatch, venue):
     # the per-zone norm loop.
     rng = np.random.default_rng(100 + venue)
     spheres, box = _spread_venue(rng, flat=venue % 2 == 1)
-
-    def bits(zones):
-        return [(z.members, *(v.hex() for v in (z.witness.x, z.witness.y, z.witness.z, z.slack)))
-                for z in zones]
-
     sets_at, blocks = coverage._sets_at, []
     with monkeypatch.context() as m:
         m.setattr(coverage, "_sets_at", lambda *a: blocks.append(a) or sets_at(*a))
@@ -598,7 +652,7 @@ def test_block_memberships_match_the_dense_path(monkeypatch, venue):
     with monkeypatch.context() as m:
         m.setattr(coverage, "_sets_at", dense_sets_at)
         m.setattr(coverage, "_z_order", lambda points, lo, hi: np.zeros(len(points)))
-        assert bits(zones) == bits(enumerate_zones(spheres, box))
+        assert _zone_bits(zones) == _zone_bits(enumerate_zones(spheres, box))
     assert [z.slack.hex() for z in zones] == [loop_slack(z.members, z.witness, spheres).hex()
                                                for z in zones]
 
@@ -658,14 +712,16 @@ def test_cover_one_zone_contains_all():
     assert len(cover) == 1
 
 
-def test_cover_capacity_forces_multiplicity():
-    # 20 members, cap 8: three picks of the same zone.
+@pytest.mark.parametrize("cap", [1, 7, 8, 19, 20, 25])
+def test_cover_capacity_forces_multiplicity(cap):
+    # 20 members: ceil(20 / cap) picks of the same zone, greedy's cover.
     zones = [zone(range(20))]
-    cover = minimal_zone_cover(zones, 20, 8)
-    assert len(cover) == 3
-    served = cover_assignment(cover, [8, 8, 8], 20)
+    cover = minimal_zone_cover(zones, 20, cap)
+    assert len(cover) == math.ceil(20 / cap)
+    assert cover == greedy_zone_cover(zones, 20, cap)
+    served = cover_assignment(cover, [min(cap, 20)] * len(cover), 20)
     assert sorted(u for s in served for u in s) == list(range(20))
-    assert all(len(s) <= 8 for s in served)
+    assert all(len(s) <= cap for s in served)
 
 
 def test_cover_uncoverable():

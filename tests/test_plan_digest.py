@@ -9,6 +9,8 @@ every link is pinned. A change that moves any plan, zone, swarm or
 throughput bit updates these pins and says why; ``tools/plan_digest.py``
 prints the same digests for every workload. Its ``--endings`` counts, how
 each planner swarm of a pass ended, are pinned on the two scaled passes.
+How many enumerations of a pass skip the vertex arrangement is pinned on
+paper-sweep (all 288) and n200-2km (none of 3).
 """
 import importlib.util
 from pathlib import Path
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uavplan import coverage
 from uavplan.positioning import PlacementSolution
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "plan_digest.py"
@@ -87,6 +90,30 @@ def test_paper_sweep_fixed_digests_are_pinned(plan_digest, digest):
     workload = plan_digest.workloads.WORKLOADS["paper-sweep"]
     assert getattr(plan_digest, digest)(workload, bandwidth_policy="fixed") \
         == PAPER_SWEEP_FIXED_PINS[digest]
+
+
+@pytest.mark.parametrize("name, enumerations, shared", [("paper-sweep", 288, 288),
+                                                       ("n200-2km", 3, 0)])
+def test_shared_venues_skip_the_vertex_arrangement(plan_digest, monkeypatch, name,
+                                                  enumerations, shared):
+    # The paper-sweep gain rests on every enumeration of its pass (planner
+    # and fixed-altitude) holding all users in one zone, found without the
+    # floor-disk arrangement; each n200-2km enumeration builds it.
+    planner, calls, arrangements = plan_digest.workloads.planner, [], []
+    enumerate_zones, floor_points = planner.enumerate_zones, coverage._floor_points
+
+    def record(spheres, box):
+        zones = enumerate_zones(spheres, box)
+        calls.append([z.members for z in zones] == [tuple(range(len(spheres)))])
+        return zones
+
+    monkeypatch.setattr(planner, "enumerate_zones", record)
+    monkeypatch.setattr(coverage, "_floor_points",
+                        lambda *a: arrangements.append(1) or floor_points(*a))
+    for _ in plan_digest.planned(plan_digest.workloads.WORKLOADS[name]):
+        pass
+    assert (len(calls), sum(calls), len(arrangements)) \
+        == (enumerations, shared, enumerations - shared)
 
 
 # How the planner swarms of one pass end, as ``tools/plan_digest.py --endings`` prints them.
