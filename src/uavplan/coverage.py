@@ -329,21 +329,39 @@ def _maximal(sets: list, n: int) -> list:
     return [s for s, d in zip(sets, _dominated(_membership(sets, n))) if not d]
 
 
-def _floor_points(xy, rho2, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Every vertex candidate of the floor disks in the rectangle ``lo``-``hi``.
+def _floor_points(xy, rho2, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every vertex candidate of the floor disks in the rectangle ``lo``-``hi``, and which are lowest.
 
     Disk ``i`` has centre ``xy[i]`` and squared radius ``rho2[i]``. Returns
-    the points and, per point, the two disks that define it (index ``n``, one
-    past the last disk, where none does): the clamped centres and the four
-    corners (none), each crossing of a disk with an edge that lies on the
-    rectangle (that disk, twice), and both crossings of every pair of disks
-    that lie in it (the pair).
+    the points; per point, the two disks that define it (index ``n``, one
+    past the last disk, where none does); and the ``lowest`` mask. The
+    points are the clamped centres and the four corners (none), each disk's
+    bottom in the rectangle and each crossing of a disk with an edge that
+    lies on the rectangle (that disk, twice), and both crossings of every
+    pair of disks that lie in it (the pair).
+
+    A zone's floor region, the rectangle cut by its members' disks, is
+    convex, and its lowest point (least y, then least x) is that of the
+    rectangle cut by at most two of the disks (an LP-type problem of
+    combinatorial dimension 2; Sharir & Welzl, STACS 1992). Those points
+    are the ``lowest`` ones: the corners, the clamped centres, the bottoms,
+    each disk's left crossing with the bottom edge and lower crossing with
+    a side edge, and each pair's lower crossing. A lens holds one disk's
+    bottom when that bottom lies inside the other disk, and that bottom is
+    the lens's lowest point, so the pair's crossings are not lowest; the
+    bottom counts as inside only by a margin. Which crossing is lower is
+    the sign of the centres' x offset, which rounding keeps, as it keeps
+    the order of the two y values; where the offset is 0 they tie, and
+    both are lowest.
     """
     n = len(xy)
     (x0, y0), (x1, y1) = lo, hi
-    points = [xy.clip(lo, hi), np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])]
-    defined_by = [np.full((n + 4, 2), n)]
     with np.errstate(invalid="ignore", divide="ignore"):  # no crossing: nan, dropped
+        bottom = xy - np.sqrt(rho2)[:, None] * [0.0, 1.0]
+        held = ((bottom >= lo) & (bottom <= hi)).all(axis=1)
+        points = [xy.clip(lo, hi), np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]]), bottom[held]]
+        defined_by = [np.full((n + 4, 2), n), np.flatnonzero(held)[:, None].repeat(2, axis=1)]
+        lowest = [np.ones(n + 4 + held.sum(), bool)]
         for axis in (0, 1):
             for edge in (lo[axis], hi[axis]):
                 half = np.sqrt(rho2 - (edge - xy[:, axis]) ** 2)
@@ -353,6 +371,8 @@ def _floor_points(xy, rho2, lo, hi) -> tuple[np.ndarray, np.ndarray]:
                 p[:, 1 - axis] = along[on]
                 points.append(p)
                 defined_by.append(np.tile(np.arange(n), 2)[on, None].repeat(2, axis=1))
+                # The lower crossing of a side edge, the left one of the bottom edge.
+                lowest.append((np.arange(2 * n) < n)[on] & (axis == 0 or edge == y0))
         i, j = np.triu_indices(n, 1)
         d = xy[j] - xy[i]
         d2 = (d * d).sum(axis=1)
@@ -364,9 +384,14 @@ def _floor_points(xy, rho2, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         mid, perp = xy[i] + a[:, None] * d, b[:, None] * np.stack([-d[:, 1], d[:, 0]], axis=1)
         p = np.concatenate([mid - perp, mid + perp])
         on = ((p >= lo) & (p <= hi)).all(axis=1)
+    gap_i, gap_j = bottom[i] - xy[j], bottom[j] - xy[i]
+    lens = (((gap_i * gap_i).sum(axis=1) >= rho2[j] * (1 - 1e-6))
+            & ((gap_j * gap_j).sum(axis=1) >= rho2[i] * (1 - 1e-6)))
     points.append(p[on])
     defined_by.append(np.tile(np.stack([i, j], axis=1), (2, 1))[on])
-    return np.concatenate(points), np.concatenate(defined_by)
+    # mid - perp lies lower where d[:, 0] > 0, mid + perp where it is < 0.
+    lowest.append(np.concatenate([lens & (d[:, 0] >= 0), lens & (d[:, 0] <= 0)])[on])
+    return np.concatenate(points), np.concatenate(defined_by), np.concatenate(lowest)
 
 
 def _z_order(points, lo, hi) -> np.ndarray:
@@ -378,30 +403,55 @@ def _z_order(points, lo, hi) -> np.ndarray:
     return cell[:, 0] | cell[:, 1] << 1
 
 
-def _sets_at(points, defined_by, xy, h2, radii) -> np.ndarray:
-    """The distinct member sets at ``points``, as bit-packed rows.
+def _sets_at(points, defined_by, xy, h2, radii) -> tuple[np.ndarray, bool]:
+    """The distinct member sets at ``points``, as bit-packed rows, and whether any point is a touch.
 
     A point's members are the disks ``defined_by`` it and every sphere whose
     deficit there, by ``zone_witnesses``' arithmetic sqrt((dx^2 + dy^2) + h2)
-    - r, is at most 0. Only the spheres that reach the points' bounding
+    - r, is at most 0. A touch is a point where a sphere that does not
+    define it has a deficit within 1e-9 r of 0, so that rounding may decide
+    its membership. Only the spheres that reach the points' bounding
     rectangle are scored: every rounded step of the deficit grows with |dx|
     and |dy|, so a sphere whose horizontal gap g to the rectangle has
-    g^2 + h2 > r^2 (1 + 1e-9) has a positive deficit at every point. The
+    g^2 + h2 > r^2 (1 + 4e-9) has a deficit above 1e-9 r at every point. The
     deficits are computed in place, so a block holds two arrays of points x
     reaching spheres at a time.
     """
     n = len(xy)
     gap = xy - xy.clip(points.min(axis=0), points.max(axis=0))
-    reach = np.flatnonzero((gap * gap).sum(axis=1) + h2 <= radii * radii * (1 + 1e-9))
+    reach = np.flatnonzero((gap * gap).sum(axis=1) + h2 <= radii * radii * (1 + 4e-9))
     dx, dy = points[:, :1] - xy[reach, 0], points[:, 1:] - xy[reach, 1]
     dx *= dx
     dy *= dy
     dx += dy
     dx += h2[reach]
+    deficit = np.sqrt(dx, out=dx)
+    deficit -= radii[reach]
+    rows = np.arange(len(points))[:, None]
     inside = np.zeros((len(points), n + 1), bool)  # column n takes the padding
-    inside[:, reach] = np.sqrt(dx, out=dx) - radii[reach] <= 0
-    inside[np.arange(len(points))[:, None], defined_by] = True
-    return _unique_rows(np.packbits(inside[:, :n], axis=1))
+    inside[:, reach] = deficit <= 0
+    inside[rows, defined_by] = True
+    m = len(reach)
+    col = np.full(n + 1, m)  # each sphere's column among the reaching ones; m for the rest
+    col[reach] = np.arange(m)
+    touch = np.zeros((len(points), m + 1), bool)
+    np.less_equal(np.abs(deficit, out=deficit), 1e-9 * radii[reach], out=touch[:, :m])
+    touch[rows, col[defined_by]] = False
+    return _unique_rows(np.packbits(inside[:, :n], axis=1)), bool(touch[:, :m].any())
+
+
+def _scored_sets(points, defined_by, xy, h2, radii, lo, hi) -> tuple[list[np.ndarray], bool]:
+    """Every block's ``_sets_at`` rows over ``points``, and whether any block had a touch.
+
+    A block is ``_BLOCK`` points; past one block the points go in Z-order,
+    so that few spheres reach each block.
+    """
+    if len(points) > _BLOCK:
+        order = np.argsort(_z_order(points, lo, hi), kind="stable")
+        points, defined_by = points[order], defined_by[order]
+    scored = [_sets_at(points[k:k + _BLOCK], defined_by[k:k + _BLOCK], xy, h2, radii)
+              for k in range(0, len(points), _BLOCK)]
+    return [rows for rows, _ in scored], any(touch for _, touch in scored)
 
 
 def _clamped_means(sets: Sequence[tuple[int, ...]], centers, radii,
@@ -471,10 +521,17 @@ def _vertex_zones(spheres: Spheres, box: FeasibleBox) -> list[CandidateZone]:
 
     Each maximal feasible set holds a vertex candidate of the disks
     (``_floor_points``; Chazelle & Lee, "On a circle placement problem",
-    Computing 36, 1986). The members at each candidate, the disks defining
-    it included, form the candidate sets, scored ``_BLOCK`` candidates at a
-    time (``_sets_at``); past one block the candidates go in Z-order, so
-    that few spheres reach each block. Each maximal set is certified once
+    Computing 36, 1986), and in exact arithmetic a lowest one: the lowest
+    point of its floor region, which exactly its members' spheres hold. The
+    members at each lowest candidate, the disks defining it included, form
+    the candidate sets (``_scored_sets``). At a touch (see ``_sets_at``)
+    rounding decides a sphere's membership, and a zone's lowest point alone
+    can drop a member or admit a sphere that only touches the region, so a
+    venue with a touch at any lowest candidate also scores every other
+    one, as if every candidate were lowest; there each zone has several
+    vertices, which hide such artefacts. With this guard the two give the
+    same zones, bit for bit, on venues of coincident users and
+    grid-aligned disks too. Each maximal set is certified once
     (``_certify``), the sets whose clamped mean misses in one batched
     witness solve per round. One that fails, which only a degenerate touch
     can cause, gives way to the candidate sets it hid.
@@ -483,14 +540,11 @@ def _vertex_zones(spheres: Spheres, box: FeasibleBox) -> list[CandidateZone]:
     centers, radii = spheres.centers, spheres.radii
     xy, h2 = centers[:, :2], (box.z[0] - centers[:, 2]) ** 2
     lo, hi = box.lower[:2], box.upper[:2]
-    points, defined_by = _floor_points(xy, radii * radii - h2, lo, hi)
-    if len(points) > _BLOCK:  # spatially compact blocks, few spheres reaching each
-        order = np.argsort(_z_order(points, lo, hi), kind="stable")
-        points, defined_by = points[order], defined_by[order]
-
-    rows = np.concatenate([_sets_at(points[k:k + _BLOCK], defined_by[k:k + _BLOCK], xy, h2, radii)
-                           for k in range(0, len(points), _BLOCK)])
-    member = np.unpackbits(_unique_rows(rows), axis=1, count=n).astype(bool)
+    points, defined_by, lowest = _floor_points(xy, radii * radii - h2, lo, hi)
+    rows, touched = _scored_sets(points[lowest], defined_by[lowest], xy, h2, radii, lo, hi)
+    if touched:
+        rows += _scored_sets(points[~lowest], defined_by[~lowest], xy, h2, radii, lo, hi)[0]
+    member = np.unpackbits(_unique_rows(np.concatenate(rows)), axis=1, count=n).astype(bool)
     member = member[member.any(axis=1)]
 
     witness: dict[tuple[int, ...], tuple[Point3, float] | None] = {}

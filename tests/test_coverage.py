@@ -612,8 +612,8 @@ def test_shared_venues_give_the_vertex_paths_zone_bit_for_bit(monkeypatch, param
     assert len(vertex_calls) == 2
 
 
-def _spread_venue(rng, flat):
-    """Spheres of 60-150 users over 300-2000 m, and their box.
+def _spread_venue(rng, flat, users=(60, 150)):
+    """Spheres of ``users[0]``-``users[1]`` users over 300-2000 m, and their box.
 
     A tenth of the users share another's position and a tenth stand on the
     footprint edge; floor disks take three radii. Flat boxes put some
@@ -622,7 +622,7 @@ def _spread_venue(rng, flat):
     side = rng.uniform(300.0, 2000.0)
     floor = rng.uniform(10.0, 40.0)
     box = FeasibleBox((0.0, side), (0.0, side), (floor, floor if flat else floor + 90.0))
-    n = int(rng.integers(60, 151))
+    n = int(rng.integers(users[0], users[1] + 1))
     tenth = n // 10
     xy = rng.uniform(0.0, side, (n, 2))
     xy[:tenth] = xy[tenth:2 * tenth]
@@ -639,22 +639,82 @@ def test_block_memberships_match_the_dense_path(monkeypatch, venue):
     # that reach it, give each block the member sets of scoring it against
     # every sphere, and the zones, witnesses and slacks, to the bit, of
     # scoring every candidate in candidate order; the slacks are those of
-    # the per-zone norm loop.
+    # the per-zone norm loop. Each block reports the dense path's touch, so
+    # both fall back alike; 150-250 users make the lowest candidates alone
+    # span more than one block.
     rng = np.random.default_rng(100 + venue)
-    spheres, box = _spread_venue(rng, flat=venue % 2 == 1)
+    spheres, box = _spread_venue(rng, flat=venue % 2 == 1, users=(150, 250))
     sets_at, blocks = coverage._sets_at, []
     with monkeypatch.context() as m:
         m.setattr(coverage, "_sets_at", lambda *a: blocks.append(a) or sets_at(*a))
         zones = enumerate_zones(spheres, box)
     assert len(blocks) > 1
     for block in blocks:
-        assert sets_at(*block).tobytes() == dense_sets_at(*block).tobytes()
+        (rows, touch), (dense_rows, dense_touch) = sets_at(*block), dense_sets_at(*block)
+        assert (rows.tobytes(), touch) == (dense_rows.tobytes(), dense_touch)
     with monkeypatch.context() as m:
         m.setattr(coverage, "_sets_at", dense_sets_at)
         m.setattr(coverage, "_z_order", lambda points, lo, hi: np.zeros(len(points)))
         assert _zone_bits(zones) == _zone_bits(enumerate_zones(spheres, box))
     assert [z.slack.hex() for z in zones] == [loop_slack(z.members, z.witness, spheres).hex()
                                                for z in zones]
+
+
+def _uniform_venue(rng, flat):
+    """Spheres of 5-80 users over 100-1500 m, centres up to a tenth of a side beyond the footprint."""
+    side = rng.uniform(100.0, 1500.0)
+    floor = rng.uniform(10.0, 40.0)
+    box = FeasibleBox((0.0, side), (0.0, side), (floor, floor if flat else floor + 90.0))
+    n = int(rng.integers(5, 81))
+    xy = rng.uniform(-0.1 * side, 1.1 * side, (n, 2))
+    z = rng.uniform(0.0, floor + 5.0 if flat else floor, n)
+    reach = rng.uniform(0.05, 0.5, n) * side
+    return coverage.Spheres(centers=np.column_stack([xy, z]), radii=np.hypot(reach, floor - z)), box
+
+
+def _grid_venue(rng, flat):
+    """Spheres of 5-40 users over 100-600 m, centres on a grid of an eighth of a side.
+
+    Floor disks take three radii, each a multiple of the grid step, so many
+    touch each other and the footprint edges exactly.
+    """
+    side = rng.uniform(100.0, 600.0)
+    floor = rng.uniform(10.0, 40.0)
+    box = FeasibleBox((0.0, side), (0.0, side), (floor, floor if flat else floor + 90.0))
+    n = int(rng.integers(5, 41))
+    xy = rng.integers(0, 9, (n, 2)) * (side / 8)
+    z = np.full(n, floor) if flat else rng.uniform(0.0, floor, n)
+    reach = rng.choice([0.125, 0.25, 0.375], n) * side
+    return coverage.Spheres(centers=np.column_stack([xy, z]), radii=np.hypot(reach, floor - z)), box
+
+
+@pytest.mark.parametrize("make, count, touches", [
+    (_uniform_venue, 150, False), (_spread_venue, 100, True), (_grid_venue, 150, True)])
+def test_lowest_candidates_give_the_zones_of_every_candidate(monkeypatch, make, count, touches):
+    # The zones from the lowest vertex candidates, with the touch guard,
+    # are those of scoring every candidate, bit for bit: members, witness
+    # and slack, on 400 venues, flat and 3D. Uniform venues never touch, so
+    # they take the lowest candidates alone; coincident users, users on the
+    # footprint edge and grid-aligned disks touch, and fall back.
+    floor_points, scored_sets = coverage._floor_points, coverage._scored_sets
+
+    def every_candidate(*args):
+        points, defined_by, _ = floor_points(*args)
+        return points, defined_by, np.ones(len(points), bool)
+
+    calls = []
+    monkeypatch.setattr(coverage, "_scored_sets", lambda *a: calls.append(1) or scored_sets(*a))
+    rng = np.random.default_rng(2901)
+    fell = 0
+    for v in range(count):
+        spheres, box = make(rng, flat=v % 2 == 1)
+        calls.clear()
+        zones = coverage._vertex_zones(spheres, box)
+        fell += len(calls) - 1
+        with monkeypatch.context() as m:
+            m.setattr(coverage, "_floor_points", every_candidate)
+            assert _zone_bits(zones) == _zone_bits(coverage._vertex_zones(spheres, box)), v
+    assert (fell > 0) == touches and fell < count
 
 
 def test_a_sphere_at_its_radius_from_a_block_is_scored():
@@ -668,10 +728,28 @@ def test_a_sphere_at_its_radius_from_a_block_is_scored():
                    [150.0, 150.0]])
     h2 = np.zeros(5)
     radii = np.array([100.0, 100.0, 100.0, 50.0, 80.0])
-    got = coverage._sets_at(points, defined_by, xy, h2, radii)
-    assert got.tobytes() == dense_sets_at(points, defined_by, xy, h2, radii).tobytes()
+    got, touch = coverage._sets_at(points, defined_by, xy, h2, radii)
+    dense, dense_touch = dense_sets_at(points, defined_by, xy, h2, radii)
+    assert (got.tobytes(), touch) == (dense.tobytes(), dense_touch) == (dense.tobytes(), True)
     member = np.unpackbits(got, axis=1, count=5).astype(bool)
     assert member[:, :2].any(axis=0).all() and not member[:, 2:4].any()
+
+
+def test_a_sphere_just_past_its_radius_from_a_block_is_a_touch():
+    # A sphere whose horizontal gap to the block's rectangle is 0.75e-9 of
+    # its radius past the radius misses every candidate, but its deficit at
+    # the corner candidate is within the touch band: the block path scores
+    # it and reports the touch the dense path reports. The other sphere
+    # holds both candidates well inside.
+    points = np.array([[100.0, 100.0], [200.0, 200.0]])
+    defined_by = np.full((2, 2), 2)
+    xy = np.array([[300.0 + 0.75e-7, 200.0], [150.0, 150.0]])
+    h2 = np.zeros(2)
+    radii = np.array([100.0, 100.0])
+    got, touch = coverage._sets_at(points, defined_by, xy, h2, radii)
+    dense, dense_touch = dense_sets_at(points, defined_by, xy, h2, radii)
+    assert (got.tobytes(), touch) == (dense.tobytes(), dense_touch) == (dense.tobytes(), True)
+    assert np.unpackbits(got, axis=1, count=2).tolist() == [[0, 1]]
 
 
 # ---------------------------------------------------------------------------

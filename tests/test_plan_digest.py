@@ -10,7 +10,9 @@ throughput bit updates these pins and says why; ``tools/plan_digest.py``
 prints the same digests for every workload. Its ``--endings`` counts, how
 each planner swarm of a pass ended, are pinned on the two scaled passes.
 How many enumerations of a pass skip the vertex arrangement is pinned on
-paper-sweep (all 288) and n200-2km (none of 3).
+paper-sweep (all 288) and n200-2km (none of 3), and its ``--candidates``
+counts, the vertex candidates scored and the venues that fell back to
+every candidate, on the two scaled passes.
 """
 import importlib.util
 from pathlib import Path
@@ -149,3 +151,19 @@ def test_each_ending_is_told_apart(plan_digest):
     }
     assert tuple(cases) == plan_digest.ENDINGS
     assert [plan_digest.ending(s, witness, box) for s in cases.values()] == list(cases)
+
+
+# The vertex candidates one pass scores, as ``tools/plan_digest.py --candidates`` prints them.
+CANDIDATES = {
+    "n100-1km": "candidates 3022 venues 2 fallbacks 0",
+    "n200-2km": "candidates 5579 venues 3 fallbacks 0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANDIDATES))
+def test_candidate_traffic_is_pinned(plan_digest, capsys, name):
+    # The scaled passes' zone-stage gain rests on scoring only the lowest
+    # vertex candidates of every venue (of 12,720 and 18,787 in all), with
+    # no venue touching and falling back to every candidate.
+    assert plan_digest.main(["--workload", name, "--candidates"]) == 0
+    assert capsys.readouterr().out == f"{name} {CANDIDATES[name]}\n"

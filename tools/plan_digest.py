@@ -1,6 +1,7 @@
 """Digest of every plan one benchmark pass produces, to show that a change keeps plans byte-identical.
 
-    python3 tools/plan_digest.py [--workload NAME] [--zones | --swarms | --throughput | --endings]
+    python3 tools/plan_digest.py [--workload NAME]
+        [--zones | --swarms | --throughput | --endings | --candidates]
 
 Run from anywhere inside a checkout. For each workload (all of them when
 ``--workload`` is not given) it plans one ``make_pass(0)`` of
@@ -38,6 +39,11 @@ zone's witness served it; ``ceiling``: the witness raised to the box top
 did; ``proven``: the certificate proved the zone unservable; ``seeded``: a
 random start served it; ``iterated``: the swarm stepped at least once.
 Singleton zones are swarms too and count like any other.
+
+With ``--candidates`` it prints counts instead of a digest, over every
+enumeration of one pass: the floor-disk vertex candidates scored, the venues
+that built the arrangement (those that do not share one zone) and how many
+of them fell back from the lowest candidates to every candidate on a touch.
 """
 import argparse
 import hashlib
@@ -49,6 +55,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402  (puts the checkout's src on the path)
+from uavplan import coverage  # noqa: E402
 from uavplan.cli import deployment_to_dict  # noqa: E402
 
 
@@ -179,6 +186,30 @@ def endings(workload, **changes) -> str:
     return " ".join(f"{name} {n}" for name, n in counts.items())
 
 
+def candidates(workload, **changes) -> str:
+    """Candidates scored, venues arranged and fallbacks over one pass; ``changes`` as in ``plan_digest``."""
+    venues = []  # per arrangement: its lowest candidates, and the candidates scored
+    floor_points, sets_at = coverage._floor_points, coverage._sets_at
+
+    def arranged(*args):
+        points, defined_by, lowest = floor_points(*args)
+        venues.append([int(lowest.sum()), 0])
+        return points, defined_by, lowest
+
+    def scored(points, *args):
+        venues[-1][1] += len(points)
+        return sets_at(points, *args)
+
+    coverage._floor_points, coverage._sets_at = arranged, scored
+    try:
+        for _ in planned(workload, **changes):
+            pass
+    finally:
+        coverage._floor_points, coverage._sets_at = floor_points, sets_at
+    fell = sum(n > lowest for lowest, n in venues)
+    return f"candidates {sum(n for _, n in venues)} venues {len(venues)} fallbacks {fell}"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", choices=sorted(workloads.WORKLOADS), default=None)
@@ -191,10 +222,12 @@ def main(argv=None) -> int:
                       help="digest the validation pass flags and throughput, not the plans")
     what.add_argument("--endings", action="store_true",
                       help="count how the planner's swarms ended, not a digest")
+    what.add_argument("--candidates", action="store_true",
+                      help="count the vertex candidates scored and the fallbacks, not a digest")
     args = p.parse_args(argv)
     digest = (zone_digest if args.zones else swarm_digest if args.swarms
               else throughput_digest if args.throughput else endings if args.endings
-              else plan_digest)
+              else candidates if args.candidates else plan_digest)
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
     for name in names:
         print(f"{name} {digest(workloads.WORKLOADS[name])}", flush=True)
