@@ -324,11 +324,6 @@ def _dominated(member: np.ndarray) -> np.ndarray:
     return inside | ~first
 
 
-def _maximal(sets: list, n: int) -> list:
-    """The sets of a family of distinct sets that lie inside no other, in order."""
-    return [s for s, d in zip(sets, _dominated(_membership(sets, n))) if not d]
-
-
 def _floor_points(xy, rho2, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every vertex candidate of the floor disks in the rectangle ``lo``-``hi``, and which are lowest.
 
@@ -662,6 +657,17 @@ def greedy_zone_cover(
     return cover
 
 
+def _covering(zones: Sequence[CandidateZone], n_ues: int) -> np.ndarray:
+    """The zones' ``_membership`` matrix; raises unless each of the ``n_ues`` UEs is in some zone."""
+    if n_ues < 1:
+        raise ValueError("n_ues must be >= 1")
+    member = _membership([z.members for z in zones], n_ues)
+    missing = np.flatnonzero(~member[:, :n_ues].any(axis=0)).tolist()
+    if missing:
+        raise UncoverableError(f"UEs {missing} appear in no zone")
+    return member
+
+
 def minimal_zone_cover(
     zones: Sequence[CandidateZone],
     n_ues: int,
@@ -669,35 +675,37 @@ def minimal_zone_cover(
 ) -> list[CandidateZone]:
     """Minimum-cardinality capacitated zone cover of all UEs.
 
-    Exact (``_exact_cover``, capped or not) over the zones that survive
-    dominance pruning (a zone is dominated when its member set is contained
-    in another's) when the search finishes within ``NODE_BUDGET`` nodes;
-    otherwise the greedy cover stands. A zone may appear multiple times in
-    the result when its member count exceeds its cap: each pick serves at
-    most cap members, which is what later forces oversized zones to split.
-    One zone, as ``enumerate_zones`` gives when all users share one, is
-    picked ceil(n_ues / cap) times: greedy's cover, which the search cannot
-    shorten (its root bound ceil(n_ues / cap) already equals it), so no
-    pruning, greedy pass or search runs.
+    Prunes the dominated zones, each one whose member set lies inside
+    another's or equals an earlier one's (caps grow with sets, so no cover
+    gets longer), then covers with the rest (``_maximal_zone_cover``). A
+    zone may appear multiple times in the result when its member count
+    exceeds its cap: each pick serves at most cap members, which is what
+    later forces oversized zones to split.
     """
-    if n_ues < 1:
-        raise ValueError("n_ues must be >= 1")
-    member = _membership([z.members for z in zones], n_ues)
-    missing = np.flatnonzero(~member[:, :n_ues].any(axis=0)).tolist()
-    if missing:
-        raise UncoverableError(f"UEs {missing} appear in no zone")
+    member = _covering(zones, n_ues)
+    caps = _caps_list(zones, capacity_limit)
+    keep = np.flatnonzero(~_dominated(member)).tolist()
+    return _maximal_zone_cover([zones[k] for k in keep], n_ues, [caps[k] for k in keep])
 
+
+def _maximal_zone_cover(zones: Sequence[CandidateZone], n_ues: int, capacity_limit) -> list[CandidateZone]:
+    """``minimal_zone_cover`` of zones that are already maximal and distinct; it prunes nothing.
+
+    ``enumerate_zones`` returns such zones, so the planner covers them here
+    directly. Exact (``_exact_cover``, capped or not) when the search
+    finishes within ``NODE_BUDGET`` nodes; otherwise the greedy cover
+    stands. One zone, as ``enumerate_zones`` gives when all users share one,
+    is picked ceil(n_ues / cap) times: greedy's cover, which the search
+    cannot shorten (its root bound ceil(n_ues / cap) already equals it), so
+    no greedy pass or search runs.
+    """
+    member = _covering(zones, n_ues)
     caps = _caps_list(zones, capacity_limit)
     if len(zones) == 1:
         return [zones[0]] * math.ceil(n_ues / caps[0])
-    # Dominance pruning: keep only maximal member sets (caps grow with sets).
-    keep = np.flatnonzero(~_dominated(member)).tolist()
-    pruned = [zones[k] for k in keep]
-    pruned_caps = [caps[k] for k in keep]
-
-    greedy = greedy_zone_cover(pruned, n_ues, pruned_caps)
-    best = _exact_cover(pruned, pruned_caps, n_ues, len(greedy))
-    return greedy if best is None else [pruned[k] for k in best]
+    greedy = greedy_zone_cover(zones, n_ues, caps)
+    best, _ = _exact_cover(member[:, :n_ues], caps, len(greedy))
+    return greedy if best is None else [zones[k] for k in best]
 
 
 # Nodes the exact cover search may visit; one that needs more leaves the greedy cover.
@@ -708,30 +716,40 @@ class _OutOfNodes(Exception):
     """The exact cover search spent ``NODE_BUDGET``."""
 
 
-def _exact_cover(zones, caps, n_ues: int, ub: int) -> list[int] | None:
+def _exact_cover(member: np.ndarray, caps, ub: int) -> tuple[list[int] | None, bool]:
     """Branch and bound over UE-to-pick assignments, exact with or without binding caps.
 
-    Each node serves the unserved UE in the fewest zones (ties on index):
-    from a pick made earlier that contains it and has room left, or from a
-    new pick, most unserved members first, then lower zone index. A pick
-    whose room holds every unserved member of its zone serves them all at
-    once, which costs no other UE a slot; with no binding cap every pick
-    does, and the search is plain set-cover branch and bound. Returns the
-    picked zone indices in pick order, or None when nothing shorter than
-    ``ub`` exists (the caller's greedy cover of length ``ub`` is then
-    optimal) or when the search does not finish within ``NODE_BUDGET``
-    nodes, which also bounds its recursion depth.
+    ``member`` is the zone x UE ``_membership`` matrix, one column per UE to
+    serve. Each node serves the unserved UE in the fewest zones (ties on
+    index): from a pick made earlier that contains it and has room left, or
+    from a new pick, most unserved members first, then lower zone index. A
+    pick whose room holds every unserved member of its zone serves them all
+    at once, which costs no other UE a slot; with no binding cap every pick
+    does, and the search is plain set-cover branch and bound. A node reads
+    only its open picks, in pick order: those with room left and an
+    unserved member. Along a path the unserved set and every room only
+    shrink, so a closed pick never reopens; a pick that absorbs closes, so
+    with no binding cap none stays open. Returns the picked zone indices in
+    pick order, or None when nothing shorter than ``ub`` exists (the
+    caller's greedy cover of length ``ub`` is then optimal) or when the
+    search does not finish within ``NODE_BUDGET`` nodes, which also bounds
+    its recursion depth; and whether it finished.
     """
-    zones_of = _zones_of(zones, n_ues)
+    held = member > 0
+    n_ues, count = held.shape[1], np.count_nonzero(held, axis=0)
     # Sets of UEs are bitmasks, one bit per UE in serving order, so the UE
     # to serve next is the lowest bit left.
-    order = sorted(range(n_ues), key=lambda u: (len(zones_of[u]), u))
-    bit = {u: 1 << b for b, u in enumerate(order)}
-    members = [sum(bit[u] for u in set(z.members) if u < n_ues) for z in zones]
+    order = np.lexsort((np.arange(n_ues), count))
+    rows = np.packbits(held.take(order, axis=1), axis=1, bitorder="little")
+    data, width = rows.tobytes(), rows.shape[1]
+    members = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    # Each UE's zones, ascending, in serving order.
+    zone, start = np.nonzero(held.T)[1].tolist(), np.cumsum(count) - count
+    zones_at = [zone[a:a + c] for a, c in zip(start[order].tolist(), count[order].tolist())]
     top = max(caps)
     best_len, best, nodes = ub, None, 0
 
-    def absorb(unserved: int, picks: list[tuple[int, int]]) -> int:
+    def absorb(unserved: int, picks: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
         fits = True
         while fits:
             fits = False
@@ -740,9 +758,9 @@ def _exact_cover(zones, caps, n_ues: int, ub: int) -> list[int] | None:
                 if here and room >= here.bit_count():
                     picks[p], unserved, fits = (k, room - here.bit_count()), unserved ^ here, True
                     break
-        return unserved
+        return unserved, [(k, room) for k, room in picks if room and members[k] & unserved]
 
-    def search(unserved: int, picks: list[tuple[int, int]]):
+    def search(unserved: int, open_picks: list[tuple[int, int]], picks: list[int]):
         nonlocal best_len, best, nodes
         nodes += 1
         if nodes > NODE_BUDGET:
@@ -750,26 +768,25 @@ def _exact_cover(zones, caps, n_ues: int, ub: int) -> list[int] | None:
         if not unserved:
             # Shorter, or as short as a cover already found: the last wins.
             if len(picks) < best_len or (len(picks) == best_len and best is not None):
-                best_len, best = len(picks), [k for k, _ in picks]
+                best_len, best = len(picks), picks
             return
-        spare = sum(min(room, (members[k] & unserved).bit_count()) for k, room in picks)
+        spare = sum(min(room, (members[k] & unserved).bit_count()) for k, room in open_picks)
         if len(picks) + math.ceil(max(unserved.bit_count() - spare, 0) / top) >= best_len:
             return
         u = unserved & -unserved
         rest, tried = unserved ^ u, set()
-        for p, (k, room) in enumerate(picks):
-            if room and members[k] & u and (k, room) not in tried:
+        for p, (k, room) in enumerate(open_picks):
+            if members[k] & u and (k, room) not in tried:
                 tried.add((k, room))
-                child = picks.copy()
+                child = open_picks.copy()
                 child[p] = (k, room - 1)
-                search(absorb(rest, child), child)
-        for k in sorted(zones_of[order[u.bit_length() - 1]],
-                        key=lambda k: (-(members[k] & unserved).bit_count(), k)):
-            child = picks + [(k, caps[k] - 1)]
-            search(absorb(rest, child), child)
+                search(*absorb(rest, child), picks)
+        # Stable, so equal counts keep the ascending zone order.
+        for k in sorted(zones_at[u.bit_length() - 1], key=lambda k: -(members[k] & unserved).bit_count()):
+            search(*absorb(rest, open_picks + [(k, caps[k] - 1)]), picks + [k])
 
     try:
-        search((1 << n_ues) - 1, [])
+        search((1 << n_ues) - 1, [], [])
     except _OutOfNodes:
-        return None
-    return best
+        return None, False
+    return best, True

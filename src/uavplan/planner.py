@@ -21,11 +21,12 @@ from .coverage import (
     CandidateZone,
     Spheres,
     UnservableError,
+    _maximal_zone_cover,
     build_spheres,
     cover_assignment,
     enumerate_zones,
-    minimal_zone_cover,
-    zone_witness,  # not called here: perfbench/spans.py wraps it on this module
+    minimal_zone_cover,  # not called here: perfbench/spans.py wraps it on this module
+    zone_witness,  # likewise
     zone_witnesses,
 )
 from .geometry import read_only
@@ -145,11 +146,6 @@ def zone_capacities(member_lists: Sequence[Sequence[int]], lower_bounds: Sequenc
     return np.maximum(np.count_nonzero(np.cumsum(needs, axis=1) <= b_max_hz, axis=1), 1)
 
 
-def zone_capacity(members: Sequence[int], lower_bounds: Sequence[float], b_max_hz: float) -> int:
-    """``zone_capacities`` of one zone."""
-    return int(zone_capacities([members], lower_bounds, b_max_hz)[0])
-
-
 def split_zone(zones: Sequence[CandidateZone], spheres: Spheres, scenario: "Scenario") -> list[CandidateZone]:
     """Halve each zone of two or more members into two geometric sub-zones.
 
@@ -222,7 +218,7 @@ def plan_deployment(
     spheres = build_spheres(scenario, params)
     zones = enumerate_zones(spheres, scenario.venue)
     caps = zone_capacities([z.members for z in zones], lower_bounds, scenario.b_max_hz).tolist()
-    cover = minimal_zone_cover(zones, len(scenario.ues), caps)
+    cover = _maximal_zone_cover(zones, len(scenario.ues), caps)
     cap_by_members = {z.members: c for z, c in zip(zones, caps)}
     pick_caps = [cap_by_members[z.members] for z in cover]
     served_sets = cover_assignment(cover, pick_caps, len(scenario.ues))

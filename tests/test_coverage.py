@@ -857,6 +857,30 @@ def test_minimal_zone_cover_picks_are_pinned():
     assert h.hexdigest()[:16] == "01bde0815716ea25"
 
 
+@pytest.mark.parametrize("make", [_uniform_venue, _grid_venue])
+def test_enumerated_zones_need_no_pruning(make):
+    # The planner covers enumerate_zones output without dominance pruning.
+    # On generated venues, touching grid-aligned ones included, no zone is
+    # dominated, and with caps of 1 up to each zone's size the planner's
+    # cover is the public one pick for pick (or both raise).
+    rng = np.random.default_rng(3101)
+    covered = 0
+    for v in range(40):
+        spheres, box = make(rng, flat=v % 2 == 1)
+        zones = coverage.enumerate_zones(spheres, box)
+        assert not coverage._dominated(coverage._membership([z.members for z in zones], len(spheres))).any()
+        caps = [int(rng.integers(1, len(z.members) + 1)) for z in zones]
+        try:
+            public = [z.members for z in minimal_zone_cover(zones, len(spheres), caps)]
+        except UncoverableError:
+            with pytest.raises(UncoverableError):
+                coverage._maximal_zone_cover(zones, len(spheres), caps)
+            continue
+        assert [z.members for z in coverage._maximal_zone_cover(zones, len(spheres), caps)] == public, v
+        covered += len(zones) > 1
+    assert covered >= 20
+
+
 def test_capped_covers_of_many_users_stay_within_the_node_budget():
     # 600-1,400 users in 3-8 zones with caps 7-11, greedy above ceil(n / cap)
     # on most. The search serves one user per node, so only its node budget

@@ -12,7 +12,10 @@ each planner swarm of a pass ended, are pinned on the two scaled passes.
 How many enumerations of a pass skip the vertex arrangement is pinned on
 paper-sweep (all 288) and n200-2km (none of 3), and its ``--candidates``
 counts, the vertex candidates scored and the venues that fell back to
-every candidate, on the two scaled passes.
+every candidate, on the two scaled passes. Its ``--covers`` counts, how
+each enumeration's cover was found, are pinned on every pass, and the
+planner's cover of each scaled venue is held to ``minimal_zone_cover`` and
+its search to the search it replaced.
 """
 import importlib.util
 from pathlib import Path
@@ -20,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cover_search_reference as reference
 from uavplan import coverage
 from uavplan.positioning import PlacementSolution
 
@@ -167,3 +171,62 @@ def test_candidate_traffic_is_pinned(plan_digest, capsys, name):
     # no venue touching and falling back to every candidate.
     assert plan_digest.main(["--workload", name, "--candidates"]) == 0
     assert capsys.readouterr().out == f"{name} {CANDIDATES[name]}\n"
+
+
+# How each enumeration's cover was found over one pass, as ``tools/plan_digest.py --covers`` prints it.
+COVERS = {
+    "paper-sweep": "paper-sweep shared 288 proven 0 greedy 0\n"
+                   "paper-sweep:fixed shared 288 proven 0 greedy 0\n",
+    "n100-1km": "n100-1km shared 0 proven 2 greedy 0\n",
+    "n200-2km": "n200-2km shared 0 proven 0 greedy 3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVERS))
+def test_cover_mechanisms_are_pinned(plan_digest, capsys, name):
+    # Every paper-sweep cover is one shared zone, both n100-1km searches
+    # finish, and every n200-2km search runs out of nodes, leaving greedy.
+    assert plan_digest.main(["--workload", name, "--covers"]) == 0
+    assert capsys.readouterr().out == COVERS[name]
+
+
+@pytest.fixture(scope="module")
+def scaled_covers(plan_digest):
+    """The zones, user count and caps of every cover the planner asks for on the two scaled passes."""
+    planner, calls = plan_digest.workloads.planner, []
+    step = planner._maximal_zone_cover
+
+    def record(zones, n_ues, caps):
+        calls.append((zones, n_ues, caps))
+        return step(zones, n_ues, caps)
+
+    planner._maximal_zone_cover = record
+    try:
+        for name in ("n100-1km", "n200-2km"):
+            for _ in plan_digest.planned(plan_digest.workloads.WORKLOADS[name]):
+                pass
+    finally:
+        planner._maximal_zone_cover = step
+    return calls
+
+
+def test_planner_cover_is_the_public_cover(scaled_covers):
+    # The planner skips the dominance pruning on enumerate_zones output,
+    # which is maximal and distinct; the picks are the public function's.
+    # No paper-sweep enumeration has a second zone (--covers).
+    assert [len(zones) for zones, _, _ in scaled_covers] == [147, 67, 375, 491, 444]
+    for zones, n_ues, caps in scaled_covers:
+        public = coverage.minimal_zone_cover(zones, n_ues, caps)
+        assert [id(z) for z in coverage._maximal_zone_cover(zones, n_ues, caps)] == [id(z) for z in public]
+
+
+def test_search_matches_the_reference_on_the_scaled_venues(scaled_covers, monkeypatch):
+    for budget in [*range(1, 65), 512]:
+        monkeypatch.setattr(coverage, "NODE_BUDGET", budget)
+        monkeypatch.setattr(reference, "NODE_BUDGET", budget)
+        for zones, n_ues, caps in scaled_covers:
+            caps = coverage._caps_list(zones, caps)
+            ub = len(coverage.greedy_zone_cover(zones, n_ues, caps))
+            member = coverage._membership([z.members for z in zones], n_ues)[:, :n_ues]
+            assert coverage._exact_cover(member, caps, ub) \
+                == reference.reference_cover(zones, caps, n_ues, ub), budget

@@ -20,9 +20,11 @@ from uavplan import (
     UE,
     UnservableError,
     build_spheres,
+    enumerate_zones,
     generate_scenario,
     link_rate,
     max_service_distance,
+    minimal_zone_cover,
     plan_deployment,
     run_baseline,
     split_zone,
@@ -31,7 +33,7 @@ from uavplan import (
 )
 from uavplan import evaluate_throughput, planner
 from uavplan.cli import deployment_to_dict
-from uavplan.planner import served_links, uav_loads, zone_capacity
+from uavplan.planner import served_links, uav_loads, zone_capacities
 from uavplan.positioning import PlacementSolution
 from conftest import random_scenario
 
@@ -347,7 +349,7 @@ def test_zone_capacities_match_the_running_total(params):
 
     expected = [running_total(z) for z in zones]
     assert planner.zone_capacities(zones, bounds, b_max).tolist() == expected
-    assert [zone_capacity(z, bounds, b_max) for z in zones] == expected
+    assert [zone_capacities([z], bounds, b_max)[0] for z in zones] == expected
     assert len(set(expected)) >= 5 and expected[-2:] == [10, 10]
     assert planner.zone_capacities([], bounds, b_max).tolist() == []
 
@@ -466,10 +468,37 @@ def test_split_of_a_wave_is_each_zone_split_alone(params):
 # ---------------------------------------------------------------------------
 
 def test_zone_capacity_prefix_counting():
-    assert zone_capacity([0, 1, 2], [50e6, 100e6, 20e6], 160e6) == 2
-    assert zone_capacity([0, 1, 2], [50e6, 90e6, 20e6], 160e6) == 3
-    assert zone_capacity([0, 1, 2], [100e6, 100e6, 100e6], 160e6) == 1
-    assert zone_capacity([0, 1], [20e6, 20e6], 160e6) == 2
+    assert zone_capacities([[0, 1, 2]], [50e6, 100e6, 20e6], 160e6)[0] == 2
+    assert zone_capacities([[0, 1, 2]], [50e6, 90e6, 20e6], 160e6)[0] == 3
+    assert zone_capacities([[0, 1, 2]], [100e6, 100e6, 100e6], 160e6)[0] == 1
+    assert zone_capacities([[0, 1]], [20e6, 20e6], 160e6)[0] == 2
+
+
+def test_planner_cover_is_the_public_cover_on_random_venues(params):
+    # The planner covers enumerate_zones output, maximal and distinct, with
+    # no dominance pruning. On every venue of more than one zone, under
+    # either policy (fixed widths make caps bind), its picks are the public
+    # minimal_zone_cover's.
+    rng = np.random.default_rng(61)
+    venues = binding = 0
+    for _ in range(30):
+        drawn = random_scenario(rng, n_min=5, n_max=40, side_range=(300.0, 1500.0),
+                                demands=(6.5e6, 13e6, 26e6))
+        for scn in (drawn, replace(drawn, bandwidth_policy="fixed")):
+            try:
+                zones = enumerate_zones(build_spheres(scn, params), scn.venue)
+            except UnservableError:
+                continue
+            bounds = planner.min_feasible_bandwidths(scn, params)
+            if len(zones) < 2 or np.isnan(bounds).any():
+                continue
+            caps = zone_capacities([z.members for z in zones], bounds, scn.b_max_hz).tolist()
+            cover = planner._maximal_zone_cover(zones, len(scn.ues), caps)
+            public = minimal_zone_cover(zones, len(scn.ues), caps)
+            assert [id(z) for z in cover] == [id(z) for z in public]
+            venues += 1
+            binding += any(c < len(z.members) for z, c in zip(zones, caps))
+    assert venues >= 40 and binding >= 10
 
 
 def test_demand_doubling_never_reduces_count(params):

@@ -1,7 +1,7 @@
 """Digest of every plan one benchmark pass produces, to show that a change keeps plans byte-identical.
 
     python3 tools/plan_digest.py [--workload NAME]
-        [--zones | --swarms | --throughput | --endings | --candidates]
+        [--zones | --swarms | --throughput | --endings | --candidates | --covers]
 
 Run from anywhere inside a checkout. For each workload (all of them when
 ``--workload`` is not given) it plans one ``make_pass(0)`` of
@@ -44,6 +44,12 @@ With ``--candidates`` it prints counts instead of a digest, over every
 enumeration of one pass: the floor-disk vertex candidates scored, the venues
 that built the arrangement (those that do not share one zone) and how many
 of them fell back from the lowest candidates to every candidate on a touch.
+
+With ``--covers`` it prints counts instead of a digest, over every
+enumeration of one pass: how its cover was found. ``shared``: all users
+share its one zone, picked ceil(n / cap) times; ``proven``: the exact search
+finished, so the cover is a fewest-picks one; ``greedy``: the search ran out
+of nodes and the greedy cover stands.
 """
 import argparse
 import hashlib
@@ -210,6 +216,32 @@ def candidates(workload, **changes) -> str:
     return f"candidates {sum(n for _, n in venues)} venues {len(venues)} fallbacks {fell}"
 
 
+COVERS = ("shared", "proven", "greedy")
+
+
+def covers(workload, **changes) -> str:
+    """Counts of each of ``COVERS`` over one pass's enumerations; ``changes`` as in ``plan_digest``."""
+    counts = dict.fromkeys(COVERS, 0)
+    cover, search = workloads.planner._maximal_zone_cover, coverage._exact_cover
+
+    def covered(zones, *args):
+        counts["shared"] += len(zones) == 1
+        return cover(zones, *args)
+
+    def searched(*args):
+        best, finished = search(*args)
+        counts["proven" if finished else "greedy"] += 1
+        return best, finished
+
+    workloads.planner._maximal_zone_cover, coverage._exact_cover = covered, searched
+    try:
+        for _ in planned(workload, **changes):
+            pass
+    finally:
+        workloads.planner._maximal_zone_cover, coverage._exact_cover = cover, search
+    return " ".join(f"{name} {n}" for name, n in counts.items())
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", choices=sorted(workloads.WORKLOADS), default=None)
@@ -224,10 +256,12 @@ def main(argv=None) -> int:
                       help="count how the planner's swarms ended, not a digest")
     what.add_argument("--candidates", action="store_true",
                       help="count the vertex candidates scored and the fallbacks, not a digest")
+    what.add_argument("--covers", action="store_true",
+                      help="count the shared, proven and greedy covers, not a digest")
     args = p.parse_args(argv)
     digest = (zone_digest if args.zones else swarm_digest if args.swarms
               else throughput_digest if args.throughput else endings if args.endings
-              else candidates if args.candidates else plan_digest)
+              else candidates if args.candidates else covers if args.covers else plan_digest)
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
     for name in names:
         print(f"{name} {digest(workloads.WORKLOADS[name])}", flush=True)
