@@ -1,12 +1,15 @@
-"""Particle swarm refinement of one UAV inside a candidate zone.
+"""Placing one UAV inside a candidate zone.
 
 The geometric witness only certifies that the zone is nonempty; it usually
 sits at the altitude floor where link quality is poor. Every feasible
-position scores the members' summed demand, so the swarm stops at its first
-feasible best, and before seeding any particle it tries the witness raised
-to the ceiling, where reach is longest. Here the witness misses demands,
-but the point above it at the ceiling serves every member, so the search
-stops after 0 iterations there, with no particle seeded.
+position scores the members' summed demand, so the first feasible point
+found is the answer. The witness is tried first, then the witness raised
+to the ceiling, where reach is longest, then the first served probe of a
+branch and bound over the flight box, which proves a zone that no point
+serves. A particle swarm is seeded only for a zone on which that search
+gives up. Here the witness misses demands, but the point above it at the
+ceiling serves every member, so the placement stops after 0 iterations
+there, with no particle seeded.
 """
 from uavplan import (
     ChannelParams,
@@ -31,8 +34,7 @@ value, feasible = fitness(zone.witness, zone, scenario, params)
 print(f"fitness at witness: {value / 1e6:.1f} Mbit/s, feasible={feasible}\n")
 
 trace = []
-sol = optimize_position(zone, scenario, params, SwarmConfig(),  # swarms draw from scenario.seed
-                        spheres=spheres, trace=trace)
+sol = optimize_position(zone, scenario, params, SwarmConfig(), trace=trace)
 
 print("iteration  best fitness (Mbit/s)")
 last = None

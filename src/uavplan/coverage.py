@@ -343,11 +343,10 @@ def _floor_points(xy, rho2, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     each disk's left crossing with the bottom edge and lower crossing with
     a side edge, and each pair's lower crossing. A lens holds one disk's
     bottom when that bottom lies inside the other disk, and that bottom is
-    the lens's lowest point, so the pair's crossings are not lowest; the
-    bottom counts as inside only by a margin. Which crossing is lower is
-    the sign of the centres' x offset, which rounding keeps, as it keeps
-    the order of the two y values; where the offset is 0 they tie, and
-    both are lowest.
+    the lens's lowest point, so the pair's crossings are not lowest. Which
+    crossing is lower is the sign of the centres' x offset, which rounding
+    keeps, as it keeps the order of the two y values; where the offset is 0
+    they tie, and both are lowest.
     """
     n = len(xy)
     (x0, y0), (x1, y1) = lo, hi
@@ -380,8 +379,7 @@ def _floor_points(xy, rho2, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         p = np.concatenate([mid - perp, mid + perp])
         on = ((p >= lo) & (p <= hi)).all(axis=1)
     gap_i, gap_j = bottom[i] - xy[j], bottom[j] - xy[i]
-    lens = (((gap_i * gap_i).sum(axis=1) >= rho2[j] * (1 - 1e-6))
-            & ((gap_j * gap_j).sum(axis=1) >= rho2[i] * (1 - 1e-6)))
+    lens = ((gap_i * gap_i).sum(axis=1) >= rho2[j]) & ((gap_j * gap_j).sum(axis=1) >= rho2[i])
     points.append(p[on])
     defined_by.append(np.tile(np.stack([i, j], axis=1), (2, 1))[on])
     # mid - perp lies lower where d[:, 0] > 0, mid + perp where it is < 0.

@@ -196,8 +196,11 @@ def plan_deployment(
     Raises UnservableError when some UE cannot be served from anywhere in
     the feasible box, and CapacityDeadlockError when a single UE's demand
     exceeds one UAV's whole bandwidth budget (a configuration error). The
-    returned deployment always passes ``validate_deployment``. The swarms
-    draw from ``scenario.seed``; ``swarm_config`` sets only how they search.
+    returned deployment always passes ``validate_deployment``. A zone is
+    placed at an anchor or a served certificate probe, or proven
+    unservable, with no random number drawn; only a zone on which the
+    certificate gives up runs a swarm, which draws from ``scenario.seed``.
+    ``swarm_config`` sets only how the swarms search.
     """
     from .channel import ChannelParams
 
@@ -238,12 +241,12 @@ def plan_deployment(
         # positioning layer; the other zones of a wave run in lockstep.
         many = [k for k, sub in enumerate(wave) if len(sub.members) > 1]
         sols = dict(zip(many, optimize_positions(
-            [wave[k] for k in many], scenario, params, swarm_config, spheres=spheres,
+            [wave[k] for k in many], scenario, params, swarm_config,
             traces=[traces[k] for k in many] if trace is not None else None)))
         failed = []
         for k, sub in enumerate(wave):
             sol = sols[k] if k in sols else optimize_position(
-                sub, scenario, params, swarm_config, spheres=spheres, trace=traces[k])
+                sub, scenario, params, swarm_config, trace=traces[k])
             if pool is not None:
                 pool.append((sub.members, sol))
             if trace is not None:

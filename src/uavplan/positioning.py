@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from . import channel
-from .coverage import CandidateZone, Spheres
+from .coverage import CandidateZone
 from .geometry import FeasibleBox, Point3, read_only
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -222,8 +222,9 @@ def _halve(lo, hi, axes):
 
 
 def _unservable(m: _Members, zones: np.ndarray, params: "ChannelParams",
-                box: FeasibleBox) -> np.ndarray:
-    """For each of ``zones`` (ascending), True only when no position in the box serves every member.
+                box: FeasibleBox) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``zones`` (ascending): True only when no position in the box serves every
+    member, and the zone's first served probe (3,), NaN where no probe served it.
 
     A branch and bound over cells of the box, the cells of all zones a round
     at a time, each tagged with its zone. ``channel.snr_hz_upper_bound`` caps
@@ -241,19 +242,21 @@ def _unservable(m: _Members, zones: np.ndarray, params: "ChannelParams",
     widest's. A zone with no cell left is proven. Each surviving cell is
     probed at its zone members' mean position, clamped into the cell and
     raised to its top, since on a uniform venue reach grows with altitude
-    up to the ceiling; a feasible probe ends the zone's search unproven. A
-    zone some position serves is never proven, so the probe point changes
-    the cost, never the outcome. Otherwise each cell is halved along the
-    axes at least half as long as its longest. All cells share one shape,
-    so a flat box stays 2D, a box about as tall as it is wide is halved
-    along every axis, and a wide one is cut across its footprint alone
-    until its cells are at most twice as wide as tall. A zone whose cells
-    would take it past ``_CERTIFY_PAIRS`` pairs in all gives up, also
-    unproven. Cells are judged one by one, so each zone gets the outcome it
-    gets alone, and a round is scored at most ``_CERTIFY_BUDGET`` pairs at a
-    time.
+    up to the ceiling; a feasible probe ends the zone's search unproven,
+    and the first such probe in cell order is returned. A zone some
+    position serves is never proven, so the probe point changes the cost
+    and the probe returned, never the outcome. Otherwise each cell is
+    halved along the axes at least half as long as its longest. All cells
+    share one shape, so a flat box stays 2D, a box about as tall as it is
+    wide is halved along every axis, and a wide one is cut across its
+    footprint alone until its cells are at most twice as wide as tall. A
+    zone whose cells would take it past ``_CERTIFY_PAIRS`` pairs in all
+    gives up, also unproven. Cells are judged one by one, so each zone gets
+    the outcome and the probe it gets alone, and a round is scored at most
+    ``_CERTIFY_BUDGET`` pairs at a time.
     """
     proven = np.zeros(len(m.count), bool)
+    point = np.full((len(m.count), 3), np.nan)
     slack_hz = m.grid_hz * _row_sums(m.fit, _groups(m.count))
     widest = np.where(m.fit, int(m.b_max_hz // m.grid_hz) * m.grid_hz, m.pinned)
     mean = np.add.reduceat(m.positions, m.start) / m.count[:, None]
@@ -287,7 +290,10 @@ def _unservable(m: _Members, zones: np.ndarray, params: "ChannelParams",
         served = np.zeros(len(tag), bool)
         for s in (slice(a, a + step) for a in range(0, len(tag), step)):
             served[s] = _fitness(probe[s], _rows(m, tag[s]), m, params, box)[1]
-        done[tag[served]] = True
+        # Cells stay in zone order, so np.unique finds each zone's first served one.
+        first, at = np.unique(tag[served], return_index=True)
+        point[first] = probe[served][at]
+        done[first] = True
         left = ~done[tag]
         tag, lo, hi = tag[left], lo[left], hi[left]
         axes = np.flatnonzero((extent > 0.0) & (extent >= 0.5 * extent.max()))
@@ -297,21 +303,7 @@ def _unservable(m: _Members, zones: np.ndarray, params: "ChannelParams",
         examined += np.bincount(tag, minlength=len(m.count)) * m.count * 2 ** len(axes)
         keep = examined[tag] <= _CERTIFY_PAIRS
         tag, (lo, hi) = np.repeat(tag[keep], 2 ** len(axes)), _halve(lo[keep], hi[keep], axes)
-    return proven[zones]
-
-
-def _init_bounds(witness, centers, radii, start, box: FeasibleBox):
-    """Bounding box of each zone's member-sphere intersection, clipped to the box.
-
-    ``centers`` and ``radii`` hold every zone's members, zone after zone from
-    ``start``, or are None. The box is stretched to hold the witness.
-    """
-    lo = np.broadcast_to(box.lower, witness.shape)
-    hi = np.broadcast_to(box.upper, witness.shape)
-    if centers is not None:
-        lo = np.maximum(lo, np.maximum.reduceat(centers - radii[:, None], start))
-        hi = np.minimum(hi, np.minimum.reduceat(centers + radii[:, None], start))
-    return np.minimum(lo, witness), np.maximum(hi, witness)
+    return proven[zones], point[zones]
 
 
 def optimize_positions(
@@ -319,7 +311,6 @@ def optimize_positions(
     scenario: "Scenario",
     params: "ChannelParams",
     config: SwarmConfig,
-    spheres: Spheres | None = None,
     certify: bool = True,
     traces: Sequence[list] | None = None,
 ) -> list[PlacementSolution]:
@@ -336,26 +327,26 @@ def optimize_positions(
     ceiling. A feasible anchor is the zone's answer at iteration 0, the
     witness first. With ``certify``, the zones that no anchor serves then
     try one batched branch and bound over the box (``_unservable``), sound
-    and judging each zone alone: a zone it proves unservable, such as one
-    whose pinned link widths alone overrun the budget, returns its witness
-    with no iteration and no generator made. Without ``certify`` (the
-    fixed-n baseline, which keeps its infeasible groups) zones skip the
-    certificate and only the swarm's own stops apply.
+    and judging each zone alone. A zone it proves unservable, such as one
+    whose pinned link widths alone overrun the budget, returns its witness;
+    a zone served at one of its probes returns that probe, the first in
+    cell order. Both end at iteration 0 with no generator made, so with
+    ``certify`` only a zone on which the certificate gives up is searched.
+    Without ``certify`` (the fixed-n baseline, which keeps its infeasible
+    groups) zones skip the certificate and only the swarm's own stops apply.
 
     The remaining zones are seeded, each from one PCG64 stream seeded with
     ``SeedSequence([scenario.seed, *members])``: particle 0 sits at the
-    witness, the starts of particles 1..n-1 are ``random((n - 1, 3))``, then
-    every step draws ``random((n, 2, 3))``, each particle's r1 then its r2.
-    A feasible start ends a zone at iteration 0 (``argmax`` takes the first
+    witness, the starts of particles 1..n-1 are ``random((n - 1, 3))`` over
+    the box, then every step draws ``random((n, 2, 3))``, each particle's r1
+    then its r2, and moves at most half the box's extent per axis. A
+    feasible start ends a zone at iteration 0 (``argmax`` takes the first
     maximum); otherwise all running swarms move in one array step, and a
     zone leaves at its first feasible best or at ``max_iterations``. So each
     zone's trajectory is a pure function of the zone and the inputs, whatever
     else shares the call; to re-seed the swarms, plan ``replace(scenario, seed=k)``.
-    ``spheres`` (``build_spheres``) only bounds where the particles start
-    and how fast they move; without spheres (the baselines) the box alone
-    bounds both. The global best is returned as found, even outside a
-    member sphere: the demand check, not sphere containment, decides
-    feasibility.
+    The global best is returned as found, even outside a member sphere: the
+    demand check, not sphere containment, decides feasibility.
 
     Returns one solution per zone, in order. ``traces``, when given, holds
     one list per zone, which receives the zone's (iteration, global best
@@ -394,7 +385,12 @@ def optimize_positions(
         anchor[:, 2] = box.upper[2]
         searched[lift[answer(lift, anchor)]] = False
     if certify and searched.any():
-        searched[searched] = ~_unservable(m, np.flatnonzero(searched), params, box)
+        zone = np.flatnonzero(searched)
+        proven, probe = _unservable(m, zone, params, box)
+        searched[zone[proven]] = False
+        found = np.flatnonzero(~np.isnan(probe[:, 0]))
+        if len(found):
+            searched[zone[found]] = ~answer(zone[found], probe[found])
     if traces is not None:
         for j in np.flatnonzero(~searched).tolist():
             traces[j].append((0, float(value[j]), tuple(best[j])))
@@ -402,17 +398,12 @@ def optimize_positions(
     zone = np.flatnonzero(searched)  # the zones whose swarm runs, ascending
     if len(zone):
         members = [m.indices[m.start[j]:m.start[j] + m.count[j]].tolist() for j in zone]
-        centers = radii = None
-        if spheres is not None:
-            own = [i for g in members for i in g]
-            centers, radii = spheres.centers[own], spheres.radii[own]
-        lo, hi = _init_bounds(best[zone], centers, radii, np.cumsum(m.count[zone]) - m.count[zone],
-                              box)
-        v_max = 0.5 * (hi - lo)
+        extent = box.upper - box.lower
+        v_max = 0.5 * extent
         rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             [scenario.seed & 0xFFFFFFFF, *ues]))) for ues in members]
         draws = np.stack([rng.random((particles - 1, 3)) for rng in rngs])
-        starts = lo[:, None, :] + draws * (hi - lo)[:, None, :]
+        starts = box.lower + draws * extent
         positions = np.concatenate([best[zone][:, None, :], starts], axis=1)
         velocities = np.zeros_like(positions)
         swarm = _rows(m, np.repeat(zone, particles))
@@ -435,15 +426,15 @@ def optimize_positions(
                 if not keep.any():
                     break
                 zone, positions, velocities, pbest_pos, pbest_val, pbest_feas, gbest_pos, \
-                    gbest_val, gbest_feas, v_max = (
+                    gbest_val, gbest_feas = (
                         a[keep] for a in (zone, positions, velocities, pbest_pos, pbest_val,
-                                          pbest_feas, gbest_pos, gbest_val, gbest_feas, v_max))
+                                          pbest_feas, gbest_pos, gbest_val, gbest_feas))
                 rngs = [rng for rng, k in zip(rngs, keep) if k]
                 swarm, at = _rows(m, np.repeat(zone, particles)), np.arange(len(zone))
             it += 1
             r = np.stack([rng.random((particles, 2, 3)) for rng in rngs])
             velocities = _swarm_velocities(velocities, positions, pbest_pos, gbest_pos[:, None, :],
-                                           r[:, :, 0], r[:, :, 1], config, v_max[:, None, :])
+                                           r[:, :, 0], r[:, :, 1], config, v_max)
             positions = box.clamp(positions + velocities)
 
             values, feas, _ = _fitness(positions.reshape(-1, 3), swarm, m, params, box)
@@ -484,11 +475,9 @@ def optimize_position(
     scenario: "Scenario",
     params: "ChannelParams",
     config: SwarmConfig,
-    spheres: Spheres | None = None,
     certify: bool = True,
     trace: list | None = None,
 ) -> PlacementSolution:
     """``optimize_positions`` of one zone."""
     traces = [trace] if trace is not None else None
-    return optimize_positions([zone], scenario, params, config, spheres=spheres, certify=certify,
-                              traces=traces)[0]
+    return optimize_positions([zone], scenario, params, config, certify=certify, traces=traces)[0]

@@ -7,13 +7,15 @@ floating-point operation here is the one the batched code performs, in the
 same order, on one zone's arrays. Only the elementwise channel kernels are
 shared. Its infeasibility certificate (``zone_unservable``) is an outcome
 oracle instead: it proves the same zones as ``positioning._unservable`` by
-another search.
+another search. A zone it does not prove takes its served probe, if any,
+from ``positioning._unservable`` run on the zone alone, so the lockstep
+search is held to each zone's own probe.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from uavplan import channel
+from uavplan import channel, positioning
 from uavplan.positioning import PlacementSolution
 
 _CERTIFY_PAIRS = 1 << 16
@@ -135,17 +137,14 @@ def zone_unservable(data, params, box) -> bool:
     return zone_outcome(data, params, box) == "proven"
 
 
-def init_bounds(zone, centers, radii, box):
-    lo = box.lower
-    hi = box.upper
-    if centers is not None:
-        lo = np.maximum(lo, np.max(centers - radii[:, None], axis=0))
-        hi = np.minimum(hi, np.min(centers + radii[:, None], axis=0))
-    w = zone.witness.as_array()
-    return np.minimum(lo, w), np.maximum(hi, w)
+def served_probe(zone, scenario, params):
+    """The first served probe of ``positioning._unservable`` on ``zone`` alone, or None."""
+    m = positioning._members([zone.members], scenario)
+    probe = positioning._unservable(m, np.zeros(1, int), params, scenario.venue)[1][0]
+    return None if np.isnan(probe[0]) else probe
 
 
-def loop_position(zone, scenario, params, config, spheres=(), certify=True, trace=None):
+def loop_position(zone, scenario, params, config, certify=True, trace=None):
     """The per-zone ``optimize_position``: anchors, certificate, seeding, steps."""
     data = member_data(zone.members, scenario)
     box = scenario.venue
@@ -167,15 +166,18 @@ def loop_position(zone, scenario, params, config, spheres=(), certify=True, trac
         value, feas = swarm_fitness(position[None, :], data, params, box)
         if feas[0]:
             return answer(position, value[0])
-    # The certificate runs before seeding: a proven zone keeps its witness.
+    # The certificate runs before seeding: a proven zone keeps its witness,
+    # and a zone served at a probe ends there.
     if certify and zone_unservable(data, params, box):
         return answer(witness, swarm_fitness(witness[None, :], data, params, box)[0][0])
+    probe = served_probe(zone, scenario, params) if certify else None
+    if probe is not None:
+        value, feas = swarm_fitness(probe[None, :], data, params, box)
+        if feas[0]:
+            return answer(probe, value[0])
 
-    centers = radii = None
-    if spheres:
-        centers = spheres.centers[list(zone.members)]
-        radii = spheres.radii[list(zone.members)]
-    lo, hi = init_bounds(zone, centers, radii, box)
+    # Particles start and move over the box.
+    lo, hi = box.lower, box.upper
     v_max = 0.5 * (hi - lo)
 
     rng = np.random.default_rng([scenario.seed & 0xFFFFFFFF, *data.indices.tolist()])

@@ -268,17 +268,19 @@ def test_plan_both_alternatives_or_an_orphan_noise_key_are_config_errors(tmp_pat
 
 
 def test_plan_config_seed_is_the_scenario_seed(tmp_path):
-    # B-3 seed 4 has a zone that neither anchor nor the certificate decides,
-    # so a seeded swarm places its UAV and the seed moves the plan; a config
-    # seed and --seed set the same scenario seed, which seeds that swarm.
+    # The fixed-n baseline's clustering and swarms draw from the scenario
+    # seed, so on B-3 seed 4 the seed moves its plan; a config seed and
+    # --seed set the same scenario seed.
     scn, cfg = tmp_path / "scn.json", tmp_path / "cfg.json"
     write_scenario(scn, kind="B", variant=3, seed=4)
     cfg.write_text(json.dumps({"seed": 7}))
     out = {name: tmp_path / f"{name}.json" for name in ("own", "config", "flag")}
-    assert run_cli("plan", "--scenario", str(scn), "--out", str(out["own"])) == 0
-    assert run_cli("plan", "--scenario", str(scn), "--config", str(cfg),
+    fixed_n = ("--baseline", "fixed-n")
+    assert run_cli("plan", "--scenario", str(scn), *fixed_n, "--out", str(out["own"])) == 0
+    assert run_cli("plan", "--scenario", str(scn), "--config", str(cfg), *fixed_n,
                    "--out", str(out["config"])) == 0
-    assert run_cli("plan", "--scenario", str(scn), "--seed", "7", "--out", str(out["flag"])) == 0
+    assert run_cli("plan", "--scenario", str(scn), "--seed", "7", *fixed_n,
+                   "--out", str(out["flag"])) == 0
     assert out["config"].read_bytes() == out["flag"].read_bytes() != out["own"].read_bytes()
 
 

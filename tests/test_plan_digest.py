@@ -8,7 +8,7 @@ paper-sweep:fixed, the one pass whose zone capacity caps bind and whose
 every link is pinned. A change that moves any plan, zone, swarm or
 throughput bit updates these pins and says why; ``tools/plan_digest.py``
 prints the same digests for every workload. Its ``--endings`` counts, how
-each planner swarm of a pass ended, are pinned on the two scaled passes.
+each planner swarm of a pass ended, are pinned on every pass.
 How many enumerations of a pass skip the vertex arrangement is pinned on
 paper-sweep (all 288) and n200-2km (none of 3), and its ``--candidates``
 counts, the vertex candidates scored and the venues that fell back to
@@ -36,21 +36,21 @@ PINS = {
     "throughput_digest": "dd163e9cae56166c",
 }
 N200_PINS = {
-    "plan_digest": "5ce2f8c215ed44ac",
+    "plan_digest": "f4705a6e11c2c973",
     "zone_digest": "4ff046fc2c6bb991",
-    "swarm_digest": "16d1ad8e94348b4c",
+    "swarm_digest": "66054223c0db01e0",
     "throughput_digest": "875f9423ddae894e",
 }
-PAPER_SWEEP_PLAN_DIGEST = "855abb2b37739ab8"
+PAPER_SWEEP_PLAN_DIGEST = "0da731902767a556"
 PAPER_SWEEP_PINS = {
     "zone_digest": "1a29f85849c202bc",
     "throughput_digest": "566c864e459b31d7",
-    "swarm_digest": "f606ee94119acce2",
+    "swarm_digest": "f639083609cac536",
 }
-PAPER_SWEEP_FIXED_PLAN_DIGEST = "58248cd8c5291688"
+PAPER_SWEEP_FIXED_PLAN_DIGEST = "b8c4aa28eed7911d"
 PAPER_SWEEP_FIXED_PINS = {
     "zone_digest": "d6faa4be097bf226",
-    "swarm_digest": "ec68815c9d3eb21d",
+    "swarm_digest": "166807060d847584",
     "throughput_digest": "7283135b0d05e8b1",
 }
 
@@ -122,25 +122,28 @@ def test_shared_venues_skip_the_vertex_arrangement(plan_digest, monkeypatch, nam
         == (enumerations, shared, enumerations - shared)
 
 
-# How the planner swarms of one pass end, as ``tools/plan_digest.py --endings`` prints them.
+# How the planner swarms of one pass end, as ``tools/plan_digest.py --endings`` prints them:
+# every zone at an anchor, at a served certificate probe or proven, none seeded.
 ENDINGS = {
-    "n100-1km": "witness 2 ceiling 13 proven 11 seeded 0 iterated 0",
-    "n200-2km": "witness 12 ceiling 94 proven 55 seeded 10 iterated 5",
+    "paper-sweep": "paper-sweep witness 101 ceiling 43 probe 5 proven 5 seeded 0 iterated 0\n"
+                   "paper-sweep:fixed witness 432 ceiling 97 probe 14 proven 3 seeded 0 iterated 0\n",
+    "n100-1km": "n100-1km witness 2 ceiling 13 probe 0 proven 11 seeded 0 iterated 0\n",
+    "n200-2km": "n200-2km witness 12 ceiling 94 probe 15 proven 55 seeded 0 iterated 0\n",
 }
 
 
 @pytest.mark.parametrize("name", sorted(ENDINGS))
 def test_swarm_endings_are_pinned(plan_digest, capsys, name):
     assert plan_digest.main(["--workload", name, "--endings"]) == 0
-    assert capsys.readouterr().out == f"{name} {ENDINGS[name]}\n"
+    assert capsys.readouterr().out == ENDINGS[name]
 
 
 def test_each_ending_is_told_apart(plan_digest):
-    # One zone's witness on the floor of a 10-100 m box, and a solution at
-    # each ending: a pool solution carries only its position, feasibility
-    # and iterations.
+    # One zone's witness on the floor of a 10-100 m box, its served
+    # certificate probe, and a solution at each ending: a pool solution
+    # carries only its position, feasibility and iterations.
     box = plan_digest.workloads.WORKLOADS["n100-1km"].make_pass(0)[0].scenario.venue
-    witness = np.array([120.0, 80.0, 10.0])
+    witness, probe = np.array([120.0, 80.0, 10.0]), np.array([125.0, 75.0, 100.0])
 
     def sol(position, feasible=True, iterations=0):
         return PlacementSolution(np.array(position), np.empty(0, int), np.empty(0), np.empty(0),
@@ -149,12 +152,15 @@ def test_each_ending_is_told_apart(plan_digest):
     cases = {
         "witness": sol(witness),
         "ceiling": sol([120.0, 80.0, 100.0]),
+        "probe": sol(probe),
         "proven": sol(witness, feasible=False),
         "seeded": sol([121.0, 80.0, 100.0]),
         "iterated": sol([120.0, 80.0, 100.0], iterations=3),
     }
     assert tuple(cases) == plan_digest.ENDINGS
-    assert [plan_digest.ending(s, witness, box) for s in cases.values()] == list(cases)
+    assert [plan_digest.ending(s, witness, probe, box) for s in cases.values()] == list(cases)
+    # Without a served probe, a feasible point that no anchor gives is a seeded start.
+    assert plan_digest.ending(cases["probe"], witness, None, box) == "seeded"
 
 
 # The vertex candidates one pass scores, as ``tools/plan_digest.py --candidates`` prints them.

@@ -46,7 +46,7 @@ def feasible_at(points, members, scn, params):
 
 def unservable(members, scn, params) -> bool:
     """The infeasibility certificate of one zone."""
-    return bool(_unservable(_members([members], scn), np.zeros(1, int), params, scn.venue)[0])
+    return bool(_unservable(_members([members], scn), np.zeros(1, int), params, scn.venue)[0][0])
 
 
 def full_zone(scn, params):
@@ -103,7 +103,7 @@ def test_optimize_singleton_within_service_distance(params):
     scn = make_scenario([(150, 150)], seed=3)
     zone, spheres = full_zone(scn, params)
     cfg = SwarmConfig()
-    sol = optimize_position(zone, scn, params, cfg, spheres=spheres)
+    sol = optimize_position(zone, scn, params, cfg)
     assert sol.feasible
     d = math.dist((150, 150, 0), sol.uav_position)
     assert d <= spheres.radii[0]
@@ -112,10 +112,10 @@ def test_optimize_singleton_within_service_distance(params):
 
 def test_optimize_deterministic_same_seed(params):
     scn = make_scenario([(100, 80), (180, 200), (240, 60), (60, 240)], seed=42)
-    zone, spheres = full_zone(scn, params)
+    zone, _ = full_zone(scn, params)
     cfg = SwarmConfig()
-    s1 = optimize_position(zone, scn, params, cfg, spheres=spheres)
-    s2 = optimize_position(zone, scn, params, cfg, spheres=spheres)
+    s1 = optimize_position(zone, scn, params, cfg)
+    s2 = optimize_position(zone, scn, params, cfg)
     assert s1.uav_position.tobytes() == s2.uav_position.tobytes()
     assert s1.fitness == s2.fitness
     for name in ("ue_indices", "bandwidth_hz", "rate_bps"):
@@ -124,45 +124,46 @@ def test_optimize_deterministic_same_seed(params):
 
 def test_optimize_seed_changes_trajectory(params):
     # Spread UEs make both the low-altitude witness and the witness raised to
-    # the ceiling infeasible, while some position serves them, so the swarm
-    # has to explore and different streams take different paths.
+    # the ceiling infeasible, while some position serves them. Without the
+    # certificate, which would end the zone at a served probe, the swarm has
+    # to explore and different streams take different paths.
     scn = make_scenario([(388, 154), (135, 432), (441, 255)], demand=26e6, side=500.0)
-    zone, spheres = full_zone(scn, params)
+    zone, _ = full_zone(scn, params)
     t1, t2 = [], []
-    optimize_position(zone, replace(scn, seed=1), params, SwarmConfig(), spheres=spheres, trace=t1)
-    optimize_position(zone, replace(scn, seed=2), params, SwarmConfig(), spheres=spheres, trace=t2)
+    optimize_position(zone, replace(scn, seed=1), params, SwarmConfig(), certify=False, trace=t1)
+    optimize_position(zone, replace(scn, seed=2), params, SwarmConfig(), certify=False, trace=t2)
     assert len(t1) > 1 and t1 != t2
 
 
 def test_optimize_dominates_witness(params):
     scn = make_scenario([(60, 60), (210, 210)], seed=5)
-    zone, spheres = full_zone(scn, params)
+    zone, _ = full_zone(scn, params)
     w_value, _ = fitness(zone.witness, zone, scn, params)
-    sol = optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres)
+    sol = optimize_position(zone, scn, params, SwarmConfig())
     assert sol.fitness >= w_value
 
 
 def test_optimize_gbest_monotone_trace(params):
     scn = make_scenario([(60, 60), (210, 210), (120, 250), (250, 120)], seed=8)
-    zone, spheres = full_zone(scn, params)
+    zone, _ = full_zone(scn, params)
     trace = []
-    optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres, trace=trace)
+    optimize_position(zone, scn, params, SwarmConfig(), trace=trace)
     values = [row[1] for row in trace]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_optimize_respects_box(params):
     scn = make_scenario([(10, 10), (290, 290)], seed=13)
-    zone, spheres = full_zone(scn, params)
-    sol = optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres)
+    zone, _ = full_zone(scn, params)
+    sol = optimize_position(zone, scn, params, SwarmConfig())
     assert scn.venue.contains(sol.uav_position)
 
 
 def test_optimize_degenerate_altitude_band(params):
     # Fixed-altitude search: z pinned to a single value.
     scn = make_scenario([(100, 100), (150, 150)], z=(20.0, 20.0), seed=4)
-    zone, spheres = full_zone(scn, params)
-    sol = optimize_position(zone, scn, params, SwarmConfig(), spheres=spheres)
+    zone, _ = full_zone(scn, params)
+    sol = optimize_position(zone, scn, params, SwarmConfig())
     assert sol.uav_position[2] == 20.0
     assert sol.feasible
 
@@ -173,21 +174,20 @@ def test_optimize_proves_a_pinned_overrun_before_seeding(params):
     # a feasible zone. The zone keeps its witness.
     ue_xy = [(100 + 5 * k, 100) for k in range(9)]
     scn = make_scenario(ue_xy, bandwidth_policy="fixed", seed=1)
-    zone, spheres = full_zone(scn, params)
+    zone, _ = full_zone(scn, params)
     cfg = SwarmConfig()
     trace = []
-    sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
+    sol = optimize_position(zone, scn, params, cfg, trace=trace)
     assert not sol.feasible and sol.iterations == 0
     assert np.array_equal(sol.uav_position, zone.witness.as_array())
     assert trace == [(0, sol.fitness, tuple(sol.uav_position))]
     pair = _pseudo_zone((0, 1), scn)
     traces = [[], []]
-    beside, overrun = optimize_positions([pair, zone], scn, params, cfg, spheres=spheres,
-                                         traces=traces)
+    beside, overrun = optimize_positions([pair, zone], scn, params, cfg, traces=traces)
     assert beside.feasible
     assert not overrun.feasible and overrun.iterations == 0 and len(traces[1]) == 1
     # Without the certificate the search runs to the end.
-    kept = optimize_position(zone, scn, params, cfg, spheres=spheres, certify=False)
+    kept = optimize_position(zone, scn, params, cfg, certify=False)
     assert not kept.feasible and kept.iterations == cfg.max_iterations
 
 
@@ -211,12 +211,12 @@ def record_generators(monkeypatch):
 
 def test_optimize_early_stop_activates(params, monkeypatch):
     scn = make_scenario([(150, 150)], seed=2)
-    zone, spheres = full_zone(scn, params)
+    zone, _ = full_zone(scn, params)
     assert fitness(zone.witness, zone, scn, params)[1]
     seeded, drawn = record_generators(monkeypatch)
     cfg = SwarmConfig(max_iterations=100)
     trace = []
-    sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
+    sol = optimize_position(zone, scn, params, cfg, trace=trace)
     # A feasible witness is the first feasible best: no iteration, no draw,
     # no generator.
     value = fitness(zone.witness, zone, scn, params)[0]
@@ -224,11 +224,12 @@ def test_optimize_early_stop_activates(params, monkeypatch):
     assert sol.fitness == value
     assert sol.iterations == 0 and not drawn and not seeded
     assert trace == [(0, value, tuple(zone.witness.as_array()))]
-    # The recorder sees a swarm that runs: one generator, its starts, then
-    # one draw per step.
+    # The recorder sees a swarm that runs, here without the certificate,
+    # which would end the zone at a served probe: one generator, its starts,
+    # then one draw per step.
     spread = make_scenario([(388, 154), (135, 432), (441, 255)], demand=26e6, side=500.0, seed=1)
-    zone, spheres = full_zone(spread, params)
-    sol = optimize_position(zone, spread, params, cfg, spheres=spheres)
+    zone, _ = full_zone(spread, params)
+    sol = optimize_position(zone, spread, params, cfg, certify=False)
     assert sol.feasible and sol.iterations > 0 and len(seeded) == 1
     assert drawn == [(cfg.particle_count - 1, 3)] + [(cfg.particle_count, 2, 3)] * sol.iterations
 
@@ -246,8 +247,7 @@ def test_anchored_and_proven_zones_make_no_generator(params, monkeypatch):
     assert unservable((3, 4), scn, params)
     seeded, drawn = record_generators(monkeypatch)
     traces = [[], [], []]
-    sols = optimize_positions(zones, scn, params, SwarmConfig(), spheres=build_spheres(scn, params),
-                              traces=traces)
+    sols = optimize_positions(zones, scn, params, SwarmConfig(), traces=traces)
     assert not seeded and not drawn
     assert [(s.feasible, s.iterations) for s in sols] == [(True, 0), (True, 0), (False, 0)]
     assert [s.uav_position.tolist() for s in sols] == [[500.0, 1600.0, floor],
@@ -258,12 +258,11 @@ def test_anchored_and_proven_zones_make_no_generator(params, monkeypatch):
     assert sols[1].fitness == 2 * 26e6
 
 
-def reference_placement(zone, scn, params, config, spheres):
-    """The per-zone search's seeding, then all ``max_iterations`` with no stop."""
+def reference_placement(zone, scn, params, config):
+    """The per-zone search's seeding over the box, then all ``max_iterations`` with no stop."""
     data = ref.member_data(zone.members, scn)
     box = scn.venue
-    centers, radii = spheres.centers[data.indices], spheres.radii[data.indices]
-    lo, hi = ref.init_bounds(zone, centers, radii, box)
+    lo, hi = box.lower, box.upper
     rng = np.random.default_rng([scn.seed, *data.indices.tolist()])
     positions = np.concatenate([zone.witness.as_array()[None, :],
                                 lo + rng.random((config.particle_count - 1, 3)) * (hi - lo)])
@@ -294,21 +293,23 @@ def ceiling_anchor(zone, scn):
 
 
 def test_first_feasible_best_is_the_full_search_result(params):
-    # Every feasible position scores the summed demand, so stopping at the
-    # first feasible best, or at a feasible anchor, scores what the whole
-    # search would; where no anchor serves, the search is the full one. The
-    # draws hold every ending; a seeded particle is the rarest.
+    # Every feasible position scores the summed demand, so stopping at a
+    # feasible anchor or a served probe, or at the first feasible best,
+    # scores what the whole search would. Where no anchor serves, the
+    # certificate ends the zone at a served probe or proves it, and the
+    # search without the certificate (the fixed-n baseline's) is the full
+    # one. The draws hold every ending; a seeded particle, now drawn over the
+    # whole box, is the rarest (one in 80).
     rng = np.random.default_rng(44)
     kinds = set()
-    for k in range(20):
+    for k in range(80):
         side = float(rng.choice([200.0, 500.0, 2000.0]))
         scn = make_scenario(rng.uniform(0.0, side, (int(rng.integers(2, 5)), 2)),
                             demand=float(rng.choice([6.5e6, 26e6])), side=side, seed=k)
         zone = _pseudo_zone(range(len(scn.ues)), scn)
-        spheres = build_spheres(scn, params)
         cfg = SwarmConfig()
-        sol = optimize_position(zone, scn, params, cfg, spheres=spheres)
-        ref_pos, ref_val, ref_feasible = reference_placement(zone, scn, params, cfg, spheres)
+        sol = optimize_position(zone, scn, params, cfg)
+        ref_pos, ref_val, ref_feasible = reference_placement(zone, scn, params, cfg)
         ceiling = ceiling_anchor(zone, scn)
         if fitness(zone.witness, zone, scn, params)[1]:
             kinds.add("feasible witness")
@@ -318,18 +319,24 @@ def test_first_feasible_best_is_the_full_search_result(params):
             assert not ref_feasible or sol.fitness == ref_val
             kinds.add("ceiling")
             continue
-        elif sol.feasible and sol.iterations == 0:
-            kinds.add("seeded particle")
-        elif sol.feasible:
-            kinds.add("swarm reaches feasibility")
-        elif unservable(zone.members, scn, params):
-            assert not sol.feasible and sol.iterations == 0
-            kinds.add("unservable")
+        else:
+            if sol.feasible:
+                assert sol.iterations == 0 and not unservable(zone.members, scn, params)
+                assert not ref_feasible or sol.fitness == ref_val
+                kinds.add("probe")
+            else:
+                assert unservable(zone.members, scn, params) and sol.iterations == 0
+                kinds.add("unservable")
+            sol = optimize_position(zone, scn, params, cfg, certify=False)
+            if sol.feasible and sol.iterations == 0:
+                kinds.add("seeded particle")
+            elif sol.feasible:
+                kinds.add("swarm reaches feasibility")
         if sol.feasible or ref_feasible:
             assert sol.feasible and ref_feasible
             assert np.array_equal(sol.uav_position, ref_pos)
             assert sol.fitness == ref_val
-    assert kinds == {"feasible witness", "ceiling", "seeded particle",
+    assert kinds == {"feasible witness", "ceiling", "probe", "seeded particle",
                      "swarm reaches feasibility", "unservable"}
 
 
@@ -361,22 +368,24 @@ def swarm_batches(params):
         zones = [_pseudo_zone(sorted(rng.choice(14, size=k, replace=False).tolist()), scn)
                  for k in (1, 3, 5, 8, 9, 12)] + enumerate_zones(spheres, scn.venue)[:3]
         cfg = SwarmConfig(particle_count=6, max_iterations=int(rng.choice([4, 25])))
-        yield scn, zones, spheres, cfg, trial % 4 != 3
+        yield scn, zones, cfg, trial % 4 != 3
     # Most random zones end at an anchor or the certificate. These fly at one
     # altitude, so no zone has a ceiling anchor of its own: two close users
     # and a third 120 m (then 150 m) away, where only a thin lens between
     # them serves all three and the witness, their mean, misses it. The
-    # first is served at a seeded start, the second not within 4 steps.
+    # certificate serves both at a probe. Without it, the first is served at
+    # a start drawn over the box (seed 38 is the first of 60 whose stream
+    # does so), the second not within 4 steps.
     xy = [(100.0, 300.0), (100.0, 310.0), (220.0, 305.0),
           (100.0, 700.0), (100.0, 710.0), (250.0, 705.0)]
-    scn = make_scenario(xy, demand=26e6, side=1000.0, z=(20.0, 20.0), seed=4,
+    scn = make_scenario(xy, demand=26e6, side=1000.0, z=(20.0, 20.0), seed=38,
                         bandwidth_policy="fixed")
     zones = [_pseudo_zone(members, scn) for members in ([0, 1, 2], [3, 4, 5])]
     for certify in (True, False):
-        yield scn, zones, build_spheres(scn, params), SwarmConfig(particle_count=6, max_iterations=4), certify
+        yield scn, zones, SwarmConfig(particle_count=6, max_iterations=4), certify
 
 
-def outcomes(zone, sol, certify, scn):
+def outcomes(zone, sol, certify, scn, params):
     if sol.iterations == 0:
         if not sol.feasible:
             # Pinned widths do not move with the position.
@@ -384,8 +393,11 @@ def outcomes(zone, sol, certify, scn):
             return {"pinned overrun" if overrun else "certificate stop"}
         if np.array_equal(sol.uav_position, zone.witness.as_array()):
             return {"feasible witness"}
-        at_ceiling = np.array_equal(sol.uav_position, ceiling_anchor(zone, scn))
-        return {"ceiling" if at_ceiling else "seeded start"}
+        if np.array_equal(sol.uav_position, ceiling_anchor(zone, scn)):
+            return {"ceiling"}
+        probe = ref.served_probe(zone, scn, params) if certify else None
+        return {"probe" if probe is not None and np.array_equal(sol.uav_position, probe)
+                else "seeded start"}
     if sol.feasible:
         return {"swarm"}
     return {"max iterations" if certify else "uncertified"}
@@ -393,44 +405,49 @@ def outcomes(zone, sol, certify, scn):
 
 def test_lockstep_swarms_match_the_per_zone_search(params, monkeypatch):
     seen = set()
-    for scn, zones, spheres, cfg, certify in swarm_batches(params):
-        expected = []
-        for zone in zones:
-            rows = []
-            sol = ref.loop_position(zone, scn, params, cfg, spheres, certify, trace=rows)
-            expected.append((solution_bits(sol), trace_bits(rows)))
-            n = len(zone.members)
-            seen |= outcomes(zone, sol, certify, scn)
-            seen.add("singleton" if n == 1 else "below 8" if n < 8 else "8 or more")
+    for scn, zones, cfg, certify in swarm_batches(params):
+        # A certified batch also runs with no pairs to spend, so that both
+        # certificates give up on every zone that no anchor serves and the
+        # swarms run.
+        for pairs in (positioning._CERTIFY_PAIRS, 0) if certify else (positioning._CERTIFY_PAIRS,):
+            with monkeypatch.context() as m:
+                m.setattr(positioning, "_CERTIFY_PAIRS", pairs)
+                m.setattr(ref, "_CERTIFY_PAIRS", pairs)
+                expected = []
+                for zone in zones:
+                    rows = []
+                    sol = ref.loop_position(zone, scn, params, cfg, certify, trace=rows)
+                    expected.append((solution_bits(sol), trace_bits(rows)))
+                    n = len(zone.members)
+                    seen |= outcomes(zone, sol, certify, scn, params)
+                    seen.add("singleton" if n == 1 else "below 8" if n < 8 else "8 or more")
 
-        def lockstep(batch):
-            traces = [[] for _ in batch]
-            sols = optimize_positions(batch, scn, params, cfg, spheres=spheres,
-                                      certify=certify, traces=traces)
-            return [(solution_bits(s), trace_bits(t)) for s, t in zip(sols, traces)]
+                def lockstep(batch):
+                    traces = [[] for _ in batch]
+                    sols = optimize_positions(batch, scn, params, cfg, certify=certify,
+                                              traces=traces)
+                    return [(solution_bits(s), trace_bits(t)) for s, t in zip(sols, traces)]
 
-        assert lockstep(zones) == expected
-        assert [lockstep([zone])[0] for zone in zones] == expected
-        with monkeypatch.context() as m:
-            # One certificate cell scored at a time.
-            m.setattr(positioning, "_CERTIFY_BUDGET", 1)
-            assert lockstep(zones[::-1]) == expected[::-1]
+                assert lockstep(zones) == expected
+                assert [lockstep([zone])[0] for zone in zones] == expected
+                # One certificate cell scored at a time.
+                m.setattr(positioning, "_CERTIFY_BUDGET", 1)
+                assert lockstep(zones[::-1]) == expected[::-1]
     assert seen == {"singleton", "below 8", "8 or more", "pinned overrun", "feasible witness",
-                    "ceiling", "seeded start", "swarm", "uncertified", "certificate stop",
-                    "max iterations"}
+                    "ceiling", "probe", "seeded start", "swarm", "uncertified",
+                    "certificate stop", "max iterations"}
 
 
 @pytest.mark.parametrize("particles", [3, SwarmConfig().particle_count])
 def test_optimize_returns_a_proven_unservable_zone_before_seeding(params, monkeypatch, particles):
     # Two users 1.5 km apart at 26 Mbit/s: no point of the box reaches both.
     scn = make_scenario([(250, 1000), (1750, 1000)], demand=26e6, side=2000.0, seed=1)
-    spheres = build_spheres(scn, params)
     zone = _pseudo_zone((0, 1), scn)
     assert unservable(zone.members, scn, params)
     seeded, drawn = record_generators(monkeypatch)
     cfg = SwarmConfig(particle_count=particles)
     trace = []
-    sol = optimize_position(zone, scn, params, cfg, spheres=spheres, trace=trace)
+    sol = optimize_position(zone, scn, params, cfg, trace=trace)
     # The witness is the answer: no generator, no draw and no step.
     assert not sol.feasible and sol.iterations == 0
     assert np.array_equal(sol.uav_position, zone.witness.as_array())
@@ -438,7 +455,7 @@ def test_optimize_returns_a_proven_unservable_zone_before_seeding(params, monkey
     assert not seeded and not drawn
     # Without the certificate an infeasible zone is seeded and runs the
     # whole search.
-    kept = optimize_position(zone, scn, params, cfg, spheres=spheres, certify=False)
+    kept = optimize_position(zone, scn, params, cfg, certify=False)
     assert not kept.feasible and kept.iterations == cfg.max_iterations
     assert len(seeded) == 1 and len(drawn) == 1 + cfg.max_iterations
 
@@ -446,11 +463,11 @@ def test_optimize_returns_a_proven_unservable_zone_before_seeding(params, monkey
 @pytest.mark.parametrize("pairs", [positioning._CERTIFY_PAIRS, 64], ids=["budget", "small-budget"])
 def test_certificate_stop_keeps_the_full_search_result(params, monkeypatch, pairs):
     # Plans do not depend on when the certificate runs: every zone it proves
-    # stays infeasible through all ``max_iterations``, an anchored zone
-    # scores what a feasible search would, and every zone that neither an
-    # anchor serves nor the certificate proves gets the full search's result
-    # bit for bit. A small pair budget leaves unproven zones that the swarm
-    # cannot serve either.
+    # stays infeasible through all ``max_iterations``, a zone anchored or
+    # served at a probe scores what a feasible search would, and every zone
+    # on which the certificate gives up gets the full search's result bit
+    # for bit. A small pair budget leaves such zones, some of which the
+    # swarm cannot serve either.
     monkeypatch.setattr(positioning, "_CERTIFY_PAIRS", pairs)
     rng = np.random.default_rng(17)
     seen = set()
@@ -462,13 +479,13 @@ def test_certificate_stop_keeps_the_full_search_result(params, monkeypatch, pair
                             demand=float(rng.choice([6.5e6, 26e6])), side=side,
                             z=(20.0, 20.0) if flat else (10.0, 100.0), seed=trial,
                             bandwidth_policy=policy)
-        spheres = build_spheres(scn, params)
         zones = [_pseudo_zone(sorted(rng.choice(8, size=k, replace=False).tolist()), scn)
                  for k in (2, 3, 4, 6)]
         cfg = SwarmConfig(particle_count=10, max_iterations=40)
-        sols = optimize_positions(zones, scn, params, cfg, spheres=spheres)
+        sols = optimize_positions(zones, scn, params, cfg)
         for zone, sol in zip(zones, sols):
-            ref_pos, ref_val, ref_feasible = reference_placement(zone, scn, params, cfg, spheres)
+            ref_pos, ref_val, ref_feasible = reference_placement(zone, scn, params, cfg)
+            probe = ref.served_probe(zone, scn, params)
             witness, ceiling = zone.witness.as_array(), ceiling_anchor(zone, scn)
             if not fitness(zone.witness, zone, scn, params)[1] and not flat \
                     and feasible_at(ceiling[None, :], zone.members, scn, params)[0]:
@@ -481,13 +498,19 @@ def test_certificate_stop_keeps_the_full_search_result(params, monkeypatch, pair
                 assert not sol.feasible and sol.iterations == 0
                 assert np.array_equal(sol.uav_position, witness)
                 seen.add(("proven", flat, policy))
+            elif probe is not None and not fitness(zone.witness, zone, scn, params)[1]:
+                assert sol.feasible and sol.iterations == 0
+                assert np.array_equal(sol.uav_position, probe)
+                assert not ref_feasible or sol.fitness == ref_val
+                seen.add(("probe", flat, policy))
             else:
                 assert sol.uav_position.tobytes() == ref_pos.tobytes()
                 assert sol.fitness.hex() == ref_val.hex() and sol.feasible == ref_feasible
                 seen.add(("served" if sol.feasible else "unserved", flat, policy))
     assert {(kind, flat, policy) for kind in ("proven", "served") for flat in (False, True)
             for policy in ("fixed", "demand-fit")} <= seen
-    assert ("anchored", False, "fixed") in seen
+    assert {("anchored", False, "fixed"), ("probe", True, "fixed"),
+            ("probe", True, "demand-fit")} <= seen
     if pairs == 64:
         assert any(kind == "unserved" for kind, _, _ in seen)
 
@@ -545,18 +568,76 @@ def test_certificate_proves_exactly_the_zones_the_reference_proves(params):
         zones = sorted((sorted(rng.choice(12, size=k, replace=False).tolist())
                         for k in rng.integers(1, 9, 10)), key=len)
         zones = [[12], [13]] + zones
-        proven = _unservable(_members(zones, scn), np.arange(len(zones)), params, scn.venue)
-        for members, got in zip(zones, proven.tolist()):
+        proven, probe = _unservable(_members(zones, scn), np.arange(len(zones)), params,
+                                    scn.venue)
+        for members, got, point in zip(zones, proven.tolist(), probe):
             outcome = ref.zone_outcome(ref.member_data(members, scn), params, scn.venue)
             if outcome == "gave up":
                 gave_up += 1
                 continue
             assert got == (outcome == "proven"), (kind, policy, members)
+            # A zone the reference serves at a probe is served at one of its own.
+            assert np.isnan(point[0]) == (outcome == "proven"), (kind, policy, members)
+            if outcome == "served":
+                assert feasible_at(point[None, :], members, scn, params)[0]
             judged += 1
             outcomes.add((kind, policy, outcome))
     assert judged >= 200 and gave_up <= judged // 20
     assert outcomes == {(kind, policy, outcome) for kind in CERTIFY_BOXES
                         for policy in ("fixed", "demand-fit") for outcome in ("proven", "served")}
+
+
+def certified_venues(params):
+    """The ``swarm_batches`` venues, then seeded uniform and spread venues of each certificate box."""
+    for scn, zones, _, certify in swarm_batches(params):
+        if certify:
+            yield scn, zones
+    rng = np.random.default_rng(31)
+    for trial in range(36):
+        kind = list(CERTIFY_BOXES)[trial % 3]
+        side, z, demands = CERTIFY_BOXES[kind]
+        if trial < 18:
+            xy = rng.uniform(0.0, side, (12, 2))
+        else:
+            spread = side * rng.uniform(0.1, 0.5)
+            xy = rng.uniform(0.0, side - spread, 2) + rng.uniform(0.0, spread, (12, 2))
+        scn = make_scenario(xy, demand=float(rng.choice(demands)), side=side, z=z, seed=trial,
+                            bandwidth_policy="fixed" if trial % 2 else "demand-fit")
+        yield scn, [_pseudo_zone(sorted(rng.choice(12, size=k, replace=False).tolist()), scn)
+                    for k in rng.integers(1, 9, 8)]
+
+
+def test_every_served_zone_ends_at_iteration_0_with_no_generator(params, monkeypatch):
+    # Every zone that some position serves, by the reference's outcome, ends
+    # at an anchor or at the certificate's first served probe: feasible, at
+    # iteration 0, with no generator made, and at the answer it gets alone.
+    # Only a zone on which the certificate gives up may be seeded.
+    cfg = SwarmConfig(particle_count=6, max_iterations=4)
+    made, pcg64 = [], np.random.PCG64
+    endings, gave_up = [], 0
+    for scn, zones in certified_venues(params):
+        batch = optimize_positions(zones, scn, params, cfg)
+        for zone, sol in zip(zones, batch):
+            if ref.zone_outcome(ref.member_data(zone.members, scn), params, scn.venue) != "served":
+                continue
+            proven, probe = _unservable(_members([zone.members], scn), np.zeros(1, int), params,
+                                        scn.venue)
+            assert not proven[0]
+            if np.isnan(probe[0, 0]):
+                gave_up += 1
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(np.random, "PCG64", lambda *a: made.append(a) or pcg64(*a))
+                alone = optimize_position(zone, scn, params, cfg)
+            assert not made
+            assert alone.feasible and alone.iterations == 0
+            assert solution_bits(sol) == solution_bits(alone)
+            position = alone.uav_position
+            endings.append("witness" if np.array_equal(position, zone.witness.as_array())
+                           else "ceiling" if np.array_equal(position, ceiling_anchor(zone, scn))
+                           else "probe" if np.array_equal(position, probe[0]) else "other")
+    assert set(endings) == {"witness", "ceiling", "probe"}
+    assert len(endings) >= 100 and gave_up <= len(endings) // 20
 
 
 # A flight box a micrometre wide at 20 m: every cell the certificate cuts
@@ -586,7 +667,7 @@ def test_certificate_keeps_a_member_whose_bound_rounds_below_its_rate(params):
     m = _members([[i] for i in edge.tolist()], scn)
     rows = _rows(m, np.arange(len(edge)))
     assert _fitness(nearest[edge], rows, m, params, TINY_BOX)[1].all()
-    assert not _unservable(m, np.arange(len(edge)), params, TINY_BOX).any()
+    assert not _unservable(m, np.arange(len(edge)), params, TINY_BOX)[0].any()
 
 
 def test_certificate_keeps_widths_within_one_grid_step_per_member_of_the_budget(params):
@@ -611,7 +692,7 @@ def test_certificate_keeps_widths_within_one_grid_step_per_member_of_the_budget(
     m = _members([[0, 1]], scn)
     assert not _fitness(corners, _rows(m, np.zeros(len(corners), int)), m, params,
                         TINY_BOX)[1].any()
-    assert not _unservable(m, np.zeros(1, int), params, TINY_BOX)[0]
+    assert not _unservable(m, np.zeros(1, int), params, TINY_BOX)[0][0]
 
 
 def halving_rounds(monkeypatch, xy, demand, side, z, params):

@@ -345,27 +345,35 @@ def test_experiment_deterministic_bytes(params, tmp_path):
 
 def test_experiment_runs_plan_as_each_scenario_alone(params, monkeypatch):
     # A given SwarmConfig sets how the swarms search, never their seed: each
-    # run's swarms draw from its own scenario's seed, as plan_deployment's do.
+    # run's plans are those of its own scenario alone, as plan_deployment's
+    # and run_baseline's are.
     planned = []
 
     def recording(scn, *args):
         dep = plan_deployment(scn, *args)
-        planned.append((scn, dep))
+        planned.append((scn, dep, lambda s: plan_deployment(s, params)))
+        return dep
+
+    def recording_fixed_n(kind, scn, *args):
+        dep = run_baseline(kind, scn, *args)
+        if kind is BaselineKind.FIXED_GROUP_SIZE:
+            planned.append((scn, dep, lambda s: run_baseline(kind, s, params)))
         return dep
 
     monkeypatch.setattr(scenario_module, "plan_deployment", recording)
-    # B-3 at seed 4 has a zone that neither anchor nor the certificate
-    # decides, so a seeded swarm places its UAV.
+    monkeypatch.setattr(scenario_module, "run_baseline", recording_fixed_n)
     run_experiment("B", params, SwarmConfig(), n_runs=2, base_seed=3)
-    assert {scn.seed for scn, _ in planned} == {4, 5}
+    assert {scn.seed for scn, _, _ in planned} == {4, 5}
     moved = 0
-    for scn, dep in planned:
-        alone = plan_deployment(scn, params)
-        assert dep.uav_positions.tobytes() == alone.uav_positions.tobytes()
-        assert np.array_equal(dep.link_bandwidth_hz, alone.link_bandwidth_hz)
-        other = plan_deployment(replace(scn, seed=scn.seed + 100), params)
+    for scn, dep, alone in planned:
+        own = alone(scn)
+        assert dep.uav_positions.tobytes() == own.uav_positions.tobytes()
+        assert np.array_equal(dep.link_bandwidth_hz, own.link_bandwidth_hz)
+        other = alone(replace(scn, seed=scn.seed + 100))
         moved += other.uav_positions.tobytes() != dep.uav_positions.tobytes()
-    assert moved  # some cells run seeded swarms, whose seed moves the plan
+    # The planner draws no random number on these cells; the fixed-n
+    # baseline's clustering and swarms draw from the seed, which moves plans.
+    assert moved
 
 
 def test_experiment_planner_not_worse_than_fixed_n(params):

@@ -36,9 +36,10 @@ plan digest, so this one shows a change to how the plans are checked.
 With ``--endings`` it prints counts instead of a digest: how each swarm in
 the pool of every planner operation ended, over one pass. ``witness``: the
 zone's witness served it; ``ceiling``: the witness raised to the box top
-did; ``proven``: the certificate proved the zone unservable; ``seeded``: a
-random start served it; ``iterated``: the swarm stepped at least once.
-Singleton zones are swarms too and count like any other.
+did; ``probe``: the certificate's first served probe did; ``proven``: the
+certificate proved the zone unservable; ``seeded``: a random start served
+it; ``iterated``: the swarm stepped at least once. Singleton zones are
+swarms too and count like any other.
 
 With ``--candidates`` it prints counts instead of a digest, over every
 enumeration of one pass: the floor-disk vertex candidates scored, the venues
@@ -58,10 +59,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402  (puts the checkout's src on the path)
-from uavplan import coverage  # noqa: E402
+from uavplan import coverage, positioning  # noqa: E402
 from uavplan.cli import deployment_to_dict  # noqa: E402
 
 
@@ -143,11 +146,14 @@ def swarm_digest(workload, **changes) -> str:
     return h.hexdigest()[:16]
 
 
-ENDINGS = ("witness", "ceiling", "proven", "seeded", "iterated")
+ENDINGS = ("witness", "ceiling", "probe", "proven", "seeded", "iterated")
 
 
-def ending(sol, witness, box) -> str:
-    """Which of ``ENDINGS`` one pool solution of a zone with ``witness`` (3,) reached."""
+def ending(sol, witness, probe, box) -> str:
+    """Which of ``ENDINGS`` one pool solution of a zone with ``witness`` (3,) reached.
+
+    ``probe`` is the zone's served certificate probe (3,), or None.
+    """
     if sol.iterations > 0:
         return "iterated"
     if not sol.feasible:
@@ -157,6 +163,8 @@ def ending(sol, witness, box) -> str:
         return "witness"
     if position == [witness[0], witness[1], box.upper[2]]:
         return "ceiling"
+    if probe is not None and position == probe.tolist():
+        return "probe"
     return "seeded"
 
 
@@ -165,10 +173,18 @@ def endings(workload, **changes) -> str:
     counts = dict.fromkeys(ENDINGS, 0)
     planner = workloads.planner
     place, place_one = planner.optimize_positions, planner.optimize_position
-    witnesses = {}
+    unservable = positioning._unservable
+    witnesses, probes = {}, {}
 
     def record(zones):
         witnesses.update((z.members, z.witness.as_array()) for z in zones)
+
+    def certified(m, zones, *args):
+        proven, probe = unservable(m, zones, *args)
+        for j, point in zip(zones.tolist(), probe):
+            if not np.isnan(point[0]):
+                probes[tuple(m.indices[m.start[j]:m.start[j] + m.count[j]].tolist())] = point
+        return proven, probe
 
     def recorded(zones, *args, **kwargs):
         record(zones)
@@ -179,6 +195,7 @@ def endings(workload, **changes) -> str:
         return place_one(zone, *args, **kwargs)
 
     planner.optimize_positions, planner.optimize_position = recorded, recorded_one
+    positioning._unservable = certified
     try:
         for op in sorted(workload.make_pass(0), key=lambda op: op.label):
             if op.method != "planner":
@@ -186,9 +203,10 @@ def endings(workload, **changes) -> str:
             pool, scn = [], replace(op.scenario, **changes)
             planner.plan_deployment(scn, workloads.PARAMS, pool=pool)
             for members, sol in pool:
-                counts[ending(sol, witnesses[members], scn.venue)] += 1
+                counts[ending(sol, witnesses[members], probes.get(members), scn.venue)] += 1
     finally:
         planner.optimize_positions, planner.optimize_position = place, place_one
+        positioning._unservable = unservable
     return " ".join(f"{name} {n}" for name, n in counts.items())
 
 
