@@ -289,29 +289,25 @@ def _membership(sets: Sequence[Iterable[int]], n: int) -> np.ndarray:
     return member
 
 
-def _unique_rows(rows: np.ndarray, return_index: bool = False):
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """``np.unique(rows, axis=0)`` of ``uint8`` rows, each row compared as one byte string.
 
     ``axis=0`` sorts the rows a byte field at a time; as one ``np.void`` a
-    row sorts by memcmp, which orders unsigned bytes the same. With
-    ``return_index`` the 1-D ``np.unique`` sorts stably, so it keeps each
-    first occurrence, as ``axis=0`` does.
+    row sorts by memcmp, which orders unsigned bytes the same.
     """
     rows = np.ascontiguousarray(rows, np.uint8)
     width = rows.shape[1]
-    out = np.unique(rows.view(np.dtype((np.void, width))).ravel(), return_index=return_index)
-    if return_index:
-        return out[0].view(np.uint8).reshape(-1, width), out[1]
-    return out.view(np.uint8).reshape(-1, width)
+    return np.unique(rows.view(np.dtype((np.void, width))).ravel()).view(np.uint8).reshape(-1, width)
 
 
 def _dominated(member: np.ndarray) -> np.ndarray:
-    """Rows whose set lies inside another row's: strictly, or equal to an earlier row's.
+    """Rows whose set lies strictly inside another row's.
 
-    On a family of distinct sets these are exactly the non-maximal ones.
-    Largest first, each row is tested only against the larger rows not yet
-    found inside another, a block at a time: a set inside a larger one lies
-    inside a maximal one.
+    On distinct rows, as ``_vertex_zones`` passes, these are exactly the
+    non-maximal ones; a row equal to another is not flagged. Largest first,
+    each row is tested only against the larger rows not yet found inside
+    another, a block at a time: a set inside a larger one lies inside a
+    maximal one.
     """
     size = member.sum(axis=1)
     inside = np.zeros(len(member), bool)
@@ -319,9 +315,7 @@ def _dominated(member: np.ndarray) -> np.ndarray:
         kept, rows = member[~inside & (size > s)].astype(np.float32), np.flatnonzero(size == s)
         for block in np.array_split(rows, -(-len(rows) // _BLOCK)):
             inside[block] = (member[block] @ kept.T == s).any(axis=1)
-    first = np.zeros(len(member), bool)
-    first[_unique_rows(np.packbits(member > 0, axis=1), return_index=True)[1]] = True
-    return inside | ~first
+    return inside
 
 
 def _floor_points(xy, rho2, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -481,7 +475,7 @@ def _certify(sets: Sequence[tuple[int, ...]], centers, radii,
 
 
 def enumerate_zones(spheres: Spheres, box: FeasibleBox) -> list[CandidateZone]:
-    """All maximal candidate zones of the sphere arrangement inside the box.
+    """The candidate zones of the sphere arrangement inside the box, maximal and distinct.
 
     Every zone lies on the altitude floor (see ``zone_witnesses``), where a
     member set is feasible exactly when its floor disks, of radius
@@ -655,17 +649,6 @@ def greedy_zone_cover(
     return cover
 
 
-def _covering(zones: Sequence[CandidateZone], n_ues: int) -> np.ndarray:
-    """The zones' ``_membership`` matrix; raises unless each of the ``n_ues`` UEs is in some zone."""
-    if n_ues < 1:
-        raise ValueError("n_ues must be >= 1")
-    member = _membership([z.members for z in zones], n_ues)
-    missing = np.flatnonzero(~member[:, :n_ues].any(axis=0)).tolist()
-    if missing:
-        raise UncoverableError(f"UEs {missing} appear in no zone")
-    return member
-
-
 def minimal_zone_cover(
     zones: Sequence[CandidateZone],
     n_ues: int,
@@ -673,31 +656,24 @@ def minimal_zone_cover(
 ) -> list[CandidateZone]:
     """Minimum-cardinality capacitated zone cover of all UEs.
 
-    Prunes the dominated zones, each one whose member set lies inside
-    another's or equals an earlier one's (caps grow with sets, so no cover
-    gets longer), then covers with the rest (``_maximal_zone_cover``). A
-    zone may appear multiple times in the result when its member count
-    exceeds its cap: each pick serves at most cap members, which is what
-    later forces oversized zones to split.
+    Expects maximal, distinct zones, as ``enumerate_zones`` returns them.
+    Exact (``_exact_cover``, capped or not) when the search finishes within
+    ``NODE_BUDGET`` nodes; otherwise the greedy cover stands. Any other
+    zone list is covered too, still exactly when the search finishes: a
+    dominated or repeated zone only costs the search nodes. A zone may
+    appear multiple times in the result when its member count exceeds its
+    cap: each pick serves at most cap members, which is what later forces
+    oversized zones to split. One zone, as ``enumerate_zones`` gives when
+    all users share one, is picked ceil(n_ues / cap) times: greedy's cover,
+    which the search cannot shorten (its root bound ceil(n_ues / cap)
+    already equals it), so no greedy pass or search runs.
     """
-    member = _covering(zones, n_ues)
-    caps = _caps_list(zones, capacity_limit)
-    keep = np.flatnonzero(~_dominated(member)).tolist()
-    return _maximal_zone_cover([zones[k] for k in keep], n_ues, [caps[k] for k in keep])
-
-
-def _maximal_zone_cover(zones: Sequence[CandidateZone], n_ues: int, capacity_limit) -> list[CandidateZone]:
-    """``minimal_zone_cover`` of zones that are already maximal and distinct; it prunes nothing.
-
-    ``enumerate_zones`` returns such zones, so the planner covers them here
-    directly. Exact (``_exact_cover``, capped or not) when the search
-    finishes within ``NODE_BUDGET`` nodes; otherwise the greedy cover
-    stands. One zone, as ``enumerate_zones`` gives when all users share one,
-    is picked ceil(n_ues / cap) times: greedy's cover, which the search
-    cannot shorten (its root bound ceil(n_ues / cap) already equals it), so
-    no greedy pass or search runs.
-    """
-    member = _covering(zones, n_ues)
+    if n_ues < 1:
+        raise ValueError("n_ues must be >= 1")
+    member = _membership([z.members for z in zones], n_ues)
+    missing = np.flatnonzero(~member[:, :n_ues].any(axis=0)).tolist()
+    if missing:
+        raise UncoverableError(f"UEs {missing} appear in no zone")
     caps = _caps_list(zones, capacity_limit)
     if len(zones) == 1:
         return [zones[0]] * math.ceil(n_ues / caps[0])

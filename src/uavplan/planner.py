@@ -21,12 +21,11 @@ from .coverage import (
     CandidateZone,
     Spheres,
     UnservableError,
-    _maximal_zone_cover,
     build_spheres,
     cover_assignment,
     enumerate_zones,
-    minimal_zone_cover,  # not called here: perfbench/spans.py wraps it on this module
-    zone_witness,  # likewise
+    minimal_zone_cover,
+    zone_witness,  # not called here: perfbench/spans.py wraps it on this module
     zone_witnesses,
 )
 from .geometry import read_only
@@ -221,7 +220,7 @@ def plan_deployment(
     spheres = build_spheres(scenario, params)
     zones = enumerate_zones(spheres, scenario.venue)
     caps = zone_capacities([z.members for z in zones], lower_bounds, scenario.b_max_hz).tolist()
-    cover = _maximal_zone_cover(zones, len(scenario.ues), caps)
+    cover = minimal_zone_cover(zones, len(scenario.ues), caps)
     cap_by_members = {z.members: c for z, c in zip(zones, caps)}
     pick_caps = [cap_by_members[z.members] for z in cover]
     served_sets = cover_assignment(cover, pick_caps, len(scenario.ues))

@@ -419,10 +419,8 @@ def _run_cell(kind, variant_value, method, run, seed, scn, params, cfg) -> Exper
     try:
         if method == "planner":
             dep = plan_deployment(scn, params, cfg)
-        elif method == "fixed-altitude":
-            dep = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params, cfg)
         else:
-            dep = run_baseline(BaselineKind.FIXED_GROUP_SIZE, scn, params, cfg)
+            dep = run_baseline(BaselineKind(method), scn, params, cfg)
         aggregate, delivered = evaluate_throughput(dep, scn, params)
         ratio = demand_satisfaction_ratio(delivered, scn)
         return ExperimentRow(

@@ -14,8 +14,8 @@ paper-sweep (all 288) and n200-2km (none of 3), and its ``--candidates``
 counts, the vertex candidates scored and the venues that fell back to
 every candidate, on the two scaled passes. Its ``--covers`` counts, how
 each enumeration's cover was found, are pinned on every pass, and the
-planner's cover of each scaled venue is held to ``minimal_zone_cover`` and
-its search to the search it replaced.
+planner's cover search on each scaled venue is held to the search it
+replaced.
 """
 import importlib.util
 from pathlib import Path
@@ -200,33 +200,25 @@ def test_cover_mechanisms_are_pinned(plan_digest, capsys, name):
 def scaled_covers(plan_digest):
     """The zones, user count and caps of every cover the planner asks for on the two scaled passes."""
     planner, calls = plan_digest.workloads.planner, []
-    step = planner._maximal_zone_cover
+    cover = planner.minimal_zone_cover
 
     def record(zones, n_ues, caps):
         calls.append((zones, n_ues, caps))
-        return step(zones, n_ues, caps)
+        return cover(zones, n_ues, caps)
 
-    planner._maximal_zone_cover = record
+    planner.minimal_zone_cover = record
     try:
         for name in ("n100-1km", "n200-2km"):
             for _ in plan_digest.planned(plan_digest.workloads.WORKLOADS[name]):
                 pass
     finally:
-        planner._maximal_zone_cover = step
+        planner.minimal_zone_cover = cover
     return calls
 
 
-def test_planner_cover_is_the_public_cover(scaled_covers):
-    # The planner skips the dominance pruning on enumerate_zones output,
-    # which is maximal and distinct; the picks are the public function's.
-    # No paper-sweep enumeration has a second zone (--covers).
-    assert [len(zones) for zones, _, _ in scaled_covers] == [147, 67, 375, 491, 444]
-    for zones, n_ues, caps in scaled_covers:
-        public = coverage.minimal_zone_cover(zones, n_ues, caps)
-        assert [id(z) for z in coverage._maximal_zone_cover(zones, n_ues, caps)] == [id(z) for z in public]
-
-
 def test_search_matches_the_reference_on_the_scaled_venues(scaled_covers, monkeypatch):
+    # Five zone lists: no paper-sweep enumeration has a second zone (--covers).
+    assert [len(zones) for zones, _, _ in scaled_covers] == [147, 67, 375, 491, 444]
     for budget in [*range(1, 65), 512]:
         monkeypatch.setattr(coverage, "NODE_BUDGET", budget)
         monkeypatch.setattr(reference, "NODE_BUDGET", budget)

@@ -240,7 +240,7 @@ COVERS = ("shared", "proven", "greedy")
 def covers(workload, **changes) -> str:
     """Counts of each of ``COVERS`` over one pass's enumerations; ``changes`` as in ``plan_digest``."""
     counts = dict.fromkeys(COVERS, 0)
-    cover, search = workloads.planner._maximal_zone_cover, coverage._exact_cover
+    cover, search = workloads.planner.minimal_zone_cover, coverage._exact_cover
 
     def covered(zones, *args):
         counts["shared"] += len(zones) == 1
@@ -251,12 +251,12 @@ def covers(workload, **changes) -> str:
         counts["proven" if finished else "greedy"] += 1
         return best, finished
 
-    workloads.planner._maximal_zone_cover, coverage._exact_cover = covered, searched
+    workloads.planner.minimal_zone_cover, coverage._exact_cover = covered, searched
     try:
         for _ in planned(workload, **changes):
             pass
     finally:
-        workloads.planner._maximal_zone_cover, coverage._exact_cover = cover, search
+        workloads.planner.minimal_zone_cover, coverage._exact_cover = cover, search
     return " ".join(f"{name} {n}" for name, n in counts.items())
 
 
