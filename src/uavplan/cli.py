@@ -342,6 +342,8 @@ def cmd_plan(args) -> int:
                 "position": dict(zip("xyz", s.uav_position.tolist())),
                 "fitness_bps": s.fitness,
                 "feasible": s.feasible,
+                "iterations": s.iterations,
+                "ending": s.ending,
             }
             for members, s in pool
         ])

@@ -151,11 +151,11 @@ def split_zone(zones: Sequence[CandidateZone], spheres: Spheres, scenario: "Scen
     Members are split at the median along the longest principal axis of
     their positions, the first half taking the odd member. Returns the
     pieces zone after zone, each with a fresh witness; one ``zone_witnesses``
-    call solves every half. Halves of a feasible zone are always feasible
-    (the parent witness certifies them), so the singleton fallback, one more
-    call, is purely defensive.
+    call solves every half. A half whose solve rounds to a positive deficit
+    keeps its parent's witness, which serves every member of a certified
+    parent, and its slack, a lower bound on the half's.
     """
-    halves = []
+    halves, parents = [], []
     for zone in zones:
         members = tuple(sorted(zone.members))
         centers = spheres.centers[list(members)]
@@ -169,18 +169,11 @@ def split_zone(zones: Sequence[CandidateZone], spheres: Spheres, scenario: "Scen
         half = (len(members) + 1) // 2
         halves += [tuple(sorted(members[k] for k in order[:half])),
                    tuple(sorted(members[k] for k in order[half:]))]
+        parents += [zone, zone]
     solved = zone_witnesses(halves, spheres.centers, spheres.radii, scenario.venue)
-    # Fall back to singletons; cannot happen for subsets of a certified zone
-    # but keeps the planner total.
-    alone = iter(zone_witnesses([[i] for g, (_, d) in zip(halves, solved) if d > 0 for i in g],
-                                spheres.centers, spheres.radii, scenario.venue))
-    out: list[CandidateZone] = []
-    for g, (witness, deficit) in zip(halves, solved):
-        if deficit > 0:
-            out.extend(CandidateZone(members=(i,), witness=w, slack=-d) for i, (w, d) in zip(g, alone))
-        else:
-            out.append(CandidateZone(members=g, witness=witness, slack=-deficit))
-    return out
+    return [replace(parent, members=g) if deficit > 0
+            else CandidateZone(members=g, witness=witness, slack=-deficit)
+            for g, parent, (witness, deficit) in zip(halves, parents, solved)]
 
 
 def plan_deployment(

@@ -52,12 +52,19 @@ class SwarmConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
 
 
+# How a zone's placement ends: at its witness, at the witness raised to the
+# box top, at the certificate's served probe, proven unservable, at a seeded
+# start, or after the swarm stepped at least once.
+ENDINGS = ("witness", "ceiling", "probe", "proven", "seeded", "iterated")
+
+
 @dataclass(frozen=True, eq=False)
 class PlacementSolution:
     """One zone's UAV position (3,) and its members' links, as read-only arrays.
 
     ``ue_indices`` (ascending), ``bandwidth_hz`` and ``rate_bps`` hold one
     entry per member: the link each member gets from ``uav_position``.
+    ``ending`` is the one of ``ENDINGS`` at which the zone's search stopped.
     """
 
     uav_position: np.ndarray
@@ -67,6 +74,7 @@ class PlacementSolution:
     fitness: float
     feasible: bool
     iterations: int
+    ending: str
 
 
 @dataclass(frozen=True)
@@ -348,7 +356,8 @@ def optimize_positions(
     The global best is returned as found, even outside a member sphere: the
     demand check, not sphere containment, decides feasibility.
 
-    Returns one solution per zone, in order. ``traces``, when given, holds
+    Returns one solution per zone, in order, each with the one of
+    ``ENDINGS`` that ended its search. ``traces``, when given, holds
     one list per zone, which receives the zone's (iteration, global best
     fitness, position) rows: one row for a zone that no swarm searched.
     """
@@ -363,6 +372,7 @@ def optimize_positions(
     particles = config.particle_count
     best = np.array([z.witness.as_array() for z in zones])
     iterations = np.zeros(len(zones), int)
+    ending = np.zeros(len(zones), int)  # index into ENDINGS, "witness" until a later step ends it
     rows = _rows(m, np.arange(len(zones)))
     value, feas, (bw, rate, served) = _fitness(best, rows, m, params, box)
 
@@ -383,14 +393,16 @@ def optimize_positions(
     if len(lift):
         anchor = best[lift].copy()
         anchor[:, 2] = box.upper[2]
-        searched[lift[answer(lift, anchor)]] = False
+        ended = lift[answer(lift, anchor)]
+        searched[ended], ending[ended] = False, ENDINGS.index("ceiling")
     if certify and searched.any():
         zone = np.flatnonzero(searched)
         proven, probe = _unservable(m, zone, params, box)
-        searched[zone[proven]] = False
+        searched[zone[proven]], ending[zone[proven]] = False, ENDINGS.index("proven")
         found = np.flatnonzero(~np.isnan(probe[:, 0]))
         if len(found):
-            searched[zone[found]] = ~answer(zone[found], probe[found])
+            ended = zone[found][answer(zone[found], probe[found])]
+            searched[ended], ending[ended] = False, ENDINGS.index("probe")
     if traces is not None:
         for j in np.flatnonzero(~searched).tolist():
             traces[j].append((0, float(value[j]), tuple(best[j])))
@@ -422,6 +434,7 @@ def optimize_positions(
             if stop.any():
                 best[zone[stop]] = gbest_pos[stop]
                 iterations[zone[stop]] = it
+                ending[zone[stop]] = ENDINGS.index("iterated" if it else "seeded")
                 keep = ~stop
                 if not keep.any():
                     break
@@ -466,6 +479,7 @@ def optimize_positions(
             fitness=float(value[j]),
             feasible=feasible[j],
             iterations=int(iterations[j]),
+            ending=ENDINGS[ending[j]],
         )
     return out
 

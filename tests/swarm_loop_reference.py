@@ -150,31 +150,31 @@ def loop_position(zone, scenario, params, config, certify=True, trace=None):
     box = scenario.venue
     witness = zone.witness.as_array()
 
-    def answer(position, value):
+    def answer(position, value, ending):
         if trace is not None:
             trace.append((0, float(value), tuple(position)))
         links, feasible = allocations(position, data, params)
         return PlacementSolution(uav_position=position, **links, fitness=float(value),
-                                 feasible=feasible, iterations=0)
+                                 feasible=feasible, iterations=0, ending=ending)
 
     # The witness, then the witness raised to the box top: a feasible anchor
     # is the answer, and no generator is made.
-    anchors = [witness]
+    anchors = [(witness, "witness")]
     if witness[2] < box.upper[2]:
-        anchors.append(np.array([witness[0], witness[1], box.upper[2]]))
-    for position in anchors:
+        anchors.append((np.array([witness[0], witness[1], box.upper[2]]), "ceiling"))
+    for position, ending in anchors:
         value, feas = swarm_fitness(position[None, :], data, params, box)
         if feas[0]:
-            return answer(position, value[0])
+            return answer(position, value[0], ending)
     # The certificate runs before seeding: a proven zone keeps its witness,
     # and a zone served at a probe ends there.
     if certify and zone_unservable(data, params, box):
-        return answer(witness, swarm_fitness(witness[None, :], data, params, box)[0][0])
+        return answer(witness, swarm_fitness(witness[None, :], data, params, box)[0][0], "proven")
     probe = served_probe(zone, scenario, params) if certify else None
     if probe is not None:
         value, feas = swarm_fitness(probe[None, :], data, params, box)
         if feas[0]:
-            return answer(probe, value[0])
+            return answer(probe, value[0], "probe")
 
     # Particles start and move over the box.
     lo, hi = box.lower, box.upper
@@ -231,4 +231,5 @@ def loop_position(zone, scenario, params, config, certify=True, trace=None):
         fitness=float(final_val[0]),
         feasible=feasible,
         iterations=iterations,
+        ending="iterated" if iterations else "seeded",
     )

@@ -6,6 +6,7 @@ import pytest
 
 from uavplan.cli import main, scenario_from_dict, scenario_to_dict
 from uavplan import BaselineKind, SwarmConfig, generate_scenario
+from uavplan.positioning import ENDINGS
 
 
 def run_cli(*argv):
@@ -320,6 +321,10 @@ def test_plan_dumps(tmp_path):
         assert len(numbers) == 4 and all(math.isfinite(float(v)) for v in numbers)
     pdoc = json.loads(pool.read_text())
     assert pdoc and pdoc[0]["feasible"] is True
+    for entry in pdoc:
+        assert {"members", "position", "fitness_bps", "feasible", "iterations", "ending"} \
+            == set(entry)
+        assert isinstance(entry["iterations"], int) and entry["ending"] in ENDINGS
 
 
 def test_plan_baseline_flag(tmp_path):

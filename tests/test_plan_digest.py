@@ -18,13 +18,15 @@ planner's cover search on each scaled venue is held to the search it
 replaced.
 """
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import cover_search_reference as reference
-from uavplan import coverage
+from uavplan import coverage, positioning
 from uavplan.positioning import PlacementSolution
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "plan_digest.py"
@@ -138,29 +140,27 @@ def test_swarm_endings_are_pinned(plan_digest, capsys, name):
     assert capsys.readouterr().out == ENDINGS[name]
 
 
-def test_each_ending_is_told_apart(plan_digest):
-    # One zone's witness on the floor of a 10-100 m box, its served
-    # certificate probe, and a solution at each ending: a pool solution
-    # carries only its position, feasibility and iterations.
-    box = plan_digest.workloads.WORKLOADS["n100-1km"].make_pass(0)[0].scenario.venue
-    witness, probe = np.array([120.0, 80.0, 10.0]), np.array([125.0, 75.0, 100.0])
+def test_endings_count_what_each_solution_records(plan_digest, monkeypatch):
+    # A stand-in planner pools one solution at each ending, "probe" twice,
+    # on a pass of one planner and one baseline operation, and sees every
+    # uavplan module as it stood before the count: the count wraps nothing.
+    scenario = plan_digest.workloads.WORKLOADS["n100-1km"].make_pass(0)[0].scenario
+    ops = [SimpleNamespace(label=label, method=method, scenario=scenario)
+           for label, method in (("b", "fixed-n"), ("a", "planner"))]
+    workload = SimpleNamespace(make_pass=lambda seed: ops)
 
-    def sol(position, feasible=True, iterations=0):
-        return PlacementSolution(np.array(position), np.empty(0, int), np.empty(0), np.empty(0),
-                                 0.0, feasible, iterations)
+    def plan(scn, params, pool=None, trace=None):
+        assert [dict(vars(m)) for m in modules] == before
+        for ending in (*positioning.ENDINGS, "probe"):
+            pool.append(((0,), PlacementSolution(np.zeros(3), np.empty(0, int), np.empty(0),
+                                                 np.empty(0), 0.0, ending != "proven", 0,
+                                                 ending)))
 
-    cases = {
-        "witness": sol(witness),
-        "ceiling": sol([120.0, 80.0, 100.0]),
-        "probe": sol(probe),
-        "proven": sol(witness, feasible=False),
-        "seeded": sol([121.0, 80.0, 100.0]),
-        "iterated": sol([120.0, 80.0, 100.0], iterations=3),
-    }
-    assert tuple(cases) == plan_digest.ENDINGS
-    assert [plan_digest.ending(s, witness, probe, box) for s in cases.values()] == list(cases)
-    # Without a served probe, a feasible point that no anchor gives is a seeded start.
-    assert plan_digest.ending(cases["probe"], witness, None, box) == "seeded"
+    monkeypatch.setattr(plan_digest.workloads.planner, "plan_deployment", plan)
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("uavplan")]
+    before = [dict(vars(m)) for m in modules]
+    assert plan_digest.endings(workload) \
+        == "witness 1 ceiling 1 probe 2 proven 1 seeded 1 iterated 1"
 
 
 # The vertex candidates one pass scores, as ``tools/plan_digest.py --candidates`` prints them.

@@ -426,25 +426,25 @@ def test_split_groups_keep_witness_feasibility(params):
     assert seen == 2 * 12 - 1
 
 
-def test_split_falls_back_to_singletons_in_place(params):
+def test_split_half_that_no_point_serves_keeps_its_parent_witness(params):
     # A zone whose right half cannot be served from one point (a certified
-    # zone never has one): that group becomes singletons where it stood,
-    # and every witness is the one its members get alone.
+    # zone never has one): that half keeps the parent's witness and slack,
+    # and the left half gets the witness its members get alone.
     scn = make_scenario([(0.0, 500.0), (10.0, 500.0), (1000.0, 500.0), (1990.0, 500.0)],
                         demand=26e6, side=2000.0)
     spheres = build_spheres(scn, params)
     zone = CandidateZone(members=(0, 1, 2, 3), witness=Point3(0.0, 500.0, 10.0), slack=0.0)
-    out = split_zone([zone], spheres, scn)
-    assert [z.members for z in out] == [(0, 1), (2,), (3,)]
-    for z in out:
-        w, deficit = zone_witness(z.members, spheres, scn.venue)
-        assert (z.witness, z.slack) == (w, -deficit)
+    assert zone_witness((2, 3), spheres, scn.venue)[1] > 0
+    left, right = split_zone([zone], spheres, scn)
+    w, deficit = zone_witness((0, 1), spheres, scn.venue)
+    assert (left.members, left.witness, left.slack) == ((0, 1), w, -deficit)
+    assert right == replace(zone, members=(2, 3))
 
 
 def test_split_of_a_wave_is_each_zone_split_alone(params):
     # A wave's failures are split in one call: the pieces come zone after
     # zone, each with the members, witness and slack bits its zone gets when
-    # split alone. The middle zone is the singleton-fallback zone above.
+    # split alone. The middle zone is the uncertified zone above.
     users = [(0.0, 500.0), (10.0, 500.0), (1000.0, 500.0), (1990.0, 500.0),
              (500.0, 1500.0), (520.0, 1510.0), (505.0, 1530.0), (540.0, 1490.0), (515.0, 1480.0),
              (1500.0, 1500.0), (1520.0, 1500.0), (1510.0, 1500.0)]
@@ -458,7 +458,7 @@ def test_split_of_a_wave_is_each_zone_split_alone(params):
                 for z in zones]
 
     alone = [split_zone([zone], spheres, scn) for zone in (a, b, c)]
-    assert [z.members for z in alone[1]] == [(0, 1), (2,), (3,)]
+    assert alone[1][1] == replace(b, members=(2, 3))
     assert bits(split_zone([a, b, c], spheres, scn)) == bits(alone[0] + alone[1] + alone[2])
     assert split_zone([], spheres, scn) == []
 
@@ -588,7 +588,8 @@ def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkey
         feasible = (key % 2 != 0 if len(zone.members) == 1
                     else key % 5 != 0 and key % 3 != 0)
         return PlacementSolution(zone.witness.as_array(), np.empty(0, int), np.empty(0),
-                                 np.empty(0), float(key), feasible, 0)
+                                 np.empty(0), float(key), feasible, 0,
+                                 "witness" if feasible else "proven")
 
     def place_all(zones, *args, traces=None, **kwargs):
         for zone, rows in zip(zones, traces or [None] * len(zones)):

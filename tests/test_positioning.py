@@ -234,16 +234,21 @@ def test_optimize_early_stop_activates(params, monkeypatch):
     assert drawn == [(cfg.particle_count - 1, 3)] + [(cfg.particle_count, 2, 3)] * sol.iterations
 
 
-def test_anchored_and_proven_zones_make_no_generator(params, monkeypatch):
-    # On a 2 km venue at 26 Mbit/s: a user served at its floor witness, a
-    # pair 200 m apart that the floor midpoint misses and the point above it
-    # at the ceiling serves, and a pair 1.5 km apart that no point serves.
+def anchored_zones():
+    """On a 2 km venue at 26 Mbit/s: a user served at its floor witness, a
+    pair 200 m apart that the floor midpoint misses and the point above it
+    at the ceiling serves, and a pair 1.5 km apart that no point serves."""
     scn = make_scenario([(500, 1600), (900, 1000), (1100, 1000), (250, 300), (1750, 300)],
                         demand=26e6, side=2000.0, seed=1)
     floor = scn.venue.lower[2]
-    zones = [CandidateZone(members=members, witness=Point3(x, y, floor), slack=0.0)
-             for members, (x, y) in (((0,), (500.0, 1600.0)), ((1, 2), (1000.0, 1000.0)),
-                                     ((3, 4), (1000.0, 300.0)))]
+    return scn, [CandidateZone(members=members, witness=Point3(x, y, floor), slack=0.0)
+                 for members, (x, y) in (((0,), (500.0, 1600.0)), ((1, 2), (1000.0, 1000.0)),
+                                         ((3, 4), (1000.0, 300.0)))]
+
+
+def test_anchored_and_proven_zones_make_no_generator(params, monkeypatch):
+    scn, zones = anchored_zones()
+    floor = scn.venue.lower[2]
     assert unservable((3, 4), scn, params)
     seeded, drawn = record_generators(monkeypatch)
     traces = [[], [], []]
@@ -344,7 +349,8 @@ def solution_bits(sol):
     """Every field of a placement, floats by their bits."""
     links = zip(sol.ue_indices.tolist(), sol.bandwidth_hz.tolist(), sol.rate_bps.tolist())
     return (tuple(v.hex() for v in sol.uav_position.tolist()), sol.fitness.hex(),
-            sol.feasible, sol.iterations, tuple((i, b.hex(), r.hex()) for i, b, r in links))
+            sol.feasible, sol.iterations, sol.ending,
+            tuple((i, b.hex(), r.hex()) for i, b, r in links))
 
 
 def trace_bits(rows):
@@ -369,20 +375,45 @@ def swarm_batches(params):
                  for k in (1, 3, 5, 8, 9, 12)] + enumerate_zones(spheres, scn.venue)[:3]
         cfg = SwarmConfig(particle_count=6, max_iterations=int(rng.choice([4, 25])))
         yield scn, zones, cfg, trial % 4 != 3
-    # Most random zones end at an anchor or the certificate. These fly at one
-    # altitude, so no zone has a ceiling anchor of its own: two close users
-    # and a third 120 m (then 150 m) away, where only a thin lens between
-    # them serves all three and the witness, their mean, misses it. The
-    # certificate serves both at a probe. Without it, the first is served at
-    # a start drawn over the box (seed 38 is the first of 60 whose stream
-    # does so), the second not within 4 steps.
+    # Most random zones end at an anchor or the certificate; the lens zones
+    # also reach a seeded start and the swarm's steps.
+    scn, zones = lens_zones()
+    for certify in (True, False):
+        yield scn, zones, SwarmConfig(particle_count=6, max_iterations=4), certify
+
+
+def lens_zones():
+    """Zones at one altitude, so that none has a ceiling anchor of its own: two
+    close users and a third 120 m (then 150 m) away, where only a thin lens
+    between them serves all three and the witness, their mean, misses it.
+
+    The certificate serves both at a probe. Without it, with 6 particles and
+    4 steps, the first is served at a start drawn over the box (seed 38 is
+    the first of 60 whose stream does so), the second not within 4 steps.
+    """
     xy = [(100.0, 300.0), (100.0, 310.0), (220.0, 305.0),
           (100.0, 700.0), (100.0, 710.0), (250.0, 705.0)]
     scn = make_scenario(xy, demand=26e6, side=1000.0, z=(20.0, 20.0), seed=38,
                         bandwidth_policy="fixed")
-    zones = [_pseudo_zone(members, scn) for members in ([0, 1, 2], [3, 4, 5])]
-    for certify in (True, False):
-        yield scn, zones, SwarmConfig(particle_count=6, max_iterations=4), certify
+    return scn, [_pseudo_zone(members, scn) for members in ([0, 1, 2], [3, 4, 5])]
+
+
+def test_each_ending_is_recorded_at_the_step_that_ends_the_zone(params, monkeypatch):
+    # The anchored zones end at the witness, the ceiling anchor and the
+    # certificate's proof, the lens zones at a served probe and, without the
+    # certificate or with no pairs for it to spend, at a seeded start and
+    # after stepping.
+    cfg = SwarmConfig(particle_count=6, max_iterations=4)
+    scn, zones = anchored_zones()
+    assert [s.ending for s in optimize_positions(zones, scn, params, cfg)] \
+        == ["witness", "ceiling", "proven"]
+    scn, zones = lens_zones()
+    assert [s.ending for s in optimize_positions(zones, scn, params, cfg)] == ["probe", "probe"]
+    searched = [("seeded", True, 0), ("iterated", False, cfg.max_iterations)]
+    for certify, pairs in ((False, positioning._CERTIFY_PAIRS), (True, 0)):
+        monkeypatch.setattr(positioning, "_CERTIFY_PAIRS", pairs)
+        sols = optimize_positions(zones, scn, params, cfg, certify=certify)
+        assert [(s.ending, s.feasible, s.iterations) for s in sols] == searched
 
 
 def outcomes(zone, sol, certify, scn, params):

@@ -24,8 +24,9 @@ the bits of the position and fitness, feasibility and iterations, then one
 line per member: its UE and the bits of its link width and rate, read from
 the solution's arrays) and ``trace`` (members, then every row's iteration and
 bits), in the wave order the planner placed them in. These are what
-``uavplan plan --dump-pool`` and ``--pso-trace`` write, so the digest shows a
-swarm that moves, or runs in another order, even where the plan does not.
+``uavplan plan --dump-pool`` and ``--pso-trace`` write, less each solution's
+``ending``, which ``--endings`` counts, so the digest shows a swarm that
+moves, or runs in another order, even where the plan does not.
 
 With ``--throughput`` each digest is over what the plans are judged by
 instead: for each operation, in label order, the pass flag of every
@@ -34,12 +35,13 @@ aggregate and of every UE's delivered rate. The validation is outside the
 plan digest, so this one shows a change to how the plans are checked.
 
 With ``--endings`` it prints counts instead of a digest: how each swarm in
-the pool of every planner operation ended, over one pass. ``witness``: the
-zone's witness served it; ``ceiling``: the witness raised to the box top
-did; ``probe``: the certificate's first served probe did; ``proven``: the
-certificate proved the zone unservable; ``seeded``: a random start served
-it; ``iterated``: the swarm stepped at least once. Singleton zones are
-swarms too and count like any other.
+the pool of every planner operation ended, over one pass, as each
+solution's ``ending`` records it. ``witness``: the zone's witness served
+it; ``ceiling``: the witness raised to the box top did; ``probe``: the
+certificate's first served probe did; ``proven``: the certificate proved
+the zone unservable; ``seeded``: the swarm stopped at its random start;
+``iterated``: the swarm stepped at least once. Singleton zones are swarms
+too and count like any other.
 
 With ``--candidates`` it prints counts instead of a digest, over every
 enumeration of one pass: the floor-disk vertex candidates scored, the venues
@@ -58,8 +60,6 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -123,15 +123,20 @@ def zone_digest(workload, **changes) -> str:
     return h.hexdigest()[:16]
 
 
+def swarms(workload, **changes):
+    """Each planner operation of one pass in label order, with its swarm pool and trace."""
+    for op in sorted(workload.make_pass(0), key=lambda op: op.label):
+        if op.method == "planner":
+            pool, trace = [], []
+            workloads.planner.plan_deployment(replace(op.scenario, **changes), workloads.PARAMS,
+                                              pool=pool, trace=trace)
+            yield op, pool, trace
+
+
 def swarm_digest(workload, **changes) -> str:
     """Digest of every planner op's swarm pool and trace; ``changes`` as in ``plan_digest``."""
     h = hashlib.sha256()
-    for op in sorted(workload.make_pass(0), key=lambda op: op.label):
-        if op.method != "planner":
-            continue
-        pool, trace = [], []
-        scn = replace(op.scenario, **changes)
-        workloads.planner.plan_deployment(scn, workloads.PARAMS, pool=pool, trace=trace)
+    for op, pool, trace in swarms(workload, **changes):
         h.update(op.label.encode())
         for members, sol in pool:
             bits = (v.hex() for v in (*sol.uav_position.tolist(), sol.fitness))
@@ -146,67 +151,12 @@ def swarm_digest(workload, **changes) -> str:
     return h.hexdigest()[:16]
 
 
-ENDINGS = ("witness", "ceiling", "probe", "proven", "seeded", "iterated")
-
-
-def ending(sol, witness, probe, box) -> str:
-    """Which of ``ENDINGS`` one pool solution of a zone with ``witness`` (3,) reached.
-
-    ``probe`` is the zone's served certificate probe (3,), or None.
-    """
-    if sol.iterations > 0:
-        return "iterated"
-    if not sol.feasible:
-        return "proven"
-    position = sol.uav_position.tolist()
-    if position == witness.tolist():
-        return "witness"
-    if position == [witness[0], witness[1], box.upper[2]]:
-        return "ceiling"
-    if probe is not None and position == probe.tolist():
-        return "probe"
-    return "seeded"
-
-
 def endings(workload, **changes) -> str:
-    """Counts of each of ``ENDINGS`` over one pass's planner swarms; ``changes`` as in ``plan_digest``."""
-    counts = dict.fromkeys(ENDINGS, 0)
-    planner = workloads.planner
-    place, place_one = planner.optimize_positions, planner.optimize_position
-    unservable = positioning._unservable
-    witnesses, probes = {}, {}
-
-    def record(zones):
-        witnesses.update((z.members, z.witness.as_array()) for z in zones)
-
-    def certified(m, zones, *args):
-        proven, probe = unservable(m, zones, *args)
-        for j, point in zip(zones.tolist(), probe):
-            if not np.isnan(point[0]):
-                probes[tuple(m.indices[m.start[j]:m.start[j] + m.count[j]].tolist())] = point
-        return proven, probe
-
-    def recorded(zones, *args, **kwargs):
-        record(zones)
-        return place(zones, *args, **kwargs)
-
-    def recorded_one(zone, *args, **kwargs):
-        record([zone])
-        return place_one(zone, *args, **kwargs)
-
-    planner.optimize_positions, planner.optimize_position = recorded, recorded_one
-    positioning._unservable = certified
-    try:
-        for op in sorted(workload.make_pass(0), key=lambda op: op.label):
-            if op.method != "planner":
-                continue
-            pool, scn = [], replace(op.scenario, **changes)
-            planner.plan_deployment(scn, workloads.PARAMS, pool=pool)
-            for members, sol in pool:
-                counts[ending(sol, witnesses[members], probes.get(members), scn.venue)] += 1
-    finally:
-        planner.optimize_positions, planner.optimize_position = place, place_one
-        positioning._unservable = unservable
+    """Counts of each ending over one pass's planner swarms; ``changes`` as in ``plan_digest``."""
+    counts = dict.fromkeys(positioning.ENDINGS, 0)
+    for _, pool, _ in swarms(workload, **changes):
+        for _, sol in pool:
+            counts[sol.ending] += 1
     return " ".join(f"{name} {n}" for name, n in counts.items())
 
 
