@@ -33,12 +33,11 @@ print(f"zone with {len(zone.members)} members, witness at "
 value, feasible = fitness(zone.witness, zone, scenario, params)
 print(f"fitness at witness: {value / 1e6:.1f} Mbit/s, feasible={feasible}\n")
 
-trace = []
-sol = optimize_position(zone, scenario, params, SwarmConfig(), trace=trace)
+sol = optimize_position(zone, scenario, params, SwarmConfig())
 
 print("iteration  best fitness (Mbit/s)")
 last = None
-for it, val, _pos in trace:
+for it, val, _pos in sol.trace:
     if val != last:
         print(f"{it:>9}  {val / 1e6:>12.1f}")
         last = val

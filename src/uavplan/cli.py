@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import ChannelParams, db_to_linear, dbm_to_watt
-from .coverage import UnservableError, build_spheres, enumerate_zones
+from .coverage import UnservableError
 from .geometry import FeasibleBox, Point3
 from .planner import CapacityDeadlockError, plan_deployment, validate_deployment
 from .positioning import SwarmConfig
@@ -308,25 +308,11 @@ def cmd_plan(args) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
 
-    if args.dump_zones:
-        spheres = build_spheres(scenario, params)
-        zones = enumerate_zones(spheres, scenario.venue)
-        _dump_json(args.dump_zones, [
-            {
-                "members": list(zone.members),
-                "witness": {"x": zone.witness.x, "y": zone.witness.y, "z": zone.witness.z},
-                "slack_m": zone.slack,
-            }
-            for zone in zones
-        ])
-
-    pool: list | None = [] if args.dump_pool else None
-    trace: list | None = [] if args.pso_trace else None
     if args.baseline:
         kind = BaselineKind(args.baseline)
         deployment = run_baseline(kind, scenario, params, swarm)
     else:
-        deployment = plan_deployment(scenario, params, swarm, pool=pool, trace=trace)
+        deployment = plan_deployment(scenario, params, swarm)
 
     report = validate_deployment(deployment, scenario, params)
     aggregate, delivered = evaluate_throughput(deployment, scenario, params)
@@ -335,23 +321,33 @@ def cmd_plan(args) -> int:
     doc["demand_satisfied_ratio"] = demand_satisfaction_ratio(delivered, scenario)
     _dump_json(args.out, doc)
 
+    # The dumps are views of the plan's own record.
+    if args.dump_zones:
+        _dump_json(args.dump_zones, [
+            {
+                "members": list(zone.members),
+                "witness": {"x": zone.witness.x, "y": zone.witness.y, "z": zone.witness.z},
+                "slack_m": zone.slack,
+            }
+            for zone in deployment.zones
+        ])
     if args.dump_pool:
         _dump_json(args.dump_pool, [
             {
-                "members": list(members),
+                "members": s.ue_indices.tolist(),
                 "position": dict(zip("xyz", s.uav_position.tolist())),
                 "fitness_bps": s.fitness,
                 "feasible": s.feasible,
                 "iterations": s.iterations,
                 "ending": s.ending,
             }
-            for members, s in pool
+            for s in deployment.placements
         ])
     if args.pso_trace:
         lines = ["members,iteration,gbest_fitness_bps,x_m,y_m,z_m"]
-        for members, rows in trace:
-            tag = "|".join(str(m) for m in members)
-            for it, val, pos in rows:
+        for s in deployment.placements:
+            tag = "|".join(map(str, s.ue_indices.tolist()))
+            for it, val, pos in s.trace:
                 lines.append(",".join([tag, str(it), *(repr(float(v)) for v in (val, *pos))]))
         _write_text(args.pso_trace, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -10,7 +10,7 @@ deployment using only the channel model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
@@ -61,12 +61,21 @@ class Association:
 
 @dataclass(frozen=True)
 class Deployment:
+    """A plan and its record: ``plan_deployment`` fills ``zones`` and ``placements``.
+
+    ``zones`` is the ``enumerate_zones`` output the plan covered, and
+    ``placements`` every zone's ``PlacementSolution`` in wave order, the
+    failed ones included; a placement's members are its ``ue_indices``.
+    """
+
     uav_positions: np.ndarray      # (uav_count, 3) position of each UAV
     association: Association
     link_bandwidth_hz: np.ndarray  # (n_ues,) bandwidth of each UE's link
     link_rate_bps: np.ndarray      # (n_ues,) achieved rate of each UE's link
     uav_count: int
     aggregate_bps: float
+    zones: tuple[CandidateZone, ...] = field(default=(), repr=False)
+    placements: tuple[PlacementSolution, ...] = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -89,16 +98,6 @@ class ValidationReport:
             if c.name == name:
                 return c.residual
         raise KeyError(name)
-
-    def to_csv(self) -> str:
-        lines = ["constraint,residual,pass"]
-        for c in self.checks:
-            lines.append(f"{c.name},{c.residual!r},{str(c.passed).lower()}")
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
 
 
 def min_feasible_bandwidths(scenario: "Scenario", params: "ChannelParams") -> np.ndarray:
@@ -180,8 +179,6 @@ def plan_deployment(
     scenario: "Scenario",
     params: "ChannelParams | None" = None,
     swarm_config: SwarmConfig = SwarmConfig(),
-    pool: list | None = None,
-    trace: list | None = None,
 ) -> Deployment:
     """Plan the fewest UAVs and their 3D positions meeting every demand.
 
@@ -192,7 +189,8 @@ def plan_deployment(
     placed at an anchor or a served certificate probe, or proven
     unservable, with no random number drawn; only a zone on which the
     certificate gives up runs a swarm, which draws from ``scenario.seed``.
-    ``swarm_config`` sets only how the swarms search.
+    ``swarm_config`` sets only how the swarms search. The deployment
+    records the zones enumerated and every placement made.
     """
     from .channel import ChannelParams
 
@@ -225,24 +223,19 @@ def plan_deployment(
     wave = [replace(z, members=tuple(sorted(served)))
             for z, served in zip(cover, served_sets) if served]
     placed: list[tuple[CandidateZone, PlacementSolution]] = []
+    placements: list[PlacementSolution] = []
     unservable: list[int] = []
     while wave:
-        traces = [[] if trace is not None else None for _ in wave]
         # A singleton is placed alone by optimize_position, the name
         # perfbench/spans.py wraps, so that a traced run still shows the
         # positioning layer; the other zones of a wave run in lockstep.
         many = [k for k, sub in enumerate(wave) if len(sub.members) > 1]
         sols = dict(zip(many, optimize_positions(
-            [wave[k] for k in many], scenario, params, swarm_config,
-            traces=[traces[k] for k in many] if trace is not None else None)))
+            [wave[k] for k in many], scenario, params, swarm_config)))
         failed = []
         for k, sub in enumerate(wave):
-            sol = sols[k] if k in sols else optimize_position(
-                sub, scenario, params, swarm_config, trace=traces[k])
-            if pool is not None:
-                pool.append((sub.members, sol))
-            if trace is not None:
-                trace.append((sub.members, traces[k]))
+            sol = sols[k] if k in sols else optimize_position(sub, scenario, params, swarm_config)
+            placements.append(sol)
             if sol.feasible:
                 placed.append((sub, sol))
             elif len(sub.members) == 1:
@@ -256,7 +249,8 @@ def plan_deployment(
         raise UnservableError(unservable)
 
     placed.sort(key=lambda pair: pair[0].members)
-    return _assemble(placed, scenario)
+    return replace(_assemble(placed, scenario), zones=tuple(zones),
+                   placements=tuple(placements))
 
 
 def _assemble(placed, scenario: "Scenario") -> Deployment:

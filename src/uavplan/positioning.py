@@ -65,6 +65,9 @@ class PlacementSolution:
     ``ue_indices`` (ascending), ``bandwidth_hz`` and ``rate_bps`` hold one
     entry per member: the link each member gets from ``uav_position``.
     ``ending`` is the one of ``ENDINGS`` at which the zone's search stopped.
+    ``trace`` holds the search's (iteration, global best fitness, position)
+    rows, the last one ``(iterations, fitness, uav_position)``: one row for
+    a zone that no swarm searched.
     """
 
     uav_position: np.ndarray
@@ -75,6 +78,7 @@ class PlacementSolution:
     feasible: bool
     iterations: int
     ending: str
+    trace: tuple
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,6 @@ def optimize_positions(
     params: "ChannelParams",
     config: SwarmConfig,
     certify: bool = True,
-    traces: Sequence[list] | None = None,
 ) -> list[PlacementSolution]:
     """Global-best PSO over each zone, anchored at its witness, all swarms in lockstep.
 
@@ -357,22 +360,20 @@ def optimize_positions(
     demand check, not sphere containment, decides feasibility.
 
     Returns one solution per zone, in order, each with the one of
-    ``ENDINGS`` that ended its search. ``traces``, when given, holds
-    one list per zone, which receives the zone's (iteration, global best
-    fitness, position) rows: one row for a zone that no swarm searched.
+    ``ENDINGS`` that ended its search and the rows of its ``trace``.
     """
     if not zones:
         return []
     # Zones run in ascending member count, so that equal counts sit together.
     order = sorted(range(len(zones)), key=lambda k: len(zones[k].members))
     zones = [zones[k] for k in order]
-    traces = [traces[k] for k in order] if traces is not None else None
     m = _members([z.members for z in zones], scenario)
     box = scenario.venue
     particles = config.particle_count
     best = np.array([z.witness.as_array() for z in zones])
     iterations = np.zeros(len(zones), int)
     ending = np.zeros(len(zones), int)  # index into ENDINGS, "witness" until a later step ends it
+    trace = [[] for _ in zones]
     rows = _rows(m, np.arange(len(zones)))
     value, feas, (bw, rate, served) = _fitness(best, rows, m, params, box)
 
@@ -403,9 +404,8 @@ def optimize_positions(
         if len(found):
             ended = zone[found][answer(zone[found], probe[found])]
             searched[ended], ending[ended] = False, ENDINGS.index("probe")
-    if traces is not None:
-        for j in np.flatnonzero(~searched).tolist():
-            traces[j].append((0, float(value[j]), tuple(best[j])))
+    for j in np.flatnonzero(~searched).tolist():
+        trace[j].append((0, float(value[j]), tuple(best[j].tolist())))
 
     zone = np.flatnonzero(searched)  # the zones whose swarm runs, ascending
     if len(zone):
@@ -427,9 +427,8 @@ def optimize_positions(
         gbest_pos, gbest_val, gbest_feas = positions[at, g], values[at, g], feas[at, g]
         it = 0
         while True:
-            if traces is not None:
-                for k, j in enumerate(zone.tolist()):
-                    traces[j].append((it, float(gbest_val[k]), tuple(gbest_pos[k])))
+            for k, j in enumerate(zone.tolist()):
+                trace[j].append((it, float(gbest_val[k]), tuple(gbest_pos[k].tolist())))
             stop = gbest_feas | (it == config.max_iterations)
             if stop.any():
                 best[zone[stop]] = gbest_pos[stop]
@@ -480,6 +479,7 @@ def optimize_positions(
             feasible=feasible[j],
             iterations=int(iterations[j]),
             ending=ENDINGS[ending[j]],
+            trace=tuple(trace[j]),
         )
     return out
 
@@ -490,8 +490,6 @@ def optimize_position(
     params: "ChannelParams",
     config: SwarmConfig,
     certify: bool = True,
-    trace: list | None = None,
 ) -> PlacementSolution:
     """``optimize_positions`` of one zone."""
-    traces = [trace] if trace is not None else None
-    return optimize_positions([zone], scenario, params, config, certify=certify, traces=traces)[0]
+    return optimize_positions([zone], scenario, params, config, certify=certify)[0]

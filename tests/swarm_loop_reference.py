@@ -144,18 +144,17 @@ def served_probe(zone, scenario, params):
     return None if np.isnan(probe[0]) else probe
 
 
-def loop_position(zone, scenario, params, config, certify=True, trace=None):
+def loop_position(zone, scenario, params, config, certify=True):
     """The per-zone ``optimize_position``: anchors, certificate, seeding, steps."""
     data = member_data(zone.members, scenario)
     box = scenario.venue
     witness = zone.witness.as_array()
 
     def answer(position, value, ending):
-        if trace is not None:
-            trace.append((0, float(value), tuple(position)))
         links, feasible = allocations(position, data, params)
         return PlacementSolution(uav_position=position, **links, fitness=float(value),
-                                 feasible=feasible, iterations=0, ending=ending)
+                                 feasible=feasible, iterations=0, ending=ending,
+                                 trace=((0, float(value), tuple(position)),))
 
     # The witness, then the witness raised to the box top: a feasible anchor
     # is the answer, and no generator is made.
@@ -196,8 +195,7 @@ def loop_position(zone, scenario, params, config, certify=True, trace=None):
     gbest_feasible = bool(feas[g])
 
     iterations = 0
-    if trace is not None:
-        trace.append((0, gbest_val, tuple(gbest_pos)))
+    trace = [(0, gbest_val, tuple(gbest_pos))]
 
     steps = () if gbest_feasible else range(1, config.max_iterations + 1)
     for it in steps:
@@ -217,8 +215,7 @@ def loop_position(zone, scenario, params, config, certify=True, trace=None):
             gbest_val = float(pbest_val[g])
             gbest_pos = pbest_pos[g].copy()
             gbest_feasible = bool(pbest_feas[g])
-        if trace is not None:
-            trace.append((it, gbest_val, tuple(gbest_pos)))
+        trace.append((it, gbest_val, tuple(gbest_pos)))
 
         if gbest_feasible:
             break
@@ -232,4 +229,5 @@ def loop_position(zone, scenario, params, config, certify=True, trace=None):
         feasible=feasible,
         iterations=iterations,
         ending="iterated" if iterations else "seeded",
+        trace=tuple(trace),
     )

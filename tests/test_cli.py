@@ -301,6 +301,23 @@ def test_plan_unservable_exit_three(tmp_path):
         assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 3
 
 
+def test_a_failed_plan_writes_no_dump(tmp_path):
+    # The dumps are views of the plan, so a plan that fails writes none: here
+    # every pinned 20 MHz link overruns a 10 MHz budget (exit 4), a failure
+    # found after the zones could be enumerated.
+    def shrink_the_budget(doc):
+        doc["policy"]["bandwidth"] = "fixed"
+        doc["b_max_hz"] = 10e6
+
+    scn = tmp_path / "scn.json"
+    write_scenario(scn, kind="B", variant=4, seed=5, mutate=shrink_the_budget)
+    dumps = [tmp_path / name for name in ("z.json", "p.json", "t.csv")]
+    assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json"),
+                   "--dump-zones", str(dumps[0]), "--dump-pool", str(dumps[1]),
+                   "--pso-trace", str(dumps[2])) == 4
+    assert not any(path.exists() for path in dumps)
+
+
 def test_plan_dumps(tmp_path):
     # A-5 seed 3's swarms write trace positions that are numpy floats.
     scn = tmp_path / "scn.json"

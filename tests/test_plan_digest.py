@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import cover_search_reference as reference
-from uavplan import coverage, positioning
+from uavplan import Association, CandidateZone, Deployment, Point3, coverage, positioning
 from uavplan.positioning import PlacementSolution
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "plan_digest.py"
@@ -140,27 +140,80 @@ def test_swarm_endings_are_pinned(plan_digest, capsys, name):
     assert capsys.readouterr().out == ENDINGS[name]
 
 
-def test_endings_count_what_each_solution_records(plan_digest, monkeypatch):
-    # A stand-in planner pools one solution at each ending, "probe" twice,
-    # on a pass of one planner and one baseline operation, and sees every
-    # uavplan module as it stood before the count: the count wraps nothing.
+# What each view of the plan record makes of the stand-in planner's record below.
+VIEWS = {
+    "endings": "witness 1 ceiling 1 probe 2 proven 1 seeded 1 iterated 1",
+    "zone_digest": "e2376298c3ae367c",
+    "swarm_digest": "d49a7d6ea9975383",
+}
+
+
+@pytest.mark.parametrize("view", sorted(VIEWS))
+def test_views_read_the_plan_record_and_wrap_nothing(plan_digest, monkeypatch, view):
+    # A stand-in planner records one zone and one placement at each ending,
+    # "probe" twice, on a pass of one planner and one baseline operation, and
+    # sees every uavplan module as it stood before the view: the view wraps
+    # nothing.
     scenario = plan_digest.workloads.WORKLOADS["n100-1km"].make_pass(0)[0].scenario
     ops = [SimpleNamespace(label=label, method=method, scenario=scenario)
            for label, method in (("b", "fixed-n"), ("a", "planner"))]
     workload = SimpleNamespace(make_pass=lambda seed: ops)
+    placements = tuple(
+        PlacementSolution(np.zeros(3), np.zeros(1, int), np.zeros(1), np.zeros(1), 0.0,
+                          ending != "proven", 0, ending, ((0, 0.0, (0.0, 0.0, 0.0)),))
+        for ending in (*positioning.ENDINGS, "probe"))
+    record = Deployment(np.zeros((0, 3)), Association(np.zeros((1, 0)), np.zeros(0)),
+                        np.zeros(1), np.zeros(1), 0, 0.0,
+                        zones=(CandidateZone((0,), Point3(1.0, 2.0, 3.0), 0.5),),
+                        placements=placements)
 
-    def plan(scn, params, pool=None, trace=None):
+    def plan(*args):
         assert [dict(vars(m)) for m in modules] == before
-        for ending in (*positioning.ENDINGS, "probe"):
-            pool.append(((0,), PlacementSolution(np.zeros(3), np.empty(0, int), np.empty(0),
-                                                 np.empty(0), 0.0, ending != "proven", 0,
-                                                 ending)))
+        return record
 
     monkeypatch.setattr(plan_digest.workloads.planner, "plan_deployment", plan)
+    monkeypatch.setattr(plan_digest.workloads.scenario, "run_baseline", plan)
     modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("uavplan")]
     before = [dict(vars(m)) for m in modules]
-    assert plan_digest.endings(workload) \
-        == "witness 1 ceiling 1 probe 2 proven 1 seeded 1 iterated 1"
+    assert getattr(plan_digest, view)(workload) == VIEWS[view]
+    assert [dict(vars(m)) for m in modules] == before
+
+
+def zone_bits(zones):
+    return [(z.members, *(v.hex() for v in (z.witness.x, z.witness.y, z.witness.z, z.slack)))
+            for z in zones]
+
+
+@pytest.mark.parametrize("pairs", [positioning._CERTIFY_PAIRS, 0], ids=["certified", "no-pairs"])
+def test_plans_record_their_zones_and_where_each_search_ended(plan_digest, monkeypatch, pairs):
+    # Every plan_deployment of one n100-1km and one paper-sweep pass, the
+    # fixed-altitude baseline's included: its zones are a fresh enumeration's
+    # bit for bit, and each placement's trace ends at the placement. With no
+    # pairs to spend, the certificate gives up and the swarms iterate.
+    monkeypatch.setattr(positioning, "_CERTIFY_PAIRS", pairs)
+    workloads, plans = plan_digest.workloads, []
+    plan = workloads.planner.plan_deployment
+
+    def record(scn, *args):
+        plans.append((scn, plan(scn, *args)))
+        return plans[-1][1]
+
+    for module in (workloads.planner, workloads.scenario):
+        monkeypatch.setattr(module, "plan_deployment", record)
+    for name in ("n100-1km", "paper-sweep"):
+        for _ in plan_digest.planned(workloads.WORKLOADS[name]):
+            pass
+    assert len(plans) == 2 + 288
+    iterations = 0
+    for scn, dep in plans:
+        spheres = coverage.build_spheres(scn, workloads.PARAMS)
+        assert zone_bits(dep.zones) == zone_bits(coverage.enumerate_zones(spheres, scn.venue))
+        for sol in dep.placements:
+            it, value, position = sol.trace[-1]
+            assert (it, value.hex(), *(v.hex() for v in position)) \
+                == (sol.iterations, sol.fitness.hex(), *(v.hex() for v in sol.uav_position.tolist()))
+            iterations += sol.iterations
+    assert (iterations > 0) == (pairs == 0)
 
 
 # The vertex candidates one pass scores, as ``tools/plan_digest.py --candidates`` prints them.

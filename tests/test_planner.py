@@ -74,27 +74,30 @@ def test_planner_deterministic(params):
 
 
 def test_plan_and_pool_are_read_only_arrays(params, monkeypatch):
-    # A venue like that of test_split_heavy_plans_are_pinned whose pool holds
-    # failed swarms and swarms that neither anchor served. With no pairs to
-    # spend, the certificate gives up on each of them, so they stepped.
+    # A venue like that of test_split_heavy_plans_are_pinned whose pool, the
+    # plan's placements, holds failed swarms and swarms that neither anchor
+    # served. With no pairs to spend, the certificate gives up on each of
+    # them, so they stepped.
     monkeypatch.setattr(positioning, "_CERTIFY_PAIRS", 0)
     rng = np.random.default_rng(2027)
     scn = make_scenario(rng.uniform(0.0, 1000.0, (40, 2)).tolist(), demand=26e6, side=1000.0)
-    pool = []
-    dep = plan_deployment(replace(scn, seed=5), params, pool=pool)
+    dep = plan_deployment(replace(scn, seed=5), params)
     positions = dep.uav_positions
     assert isinstance(positions, np.ndarray) and positions.dtype == float
     assert positions.shape == (dep.uav_count, 3) and not positions.flags.writeable
-    assert any(sol.iterations > 0 for _, sol in pool)
-    assert any(not sol.feasible for _, sol in pool)
-    for members, sol in pool:
+    pool = dep.placements
+    assert any(sol.iterations > 0 for sol in pool)
+    assert any(not sol.feasible for sol in pool)
+    for sol in pool:
         arrays = (sol.uav_position, sol.ue_indices, sol.bandwidth_hz, sol.rate_bps)
         assert not any(a.flags.writeable for a in arrays)
         assert sol.uav_position.shape == (3,)
-        assert sol.ue_indices.tolist() == list(members)
-        assert len(sol.bandwidth_hz) == len(sol.rate_bps) == len(members)
+        assert len(sol.bandwidth_hz) == len(sol.rate_bps) == len(sol.ue_indices)
+    # The feasible placements are the plan's UAVs, in member order.
+    assert sorted(sol.ue_indices.tolist() for sol in pool if sol.feasible) \
+        == [np.flatnonzero(column).tolist() for column in dep.association.z.T]
     with pytest.raises(ValueError, match="read-only"):
-        pool[0][1].rate_bps[0] = 0.0
+        pool[0].rate_bps[0] = 0.0
 
 
 def test_planner_unservable(params):
@@ -354,20 +357,6 @@ def test_zone_capacities_match_the_running_total(params):
     assert planner.zone_capacities([], bounds, b_max).tolist() == []
 
 
-def test_validation_report_csv_round_trip(params, tmp_path):
-    scn = make_scenario([(100, 100), (150, 150)], seed=2)
-    dep = plan_deployment(scn, params)
-    report = validate_deployment(dep, scn, params)
-    out = tmp_path / "validation.csv"
-    report.write_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "constraint,residual,pass"
-    assert len(lines) == 1 + len(report.checks)
-    names = [line.split(",")[0] for line in lines[1:]]
-    assert names == [c.name for c in report.checks]
-    assert all(line.endswith(",true") for line in lines[1:])
-
-
 # ---------------------------------------------------------------------------
 # split_zone
 # ---------------------------------------------------------------------------
@@ -498,18 +487,19 @@ def plan_digest(dep, scn, params) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def swarm_digest(pool, trace) -> str:
+def swarm_digest(placements) -> str:
     """First 16 hex digits of SHA-256 over a plan's swarms, as ``tools/plan_digest.py --swarms``."""
     h = hashlib.sha256()
-    for members, sol in pool:
+    for sol in placements:
         bits = (v.hex() for v in (*sol.uav_position.tolist(), sol.fitness))
+        members = tuple(sol.ue_indices.tolist())
         h.update(f"{members} {' '.join(bits)} {sol.feasible} {sol.iterations}\n".encode())
         for ue, bw, rate in zip(sol.ue_indices.tolist(), sol.bandwidth_hz.tolist(),
                                 sol.rate_bps.tolist()):
             h.update(f"{ue} {bw.hex()} {rate.hex()}\n".encode())
-    for members, rows in trace:
-        h.update(f"{members} {len(rows)} rows\n".encode())
-        for it, val, pos in rows:
+    for sol in placements:
+        h.update(f"{tuple(sol.ue_indices.tolist())} {len(sol.trace)} rows\n".encode())
+        for it, val, pos in sol.trace:
             h.update(f"{it} {' '.join(float(v).hex() for v in (val, *pos))}\n".encode())
     return h.hexdigest()[:16]
 
@@ -520,14 +510,14 @@ def test_split_heavy_plans_are_pinned(params):
     rng = np.random.default_rng(2024)
     scn = make_scenario(rng.uniform(0.0, 1000.0, (40, 2)).tolist(), demand=26e6, side=1000.0)
     scn = replace(scn, label="split-heavy", seed=5)
-    pool, trace = [], []
-    dep = plan_deployment(scn, params, pool=pool, trace=trace)
-    assert any(not sol.feasible for _, sol in pool)
+    dep = plan_deployment(scn, params)
+    assert any(not sol.feasible for sol in dep.placements)
     assert (dep.uav_count, plan_digest(dep, scn, params)) == (8, "b75bb61c59f3591e")
     # The swarms, in the order of the waves that placed them, as --dump-pool
-    # and --pso-trace write them.
-    assert [members for members, _ in trace] == [members for members, _ in pool]
-    assert (len(pool), swarm_digest(pool, trace)) == (10, "c8b88ed5b6449ff2")
+    # and --pso-trace write them; each trace ends at its placement.
+    assert all(sol.trace[-1] == (sol.iterations, sol.fitness, tuple(sol.uav_position))
+               for sol in dep.placements)
+    assert (len(dep.placements), swarm_digest(dep.placements)) == (10, "c8b88ed5b6449ff2")
     fixed = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
     assert (fixed.uav_count, plan_digest(fixed, scn, params)) == (24, "0a944bb91fd5e514")
 
@@ -559,18 +549,21 @@ def test_mixed_pin_plans_are_pinned(params):
 
 
 def breadth_first(roots, scn, spheres, place):
-    """The planner's queue one zone at a time, first in first out: its pool and failing users."""
-    pool, failed, queue = [], [], deque(roots)
+    """The planner's queue one zone at a time, first in first out: its pool and failing users.
+
+    Each pool entry is (wave, members, solution), the roots being wave 0.
+    """
+    pool, failed, queue = [], [], deque((0, root) for root in roots)
     while queue:
-        sub = queue.popleft()
+        wave, sub = queue.popleft()
         sol = place(sub)
-        pool.append((sub.members, sol))
+        pool.append((wave, sub.members, sol))
         if sol.feasible:
             continue
         if len(sub.members) == 1:
             failed.append(sub.members[0])
             continue
-        queue.extend(split_zone([sub], spheres, scn))
+        queue.extend((wave + 1, half) for half in split_zone([sub], spheres, scn))
     return pool, failed
 
 
@@ -582,19 +575,20 @@ def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkey
     # plan reports them all.
     rng = np.random.default_rng(2024)
     scn = make_scenario(rng.uniform(0.0, 1000.0, (40, 2)).tolist(), demand=26e6, side=1000.0)
+    calls = []
 
     def place(zone):
         key = 7 * sum(zone.members) + len(zone.members) + salt
         feasible = (key % 2 != 0 if len(zone.members) == 1
                     else key % 5 != 0 and key % 3 != 0)
-        return PlacementSolution(zone.witness.as_array(), np.empty(0, int), np.empty(0),
-                                 np.empty(0), float(key), feasible, 0,
-                                 "witness" if feasible else "proven")
+        links = np.zeros(len(zone.members))
+        return PlacementSolution(zone.witness.as_array(), np.array(zone.members), links, links,
+                                 float(key), feasible, 0,
+                                 "witness" if feasible else "proven",
+                                 ((0, float(len(zone.members)), (0.0, 0.0, 0.0)),))
 
-    def place_all(zones, *args, traces=None, **kwargs):
-        for zone, rows in zip(zones, traces or [None] * len(zones)):
-            if rows is not None:
-                rows.append((0, float(len(zone.members)), (0.0, 0.0, 0.0)))
+    def place_all(zones, *args, **kwargs):
+        calls.extend(zone.members for zone in zones)
         return [place(zone) for zone in zones]
 
     # The first wave: each cover pick restricted to the users it serves.
@@ -609,22 +603,25 @@ def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkey
 
     monkeypatch.setattr(planner, "cover_assignment", record_roots)
     monkeypatch.setattr(planner, "optimize_positions", place_all)
-    monkeypatch.setattr(planner, "optimize_position",
-                        lambda zone, *a, trace=None, **kw: place_all([zone], traces=[trace])[0])
-    pool, trace, failed = [], [], ()
+    monkeypatch.setattr(planner, "optimize_position", lambda zone, *a, **kw: place_all([zone])[0])
+    placements, failed = None, ()
     try:
-        plan_deployment(scn, params, pool=pool, trace=trace)
+        placements = plan_deployment(scn, params).placements
     except UnservableError as exc:
         failed = exc.ue_indices
     expected, expected_failed = breadth_first(roots, scn, build_spheres(scn, params), place)
 
-    def fields(entries):
-        return [(members, sol.uav_position.tobytes(), sol.fitness, sol.feasible)
-                for members, sol in entries]
-
-    assert fields(pool) == fields(expected)
-    assert trace == [(members, [(0, float(len(members)), (0.0, 0.0, 0.0))])
-                     for members, _ in expected]
+    # Each wave places its zones of two or more users in one call, then its
+    # singletons one at a time.
+    assert calls == [members for _, members, _ in
+                     sorted(expected, key=lambda entry: (entry[0], len(entry[1]) == 1))]
+    if placements is not None:
+        # The plan records every placement in wave order, failed ones included.
+        assert [(sol.ue_indices.tolist(), sol.uav_position.tobytes(), sol.fitness, sol.feasible,
+                 sol.trace) for sol in placements] \
+            == [(list(members), sol.uav_position.tobytes(), sol.fitness, sol.feasible,
+                 ((0, float(len(members)), (0.0, 0.0, 0.0)),)) for _, members, sol in expected]
     assert failed == tuple(sorted(set(expected_failed)))
     assert len(failed) == {3: 0, 5: 5}[salt]
-    assert len(pool) > len(roots)
+    assert (placements is None) == bool(failed)
+    assert len(expected) > len(roots)

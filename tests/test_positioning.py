@@ -129,9 +129,8 @@ def test_optimize_seed_changes_trajectory(params):
     # to explore and different streams take different paths.
     scn = make_scenario([(388, 154), (135, 432), (441, 255)], demand=26e6, side=500.0)
     zone, _ = full_zone(scn, params)
-    t1, t2 = [], []
-    optimize_position(zone, replace(scn, seed=1), params, SwarmConfig(), certify=False, trace=t1)
-    optimize_position(zone, replace(scn, seed=2), params, SwarmConfig(), certify=False, trace=t2)
+    t1, t2 = (optimize_position(zone, replace(scn, seed=k), params, SwarmConfig(),
+                                certify=False).trace for k in (1, 2))
     assert len(t1) > 1 and t1 != t2
 
 
@@ -146,8 +145,7 @@ def test_optimize_dominates_witness(params):
 def test_optimize_gbest_monotone_trace(params):
     scn = make_scenario([(60, 60), (210, 210), (120, 250), (250, 120)], seed=8)
     zone, _ = full_zone(scn, params)
-    trace = []
-    optimize_position(zone, scn, params, SwarmConfig(), trace=trace)
+    trace = optimize_position(zone, scn, params, SwarmConfig()).trace
     values = [row[1] for row in trace]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
@@ -176,16 +174,14 @@ def test_optimize_proves_a_pinned_overrun_before_seeding(params):
     scn = make_scenario(ue_xy, bandwidth_policy="fixed", seed=1)
     zone, _ = full_zone(scn, params)
     cfg = SwarmConfig()
-    trace = []
-    sol = optimize_position(zone, scn, params, cfg, trace=trace)
+    sol = optimize_position(zone, scn, params, cfg)
     assert not sol.feasible and sol.iterations == 0
     assert np.array_equal(sol.uav_position, zone.witness.as_array())
-    assert trace == [(0, sol.fitness, tuple(sol.uav_position))]
+    assert sol.trace == ((0, sol.fitness, tuple(sol.uav_position)),)
     pair = _pseudo_zone((0, 1), scn)
-    traces = [[], []]
-    beside, overrun = optimize_positions([pair, zone], scn, params, cfg, traces=traces)
+    beside, overrun = optimize_positions([pair, zone], scn, params, cfg)
     assert beside.feasible
-    assert not overrun.feasible and overrun.iterations == 0 and len(traces[1]) == 1
+    assert not overrun.feasible and overrun.iterations == 0 and len(overrun.trace) == 1
     # Without the certificate the search runs to the end.
     kept = optimize_position(zone, scn, params, cfg, certify=False)
     assert not kept.feasible and kept.iterations == cfg.max_iterations
@@ -215,15 +211,14 @@ def test_optimize_early_stop_activates(params, monkeypatch):
     assert fitness(zone.witness, zone, scn, params)[1]
     seeded, drawn = record_generators(monkeypatch)
     cfg = SwarmConfig(max_iterations=100)
-    trace = []
-    sol = optimize_position(zone, scn, params, cfg, trace=trace)
+    sol = optimize_position(zone, scn, params, cfg)
     # A feasible witness is the first feasible best: no iteration, no draw,
     # no generator.
     value = fitness(zone.witness, zone, scn, params)[0]
     assert sol.feasible and np.array_equal(sol.uav_position, zone.witness.as_array())
     assert sol.fitness == value
     assert sol.iterations == 0 and not drawn and not seeded
-    assert trace == [(0, value, tuple(zone.witness.as_array()))]
+    assert sol.trace == ((0, value, tuple(zone.witness.as_array())),)
     # The recorder sees a swarm that runs, here without the certificate,
     # which would end the zone at a served probe: one generator, its starts,
     # then one draw per step.
@@ -251,14 +246,13 @@ def test_anchored_and_proven_zones_make_no_generator(params, monkeypatch):
     floor = scn.venue.lower[2]
     assert unservable((3, 4), scn, params)
     seeded, drawn = record_generators(monkeypatch)
-    traces = [[], [], []]
-    sols = optimize_positions(zones, scn, params, SwarmConfig(), traces=traces)
+    sols = optimize_positions(zones, scn, params, SwarmConfig())
     assert not seeded and not drawn
     assert [(s.feasible, s.iterations) for s in sols] == [(True, 0), (True, 0), (False, 0)]
     assert [s.uav_position.tolist() for s in sols] == [[500.0, 1600.0, floor],
                                                         [1000.0, 1000.0, scn.venue.upper[2]],
                                                         [1000.0, 300.0, floor]]
-    assert traces == [[(0, s.fitness, tuple(s.uav_position))] for s in sols]
+    assert [s.trace for s in sols] == [((0, s.fitness, tuple(s.uav_position)),) for s in sols]
     # The anchored pair scores its summed demand, as any feasible position does.
     assert sols[1].fitness == 2 * 26e6
 
@@ -350,11 +344,9 @@ def solution_bits(sol):
     links = zip(sol.ue_indices.tolist(), sol.bandwidth_hz.tolist(), sol.rate_bps.tolist())
     return (tuple(v.hex() for v in sol.uav_position.tolist()), sol.fitness.hex(),
             sol.feasible, sol.iterations, sol.ending,
-            tuple((i, b.hex(), r.hex()) for i, b, r in links))
-
-
-def trace_bits(rows):
-    return [(it, float(v).hex(), tuple(float(p).hex() for p in pos)) for it, v, pos in rows]
+            tuple((i, b.hex(), r.hex()) for i, b, r in links),
+            tuple((it, float(v).hex(), tuple(float(p).hex() for p in pos))
+                  for it, v, pos in sol.trace))
 
 
 def swarm_batches(params):
@@ -446,18 +438,15 @@ def test_lockstep_swarms_match_the_per_zone_search(params, monkeypatch):
                 m.setattr(ref, "_CERTIFY_PAIRS", pairs)
                 expected = []
                 for zone in zones:
-                    rows = []
-                    sol = ref.loop_position(zone, scn, params, cfg, certify, trace=rows)
-                    expected.append((solution_bits(sol), trace_bits(rows)))
+                    sol = ref.loop_position(zone, scn, params, cfg, certify)
+                    expected.append(solution_bits(sol))
                     n = len(zone.members)
                     seen |= outcomes(zone, sol, certify, scn, params)
                     seen.add("singleton" if n == 1 else "below 8" if n < 8 else "8 or more")
 
                 def lockstep(batch):
-                    traces = [[] for _ in batch]
-                    sols = optimize_positions(batch, scn, params, cfg, certify=certify,
-                                              traces=traces)
-                    return [(solution_bits(s), trace_bits(t)) for s, t in zip(sols, traces)]
+                    sols = optimize_positions(batch, scn, params, cfg, certify=certify)
+                    return [solution_bits(s) for s in sols]
 
                 assert lockstep(zones) == expected
                 assert [lockstep([zone])[0] for zone in zones] == expected
@@ -477,12 +466,11 @@ def test_optimize_returns_a_proven_unservable_zone_before_seeding(params, monkey
     assert unservable(zone.members, scn, params)
     seeded, drawn = record_generators(monkeypatch)
     cfg = SwarmConfig(particle_count=particles)
-    trace = []
-    sol = optimize_position(zone, scn, params, cfg, trace=trace)
+    sol = optimize_position(zone, scn, params, cfg)
     # The witness is the answer: no generator, no draw and no step.
     assert not sol.feasible and sol.iterations == 0
     assert np.array_equal(sol.uav_position, zone.witness.as_array())
-    assert trace == [(0, sol.fitness, tuple(sol.uav_position))]
+    assert sol.trace == ((0, sol.fitness, tuple(sol.uav_position)),)
     assert not seeded and not drawn
     # Without the certificate an infeasible zone is seeded and runs the
     # whole search.

@@ -12,21 +12,23 @@ prints the first 16 hex digits of SHA-256 over each operation's label and
 the same digest over that pass with every scenario under the ``fixed``
 bandwidth policy: the one pass whose zone capacity caps bind.
 
-With ``--zones`` each digest is over the candidate zones instead: every
-``enumerate_zones`` result the same plans ask for, in call order, each zone's
-members and the bits of its witness's x, y, z and of its slack. A plan
-shows only the zones its cover picks, so this digest is the one that shows
-a witness moving in a zone no cover picked.
+With ``--zones`` each digest is over the candidate zones instead: the
+``zones`` of every deployment that ``plan_deployment`` makes (the planner
+and fixed-altitude operations), in label order, each zone's members and the
+bits of its witness's x, y, z and of its slack. A plan shows only the zones
+its cover picks, so this digest is the one that shows a witness moving in a
+zone no cover picked.
 
 With ``--swarms`` each digest is over the swarms of the planner operations
-instead: for each, in label order, ``plan_deployment``'s ``pool`` (members,
-the bits of the position and fitness, feasibility and iterations, then one
-line per member: its UE and the bits of its link width and rate, read from
-the solution's arrays) and ``trace`` (members, then every row's iteration and
-bits), in the wave order the planner placed them in. These are what
-``uavplan plan --dump-pool`` and ``--pso-trace`` write, less each solution's
-``ending``, which ``--endings`` counts, so the digest shows a swarm that
-moves, or runs in another order, even where the plan does not.
+instead: for each, in label order, its deployment's ``placements`` in the
+wave order the planner placed them in, first every placement (members, the
+bits of the position and fitness, feasibility and iterations, then one line
+per member: its UE and the bits of its link width and rate, read from the
+solution's arrays), then every placement's ``trace`` (members, then every
+row's iteration and bits). These are what ``uavplan plan --dump-pool`` and
+``--pso-trace`` write, less each solution's ``ending``, which ``--endings``
+counts, so the digest shows a swarm that moves, or runs in another order,
+even where the plan does not.
 
 With ``--throughput`` each digest is over what the plans are judged by
 instead: for each operation, in label order, the pass flag of every
@@ -35,7 +37,7 @@ aggregate and of every UE's delivered rate. The validation is outside the
 plan digest, so this one shows a change to how the plans are checked.
 
 With ``--endings`` it prints counts instead of a digest: how each swarm in
-the pool of every planner operation ended, over one pass, as each
+the placements of every planner operation ended, over one pass, as each
 solution's ``ending`` records it. ``witness``: the zone's witness served
 it; ``ceiling``: the witness raised to the box top did; ``probe``: the
 certificate's first served probe did; ``proven``: the certificate proved
@@ -105,48 +107,38 @@ def throughput_digest(workload, **changes) -> str:
 def zone_digest(workload, **changes) -> str:
     """Digest of every zone list the plans of one pass enumerate; ``changes`` as in ``plan_digest``."""
     h = hashlib.sha256()
-    enumerate_zones = workloads.planner.enumerate_zones
-
-    def record(spheres, box):
-        zones = enumerate_zones(spheres, box)
-        h.update(f"{len(zones)} zones\n".encode())
-        for z in zones:
-            bits = (v.hex() for v in (z.witness.x, z.witness.y, z.witness.z, z.slack))
-            h.update(f"{z.members} {' '.join(bits)}\n".encode())
-        return zones
-
-    workloads.planner.enumerate_zones = record
-    try:
-        plan_digest(workload, **changes)
-    finally:
-        workloads.planner.enumerate_zones = enumerate_zones
+    for op, _, dep in planned(workload, **changes):
+        if op.method in workloads.PLAN_METHODS:
+            h.update(f"{len(dep.zones)} zones\n".encode())
+            for z in dep.zones:
+                bits = (v.hex() for v in (z.witness.x, z.witness.y, z.witness.z, z.slack))
+                h.update(f"{z.members} {' '.join(bits)}\n".encode())
     return h.hexdigest()[:16]
 
 
 def swarms(workload, **changes):
-    """Each planner operation of one pass in label order, with its swarm pool and trace."""
+    """Each planner operation of one pass in label order, with its deployment's placements."""
     for op in sorted(workload.make_pass(0), key=lambda op: op.label):
         if op.method == "planner":
-            pool, trace = [], []
-            workloads.planner.plan_deployment(replace(op.scenario, **changes), workloads.PARAMS,
-                                              pool=pool, trace=trace)
-            yield op, pool, trace
+            scn = replace(op.scenario, **changes)
+            yield op, workloads.planner.plan_deployment(scn, workloads.PARAMS).placements
 
 
 def swarm_digest(workload, **changes) -> str:
-    """Digest of every planner op's swarm pool and trace; ``changes`` as in ``plan_digest``."""
+    """Digest of every planner op's placements and traces; ``changes`` as in ``plan_digest``."""
     h = hashlib.sha256()
-    for op, pool, trace in swarms(workload, **changes):
+    for op, placements in swarms(workload, **changes):
         h.update(op.label.encode())
-        for members, sol in pool:
+        members = [tuple(sol.ue_indices.tolist()) for sol in placements]
+        for tag, sol in zip(members, placements):
             bits = (v.hex() for v in (*sol.uav_position.tolist(), sol.fitness))
-            h.update(f"{members} {' '.join(bits)} {sol.feasible} {sol.iterations}\n".encode())
+            h.update(f"{tag} {' '.join(bits)} {sol.feasible} {sol.iterations}\n".encode())
             for ue, bw, rate in zip(sol.ue_indices.tolist(), sol.bandwidth_hz.tolist(),
                                     sol.rate_bps.tolist()):
                 h.update(f"{ue} {bw.hex()} {rate.hex()}\n".encode())
-        for members, rows in trace:
-            h.update(f"{members} {len(rows)} rows\n".encode())
-            for it, val, pos in rows:
+        for tag, sol in zip(members, placements):
+            h.update(f"{tag} {len(sol.trace)} rows\n".encode())
+            for it, val, pos in sol.trace:
                 h.update(f"{it} {' '.join(float(v).hex() for v in (val, *pos))}\n".encode())
     return h.hexdigest()[:16]
 
@@ -154,8 +146,8 @@ def swarm_digest(workload, **changes) -> str:
 def endings(workload, **changes) -> str:
     """Counts of each ending over one pass's planner swarms; ``changes`` as in ``plan_digest``."""
     counts = dict.fromkeys(positioning.ENDINGS, 0)
-    for _, pool, _ in swarms(workload, **changes):
-        for _, sol in pool:
+    for _, placements in swarms(workload, **changes):
+        for sol in placements:
             counts[sol.ending] += 1
     return " ".join(f"{name} {n}" for name, n in counts.items())
 
