@@ -280,7 +280,6 @@ def deployment_to_dict(deployment, report) -> dict:
         "uav_count": deployment.uav_count,
         "positions": [dict(zip("xyz", p)) for p in deployment.uav_positions.tolist()],
         "assoc": assoc,
-        "aggregate_bps": deployment.aggregate_bps,
         "validation": {
             "pass": report.passed,
             "constraints": [
@@ -298,21 +297,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    dumps = [flag for flag, path in zip(("--dump-zones", "--dump-pool", "--pso-trace"),
-                                        (args.dump_zones, args.dump_pool, args.pso_trace)) if path]
-    if args.baseline and dumps:
-        raise ConfigError(f"{', '.join(dumps)} dump planner stages that --baseline does not run")
     scenario, params, swarm = scenario_from_dict(_load_json(args.scenario))
     if args.config:
         scenario, params, swarm = _apply_config_overrides(args.config, scenario, params, swarm)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
 
-    if args.baseline:
-        kind = BaselineKind(args.baseline)
-        deployment = run_baseline(kind, scenario, params, swarm)
-    else:
-        deployment = plan_deployment(scenario, params, swarm)
+    try:
+        deployment = (run_baseline(BaselineKind(args.baseline), scenario, params, swarm)
+                      if args.baseline else plan_deployment(scenario, params, swarm))
+    except UnservableError as exc:
+        _write_dumps(args, exc.zones, exc.placements)
+        raise
 
     report = validate_deployment(deployment, scenario, params)
     aggregate, delivered = evaluate_throughput(deployment, scenario, params)
@@ -320,8 +316,12 @@ def cmd_plan(args) -> int:
     doc["aggregate_bps"] = aggregate
     doc["demand_satisfied_ratio"] = demand_satisfaction_ratio(delivered, scenario)
     _dump_json(args.out, doc)
+    _write_dumps(args, deployment.zones, deployment.placements)
+    return EXIT_OK
 
-    # The dumps are views of the plan's own record.
+
+def _write_dumps(args, zones, placements) -> None:
+    """The dumps asked for: views of a plan's record, failed or not."""
     if args.dump_zones:
         _dump_json(args.dump_zones, [
             {
@@ -329,7 +329,7 @@ def cmd_plan(args) -> int:
                 "witness": {"x": zone.witness.x, "y": zone.witness.y, "z": zone.witness.z},
                 "slack_m": zone.slack,
             }
-            for zone in deployment.zones
+            for zone in zones
         ])
     if args.dump_pool:
         _dump_json(args.dump_pool, [
@@ -341,16 +341,15 @@ def cmd_plan(args) -> int:
                 "iterations": s.iterations,
                 "ending": s.ending,
             }
-            for s in deployment.placements
+            for s in placements
         ])
     if args.pso_trace:
         lines = ["members,iteration,gbest_fitness_bps,x_m,y_m,z_m"]
-        for s in deployment.placements:
+        for s in placements:
             tag = "|".join(map(str, s.ue_indices.tolist()))
             for it, val, pos in s.trace:
                 lines.append(",".join([tag, str(it), *(repr(float(v)) for v in (val, *pos))]))
         _write_text(args.pso_trace, "\n".join(lines) + "\n")
-    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:

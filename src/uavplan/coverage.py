@@ -29,10 +29,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class UnservableError(Exception):
-    """Some UEs cannot be served from anywhere inside the feasible box."""
+    """Some UEs cannot be served from anywhere inside the feasible box.
 
-    def __init__(self, ue_indices: Sequence[int]):
+    ``zones`` and ``placements`` are the failed plan's record as a
+    ``Deployment`` holds it, empty where planning stopped before the zones.
+    """
+
+    def __init__(self, ue_indices: Sequence[int], zones: tuple = (), placements: tuple = ()):
         self.ue_indices = tuple(sorted(ue_indices))
+        self.zones, self.placements = zones, placements
         super().__init__(f"unservable UEs: {self.ue_indices}")
 
 

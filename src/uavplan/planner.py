@@ -61,11 +61,12 @@ class Association:
 
 @dataclass(frozen=True)
 class Deployment:
-    """A plan and its record: ``plan_deployment`` fills ``zones`` and ``placements``.
+    """A plan and its record, the same for every method; ``evaluate_throughput`` judges it.
 
-    ``zones`` is the ``enumerate_zones`` output the plan covered, and
-    ``placements`` every zone's ``PlacementSolution`` in wave order, the
-    failed ones included; a placement's members are its ``ue_indices``.
+    ``zones`` is the ``enumerate_zones`` output the plan covered (the fixed-n
+    baseline enumerates none), and ``placements`` every ``PlacementSolution``
+    made, failed ones included: in wave order, or for fixed-n one per group
+    in group order. A placement's members are its ``ue_indices``.
     """
 
     uav_positions: np.ndarray      # (uav_count, 3) position of each UAV
@@ -73,7 +74,6 @@ class Deployment:
     link_bandwidth_hz: np.ndarray  # (n_ues,) bandwidth of each UE's link
     link_rate_bps: np.ndarray      # (n_ues,) achieved rate of each UE's link
     uav_count: int
-    aggregate_bps: float
     zones: tuple[CandidateZone, ...] = field(default=(), repr=False)
     placements: tuple[PlacementSolution, ...] = field(default=(), repr=False)
 
@@ -92,12 +92,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def residual(self, name: str) -> float:
-        for c in self.checks:
-            if c.name == name:
-                return c.residual
-        raise KeyError(name)
 
 
 def min_feasible_bandwidths(scenario: "Scenario", params: "ChannelParams") -> np.ndarray:
@@ -183,7 +177,8 @@ def plan_deployment(
     """Plan the fewest UAVs and their 3D positions meeting every demand.
 
     Raises UnservableError when some UE cannot be served from anywhere in
-    the feasible box, and CapacityDeadlockError when a single UE's demand
+    the feasible box (after the waves, it carries the zones and placements
+    made), and CapacityDeadlockError when a single UE's demand
     exceeds one UAV's whole bandwidth budget (a configuration error). The
     returned deployment always passes ``validate_deployment``. A zone is
     placed at an anchor or a served certificate probe, or proven
@@ -222,7 +217,6 @@ def plan_deployment(
     # one-member zone no position serves.
     wave = [replace(z, members=tuple(sorted(served)))
             for z, served in zip(cover, served_sets) if served]
-    placed: list[tuple[CandidateZone, PlacementSolution]] = []
     placements: list[PlacementSolution] = []
     unservable: list[int] = []
     while wave:
@@ -237,8 +231,8 @@ def plan_deployment(
             sol = sols[k] if k in sols else optimize_position(sub, scenario, params, swarm_config)
             placements.append(sol)
             if sol.feasible:
-                placed.append((sub, sol))
-            elif len(sub.members) == 1:
+                continue
+            if len(sub.members) == 1:
                 # Nadir placement of a box-reaching sphere is always feasible,
                 # so a failing singleton means the UE is truly unservable.
                 unservable.append(sub.members[0])
@@ -246,34 +240,32 @@ def plan_deployment(
                 failed.append(sub)
         wave = split_zone(failed, spheres, scenario)
     if unservable:
-        raise UnservableError(unservable)
+        raise UnservableError(unservable, zones=tuple(zones), placements=tuple(placements))
 
-    placed.sort(key=lambda pair: pair[0].members)
-    return replace(_assemble(placed, scenario), zones=tuple(zones),
+    placed = sorted((sol for sol in placements if sol.feasible), key=lambda sol: sol.ue_indices.tolist())
+    return replace(_assemble(placed, len(scenario.ues)), zones=tuple(zones),
                    placements=tuple(placements))
 
 
-def _assemble(placed, scenario: "Scenario") -> Deployment:
-    n_ues = len(scenario.ues)
+def _assemble(placed: Sequence[PlacementSolution], n_ues: int) -> Deployment:
+    """One UAV per placement, in the order given, serving its ``ue_indices``."""
     n_uavs = len(placed)
     z = np.zeros((n_ues, n_uavs), dtype=np.int8)
     a = np.ones(n_uavs, dtype=np.int8)
     bw = np.zeros(n_ues)
     rate = np.zeros(n_ues)
     positions = np.zeros((n_uavs, 3))
-    for k, (_, sol) in enumerate(placed):
+    for k, sol in enumerate(placed):
         positions[k] = sol.uav_position
         z[sol.ue_indices, k] = 1
         bw[sol.ue_indices] = sol.bandwidth_hz
         rate[sol.ue_indices] = sol.rate_bps
-    aggregate = float(np.sum(np.minimum(rate, scenario.demands_bps)))
     return Deployment(
         uav_positions=read_only(positions),
         association=Association(z=z, a=a),
         link_bandwidth_hz=bw,
         link_rate_bps=rate,
         uav_count=n_uavs,
-        aggregate_bps=aggregate,
     )
 
 

@@ -232,8 +232,9 @@ def run_baseline(
     band collapsed to 20 m, clamped into the venue's band when 20 m lies
     outside it. Fixed-group-size clusters UEs into groups of at
     most 10 and positions one UAV per group over the full box; its UAV count
-    is forced to ceil(N/10) regardless of feasibility. Both draw their
-    swarm streams, and fixed-n its clustering, from ``scenario.seed``.
+    is forced to ceil(N/10) regardless of feasibility; it records its swarms,
+    one per group in group order, and no zones. Both draw their swarm
+    streams, and fixed-n its clustering, from ``scenario.seed``.
     """
     if kind is BaselineKind.FIXED_ALTITUDE:
         z_min, z_max = scenario.venue.z
@@ -249,8 +250,8 @@ def run_baseline(
     scenario.validate()
     groups = _proximity_groups(scenario, FIXED_BASELINE_GROUP_SIZE)
     zones = [_pseudo_zone(g, scenario) for g in groups]
-    sols = optimize_positions(zones, scenario, params, swarm_config, certify=False)
-    return _assemble(list(zip(zones, sols)), scenario)
+    sols = tuple(optimize_positions(zones, scenario, params, swarm_config, certify=False))
+    return replace(_assemble(sols, len(scenario.ues)), placements=sols)
 
 
 def evaluate_throughput(

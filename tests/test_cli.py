@@ -1,12 +1,15 @@
 """CLI surface: file round trips, exit codes, dumps, and byte determinism."""
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from uavplan.cli import main, scenario_from_dict, scenario_to_dict
-from uavplan import BaselineKind, SwarmConfig, generate_scenario
+from uavplan import (BaselineKind, SwarmConfig, UnservableError, generate_scenario, plan_deployment,
+                     planner, run_baseline)
 from uavplan.positioning import ENDINGS
+from uavplan.scenario import FIXED_BASELINE_GROUP_SIZE, _proximity_groups
 
 
 def run_cli(*argv):
@@ -302,9 +305,9 @@ def test_plan_unservable_exit_three(tmp_path):
 
 
 def test_a_failed_plan_writes_no_dump(tmp_path):
-    # The dumps are views of the plan, so a plan that fails writes none: here
-    # every pinned 20 MHz link overruns a 10 MHz budget (exit 4), a failure
-    # found after the zones could be enumerated.
+    # A plan that fails on its configuration has no record, so it writes no
+    # dump: here every pinned 20 MHz link overruns a 10 MHz budget (exit 4),
+    # a failure found after the zones could be enumerated.
     def shrink_the_budget(doc):
         doc["policy"]["bandwidth"] = "fixed"
         doc["b_max_hz"] = 10e6
@@ -316,6 +319,59 @@ def test_a_failed_plan_writes_no_dump(tmp_path):
                    "--dump-zones", str(dumps[0]), "--dump-pool", str(dumps[1]),
                    "--pso-trace", str(dumps[2])) == 4
     assert not any(path.exists() for path in dumps)
+
+
+def record_views(zones, placements):
+    """What --dump-zones, --dump-pool and --pso-trace write of a plan record."""
+    return (
+        [{"members": list(z.members), "witness": {"x": z.witness.x, "y": z.witness.y,
+                                                  "z": z.witness.z}, "slack_m": z.slack}
+         for z in zones],
+        [{"members": s.ue_indices.tolist(), "position": dict(zip("xyz", s.uav_position.tolist())),
+          "fitness_bps": s.fitness, "feasible": s.feasible, "iterations": s.iterations,
+          "ending": s.ending} for s in placements],
+        ["members,iteration,gbest_fitness_bps,x_m,y_m,z_m"]
+        + [",".join(["|".join(map(str, s.ue_indices.tolist())), str(it),
+                     *(repr(float(v)) for v in (val, *pos))])
+           for s in placements for it, val, pos in s.trace],
+    )
+
+
+def plan_with_dumps(tmp_path, *options):
+    """Exit code of ``uavplan plan`` with every dump, and the dumps as read back."""
+    paths = [tmp_path / name for name in ("z.json", "p.json", "t.csv")]
+    code = run_cli("plan", "--scenario", str(tmp_path / "scn.json"), "--out",
+                   str(tmp_path / "r.json"), "--dump-zones", str(paths[0]), "--dump-pool",
+                   str(paths[1]), "--pso-trace", str(paths[2]), *options)
+    return code, (json.loads(paths[0].read_text()), json.loads(paths[1].read_text()),
+                  paths[2].read_text().splitlines())
+
+
+def test_an_unservable_plan_dumps_its_record(tmp_path, monkeypatch):
+    # A stand-in swarm fails every zone that holds UE 0, so the waves halve
+    # it down to (0,), which fails too: the plan exits 3, and its dumps are
+    # the record the error carries, split pieces and failed swarms included.
+    write_scenario(tmp_path / "scn.json", kind="B", variant=4, seed=5)
+    place_all = planner.optimize_positions
+
+    def fail_ue_0(zones, *args, **kwargs):
+        return [replace(sol, feasible=False) if 0 in sol.ue_indices else sol
+                for sol in place_all(zones, *args, **kwargs)]
+
+    monkeypatch.setattr(planner, "optimize_positions", fail_ue_0)
+    monkeypatch.setattr(planner, "optimize_position", lambda zone, *a: fail_ue_0([zone], *a)[0])
+    with pytest.raises(UnservableError) as failed:
+        plan_deployment(generate_scenario("B", 4, 5))
+    code, views = plan_with_dumps(tmp_path)
+    assert (code, failed.value.ue_indices) == (3, (0,))
+    assert views == record_views(failed.value.zones, failed.value.placements)
+    holding_0 = [entry for entry in views[1] if 0 in entry["members"]]
+    assert views[0] and len(holding_0) > 1 and holding_0[-1]["members"] == [0]
+    assert not any(entry["feasible"] for entry in holding_0)
+
+    # Planning that stops before the zones has an empty record.
+    write_scenario(tmp_path / "scn.json", mutate=lambda doc: doc["ues"][0].update(demand_bps=1e12))
+    assert plan_with_dumps(tmp_path) == (3, record_views((), ()))
 
 
 def test_plan_dumps(tmp_path):
@@ -358,17 +414,21 @@ def test_plan_baseline_flag(tmp_path):
 
 
 @pytest.mark.parametrize("baseline", [k.value for k in BaselineKind])
-def test_plan_debug_dumps_under_a_baseline_are_config_errors(tmp_path, capsys, baseline):
-    # The dumps show the planner's zones and swarms, which no baseline runs.
-    scn = tmp_path / "scn.json"
-    write_scenario(scn, kind="B", variant=4, seed=5)
-    res = tmp_path / "r.json"
-    for flag in ("--dump-zones", "--dump-pool", "--pso-trace"):
-        dump = tmp_path / "dump"
-        assert run_cli("plan", "--scenario", str(scn), "--out", str(res),
-                       "--baseline", baseline, flag, str(dump)) == 4
-        assert flag in capsys.readouterr().err
-        assert not res.exists() and not dump.exists()
+def test_plan_dumps_under_a_baseline_are_views_of_its_record(tmp_path, baseline):
+    # Every method returns the same record: fixed-altitude its enumeration
+    # and every swarm of its waves (three fail here and are split), fixed-n
+    # no zones and one swarm per proximity group, in group order.
+    doc = write_scenario(tmp_path / "scn.json", kind="B", variant=4, seed=5)
+    scn, params, swarm = scenario_from_dict(doc)
+    dep = run_baseline(BaselineKind(baseline), scn, params, swarm)
+    code, views = plan_with_dumps(tmp_path, "--baseline", baseline)
+    assert code == 0 and views == record_views(dep.zones, dep.placements)
+    if baseline == "fixed-n":
+        assert views[0] == []
+        assert [entry["members"] for entry in views[1]] \
+            == _proximity_groups(scn, FIXED_BASELINE_GROUP_SIZE)
+    else:
+        assert views[0] and sum(not entry["feasible"] for entry in views[1]) == 3
 
 
 def test_plan_fixed_altitude_stays_in_the_venue_band(tmp_path):

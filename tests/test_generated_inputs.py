@@ -142,7 +142,7 @@ def revalidate(result: dict, scenario_path, config_path, checks=None) -> None:
                                dtype=float).reshape(-1, 3),
         association=Association(z=z, a=np.ones(n_uavs, dtype=np.int8)),
         link_bandwidth_hz=bandwidth, link_rate_bps=rate,
-        uav_count=n_uavs, aggregate_bps=result["aggregate_bps"],
+        uav_count=n_uavs,
     )
     report = validate_deployment(deployment, scenario, params)
     checked = [c for c in report.checks if checks is None or c.name in checks]

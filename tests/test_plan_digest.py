@@ -32,24 +32,24 @@ from uavplan.positioning import PlacementSolution
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "plan_digest.py"
 
 PINS = {
-    "plan_digest": "c405355e7543b1ce",
+    "plan_digest": "d206124fde45707e",
     "zone_digest": "2770973116f1e98e",
     "swarm_digest": "091f0aefdceca70d",
     "throughput_digest": "dd163e9cae56166c",
 }
 N200_PINS = {
-    "plan_digest": "f4705a6e11c2c973",
+    "plan_digest": "96438cf6d96540f0",
     "zone_digest": "4ff046fc2c6bb991",
     "swarm_digest": "66054223c0db01e0",
     "throughput_digest": "875f9423ddae894e",
 }
-PAPER_SWEEP_PLAN_DIGEST = "0da731902767a556"
+PAPER_SWEEP_PLAN_DIGEST = "25ff5d17f6dae6bc"
 PAPER_SWEEP_PINS = {
     "zone_digest": "1a29f85849c202bc",
     "throughput_digest": "566c864e459b31d7",
     "swarm_digest": "f639083609cac536",
 }
-PAPER_SWEEP_FIXED_PLAN_DIGEST = "b8c4aa28eed7911d"
+PAPER_SWEEP_FIXED_PLAN_DIGEST = "6b364f05bf54cb92"
 PAPER_SWEEP_FIXED_PINS = {
     "zone_digest": "d6faa4be097bf226",
     "swarm_digest": "166807060d847584",
@@ -163,7 +163,7 @@ def test_views_read_the_plan_record_and_wrap_nothing(plan_digest, monkeypatch, v
                           ending != "proven", 0, ending, ((0, 0.0, (0.0, 0.0, 0.0)),))
         for ending in (*positioning.ENDINGS, "probe"))
     record = Deployment(np.zeros((0, 3)), Association(np.zeros((1, 0)), np.zeros(0)),
-                        np.zeros(1), np.zeros(1), 0, 0.0,
+                        np.zeros(1), np.zeros(1), 0,
                         zones=(CandidateZone((0,), Point3(1.0, 2.0, 3.0), 0.5),),
                         placements=placements)
 

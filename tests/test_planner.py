@@ -20,6 +20,7 @@ from uavplan import (
     UE,
     UnservableError,
     build_spheres,
+    enumerate_zones,
     generate_scenario,
     link_rate,
     max_service_distance,
@@ -42,13 +43,19 @@ def make_scenario(ue_xy, demand=6.5e6, side=300.0, z=(10.0, 100.0), seed=21, **k
                     ues=ues, **kw)
 
 
+def residual(report, name: str) -> float:
+    """The residual of ``report``'s check called ``name``."""
+    (value,) = [c.residual for c in report.checks if c.name == name]
+    return value
+
+
 def test_single_ue_single_uav(params):
     scn = make_scenario([(120, 180)], seed=1)
     dep = plan_deployment(scn, params)
     assert dep.uav_count == 1
     d = math.dist((120, 180, 0), dep.uav_positions[0])
     assert d <= max_service_distance(6.5e6, scn.b_max_hz, params)
-    assert dep.aggregate_bps == pytest.approx(6.5e6, rel=1e-12)
+    assert evaluate_throughput(dep, scn, params)[0] == pytest.approx(6.5e6, rel=1e-12)
     assert validate_deployment(dep, scn, params).passed
 
 
@@ -70,7 +77,7 @@ def test_planner_deterministic(params):
     assert d1.uav_positions.tobytes() == d2.uav_positions.tobytes()
     assert np.array_equal(d1.association.z, d2.association.z)
     assert np.array_equal(d1.link_bandwidth_hz, d2.link_bandwidth_hz)
-    assert d1.aggregate_bps == d2.aggregate_bps
+    assert evaluate_throughput(d1, scn, params) == evaluate_throughput(d2, scn, params)
 
 
 def test_plan_and_pool_are_read_only_arrays(params, monkeypatch):
@@ -159,11 +166,10 @@ def test_validator_catches_double_association(params):
         link_bandwidth_hz=dep.link_bandwidth_hz,
         link_rate_bps=dep.link_rate_bps,
         uav_count=len(positions),
-        aggregate_bps=dep.aggregate_bps,
     )
     report = validate_deployment(bad, scn, params)
     assert not report.passed
-    assert report.residual("unique_association") > 0
+    assert residual(report, "unique_association") > 0
 
 
 def test_validator_capacity_residual_one_hz(params):
@@ -178,10 +184,9 @@ def test_validator_capacity_residual_one_hz(params):
         link_bandwidth_hz=np.array([b, b]),
         link_rate_bps=np.array(rates),
         uav_count=1,
-        aggregate_bps=float(sum(min(r, ue.demand_bps) for r, ue in zip(rates, scn.ues))),
     )
     report = validate_deployment(dep, scn, params)
-    assert report.residual("bandwidth_capacity") == pytest.approx(1.0)
+    assert residual(report, "bandwidth_capacity") == pytest.approx(1.0)
     assert not report.passed
 
 
@@ -197,11 +202,10 @@ def test_validator_position_in_box(params):
         link_bandwidth_hz=np.array([b]),
         link_rate_bps=np.array([rate]),
         uav_count=1,
-        aggregate_bps=min(rate, scn.ues[0].demand_bps),
     )
     report = validate_deployment(dep, scn, params)
     assert [c.name for c in report.checks if not c.passed] == ["position_in_box"]
-    assert report.residual("position_in_box") == pytest.approx(1.0)
+    assert residual(report, "position_in_box") == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("pin", ["fixed-policy", "per-ue"])
@@ -219,7 +223,7 @@ def test_validator_pinned_width(params, pin):
     width[0] = 19e6
     report = validate_deployment(replace(dep, link_bandwidth_hz=width), scn, params)
     assert [c.name for c in report.checks if not c.passed] == ["pinned_width"]
-    assert report.residual("pinned_width") == 1e6
+    assert residual(report, "pinned_width") == 1e6
 
 
 @pytest.mark.parametrize("fault", ["position-dropped", "count-plus-one"])
@@ -228,13 +232,13 @@ def test_validator_shape_agreement(params, fault):
     # uav_count one too high passed.
     scn = generate_scenario("A", 0, 3)
     dep = plan_deployment(scn, params)
-    assert validate_deployment(dep, scn, params).residual("shape_agreement") == 0
+    assert residual(validate_deployment(dep, scn, params), "shape_agreement") == 0
     if fault == "position-dropped":
         bad = replace(dep, uav_positions=dep.uav_positions[:-1])
     else:
         bad = replace(dep, uav_count=dep.uav_count + 1)
     report = validate_deployment(bad, scn, params)
-    assert report.residual("shape_agreement") == 1.0
+    assert residual(report, "shape_agreement") == 1.0
     assert not report.passed
     if fault == "count-plus-one":
         assert [c.name for c in report.checks if not c.passed] == ["shape_agreement"]
@@ -254,11 +258,10 @@ def test_validator_activation_linkage(params):
         link_bandwidth_hz=dep.link_bandwidth_hz,
         link_rate_bps=dep.link_rate_bps,
         uav_count=1,
-        aggregate_bps=dep.aggregate_bps,
     )
     report = validate_deployment(bad, scn, params)
     assert not report.passed
-    assert report.residual("activation_linkage") > 0
+    assert residual(report, "activation_linkage") > 0
 
 
 @pytest.mark.parametrize("method", ["planner", "fixed-altitude", "fixed-n"])
@@ -300,12 +303,11 @@ def test_served_links_edge_cases(params):
     assert server.tolist() == [-1, -1, 0, 1, 0]
     assert rate.tolist() == [0.0, 0.0, 0.0, 0.0, expected]
     dep = Deployment(uav_positions=uavs, association=Association(z=z, a=np.ones(2, dtype=np.int8)),
-                     link_bandwidth_hz=width, link_rate_bps=rate, uav_count=2,
-                     aggregate_bps=float(rate.sum()))
+                     link_bandwidth_hz=width, link_rate_bps=rate, uav_count=2)
     report = validate_deployment(dep, scn, params)
-    assert report.residual("demand_rate") == 1.0
+    assert residual(report, "demand_rate") == 1.0
     assert uav_loads(z, width).tolist() == [40e6, 40e6]
-    assert report.residual("bandwidth_capacity") == 40e6 - scn.b_max_hz
+    assert residual(report, "bandwidth_capacity") == 40e6 - scn.b_max_hz
     _, delivered = evaluate_throughput(dep, scn, params)
     assert delivered == [0.0, 0.0, 0.0, 0.0, min(6.5e6, expected)]
 
@@ -324,7 +326,7 @@ def test_demand_rate_fails_a_link_one_ulp_short(params):
     for demand, passed in ((rate[0], True), (np.nextafter(rate[0], np.inf), False)):
         edged = replace(scn, ues=(replace(scn.ues[0], demand_bps=float(demand)),) + scn.ues[1:])
         report = validate_deployment(dep, edged, params)
-        assert (report.residual("demand_rate") <= 0) == passed
+        assert (residual(report, "demand_rate") <= 0) == passed
         assert report.passed == passed
 
 
@@ -512,14 +514,14 @@ def test_split_heavy_plans_are_pinned(params):
     scn = replace(scn, label="split-heavy", seed=5)
     dep = plan_deployment(scn, params)
     assert any(not sol.feasible for sol in dep.placements)
-    assert (dep.uav_count, plan_digest(dep, scn, params)) == (8, "b75bb61c59f3591e")
+    assert (dep.uav_count, plan_digest(dep, scn, params)) == (8, "51eeb532fd62e739")
     # The swarms, in the order of the waves that placed them, as --dump-pool
     # and --pso-trace write them; each trace ends at its placement.
     assert all(sol.trace[-1] == (sol.iterations, sol.fitness, tuple(sol.uav_position))
                for sol in dep.placements)
     assert (len(dep.placements), swarm_digest(dep.placements)) == (10, "c8b88ed5b6449ff2")
     fixed = run_baseline(BaselineKind.FIXED_ALTITUDE, scn, params)
-    assert (fixed.uav_count, plan_digest(fixed, scn, params)) == (24, "0a944bb91fd5e514")
+    assert (fixed.uav_count, plan_digest(fixed, scn, params)) == (24, "ddf748f5acae082e")
 
 
 def test_mixed_pin_plans_are_pinned(params):
@@ -604,24 +606,27 @@ def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkey
     monkeypatch.setattr(planner, "cover_assignment", record_roots)
     monkeypatch.setattr(planner, "optimize_positions", place_all)
     monkeypatch.setattr(planner, "optimize_position", lambda zone, *a, **kw: place_all([zone])[0])
-    placements, failed = None, ()
+    dep, failed = None, ()
     try:
-        placements = plan_deployment(scn, params).placements
+        dep = plan_deployment(scn, params)
+        zones, placements = dep.zones, dep.placements
     except UnservableError as exc:
-        failed = exc.ue_indices
-    expected, expected_failed = breadth_first(roots, scn, build_spheres(scn, params), place)
+        failed, zones, placements = exc.ue_indices, exc.zones, exc.placements
+    spheres = build_spheres(scn, params)
+    expected, expected_failed = breadth_first(roots, scn, spheres, place)
 
     # Each wave places its zones of two or more users in one call, then its
     # singletons one at a time.
     assert calls == [members for _, members, _ in
                      sorted(expected, key=lambda entry: (entry[0], len(entry[1]) == 1))]
-    if placements is not None:
-        # The plan records every placement in wave order, failed ones included.
-        assert [(sol.ue_indices.tolist(), sol.uav_position.tobytes(), sol.fitness, sol.feasible,
-                 sol.trace) for sol in placements] \
-            == [(list(members), sol.uav_position.tobytes(), sol.fitness, sol.feasible,
-                 ((0, float(len(members)), (0.0, 0.0, 0.0)),)) for _, members, sol in expected]
+    # The plan, or the error of a failed one, records the zones enumerated
+    # and every placement in wave order, failed ones included.
+    assert [z.members for z in zones] == [z.members for z in enumerate_zones(spheres, scn.venue)]
+    assert [(sol.ue_indices.tolist(), sol.uav_position.tobytes(), sol.fitness, sol.feasible,
+             sol.trace) for sol in placements] \
+        == [(list(members), sol.uav_position.tobytes(), sol.fitness, sol.feasible,
+             ((0, float(len(members)), (0.0, 0.0, 0.0)),)) for _, members, sol in expected]
     assert failed == tuple(sorted(set(expected_failed)))
     assert len(failed) == {3: 0, 5: 5}[salt]
-    assert (placements is None) == bool(failed)
+    assert (dep is None) == bool(failed)
     assert len(expected) > len(roots)

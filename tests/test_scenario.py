@@ -1,4 +1,5 @@
 """Scenario generation, baselines, throughput evaluation, experiment harness."""
+import hashlib
 import math
 import os
 import subprocess
@@ -29,7 +30,7 @@ from uavplan import (
     validate_deployment,
 )
 from uavplan import scenario as scenario_module
-from uavplan.scenario import demand_satisfaction_ratio, _proximity_groups
+from uavplan.scenario import FIXED_BASELINE_GROUP_SIZE, demand_satisfaction_ratio, _proximity_groups
 
 
 def test_mcs_rates_pinned():
@@ -165,6 +166,29 @@ def test_fixed_group_size_counts(params):
         assert int(z.sum(axis=0).max()) <= 10
 
 
+def test_fixed_group_size_records_one_swarm_per_group(params):
+    # The fixed-n plan is assembled from the swarms it records, one UAV per
+    # proximity group in group order, and its arrays are pinned as they
+    # were before it recorded them (B-4 seed 2968811710 oversubscribes a UAV).
+    h = hashlib.sha256()
+    for kind, variant in (("A", 0), ("A", 5), ("B", 2), ("B", 4), ("C", 4)):
+        for seed in (11, 12, 2968811710):
+            scn = generate_scenario(kind, variant, seed)
+            dep = run_baseline(BaselineKind.FIXED_GROUP_SIZE, scn, params)
+            groups = _proximity_groups(scn, FIXED_BASELINE_GROUP_SIZE)
+            assert dep.zones == ()
+            assert [sol.ue_indices.tolist() for sol in dep.placements] == groups
+            assert np.array_equal(dep.uav_positions, [sol.uav_position for sol in dep.placements])
+            for k, sol in enumerate(dep.placements):
+                assert np.flatnonzero(dep.association.z[:, k]).tolist() == groups[k]
+                assert np.array_equal(dep.link_bandwidth_hz[sol.ue_indices], sol.bandwidth_hz)
+                assert np.array_equal(dep.link_rate_bps[sol.ue_indices], sol.rate_bps)
+            for a in (dep.uav_positions, dep.association.z, dep.association.a,
+                      dep.link_bandwidth_hz, dep.link_rate_bps):
+                h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest()[:16] == "54ee9ae296c093c7"
+
+
 def test_proximity_groups_deterministic_and_capped(params):
     scn = generate_scenario("C", 2, seed=8)  # 40 UEs
     g1 = _proximity_groups(scn, 10)
@@ -288,7 +312,6 @@ def test_throughput_oversubscription_rescaling(params):
         link_bandwidth_hz=np.array([b, b]),
         link_rate_bps=np.array([rate_full, rate_full]),
         uav_count=1,
-        aggregate_bps=2 * rate_full,
     )
     aggregate, delivered = evaluate_throughput(dep, scn, params)
     expected_each = min(200e6, link_rate(ue_pos, uav, b / 2, params))
@@ -310,7 +333,6 @@ def test_throughput_unassociated_ue_counts_zero(params):
         link_bandwidth_hz=np.zeros(1),
         link_rate_bps=np.zeros(1),
         uav_count=1,
-        aggregate_bps=0.0,
     )
     aggregate, delivered = evaluate_throughput(dep, scn, params)
     assert aggregate == 0.0 and delivered == [0.0]
