@@ -25,7 +25,6 @@ from .channel import (
 )
 from .coverage import (
     CandidateZone,
-    UnservableError,
     UncoverableError,
     build_spheres,
     zone_witness,
@@ -42,6 +41,7 @@ from .planner import (
     Deployment,
     ValidationReport,
     CapacityDeadlockError,
+    UnservableError,
     plan_deployment,
     validate_deployment,
     split_zone,

@@ -15,9 +15,8 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import ChannelParams, db_to_linear, dbm_to_watt
-from .coverage import UnservableError
 from .geometry import FeasibleBox, Point3
-from .planner import CapacityDeadlockError, plan_deployment, validate_deployment
+from .planner import CapacityDeadlockError, UnservableError, plan_deployment, validate_deployment
 from .positioning import SwarmConfig
 from .scenario import (
     METHODS,
@@ -303,25 +302,20 @@ def cmd_plan(args) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
 
-    try:
-        deployment = (run_baseline(BaselineKind(args.baseline), scenario, params, swarm)
-                      if args.baseline else plan_deployment(scenario, params, swarm))
-    except UnservableError as exc:
-        _write_dumps(args, exc.zones, exc.placements)
-        raise
-
+    deployment = (run_baseline(BaselineKind(args.baseline), scenario, params, swarm)
+                  if args.baseline else plan_deployment(scenario, params, swarm))
     report = validate_deployment(deployment, scenario, params)
     aggregate, delivered = evaluate_throughput(deployment, scenario, params)
     doc = deployment_to_dict(deployment, report)
     doc["aggregate_bps"] = aggregate
     doc["demand_satisfied_ratio"] = demand_satisfaction_ratio(delivered, scenario)
     _dump_json(args.out, doc)
-    _write_dumps(args, deployment.zones, deployment.placements)
+    _write_dumps(args, deployment)
     return EXIT_OK
 
 
-def _write_dumps(args, zones, placements) -> None:
-    """The dumps asked for: views of a plan's record, failed or not."""
+def _write_dumps(args, deployment) -> None:
+    """The dumps asked for: views of the plan's record."""
     if args.dump_zones:
         _dump_json(args.dump_zones, [
             {
@@ -329,7 +323,7 @@ def _write_dumps(args, zones, placements) -> None:
                 "witness": {"x": zone.witness.x, "y": zone.witness.y, "z": zone.witness.z},
                 "slack_m": zone.slack,
             }
-            for zone in zones
+            for zone in deployment.zones
         ])
     if args.dump_pool:
         _dump_json(args.dump_pool, [
@@ -341,11 +335,11 @@ def _write_dumps(args, zones, placements) -> None:
                 "iterations": s.iterations,
                 "ending": s.ending,
             }
-            for s in placements
+            for s in deployment.placements
         ])
     if args.pso_trace:
         lines = ["members,iteration,gbest_fitness_bps,x_m,y_m,z_m"]
-        for s in placements:
+        for s in deployment.placements:
             tag = "|".join(map(str, s.ue_indices.tolist()))
             for it, val, pos in s.trace:
                 lines.append(",".join([tag, str(it), *(repr(float(v)) for v in (val, *pos))]))

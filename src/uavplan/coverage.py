@@ -28,19 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
 
 
-class UnservableError(Exception):
-    """Some UEs cannot be served from anywhere inside the feasible box.
-
-    ``zones`` and ``placements`` are the failed plan's record as a
-    ``Deployment`` holds it, empty where planning stopped before the zones.
-    """
-
-    def __init__(self, ue_indices: Sequence[int], zones: tuple = (), placements: tuple = ()):
-        self.ue_indices = tuple(sorted(ue_indices))
-        self.zones, self.placements = zones, placements
-        super().__init__(f"unservable UEs: {self.ue_indices}")
-
-
 class UncoverableError(Exception):
     """A UE appears in no candidate zone; covering is impossible."""
 
@@ -75,14 +62,18 @@ class Spheres:
 
 
 def build_spheres(scenario: "Scenario", params: "ChannelParams") -> Spheres:
-    """One service sphere per UE, centred on it; fails if any UE is unservable.
+    """One service sphere per UE, centred on it, each reaching the box.
 
     A pinned link (``Scenario.pinned_widths_hz``) is sized at its width. A
     demand-fit link's width is chosen at positioning time, so its sphere
     uses the full per-UAV budget: the ball then contains exactly the
-    positions where *some* admissible bandwidth meets the demand. The radius
-    is ``max_service_distance``, once per distinct (demand, width). A UE is
-    unservable when its sphere misses the box or its demand/width overflows.
+    positions where *some* admissible bandwidth meets the demand at the
+    design LoS probability. That ball is ``max_service_distance``, once per
+    distinct (demand, width), and understates the reach straight overhead,
+    where the LoS probability is highest, so each radius is at least the
+    distance to the UE's nadir (``venue.clamp``): every sphere reaches the
+    box. Whether the nadir link meets the demand is
+    ``planner.min_feasible_bandwidths``'s verdict, not this one's.
     """
     pinned = scenario.pinned_widths_hz
     links = np.column_stack([scenario.demands_bps, np.where(np.isnan(pinned), scenario.b_max_hz, pinned)])
@@ -93,12 +84,9 @@ def build_spheres(scenario: "Scenario", params: "ChannelParams") -> Spheres:
             reach.append(max_service_distance(demand, width, params))
         except ChannelDomainError:  # demand/width overflows the rate inversion
             reach.append(math.nan)
-    radii = np.array(reach)[inverse.reshape(-1)]
     xyz = scenario.ue_positions
-    gap = np.linalg.norm(xyz - scenario.venue.clamp(xyz), axis=1)
-    unservable = np.flatnonzero(np.isnan(radii) | (gap >= radii)).tolist()
-    if unservable:
-        raise UnservableError(unservable)
+    nadir = np.linalg.norm(xyz - scenario.venue.clamp(xyz), axis=1)
+    radii = np.fmax(np.array(reach)[inverse.reshape(-1)], nadir)
     return Spheres(centers=xyz, radii=read_only(radii))
 
 

@@ -3,10 +3,11 @@
 The cover stage decides how many UAVs to aim for; positioning refines one
 UAV per cover pick. Picks whose refined position cannot meet every demand or
 the bandwidth budget are halved geometrically and re-optimized, bottoming out
-at singleton zones, which are always servable from the member's nadir. The
-picks are placed a wave at a time, the split pieces of one wave forming the
-next. An independent validator re-checks every constraint of the final
-deployment using only the channel model.
+at singleton zones. Each user's link at its nadir is checked before any zone
+exists, and a singleton is placed there, so it never fails. The picks are
+placed a wave at a time, the split pieces of one wave forming the next. An
+independent validator re-checks every constraint of the final deployment
+using only the channel model.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from . import channel
 from .coverage import (
     CandidateZone,
     Spheres,
-    UnservableError,
     build_spheres,
     cover_assignment,
     enumerate_zones,
@@ -28,7 +28,7 @@ from .coverage import (
     zone_witness,  # not called here: perfbench/spans.py wraps it on this module
     zone_witnesses,
 )
-from .geometry import read_only
+from .geometry import Point3, read_only
 from .positioning import (
     PlacementSolution,
     SwarmConfig,
@@ -39,6 +39,14 @@ from .positioning import (
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import ChannelParams
     from .scenario import Scenario
+
+
+class UnservableError(Exception):
+    """Some UEs' links miss their demands even at their nadirs (``min_feasible_bandwidths``)."""
+
+    def __init__(self, ue_indices: Sequence[int]):
+        self.ue_indices = tuple(sorted(ue_indices))
+        super().__init__(f"unservable UEs: {self.ue_indices}")
 
 
 class CapacityDeadlockError(Exception):
@@ -95,26 +103,26 @@ class ValidationReport:
 
 
 def min_feasible_bandwidths(scenario: "Scenario", params: "ChannelParams") -> np.ndarray:
-    """Lower bound on the bandwidth each UE can ever need inside the box.
+    """Lower bound on the bandwidth each UE can ever need inside the box; NaN where none serves it.
 
-    A pinned link needs exactly its pinned width. A demand-fit link is
-    evaluated at its most favorable geometry: directly overhead at the
-    lowest allowed altitude, where both the distance and the NLoS mix are at
-    their minima. NaN marks a UE whose demand even ``b_max_hz`` cannot meet.
+    Every UE lies inside the footprint and below the altitude floor, so its
+    nadir, ``venue.clamp`` of its position, is the point straight above it
+    at the lowest allowed altitude: its best link in the box, where both
+    the distance and the NLoS mix are at their minima. A pinned link needs
+    exactly its pinned width, a demand-fit link its fitted width there
+    (within ``b_max_hz``). This is the planner's one servability verdict:
+    a UE is NaN exactly when that link misses its demand, and a one-member
+    zone placed at the nadir is scored with the same bits.
     """
+    positions, demands = scenario.ue_positions, scenario.demands_bps
+    snr_hz = channel.snr_hz_between(positions, scenario.venue.clamp(positions), params)
     bounds = scenario.pinned_widths_hz.copy()
     fit = np.isnan(bounds)
     if fit.any():
-        positions, demands = scenario.ue_positions[fit], scenario.demands_bps[fit]
-        # Every UE lies inside the footprint and below the altitude floor, so
-        # clamping it into the box gives the point straight above it.
-        overhead = scenario.venue.clamp(positions)
-        snr_hz = channel.snr_hz_between(positions, overhead, params)
-        bw, rate = channel.demand_fit_kernel(
-            snr_hz, demands, scenario.b_max_hz, scenario.bandwidth_grid_hz
+        bounds[fit], _ = channel.demand_fit_kernel(
+            snr_hz[fit], demands[fit], scenario.b_max_hz, scenario.bandwidth_grid_hz
         )
-        bounds[fit] = np.where(rate >= demands, bw, np.nan)
-    return bounds
+    return np.where(channel.shannon_rate_kernel(snr_hz, bounds) >= demands, bounds, np.nan)
 
 
 def zone_capacities(member_lists: Sequence[Sequence[int]], lower_bounds: Sequence[float],
@@ -176,11 +184,15 @@ def plan_deployment(
 ) -> Deployment:
     """Plan the fewest UAVs and their 3D positions meeting every demand.
 
-    Raises UnservableError when some UE cannot be served from anywhere in
-    the feasible box (after the waves, it carries the zones and placements
-    made), and CapacityDeadlockError when a single UE's demand
-    exceeds one UAV's whole bandwidth budget (a configuration error). The
-    returned deployment always passes ``validate_deployment``. A zone is
+    Raises CapacityDeadlockError when a UE's pinned width exceeds one UAV's
+    whole bandwidth budget (a configuration error), else UnservableError
+    when some UE's link at its nadir misses its demand
+    (``min_feasible_bandwidths``), both before any zone exists; once the
+    zones exist the plan cannot fail. The returned deployment always passes
+    ``validate_deployment``. A pick that the cover assignment leaves with one
+    member is placed at that member's nadir, as every split piece of one
+    member already is, so each one-member zone is scored with the bits of
+    the verdict that passed it. A zone is
     placed at an anchor or a served certificate probe, or proven
     unservable, with no random number drawn; only a zone on which the
     certificate gives up runs a swarm, which draws from ``scenario.seed``.
@@ -192,16 +204,17 @@ def plan_deployment(
     params = params or ChannelParams()
     scenario.validate()
 
-    lower_bounds = min_feasible_bandwidths(scenario, params)
-    bandwidth_starved = np.flatnonzero(np.isnan(lower_bounds)).tolist()
-    if bandwidth_starved:
-        raise UnservableError(bandwidth_starved)
-    over = np.flatnonzero(lower_bounds > scenario.b_max_hz).tolist()
+    # A demand-fit width never exceeds the budget, so only a pin can.
+    over = np.flatnonzero(scenario.pinned_widths_hz > scenario.b_max_hz).tolist()
     if over:
         raise CapacityDeadlockError(
             f"UEs {over} each need more bandwidth than the per-UAV budget "
             f"{scenario.b_max_hz:.0f} Hz"
         )
+    lower_bounds = min_feasible_bandwidths(scenario, params)
+    unservable = np.flatnonzero(np.isnan(lower_bounds)).tolist()
+    if unservable:
+        raise UnservableError(unservable)
 
     spheres = build_spheres(scenario, params)
     zones = enumerate_zones(spheres, scenario.venue)
@@ -212,13 +225,12 @@ def plan_deployment(
     served_sets = cover_assignment(cover, pick_caps, len(scenario.ues))
 
     # Zones are placed a wave at a time: every queued zone in one lockstep
-    # call, then the pieces of that wave's failures, in wave order. Every
-    # wave runs to the end, and the plan then fails on every user whose
-    # one-member zone no position serves.
-    wave = [replace(z, members=tuple(sorted(served)))
+    # call, then the pieces of that wave's failures, in wave order.
+    nadirs = scenario.venue.clamp(scenario.ue_positions)
+    wave = [replace(z, members=served) if len(served) > 1
+            else replace(z, members=served, witness=Point3.from_array(nadirs[served[0]]))
             for z, served in zip(cover, served_sets) if served]
     placements: list[PlacementSolution] = []
-    unservable: list[int] = []
     while wave:
         # A singleton is placed alone by optimize_position, the name
         # perfbench/spans.py wraps, so that a traced run still shows the
@@ -230,17 +242,9 @@ def plan_deployment(
         for k, sub in enumerate(wave):
             sol = sols[k] if k in sols else optimize_position(sub, scenario, params, swarm_config)
             placements.append(sol)
-            if sol.feasible:
-                continue
-            if len(sub.members) == 1:
-                # Nadir placement of a box-reaching sphere is always feasible,
-                # so a failing singleton means the UE is truly unservable.
-                unservable.append(sub.members[0])
-            else:
+            if not sol.feasible:
                 failed.append(sub)
         wave = split_zone(failed, spheres, scenario)
-    if unservable:
-        raise UnservableError(unservable, zones=tuple(zones), placements=tuple(placements))
 
     placed = sorted((sol for sol in placements if sol.feasible), key=lambda sol: sol.ue_indices.tolist())
     return replace(_assemble(placed, len(scenario.ues)), zones=tuple(zones),

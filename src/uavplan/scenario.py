@@ -27,8 +27,8 @@ from .positioning import (
     optimize_position,  # not called here: perfbench/spans.py wraps it on this module
     optimize_positions,
 )
-from .coverage import CandidateZone, UnservableError
-from .planner import CapacityDeadlockError
+from .coverage import CandidateZone
+from .planner import CapacityDeadlockError, UnservableError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import ChannelParams

@@ -1,13 +1,12 @@
 """CLI surface: file round trips, exit codes, dumps, and byte determinism."""
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
 from uavplan.cli import main, scenario_from_dict, scenario_to_dict
-from uavplan import (BaselineKind, SwarmConfig, UnservableError, generate_scenario, plan_deployment,
-                     planner, run_baseline)
+from uavplan import (BaselineKind, ChannelParams, Point3, SwarmConfig, generate_scenario, link_rate,
+                     run_baseline)
 from uavplan.positioning import ENDINGS
 from uavplan.scenario import FIXED_BASELINE_GROUP_SIZE, _proximity_groups
 
@@ -298,27 +297,56 @@ def test_plan_unservable_exit_three(tmp_path):
         doc["policy"]["bandwidth"] = "fixed"
         doc["ues"][0]["demand_bps"] = 1e12
 
+    def pin_one_demand_past_its_nadir(doc):
+        # 2.5 Gbit/s over a pinned 20 MHz misses even straight overhead.
+        doc["policy"]["bandwidth"] = "fixed"
+        doc["ues"][0]["demand_bps"] = 2.5e9
+
     scn = tmp_path / "scn.json"
-    for mutate in (crank_every_demand, crank_one_fixed_width_demand):
+    for mutate in (crank_every_demand, crank_one_fixed_width_demand, pin_one_demand_past_its_nadir):
         write_scenario(scn, mutate=mutate)
         assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 3
 
 
+def test_an_over_budget_pin_exits_four_even_where_its_nadir_link_misses(tmp_path):
+    # A configuration error outranks an unservable user: UE 0's 1 Tbit/s
+    # misses at its nadir, and its link is pinned at 200 MHz, beyond the
+    # 160 MHz budget, by its own width or by the fixed policy.
+    def pin_ue_0(doc):
+        doc["ues"][0].update(demand_bps=1e12, bandwidth_hz=200e6)
+
+    def pin_every_link(doc):
+        doc["ues"][0]["demand_bps"] = 1e12
+        doc["policy"].update(bandwidth="fixed", fixed_bandwidth_hz=200e6)
+
+    scn = tmp_path / "scn.json"
+    for mutate in (pin_ue_0, pin_every_link):
+        doc = write_scenario(scn, mutate=mutate)
+        ue = Point3(*(doc["ues"][0][k] for k in "xyz"))
+        nadir = Point3(ue.x, ue.y, doc["venue"]["z_uav"][0])
+        assert link_rate(ue, nadir, 200e6, ChannelParams()) < 1e12 and doc["b_max_hz"] == 160e6
+        assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json")) == 4
+
+
 def test_a_failed_plan_writes_no_dump(tmp_path):
-    # A plan that fails on its configuration has no record, so it writes no
-    # dump: here every pinned 20 MHz link overruns a 10 MHz budget (exit 4),
-    # a failure found after the zones could be enumerated.
+    # A failed plan has no record, so it writes no dump: every pinned 20 MHz
+    # link overruns a 10 MHz budget (exit 4), or UE 0's 1 Tbit/s misses at
+    # its nadir (exit 3). Both fail before any zone exists.
     def shrink_the_budget(doc):
         doc["policy"]["bandwidth"] = "fixed"
         doc["b_max_hz"] = 10e6
 
+    def crank_one_demand(doc):
+        doc["ues"][0]["demand_bps"] = 1e12
+
     scn = tmp_path / "scn.json"
-    write_scenario(scn, kind="B", variant=4, seed=5, mutate=shrink_the_budget)
     dumps = [tmp_path / name for name in ("z.json", "p.json", "t.csv")]
-    assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json"),
-                   "--dump-zones", str(dumps[0]), "--dump-pool", str(dumps[1]),
-                   "--pso-trace", str(dumps[2])) == 4
-    assert not any(path.exists() for path in dumps)
+    for mutate, code in ((shrink_the_budget, 4), (crank_one_demand, 3)):
+        write_scenario(scn, kind="B", variant=4, seed=5, mutate=mutate)
+        assert run_cli("plan", "--scenario", str(scn), "--out", str(tmp_path / "r.json"),
+                       "--dump-zones", str(dumps[0]), "--dump-pool", str(dumps[1]),
+                       "--pso-trace", str(dumps[2])) == code
+        assert not any(path.exists() for path in dumps)
 
 
 def record_views(zones, placements):
@@ -345,33 +373,6 @@ def plan_with_dumps(tmp_path, *options):
                    str(paths[1]), "--pso-trace", str(paths[2]), *options)
     return code, (json.loads(paths[0].read_text()), json.loads(paths[1].read_text()),
                   paths[2].read_text().splitlines())
-
-
-def test_an_unservable_plan_dumps_its_record(tmp_path, monkeypatch):
-    # A stand-in swarm fails every zone that holds UE 0, so the waves halve
-    # it down to (0,), which fails too: the plan exits 3, and its dumps are
-    # the record the error carries, split pieces and failed swarms included.
-    write_scenario(tmp_path / "scn.json", kind="B", variant=4, seed=5)
-    place_all = planner.optimize_positions
-
-    def fail_ue_0(zones, *args, **kwargs):
-        return [replace(sol, feasible=False) if 0 in sol.ue_indices else sol
-                for sol in place_all(zones, *args, **kwargs)]
-
-    monkeypatch.setattr(planner, "optimize_positions", fail_ue_0)
-    monkeypatch.setattr(planner, "optimize_position", lambda zone, *a: fail_ue_0([zone], *a)[0])
-    with pytest.raises(UnservableError) as failed:
-        plan_deployment(generate_scenario("B", 4, 5))
-    code, views = plan_with_dumps(tmp_path)
-    assert (code, failed.value.ue_indices) == (3, (0,))
-    assert views == record_views(failed.value.zones, failed.value.placements)
-    holding_0 = [entry for entry in views[1] if 0 in entry["members"]]
-    assert views[0] and len(holding_0) > 1 and holding_0[-1]["members"] == [0]
-    assert not any(entry["feasible"] for entry in holding_0)
-
-    # Planning that stops before the zones has an empty record.
-    write_scenario(tmp_path / "scn.json", mutate=lambda doc: doc["ues"][0].update(demand_bps=1e12))
-    assert plan_with_dumps(tmp_path) == (3, record_views((), ()))
 
 
 def test_plan_dumps(tmp_path):

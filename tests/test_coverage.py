@@ -13,7 +13,6 @@ from uavplan import (
     Point3,
     Scenario,
     UE,
-    UnservableError,
     UncoverableError,
     build_spheres,
     cover_assignment,
@@ -104,12 +103,18 @@ def test_build_spheres_radius_per_ue_from_its_own_link(params, policy):
     assert len(spheres) == 5
 
 
-def test_build_spheres_unservable(params):
-    # Demand so high the sphere cannot reach the altitude floor.
-    scn = make_scenario([(50, 50)], demand=2.5e9, bandwidth_policy="fixed")
-    with pytest.raises(UnservableError) as err:
-        build_spheres(scn, params)
-    assert err.value.ue_indices == (0,)
+def test_build_spheres_widens_a_short_ball_to_the_nadir(params):
+    # 2.5 Gbit/s over a pinned 20 MHz gives a ball short of the 10 m floor,
+    # and 1 Tbit/s (50,000 bit/s/Hz) one the rate inversion cannot size: each
+    # radius is then exactly the distance to the UE's nadir, so the sphere
+    # touches the box. Whether that link serves is the planner's verdict.
+    ues = (UE(Point3(50.0, 50.0, 0.0), 2.5e9), UE(Point3(70.0, 30.0, 1.5), 1e12),
+           UE(Point3(90.0, 10.0, 0.0), 6.5e6))
+    scn = Scenario(label="t", seed=1, venue=FeasibleBox((0.0, 100.0), (0.0, 100.0), (10.0, 100.0)),
+                   ues=ues, bandwidth_policy="fixed")
+    assert max_service_distance(2.5e9, 20e6, params) < 10.0
+    assert build_spheres(scn, params).radii.tolist() \
+        == [10.0, 8.5, max_service_distance(6.5e6, 20e6, params)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every document, however malformed, must exit 0, 3 (unservable) or 4
 (configuration error), never raise; every exit-0 plan must re-validate
-from the written file with no positive residual. A baseline (``--baseline
+from the written file with no positive residual, and an exit 3 needs a user
+whose link straight above it, at the altitude floor (its nadir), misses its
+demand, judged by the scalar channel functions. A baseline (``--baseline
 fixed-altitude`` or ``fixed-n``) may report demand and capacity violations,
 but its exit-0 deployment must still be well formed: consistent counts, one
 UAV per UE, binary variables and UAVs inside the box. Sizes stay small (at
@@ -10,12 +12,15 @@ most 6 UEs, 64 particles, 200 iterations) so that no draw asks for a large
 allocation.
 """
 import json
+import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from uavplan import Association, Deployment, validate_deployment
+from uavplan import (Association, Deployment, Point3, link_rate, min_bandwidth_for_demand,
+                     validate_deployment)
 from uavplan.cli import _apply_config_overrides, main, scenario_from_dict
+from uavplan.scenario import FIXED_BASELINE_ALTITUDE_M
 
 # Values of the wrong JSON type or out of every domain, for any key.
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([]),
@@ -123,14 +128,45 @@ STRUCTURAL = {"shape_agreement", "unique_association", "binary_variables", "posi
               "pinned_width"}
 
 
+# Three users on a 500 m venue at 52 Mbit/s over pinned 20 MHz links, on a
+# flat 120 m box: the 0.9-LoS ball (107.6 m) misses the box, but each nadir
+# link reaches 320 m, so the plan must not exit 3.
+FLAT_BOX_AT_REACH = {
+    "seed": 3,
+    "venue": {"x": [0.0, 500.0], "y": [0.0, 500.0], "z_uav": [120.0, 120.0]},
+    "policy": {"bandwidth": "fixed", "fixed_bandwidth_hz": 20e6},
+    "ues": [{"x": 100.0, "y": 100.0, "demand_bps": 52e6},
+            {"x": 250.0, "y": 400.0, "demand_bps": 52e6},
+            {"x": 420.0, "y": 150.0, "demand_bps": 52e6}],
+}
+
+
+def load(scenario_path, config_path):
+    """The scenario and channel that ``uavplan plan`` reads from the written files."""
+    scenario, params, swarm = scenario_from_dict(json.loads(scenario_path.read_text()))
+    if config_path is not None:
+        scenario, params, swarm = _apply_config_overrides(config_path, scenario, params, swarm)
+    return scenario, params
+
+
+def misses_at_its_nadir(scenario, params, ue, pin, floor) -> bool:
+    """Whether the UE's link straight above it at altitude ``floor`` misses its demand.
+
+    A demand-fit link is fitted within ``b_max_hz``; a pinned one keeps ``pin``.
+    """
+    nadir = Point3(ue.position.x, ue.position.y, floor)
+    if math.isnan(pin):
+        return min_bandwidth_for_demand(ue.position, nadir, ue.demand_bps, params,
+                                        scenario.b_max_hz, scenario.bandwidth_grid_hz) is None
+    return link_rate(ue.position, nadir, pin, params) < ue.demand_bps
+
+
 def revalidate(result: dict, scenario_path, config_path, checks=None) -> None:
     """Rebuild the deployment from the written file and check it from scratch.
 
     ``checks`` names the checks that must pass; all of them when None.
     """
-    scenario, params, swarm = scenario_from_dict(json.loads(scenario_path.read_text()))
-    if config_path is not None:
-        scenario, params, swarm = _apply_config_overrides(config_path, scenario, params, swarm)
+    scenario, params = load(scenario_path, config_path)
     n_ues, n_uavs = len(scenario.ues), result["uav_count"]
     z = np.zeros((n_ues, n_uavs), dtype=np.int8)
     bandwidth, rate = np.zeros(n_ues), np.zeros(n_ues)
@@ -151,7 +187,8 @@ def revalidate(result: dict, scenario_path, config_path, checks=None) -> None:
 
 
 def plan_file(tmp_path, doc, config, *options) -> None:
-    """``uavplan plan`` of the written documents: exit 0, 3 or 4, and an exit-0 result re-checked."""
+    """``uavplan plan`` of the written documents: exit 0, 3 or 4, an exit-0 result re-checked,
+    and an exit 3 explained by a user whose nadir link misses its demand."""
     scenario_path, result_path = tmp_path / "scn.json", tmp_path / "res.json"
     scenario_path.write_text(json.dumps(doc))
     argv = ["plan", "--scenario", str(scenario_path), "--out", str(result_path), *options]
@@ -166,6 +203,13 @@ def plan_file(tmp_path, doc, config, *options) -> None:
     if code == 0:
         revalidate(json.loads(result_path.read_text()), scenario_path, config_path,
                    STRUCTURAL if options else None)
+    if code == 3:
+        scenario, params = load(scenario_path, config_path)
+        floor, ceiling = scenario.venue.z
+        if "fixed-altitude" in options:  # the baseline flies at one altitude of the band
+            floor = min(max(FIXED_BASELINE_ALTITUDE_M, floor), ceiling)
+        assert any(misses_at_its_nadir(scenario, params, ue, pin, floor)
+                   for ue, pin in zip(scenario.ues, scenario.pinned_widths_hz.tolist()))
 
 
 SETTINGS = dict(derandomize=True, deadline=None,
@@ -174,11 +218,13 @@ SETTINGS = dict(derandomize=True, deadline=None,
 
 @settings(max_examples=300, **SETTINGS)
 @given(doc=DOCUMENTS, config=CONFIGS)
+@example(doc=FLAT_BOX_AT_REACH, config=None)
 def test_plan_exits_within_the_contract_on_generated_files(tmp_path, doc, config):
     plan_file(tmp_path, doc, config)
 
 
 @settings(max_examples=100, **SETTINGS)
 @given(doc=DOCUMENTS, config=CONFIGS, baseline=st.sampled_from(["fixed-altitude", "fixed-n"]))
+@example(doc=FLAT_BOX_AT_REACH, config=None, baseline="fixed-altitude")
 def test_baselines_exit_within_the_contract_on_generated_files(tmp_path, doc, config, baseline):
     plan_file(tmp_path, doc, config, "--baseline", baseline)

@@ -8,7 +8,8 @@ paper-sweep:fixed, the one pass whose zone capacity caps bind and whose
 every link is pinned. A change that moves any plan, zone, swarm or
 throughput bit updates these pins and says why; ``tools/plan_digest.py``
 prints the same digests for every workload. Its ``--endings`` counts, how
-each planner swarm of a pass ended, are pinned on every pass.
+each planner swarm of a pass ended, are pinned on every pass, and every
+one-member placement of every pass is served at its user's nadir.
 How many enumerations of a pass skip the vertex arrangement is pinned on
 paper-sweep (all 288) and n200-2km (none of 3), and its ``--candidates``
 counts, the vertex candidates scored and the venues that fell back to
@@ -38,9 +39,9 @@ PINS = {
     "throughput_digest": "dd163e9cae56166c",
 }
 N200_PINS = {
-    "plan_digest": "96438cf6d96540f0",
+    "plan_digest": "b3a9b0eb9ff52982",
     "zone_digest": "4ff046fc2c6bb991",
-    "swarm_digest": "66054223c0db01e0",
+    "swarm_digest": "a3f7e1e7e9134432",
     "throughput_digest": "875f9423ddae894e",
 }
 PAPER_SWEEP_PLAN_DIGEST = "25ff5d17f6dae6bc"
@@ -130,7 +131,7 @@ ENDINGS = {
     "paper-sweep": "paper-sweep witness 101 ceiling 43 probe 5 proven 5 seeded 0 iterated 0\n"
                    "paper-sweep:fixed witness 432 ceiling 97 probe 14 proven 3 seeded 0 iterated 0\n",
     "n100-1km": "n100-1km witness 2 ceiling 13 probe 0 proven 11 seeded 0 iterated 0\n",
-    "n200-2km": "n200-2km witness 12 ceiling 94 probe 15 proven 55 seeded 0 iterated 0\n",
+    "n200-2km": "n200-2km witness 18 ceiling 90 probe 13 proven 55 seeded 0 iterated 0\n",
 }
 
 
@@ -214,6 +215,34 @@ def test_plans_record_their_zones_and_where_each_search_ended(plan_digest, monke
                 == (sol.iterations, sol.fitness.hex(), *(v.hex() for v in sol.uav_position.tolist()))
             iterations += sol.iterations
     assert (iterations > 0) == (pairs == 0)
+
+
+def test_every_one_member_placement_is_served_at_its_nadir(plan_digest, monkeypatch):
+    # The planner checks each user's link at its nadir before any zone
+    # exists, and places every one-member zone there, so none fails: over
+    # one pass of every workload, paper-sweep:fixed included, each such
+    # placement of plan_deployment (planner and fixed-altitude, on the box
+    # it planned in) ends at its witness, served, exactly at the nadir.
+    workloads, plans = plan_digest.workloads, []
+    plan = workloads.planner.plan_deployment
+
+    def record(scn, *args):
+        plans.append((scn, plan(scn, *args)))
+        return plans[-1][1]
+
+    for module in (workloads.planner, workloads.scenario):
+        monkeypatch.setattr(module, "plan_deployment", record)
+    for name, changes in [*((name, {}) for name in workloads.WORKLOADS),
+                          ("paper-sweep", {"bandwidth_policy": "fixed"})]:
+        for _ in plan_digest.planned(workloads.WORKLOADS[name], **changes):
+            pass
+    singles = [(scn, sol) for scn, dep in plans for sol in dep.placements
+               if len(sol.ue_indices) == 1]
+    assert len(plans) == 2 * 288 + 2 + 3 and singles
+    for scn, sol in singles:
+        nadir = scn.venue.clamp(scn.ue_positions[sol.ue_indices[0]])
+        assert (sol.feasible, sol.ending, sol.uav_position.tobytes()) \
+            == (True, "witness", nadir.tobytes())
 
 
 # The vertex candidates one pass scores, as ``tools/plan_digest.py --candidates`` prints them.

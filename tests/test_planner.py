@@ -31,7 +31,7 @@ from uavplan import (
     zone_witness,
 )
 from uavplan import evaluate_throughput, planner, positioning
-from uavplan.cli import deployment_to_dict
+from uavplan.cli import deployment_to_dict, main, scenario_to_dict
 from uavplan.planner import served_links, uav_loads, zone_capacities
 from uavplan.positioning import PlacementSolution
 from conftest import random_scenario
@@ -111,6 +111,24 @@ def test_planner_unservable(params):
     scn = make_scenario([(50, 50)], demand=2.5e9, bandwidth_policy="fixed", seed=1)
     with pytest.raises(UnservableError):
         plan_deployment(scn, params)
+
+
+@pytest.mark.parametrize("z, policy, width", [((120.0, 120.0), "fixed", 20e6),
+                                               ((200.0, 250.0), "demand-fit", 160e6)])
+def test_users_out_of_ball_reach_plan_at_their_nadirs(tmp_path, params, z, policy, width):
+    # The 0.9-LoS ball of 52 Mbit/s misses the box (107.6 m of a 120 m
+    # floor over 20 MHz, 170 m of 200 m over 160 MHz), but straight overhead
+    # the LoS probability is nearly 1 and each nadir link serves: the plan
+    # succeeds, one UAV per user, each at its nadir, and the CLI exits 0.
+    scn = make_scenario([(100, 100), (250, 400), (420, 150)], demand=52e6, side=500.0, z=z,
+                        bandwidth_policy=policy)
+    assert max_service_distance(52e6, width, params) < z[0]
+    dep = plan_deployment(scn, params)
+    assert validate_deployment(dep, scn, params).passed and dep.uav_count == 3
+    assert dep.uav_positions.tobytes() == scn.venue.clamp(scn.ue_positions).tobytes()
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario_to_dict(scn)))
+    assert main(["plan", "--scenario", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_planner_capacity_deadlock(params):
@@ -547,42 +565,37 @@ def test_mixed_pin_plans_are_pinned(params):
         for a in (dep.uav_positions, dep.association.z, dep.link_bandwidth_hz, dep.link_rate_bps):
             h.update(np.ascontiguousarray(a).tobytes())
         uavs += dep.uav_count
-    assert (uavs, h.hexdigest()[:16]) == (260, "e46cf5fec3bf95db")
+    assert (uavs, h.hexdigest()[:16]) == (260, "3c1d1d3babfd5549")
 
 
 def breadth_first(roots, scn, spheres, place):
-    """The planner's queue one zone at a time, first in first out: its pool and failing users.
+    """The planner's queue one zone at a time, first in first out: its pool.
 
     Each pool entry is (wave, members, solution), the roots being wave 0.
     """
-    pool, failed, queue = [], [], deque((0, root) for root in roots)
+    pool, queue = [], deque((0, root) for root in roots)
     while queue:
         wave, sub = queue.popleft()
         sol = place(sub)
         pool.append((wave, sub.members, sol))
-        if sol.feasible:
-            continue
-        if len(sub.members) == 1:
-            failed.append(sub.members[0])
-            continue
-        queue.extend((wave + 1, half) for half in split_zone([sub], spheres, scn))
-    return pool, failed
+        if not sol.feasible:
+            queue.extend((wave + 1, half) for half in split_zone([sub], spheres, scn))
+    return pool
 
 
 @pytest.mark.parametrize("salt", [3, 5])
 def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkeypatch, salt):
     # A stand-in swarm fails zones by a fixed rule, so that the split tree is
-    # deep; a zone of more than one user whose key is a multiple of 5 or 3
-    # fails. Under salt 3 no singleton fails; under 5 several do, and the
-    # plan reports them all.
+    # deep: a zone of more than one user whose key is a multiple of 5 or 3
+    # fails. A singleton sits at its member's nadir, which the planner has
+    # checked serves it, so it never fails, and the plan succeeds.
     rng = np.random.default_rng(2024)
     scn = make_scenario(rng.uniform(0.0, 1000.0, (40, 2)).tolist(), demand=26e6, side=1000.0)
     calls = []
 
     def place(zone):
         key = 7 * sum(zone.members) + len(zone.members) + salt
-        feasible = (key % 2 != 0 if len(zone.members) == 1
-                    else key % 5 != 0 and key % 3 != 0)
+        feasible = len(zone.members) == 1 or (key % 5 != 0 and key % 3 != 0)
         links = np.zeros(len(zone.members))
         return PlacementSolution(zone.witness.as_array(), np.array(zone.members), links, links,
                                  float(key), feasible, 0,
@@ -593,40 +606,43 @@ def test_waves_report_swarms_in_wave_order_and_every_failing_user(params, monkey
         calls.extend(zone.members for zone in zones)
         return [place(zone) for zone in zones]
 
-    # The first wave: each cover pick restricted to the users it serves.
+    # The first wave: each cover pick restricted to the users it serves, a
+    # pick left with one user anchored at that user's nadir.
     roots = []
     assign = planner.cover_assignment
 
     def record_roots(cover, *args):
         served_sets = assign(cover, *args)
-        roots.extend(replace(z, members=tuple(sorted(served)))
-                     for z, served in zip(cover, served_sets) if served)
+        for z, served in zip(cover, served_sets):
+            if len(served) == 1:
+                nadir = scn.venue.clamp(scn.ue_positions[served[0]])
+                z = replace(z, witness=Point3.from_array(nadir))
+            if served:
+                roots.append(replace(z, members=served))
         return served_sets
 
     monkeypatch.setattr(planner, "cover_assignment", record_roots)
     monkeypatch.setattr(planner, "optimize_positions", place_all)
     monkeypatch.setattr(planner, "optimize_position", lambda zone, *a, **kw: place_all([zone])[0])
-    dep, failed = None, ()
-    try:
-        dep = plan_deployment(scn, params)
-        zones, placements = dep.zones, dep.placements
-    except UnservableError as exc:
-        failed, zones, placements = exc.ue_indices, exc.zones, exc.placements
+    dep = plan_deployment(scn, params)
     spheres = build_spheres(scn, params)
-    expected, expected_failed = breadth_first(roots, scn, spheres, place)
+    expected = breadth_first(roots, scn, spheres, place)
 
     # Each wave places its zones of two or more users in one call, then its
     # singletons one at a time.
     assert calls == [members for _, members, _ in
                      sorted(expected, key=lambda entry: (entry[0], len(entry[1]) == 1))]
-    # The plan, or the error of a failed one, records the zones enumerated
-    # and every placement in wave order, failed ones included.
-    assert [z.members for z in zones] == [z.members for z in enumerate_zones(spheres, scn.venue)]
+    # The plan records the zones enumerated and every placement in wave
+    # order, failed ones included; every singleton is placed at its nadir.
+    assert [z.members for z in dep.zones] \
+        == [z.members for z in enumerate_zones(spheres, scn.venue)]
     assert [(sol.ue_indices.tolist(), sol.uav_position.tobytes(), sol.fitness, sol.feasible,
-             sol.trace) for sol in placements] \
+             sol.trace) for sol in dep.placements] \
         == [(list(members), sol.uav_position.tobytes(), sol.fitness, sol.feasible,
              ((0, float(len(members)), (0.0, 0.0, 0.0)),)) for _, members, sol in expected]
-    assert failed == tuple(sorted(set(expected_failed)))
-    assert len(failed) == {3: 0, 5: 5}[salt]
-    assert (dep is None) == bool(failed)
+    singles = [sol for sol in dep.placements if len(sol.ue_indices) == 1]
+    assert len(singles) == {3: 0, 5: 8}[salt] and all(sol.feasible for sol in singles)
+    nadirs = scn.venue.clamp(scn.ue_positions)
+    assert all(sol.uav_position.tobytes() == nadirs[sol.ue_indices[0]].tobytes() for sol in singles)
+    assert dep.uav_count == sum(sol.feasible for sol in dep.placements)
     assert len(expected) > len(roots)

@@ -42,8 +42,9 @@ solution's ``ending`` records it. ``witness``: the zone's witness served
 it; ``ceiling``: the witness raised to the box top did; ``probe``: the
 certificate's first served probe did; ``proven``: the certificate proved
 the zone unservable; ``seeded``: the swarm stopped at its random start;
-``iterated``: the swarm stepped at least once. Singleton zones are swarms
-too and count like any other.
+``iterated``: the swarm stepped at least once. Zones of one user count
+too, each as ``witness``: it sits at the user's nadir, whose link the
+planner checked before any zone existed.
 
 With ``--candidates`` it prints counts instead of a digest, over every
 enumeration of one pass: the floor-disk vertex candidates scored, the venues
