@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from .geometry import FeasibleBox, Point3
 from .planner import CapacityDeadlockError, UnservableError, plan_deployment, validate_deployment
 from .positioning import SwarmConfig
 from .scenario import (
+    FAMILIES,
     METHODS,
     UE,
     BaselineKind,
@@ -357,8 +359,6 @@ def cmd_sweep(args) -> int:
         args.kind, sections.get("channel", ChannelParams()), sections.get("pso", SwarmConfig()),
         n_runs=args.runs, base_seed=args.base_seed, scenario_overrides=sections.get("policy"),
     )
-    import os
-
     try:
         os.makedirs(args.out_dir, exist_ok=True)
         table.write_csv(os.path.join(args.out_dir, f"runs_{table.kind}.csv"))
@@ -379,20 +379,15 @@ def cmd_sweep(args) -> int:
 
 def _write_plot_data(table, out_dir) -> None:
     """Per-figure CSVs: mean UAV count and mean throughput per variant/method."""
-    import os
-
-    summary = table.summary()
-    variants = sorted({row["variant"] for row in summary})
+    summary = {(row["variant"], row["method"]): row for row in table.summary()}
+    variants = sorted({variant for variant, _ in summary})
     for metric, fname in (
         ("uav_count_mean", f"plot_uav_count_{table.kind}.csv"),
         ("aggregate_bps_mean", f"plot_throughput_{table.kind}.csv"),
     ):
         lines = ["variant," + ",".join(METHODS)]
         for v in variants:
-            cells = []
-            for m in METHODS:
-                hit = [r for r in summary if r["variant"] == v and r["method"] == m]
-                cells.append(repr(hit[0][metric]) if hit else "nan")
+            cells = [repr(summary[v, m][metric]) if (v, m) in summary else "nan" for m in METHODS]
             lines.append(f"{v!r}," + ",".join(cells))
         _write_text(os.path.join(out_dir, fname), "\n".join(lines) + "\n")
 
@@ -405,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a scenario file for a published family")
-    gen.add_argument("--kind", required=True, choices=["A", "B", "C"])
+    gen.add_argument("--kind", required=True, choices=list(FAMILIES))
     gen.add_argument("--variant", required=True, type=int)
     gen.add_argument("--seed", required=True, type=int)
     gen.add_argument("--out", required=True)
@@ -423,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.set_defaults(func=cmd_plan)
 
     sweep = sub.add_parser("sweep", help="run a seeded experiment sweep to CSV")
-    sweep.add_argument("--kind", required=True, choices=["A", "B", "C"])
+    sweep.add_argument("--kind", required=True, choices=list(FAMILIES))
     sweep.add_argument("--config", default=None)
     sweep.add_argument("--runs", type=int, default=30)
     sweep.add_argument("--base-seed", type=int, default=0)

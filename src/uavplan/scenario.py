@@ -50,6 +50,14 @@ VENUE_SIDES_M: tuple[float, ...] = (100.0, 200.0, 300.0, 400.0, 500.0)
 #: UE counts for the growing-population family.
 UE_COUNTS: tuple[int, ...] = (20, 30, 40, 50, 60)
 
+#: Published family -> (the cell value it varies, that value's variants).
+#: The other two values stay at a 100 m side, 20 UEs and 6.5 Mbit/s.
+FAMILIES: dict[str, tuple[str, tuple[float, ...]]] = {
+    "A": ("demand_bps", MCS_RATES_BPS),
+    "B": ("side_m", VENUE_SIDES_M),
+    "C": ("n_ues", UE_COUNTS),
+}
+
 FIXED_BASELINE_ALTITUDE_M = 20.0
 FIXED_BASELINE_GROUP_SIZE = 10
 
@@ -134,22 +142,21 @@ class BaselineKind(enum.Enum):
 
 
 def generate_scenario(kind: str, variant_index: int, seed: int) -> Scenario:
-    """Seeded scenario of family A (demand sweep), B (venue sweep) or C (UE sweep)."""
+    """Seeded scenario of family A (demand sweep), B (venue sweep) or C (UE sweep).
+
+    ``FAMILIES`` names the value each family varies; ``seed`` must be non-negative.
+    """
     kind = kind.upper()
-    if kind == "A":
-        if not 0 <= variant_index < len(MCS_RATES_BPS):
-            raise ConfigError(f"scenario A variant must be 0..5, got {variant_index}")
-        side, n_ues, demand = 100.0, 20, MCS_RATES_BPS[variant_index]
-    elif kind == "B":
-        if not 0 <= variant_index < len(VENUE_SIDES_M):
-            raise ConfigError(f"scenario B variant must be 0..4, got {variant_index}")
-        side, n_ues, demand = VENUE_SIDES_M[variant_index], 20, MCS_RATES_BPS[0]
-    elif kind == "C":
-        if not 0 <= variant_index < len(UE_COUNTS):
-            raise ConfigError(f"scenario C variant must be 0..4, got {variant_index}")
-        side, n_ues, demand = 100.0, UE_COUNTS[variant_index], MCS_RATES_BPS[0]
-    else:
+    if kind not in FAMILIES:
         raise ConfigError(f"unknown scenario kind {kind!r}")
+    varied, values = FAMILIES[kind]
+    if not 0 <= variant_index < len(values):
+        raise ConfigError(f"scenario {kind} variant must be 0..{len(values) - 1}, got {variant_index}")
+    if seed < 0:
+        raise ConfigError(f"scenario seed must be non-negative, got {seed}")
+    cell = {"side_m": 100.0, "n_ues": 20, "demand_bps": MCS_RATES_BPS[0]}
+    cell[varied] = values[variant_index]
+    side, n_ues, demand = cell["side_m"], cell["n_ues"], cell["demand_bps"]
 
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, side, n_ues)
@@ -298,11 +305,11 @@ def demand_satisfaction_ratio(delivered: list[float], scenario: Scenario) -> flo
 
 METHODS = ("planner", "fixed-altitude", "fixed-n")
 
-_VARIANT_VALUES = {
-    "A": MCS_RATES_BPS,
-    "B": VENUE_SIDES_M,
-    "C": UE_COUNTS,
-}
+# The columns of the two sweep tables, in file order.
+_RUN_COLUMNS = ("scenario", "variant", "method", "run", "seed",
+                "uav_count", "aggregate_bps", "demand_satisfied_ratio")
+_SUMMARY_COLUMNS = ("scenario", "variant", "method", "runs_ok", "uav_count_mean",
+                    "uav_count_std", "aggregate_bps_mean", "aggregate_bps_std")
 
 
 @dataclass(frozen=True)
@@ -312,9 +319,9 @@ class ExperimentRow:
     method: str
     run: int
     seed: int
-    uav_count: int | None
-    aggregate_bps: float | None
-    demand_satisfied_ratio: float | None
+    uav_count: int | None = None
+    aggregate_bps: float | None = None
+    demand_satisfied_ratio: float | None = None
     error: str = ""
 
 
@@ -331,56 +338,27 @@ class ExperimentTable:
         for variant, method in keys:
             ok = [r for r in self.rows
                   if r.variant == variant and r.method == method and r.error == ""]
-            counts = np.array([r.uav_count for r in ok], dtype=float)
-            thr = np.array([r.aggregate_bps for r in ok], dtype=float)
-            out.append({
-                "scenario": self.kind,
-                "variant": variant,
-                "method": method,
-                "runs_ok": len(ok),
-                "uav_count_mean": float(np.mean(counts)) if len(ok) else math.nan,
-                "uav_count_std": float(np.std(counts)) if len(ok) else math.nan,
-                "aggregate_bps_mean": float(np.mean(thr)) if len(ok) else math.nan,
-                "aggregate_bps_std": float(np.std(thr)) if len(ok) else math.nan,
-            })
+            stats = [float(stat(np.array(values, dtype=float))) if ok else math.nan
+                     for values in ([r.uav_count for r in ok], [r.aggregate_bps for r in ok])
+                     for stat in (np.mean, np.std)]
+            out.append(dict(zip(_SUMMARY_COLUMNS, (self.kind, variant, method, len(ok), *stats))))
         return out
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([
-                "scenario", "variant", "method", "run", "seed",
-                "uav_count", "aggregate_bps", "demand_satisfied_ratio",
-            ])
-            for r in self.rows:
-                w.writerow([
-                    r.scenario, _fmt(r.variant), r.method, r.run, r.seed,
-                    "" if r.uav_count is None else r.uav_count,
-                    "" if r.aggregate_bps is None else _fmt(r.aggregate_bps),
-                    "" if r.demand_satisfied_ratio is None else _fmt(r.demand_satisfied_ratio),
-                ])
+        _write_columns(path, _RUN_COLUMNS,
+                       [[getattr(r, c) for c in _RUN_COLUMNS] for r in self.rows])
 
     def write_summary_csv(self, path) -> None:
-        rows = self.summary()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([
-                "scenario", "variant", "method", "runs_ok",
-                "uav_count_mean", "uav_count_std",
-                "aggregate_bps_mean", "aggregate_bps_std",
-            ])
-            for r in rows:
-                w.writerow([
-                    r["scenario"], _fmt(r["variant"]), r["method"], r["runs_ok"],
-                    _fmt(r["uav_count_mean"]), _fmt(r["uav_count_std"]),
-                    _fmt(r["aggregate_bps_mean"]), _fmt(r["aggregate_bps_std"]),
-                ])
+        _write_columns(path, _SUMMARY_COLUMNS,
+                       [[s[c] for c in _SUMMARY_COLUMNS] for s in self.summary()])
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(float(x)) if isinstance(x, float) else str(x)
+def _write_columns(path, header: tuple[str, ...], rows: list[list]) -> None:
+    """One CSV table: None writes an empty cell and a float its ``repr``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def run_experiment(
@@ -401,10 +379,10 @@ def run_experiment(
     if n_runs < 1:
         raise ConfigError("n_runs must be >= 1")
     kind = kind.upper()
-    if kind not in _VARIANT_VALUES:
+    if kind not in FAMILIES:
         raise ConfigError(f"unknown scenario kind {kind!r}")
     table = ExperimentTable(kind=kind)
-    for variant_index, variant_value in enumerate(_VARIANT_VALUES[kind]):
+    for variant_index, variant_value in enumerate(FAMILIES[kind][1]):
         for run in range(1, n_runs + 1):
             seed = base_seed + run
             scn = generate_scenario(kind, variant_index, seed)
@@ -417,21 +395,15 @@ def run_experiment(
 
 
 def _run_cell(kind, variant_value, method, run, seed, scn, params, cfg) -> ExperimentRow:
+    row = ExperimentRow(scenario=kind, variant=float(variant_value), method=method, run=run,
+                        seed=seed)
     try:
         if method == "planner":
             dep = plan_deployment(scn, params, cfg)
         else:
             dep = run_baseline(BaselineKind(method), scn, params, cfg)
         aggregate, delivered = evaluate_throughput(dep, scn, params)
-        ratio = demand_satisfaction_ratio(delivered, scn)
-        return ExperimentRow(
-            scenario=kind, variant=float(variant_value), method=method, run=run,
-            seed=seed, uav_count=dep.uav_count, aggregate_bps=aggregate,
-            demand_satisfied_ratio=ratio,
-        )
     except (UnservableError, CapacityDeadlockError, ConfigError) as exc:
-        return ExperimentRow(
-            scenario=kind, variant=float(variant_value), method=method, run=run,
-            seed=seed, uav_count=None, aggregate_bps=None,
-            demand_satisfied_ratio=None, error=f"{type(exc).__name__}: {exc}",
-        )
+        return replace(row, error=f"{type(exc).__name__}: {exc}")
+    return replace(row, uav_count=dep.uav_count, aggregate_bps=aggregate,
+                   demand_satisfied_ratio=demand_satisfaction_ratio(delivered, scn))

@@ -1,4 +1,5 @@
 """CLI surface: file round trips, exit codes, dumps, and byte determinism."""
+import hashlib
 import json
 import math
 
@@ -461,6 +462,17 @@ def test_plan_config_override(tmp_path):
                    "--out", str(res)) == 4
 
 
+# SHA-256 prefixes of every file `sweep --kind A --runs 1 --base-seed 3`
+# writes. Each of its rows meets its demand, so every throughput is an exact
+# multiple of the demand; a change in how any cell is formatted moves a pin.
+SWEEP_A_PINS = {
+    "runs_A.csv": "6fee10087effdaeb",
+    "summary_A.csv": "df0cace36d5f3650",
+    "plot_uav_count_A.csv": "a70123d1cce24537",
+    "plot_throughput_A.csv": "f61874c5fd486437",
+}
+
+
 def test_sweep_outputs(tmp_path):
     out_dir = tmp_path / "sweep"
     assert run_cli("sweep", "--kind", "A", "--runs", "1", "--base-seed", "3",
@@ -468,9 +480,8 @@ def test_sweep_outputs(tmp_path):
     runs = (out_dir / "runs_A.csv").read_text().splitlines()
     assert runs[0] == "scenario,variant,method,run,seed,uav_count,aggregate_bps,demand_satisfied_ratio"
     assert len(runs) == 1 + 6 * 3
-    assert (out_dir / "summary_A.csv").exists()
-    assert (out_dir / "plot_uav_count_A.csv").exists()
-    assert (out_dir / "plot_throughput_A.csv").exists()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in out_dir.iterdir()}
+    assert digests == SWEEP_A_PINS
 
 
 def test_sweep_reports_each_failed_row(tmp_path, capsys):
@@ -486,6 +497,12 @@ def test_sweep_reports_each_failed_row(tmp_path, capsys):
     assert err[0].startswith("failed: C variant 20 planner run 1: "
                              "UnservableError: unservable UEs: (0, 1, ")
     assert err[1].startswith("failed: C variant 20 fixed-altitude run 1: UnservableError: ")
+    # A failed row leaves its result cells empty; a cell with no successful run
+    # reads nan in the summary.
+    runs = (tmp_path / "sweep" / "runs_C.csv").read_text().splitlines()
+    summary = (tmp_path / "sweep" / "summary_C.csv").read_text().splitlines()
+    assert runs[1] == "C,20.0,planner,1,1,,,"
+    assert summary[1] == "C,20.0,planner,0,nan,nan,nan,nan"
 
 
 def test_sweep_config_rejects_a_seed(tmp_path, capsys):
@@ -503,5 +520,24 @@ def test_sweep_byte_identical(tmp_path):
     for d in (d1, d2):
         assert run_cli("sweep", "--kind", "C", "--runs", "1", "--base-seed", "9",
                        "--out-dir", str(d)) == 0
-    for name in ("runs_C.csv", "summary_C.csv", "plot_uav_count_C.csv"):
+    names = sorted(p.name for p in d1.iterdir())
+    assert names == ["plot_throughput_C.csv", "plot_uav_count_C.csv", "runs_C.csv", "summary_C.csv"]
+    assert sorted(p.name for p in d2.iterdir()) == names
+    for name in names:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_generate_negative_seed_exits_four(tmp_path, capsys):
+    out = tmp_path / "scn.json"
+    assert run_cli("generate", "--kind", "A", "--variant", "0", "--seed", "-1",
+                   "--out", str(out)) == 4
+    assert capsys.readouterr().err == "error: scenario seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_sweep_negative_seed_exits_four_and_writes_nothing(tmp_path, capsys):
+    # Run 1 of base seed -5 generates its scenario from seed -4.
+    assert run_cli("sweep", "--kind", "A", "--runs", "1", "--base-seed", "-5",
+                   "--out-dir", str(tmp_path / "sweep")) == 4
+    assert capsys.readouterr().err == "error: scenario seed must be non-negative, got -4\n"
+    assert not (tmp_path / "sweep").exists()

@@ -78,10 +78,18 @@ def test_generate_seeded_reproducible():
 
 
 def test_generate_invalid_variant():
-    with pytest.raises(ConfigError):
-        generate_scenario("A", 6, seed=1)
-    with pytest.raises(ConfigError):
-        generate_scenario("D", 0, seed=1)
+    for kind, variant, message in (
+        ("A", 6, "scenario A variant must be 0..5, got 6"),
+        ("A", -1, "scenario A variant must be 0..5, got -1"),
+        ("B", 5, "scenario B variant must be 0..4, got 5"),
+        ("C", 5, "scenario C variant must be 0..4, got 5"),
+        ("c", -1, "scenario C variant must be 0..4, got -1"),
+        ("D", 0, "unknown scenario kind 'D'"),
+        ("d", 0, "unknown scenario kind 'D'"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            generate_scenario(kind, variant, seed=1)
+        assert str(exc.value) == message
 
 
 def test_scenario_validation_errors():
